@@ -22,14 +22,11 @@ against re-solves of the actual estimator.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConfigurationError, SingularityError
-from .parallel import thread_count
 from .solvers import (
     COVARIATE,
     MASC,
@@ -125,16 +122,9 @@ def _constraint_rows(fit: ScFit, d: np.ndarray | None) -> tuple[np.ndarray, str]
     return np.vstack([ones, d[np.ix_(em, a)]]), CASE_COV_FEW
 
 
-def divergence_sc(
-    fit: ScFit,
-    x: np.ndarray,
-    d: np.ndarray | None = None,
-    z: np.ndarray | None = None,
-) -> DivergenceMatrix:
-    """Divergence of a plain or covariate fit (scaled by ``1 + lam`` if the
-    fit carries a donor-distance penalty)."""
-    if fit.kind not in (PLAIN, COVARIATE):
-        raise ConfigurationError(f"divergence_sc expects a plain or covariate fit, got {fit.kind}")
+def _active_hat(fit: ScFit, x: np.ndarray, d: np.ndarray | None) -> DivergenceMatrix:
+    """Constrained hat matrix on the active donors, scaled by ``1 + lam``
+    when the fit carries a donor-distance penalty."""
     xa = _active_design(fit, x)
     rows, _ = _constraint_rows(fit, d)
     mat = eq_constrained_hat(xa, rows)
@@ -143,33 +133,21 @@ def divergence_sc(
     return DivergenceMatrix(matrix=mat)
 
 
-def divergence_b_form(fit: ScFit, x: np.ndarray) -> DivergenceMatrix:
-    """No-covariate divergence in its rank-one-correction form
-    ``P_A - b b' / (1' G^-1 1)`` with ``b = X_A G^-1 1``; algebraically the
-    same matrix as the constrained-hat route."""
-    xa = _active_design(fit, x)
-    gram = xa.T @ xa
-    cho = scipy.linalg.cho_factor(gram, check_finite=False)
-    ones = np.ones(xa.shape[1])
-    gi_one = scipy.linalg.cho_solve(cho, ones, check_finite=False)
-    b = xa @ gi_one
-    proj = xa @ scipy.linalg.cho_solve(cho, xa.T, check_finite=False)
-    return DivergenceMatrix(matrix=proj - np.outer(b, b) / float(ones @ gi_one))
+def divergence_sc(fit: ScFit, x: np.ndarray, d: np.ndarray | None = None) -> DivergenceMatrix:
+    """Divergence of a plain or covariate fit (scaled by ``1 + lam`` if the
+    fit carries a donor-distance penalty)."""
+    if fit.kind not in (PLAIN, COVARIATE):
+        raise ConfigurationError(f"divergence_sc expects a plain or covariate fit, got {fit.kind}")
+    return _active_hat(fit, x, d)
 
 
-def divergence_pen(
-    fit: ScFit, x: np.ndarray, y: np.ndarray | None = None, lam: float | None = None
-) -> DivergenceMatrix:
+def divergence_pen(fit: ScFit, x: np.ndarray) -> DivergenceMatrix:
     """Divergence of the penalized fit: ``(1 + lam)`` times the unpenalized
-    divergence on the same active set.  ``y`` is accepted for interface
-    symmetry; the outcome-dependent penalty terms cancel exactly against
-    the constraint correction."""
+    divergence on the same active set.  The outcome-dependent penalty terms
+    cancel exactly against the constraint correction."""
     if fit.kind != PENALIZED:
         raise ConfigurationError(f"divergence_pen expects a penalized fit, got {fit.kind}")
-    lam = fit.lam if lam is None else float(lam)
-    xa = _active_design(fit, x)
-    base = eq_constrained_hat(xa, np.ones((1, xa.shape[1])))
-    return DivergenceMatrix(matrix=(1.0 + lam) * base)
+    return _active_hat(fit, x, None)
 
 
 def divergence_masc(fit_sc_component: ScFit, lam: float, x: np.ndarray) -> DivergenceMatrix:
@@ -268,29 +246,22 @@ def divergence_fd_oracle(solver, y: np.ndarray, step: float | None = None) -> Fd
         step = 1e-5 * max(1.0, float(np.max(np.abs(y), initial=0.0)))
     if step <= 0:
         raise ConfigurationError("finite-difference step must be positive")
-    base = solver(y)
-    base_sets = base.sets
+    base_sets = solver(y).sets
 
-    def column(i: int):
+    columns = []
+    changed = []
+    for i in range(n):
         bump = np.zeros(n)
         bump[i] = step
         up = solver(y + bump)
         down = solver(y - bump)
-        flipped = up.sets != base_sets or down.sets != base_sets
-        return (up.fitted - down.fitted) / (2.0 * step), flipped
+        columns.append((up.fitted - down.fitted) / (2.0 * step))
+        if up.sets != base_sets or down.sets != base_sets:
+            changed.append(i)
 
-    workers = thread_count()
-    if workers > 1 and n > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(column, range(n)))
-    else:
-        results = [column(i) for i in range(n)]
-
-    matrix = np.column_stack([col for col, _ in results])
-    changed = tuple(i for i, (_, flip) in enumerate(results) if flip)
     return FdDivergence(
-        matrix=matrix,
+        matrix=np.column_stack(columns),
         active_set_changed=bool(changed),
-        changed_coordinates=changed,
+        changed_coordinates=tuple(changed),
         step=float(step),
     )

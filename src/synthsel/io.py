@@ -69,15 +69,21 @@ class LoadedPanel:
 
 
 def _read_rows(path: str) -> list[list[str]]:
-    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
-        return [row for row in csv.reader(handle) if row and any(cell.strip() for cell in row)]
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as handle:
+            return [row for row in csv.reader(handle) if row and any(cell.strip() for cell in row)]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise PanelParseError(f"cannot read {path!r}: {exc}") from exc
 
 
 def _parse_value(cell: str, row: int, column: str) -> float:
     try:
-        return float(cell)
+        value = float(cell)
     except ValueError:
         raise PanelParseError(f"non-numeric cell {cell!r}", row=row, column=column)
+    if not np.isfinite(value):
+        raise PanelParseError(f"non-finite cell {cell!r}", row=row, column=column)
+    return value
 
 
 def load_panel(

@@ -656,20 +656,8 @@ def run_selection_benchmark(
         rsss = np.array([f.rss for f in fits])
 
         if has_truth:
-            means_pre = conditional_mean_path(
-                spec,
-                FactorPanelDraw(
-                    y=y_pre, x=x_pre, y_systematic=draw.y_systematic[:n_pre],
-                    x_systematic=draw.x_systematic[:n_pre], delta=draw.delta[:n_pre],
-                ),
-            )
-            means_post = conditional_mean_path(
-                spec,
-                FactorPanelDraw(
-                    y=y_post, x=x_post, y_systematic=draw.y_systematic[n_pre:],
-                    x_systematic=draw.x_systematic[n_pre:], delta=draw.delta[n_pre:],
-                ),
-            )
+            means = conditional_mean_path(spec, draw)
+            means_pre, means_post = means[:n_pre], means[n_pre:]
             risk_curve = np.array(
                 [float(np.sum((f.fitted - means_pre) ** 2)) for f in fits]
             )

@@ -182,7 +182,8 @@ def _eq_ls_solve(gram, g, a_mat, rhs):
     full KKT system.  Either way the candidate is validated by its own KKT
     residual: ``consistent=False`` means the face problem has no stationary
     point (a rank-deficient Gram with a descent ray), which the caller must
-    handle directionally.
+    handle directionally.  ``g`` and ``rhs`` may also be matrices with one
+    column per right-hand side, as for the hat matrix.
     """
     k = gram.shape[0]
     h = a_mat.shape[0]
@@ -211,21 +212,6 @@ def _eq_ls_solve(gram, g, a_mat, rhs):
     beta, xi = sol[:k], sol[k:]
     consistent = _kkt_residual(gram, g, a_mat, rhs, beta, xi) <= 1e-8 * scale
     return beta, xi, consistent
-
-
-def _solve_guarded_spd(mat, rhs, block_name: str):
-    """Solve a small symmetric positive-definite system, raising a
-    singularity error on numerically dependent rows."""
-    mat = np.atleast_2d(mat)
-    if mat.shape[0] == 0:
-        return np.zeros_like(np.atleast_1d(rhs))
-    if np.linalg.cond(mat) > 1e12:
-        raise SingularityError(block_name, "numerically dependent rows")
-    try:
-        cho = scipy.linalg.cho_factor(mat, check_finite=False)
-    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError):
-        raise SingularityError(block_name, "not positive definite")
-    return scipy.linalg.cho_solve(cho, rhs, check_finite=False)
 
 
 def _kkt_residual(gram, g, a_mat, rhs, beta, xi) -> float:
@@ -278,26 +264,27 @@ class ConstrainedLstsqResult:
         return float(np.trace(self.hat_matrix()))
 
 
+def _require_independent_blocks(x: np.ndarray, eq_mat: np.ndarray) -> None:
+    """Raise unless ``X`` has full column rank and the rows of ``E`` are
+    independent, i.e. unless ``X'X`` and ``E (X'X)^-1 E'`` are invertible."""
+    if matrix_rank_qr(x) < x.shape[1]:
+        raise SingularityError("X'X", "design not of full column rank")
+    if matrix_rank_qr(eq_mat) < eq_mat.shape[0]:
+        raise SingularityError("E (X'X)^-1 E'", "numerically dependent rows")
+
+
 def eq_constrained_hat(design: np.ndarray, eq_mat: np.ndarray) -> np.ndarray:
     """Hat matrix of equality-constrained least squares.
 
     ``P - X G^-1 E' (E G^-1 E')^-1 E G^-1 X'`` with ``G = X'X`` and ``P``
-    the unconstrained projection; the trace is rank(X) minus the number of
-    independent constraint rows.
+    the unconstrained projection, obtained by solving the subproblem with
+    right-hand side ``X'`` and zero constraint values; the trace is rank(X)
+    minus the number of independent constraint rows.
     """
     x = np.asarray(design, dtype=float)
-    gram = x.T @ x
-    try:
-        cho = scipy.linalg.cho_factor(gram, check_finite=False)
-    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError):
-        raise SingularityError("X'X", "design not of full column rank")
-    proj = x @ scipy.linalg.cho_solve(cho, x.T, check_finite=False)
-    if eq_mat.size == 0:
-        return proj
-    gi_et = scipy.linalg.cho_solve(cho, eq_mat.T, check_finite=False)
-    schur = eq_mat @ gi_et
-    inner = _solve_guarded_spd(schur, gi_et.T @ x.T, "E (X'X)^-1 E'")
-    return proj - (x @ gi_et) @ inner
+    _require_independent_blocks(x, eq_mat)
+    beta, _, _ = _eq_ls_solve(x.T @ x, x.T, eq_mat, np.zeros((eq_mat.shape[0], x.shape[0])))
+    return x @ beta
 
 
 def solve_constrained_ls(
@@ -322,19 +309,9 @@ def solve_constrained_ls(
     else:
         eq_mat = np.atleast_2d(np.asarray(eq_mat, dtype=float))
         eq_rhs = np.asarray(eq_rhs, dtype=float).ravel()
-    gram = x.T @ x
+    _require_independent_blocks(x, eq_mat)
     g = x.T @ y if lin is None else x.T @ y - np.asarray(lin, dtype=float)
-    try:
-        cho = scipy.linalg.cho_factor(gram, check_finite=False)
-    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError):
-        raise SingularityError("X'X", "design not of full column rank")
-    gi_g = scipy.linalg.cho_solve(cho, g, check_finite=False)
-    if eq_mat.shape[0] == 0:
-        return ConstrainedLstsqResult(gi_g, np.zeros(0), x, eq_mat)
-    gi_et = scipy.linalg.cho_solve(cho, eq_mat.T, check_finite=False)
-    schur = eq_mat @ gi_et
-    xi = _solve_guarded_spd(schur, eq_mat @ gi_g - eq_rhs, "E (X'X)^-1 E'")
-    beta = gi_g - gi_et @ xi
+    beta, xi, _ = _eq_ls_solve(x.T @ x, g, eq_mat, eq_rhs)
     return ConstrainedLstsqResult(beta, xi, x, eq_mat)
 
 

@@ -1,9 +1,10 @@
 """Brute-force oracles used by the test suite.
 
 These deliberately share no code with the solvers they check: the simplex
-oracle enumerates a dense grid of weight vectors and refines locally, and
-the constraint-line oracle scans the one-dimensional feasible set of an
-equality-constrained problem.
+oracle enumerates a dense grid of weight vectors and refines locally, the
+constraint-line oracle scans the one-dimensional feasible set of an
+equality-constrained problem, and the rank-one-correction divergence
+writes the sum-to-one hat matrix in a form the package never uses.
 """
 
 import numpy as np
@@ -66,3 +67,23 @@ def constraint_line_min(y, x, d_row, z_val, span=25.0, step=1e-3, rounds=4):
         best_t = float(ts[k])
         center, radius, s = best_t, 2 * s, s / 10
     return b0 + best_t * null
+
+
+def rank_one_correction_divergence(xa):
+    """Hat matrix of least squares on the columns of ``xa`` under the single
+    row ``1'b = 1``, in its rank-one-correction form
+    ``P_A - b b' / (1' G^-1 1)`` with ``G = X_A'X_A`` and ``b = X_A G^-1 1``."""
+    gram_inv = np.linalg.inv(xa.T @ xa)
+    ones = np.ones(xa.shape[1])
+    b = xa @ gram_inv @ ones
+    proj = xa @ gram_inv @ xa.T
+    return proj - np.outer(b, b) / float(ones @ gram_inv @ ones)
+
+
+def duplicate_pairs_by_loop(x):
+    """Pairs (i, j), i < j, of donor columns equal under ``np.array_equal``,
+    by comparing every pair."""
+    p = x.shape[1]
+    return [
+        (i, j) for i in range(p) for j in range(i + 1, p) if np.array_equal(x[:, i], x[:, j])
+    ]

@@ -10,7 +10,6 @@ from synthsel.dof import (
     CASE_COV_MANY,
     df_hat,
     divergence,
-    divergence_b_form,
     divergence_fd_oracle,
     divergence_masc,
     divergence_pen,
@@ -26,6 +25,7 @@ from synthsel.solvers import (
 )
 
 from conftest import make_instance
+from oracles import rank_one_correction_divergence
 
 
 def _all_active_instance(seed, n=14, p=5, noise=0.25):
@@ -86,7 +86,7 @@ class TestDivergenceSc:
         y, x = make_instance(4, n=10, p=5)
         fit = solve_sc(y, x)
         a = divergence_sc(fit, x).matrix
-        b = divergence_b_form(fit, x).matrix
+        b = rank_one_correction_divergence(x[:, list(fit.sets.a)])
         np.testing.assert_allclose(a, b, atol=1e-9)
 
     def test_covariate_few_case_matches_finite_differences(self):
@@ -277,24 +277,3 @@ def test_covariate_phase_transition_profile():
     assert CASE_COV_FEW in cases[1:5]
     diffs = np.diff(profile)
     assert np.any(diffs < 0) and np.any(diffs > 0)
-
-
-def test_fd_oracle_parallel_matches_sequential(monkeypatch):
-    y, x = make_instance(60, n=9, p=4)
-    monkeypatch.setenv("SYNTHSEL_THREADS", "1")
-    seq = divergence_fd_oracle(lambda yy: solve_sc(yy, x), y)
-    monkeypatch.setenv("SYNTHSEL_THREADS", "4")
-    par = divergence_fd_oracle(lambda yy: solve_sc(yy, x), y)
-    np.testing.assert_array_equal(seq.matrix, par.matrix)
-    assert seq.changed_coordinates == par.changed_coordinates
-
-
-def test_thread_count_env_contract(monkeypatch):
-    from synthsel.parallel import thread_count
-
-    monkeypatch.setenv("SYNTHSEL_THREADS", "3")
-    assert thread_count() == 3
-    monkeypatch.setenv("SYNTHSEL_THREADS", "0")
-    assert thread_count() >= 1
-    monkeypatch.setenv("SYNTHSEL_THREADS", "junk")
-    assert thread_count() >= 1

@@ -58,6 +58,13 @@ class TestLoadPanel:
         with pytest.raises(PanelParseError, match="row 3"):
             load_panel(str(path), "treated", "2013-03")
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cell_reports_location(self, tmp_path, cell):
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(f"time,treated,d1\n2013-01,1.0,2.0\n2013-02,1.0,{cell}\n2013-03,1,1\n")
+        with pytest.raises(PanelParseError, match=r"non-finite .*row 3, column 'd1'"):
+            load_panel(str(path), "treated", "2013-03")
+
     def test_ragged_row_reports_location(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("time,treated,d1\n2013-01,1.0,2.0\n2013-02,1.0\n2013-03,1,1\n")
@@ -286,6 +293,19 @@ class TestCli:
         assert code == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["error"]["type"] == "ConfigurationError"
+
+    @pytest.mark.parametrize("flag", ["--input", "--covariates"])
+    def test_missing_file_exits_one_with_structured_error(self, panel_csv, tmp_path, capsys, flag):
+        argv = self._fit_args(panel_csv)
+        absent = str(tmp_path / "absent.csv")
+        if flag == "--input":
+            argv[argv.index("--input") + 1] = absent
+        else:
+            argv += ["--covariates", absent]
+        assert cli.main(argv) == 1
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "PanelParseError"
+        assert "absent.csv" in error["message"]
 
     def test_usage_error_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,0 +1,30 @@
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from synthsel.panel import duplicate_donor_columns
+
+from oracles import duplicate_pairs_by_loop
+
+
+def test_duplicate_pairs_are_lexicographic_with_signed_zero_and_nan():
+    gen = np.random.default_rng(3)
+    x = gen.normal(size=(6, 32))
+    x[:, 7] = x[:, 2]
+    x[:, 30] = x[:, 2]
+    x[:, 11] = x[:, 5]
+    x[:, 12] = 0.0
+    x[:, 13] = -0.0
+    x[0, 20] = np.nan
+    x[:, 21] = x[:, 20]
+    assert duplicate_donor_columns(x) == [(2, 7), (2, 30), (5, 11), (7, 30), (12, 13)]
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_duplicate_pairs_match_pairwise_comparison(seed):
+    gen = np.random.default_rng(seed)
+    n, p = int(gen.integers(1, 5)), int(gen.integers(1, 12))
+    values = np.array([0.0, -0.0, 1.0, -1.0, np.inf, np.nan])
+    x = gen.choice(values, size=(n, p), p=[0.3, 0.2, 0.3, 0.1, 0.05, 0.05])
+    assert duplicate_donor_columns(x) == duplicate_pairs_by_loop(x)
