@@ -55,6 +55,8 @@ class PanelDataset:
                 raise ValueError("post-treatment donor matrix has wrong column count")
             if self.post_y is not None and self.post_y.shape[0] != self.post_x.shape[0]:
                 raise ValueError("post-treatment outcome and donors disagree on length")
+        for name in ("y", "x", "z", "d", "post_y", "post_x"):
+            _require_finite(name, getattr(self, name))
         dup = duplicate_donor_columns(self.x)
         if dup:
             warnings.warn(
@@ -82,6 +84,18 @@ class PanelDataset:
     @property
     def has_post(self) -> bool:
         return self.post_y is not None and self.post_x is not None
+
+
+def _require_finite(name: str, values: np.ndarray | None) -> None:
+    """``ValueError`` naming the field and the (row, column) of its first
+    non-finite value."""
+    if values is None:
+        return
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        first = tuple(int(i) for i in bad[0])
+        where = ", ".join(f"{axis} {i}" for axis, i in zip(("row", "column"), first))
+        raise ValueError(f"{name} has a non-finite value {values[first]} at {where}")
 
 
 def duplicate_donor_columns(x: np.ndarray) -> list[tuple[int, int]]:

@@ -9,7 +9,8 @@ with ``sigma2_hat`` always taken from the unpenalized synthetic control
 residuals, regardless of which candidate is being scored.  All selectors
 return the grid, the per-point scores and the chosen index; exact score
 ties break toward the largest tuning parameter (the most regularized
-candidate), then toward grid order.
+candidate), then toward grid order.  Every selector fits its grid through
+``_fit_grid``, which solves a penalized grid as one warm-started path.
 """
 
 from __future__ import annotations
@@ -27,8 +28,9 @@ from .solvers import (
     PENALIZED,
     PLAIN,
     ScFit,
-    solve_masc,
-    solve_penalized_sc,
+    _solve_penalized,
+    masc_average,
+    solve_matching,
     solve_sc,
     solve_sc_cov_inner,
 )
@@ -133,13 +135,30 @@ def tuning_grid(
     return tuple(TuningPoint(float(l)) for l in lams)
 
 
-def _fit_at(y: np.ndarray, x: np.ndarray, kind: str, pt: TuningPoint) -> ScFit:
+def _fit_grid(y: np.ndarray, x: np.ndarray, kind: str, points) -> list[ScFit]:
+    """The fits at every grid point, in grid order.
+
+    A penalized grid is walked as one path from the largest penalty down,
+    each point warm-started from the fit before it; ``_solve_penalized``
+    keeps a warm fit only where the optimum is unique, so every fit equals
+    its cold ``solve_penalized_sc``.  A model-averaging grid solves plain
+    synthetic control once and each matching count once and averages them
+    per point.
+    """
     if kind == PENALIZED:
-        return solve_penalized_sc(y, x, pt.lam)
+        lams = np.array([pt.lam for pt in points])
+        fits: list[ScFit | None] = [None] * len(points)
+        beta = None
+        for i in np.argsort(-lams, kind="stable"):
+            fits[i] = _solve_penalized(y, x, lams[i], beta)
+            beta = fits[i].beta
+        return fits
     if kind == MASC:
-        return solve_masc(y, x, pt.lam, pt.m)
+        fit_sc = solve_sc(y, x)
+        matches = {m: solve_matching(y, x, m) for m in sorted({pt.m for pt in points})}
+        return [masc_average(y, fit_sc, matches[pt.m], pt.lam) for pt in points]
     if kind == PLAIN:
-        return solve_sc(y, x)
+        return [solve_sc(y, x)] * len(points)
     raise ConfigurationError(f"unknown estimator kind {kind!r}")
 
 
@@ -179,11 +198,8 @@ def select_lambda_ic(
     active-set size of each refit."""
     points = tuning_grid(estimator_kind, grid, m_grid, n_donors=panel.p)
     s2 = sigma2_hat(panel.y, panel.x) if sigma2 is None else float(sigma2)
-    scores = np.full(len(points), np.inf)
-    for i, pt in enumerate(points):
-        fit = _fit_at(panel.y, panel.x, estimator_kind, pt)
-        scores[i] = ic_for_fit(fit, s2)
-    return _select(points, scores, s2, METHOD_SURE)
+    fits = _fit_grid(panel.y, panel.x, estimator_kind, points)
+    return _select(points, [ic_for_fit(fit, s2) for fit in fits], s2, METHOD_SURE)
 
 
 def select_v_ic(
@@ -245,9 +261,8 @@ def cv_holdout(
     points = tuning_grid(estimator_kind, grid, m_grid, n_donors=panel.p)
     y_tr, x_tr = panel.y[:n_train], panel.x[:n_train]
     y_te, x_te = panel.y[n_train:], panel.x[n_train:]
-    scores = np.array(
-        [_forecast_mse(_fit_at(y_tr, x_tr, estimator_kind, pt), x_te, y_te) for pt in points]
-    )
+    fits = _fit_grid(y_tr, x_tr, estimator_kind, points)
+    scores = [_forecast_mse(fit, x_te, y_te) for fit in fits]
     return _select(points, scores, None, METHOD_CV_HOLDOUT)
 
 
@@ -272,9 +287,8 @@ def cv_loo_untreated(
         keep = [k for k in range(p) if k != j]
         y_j, x_j = panel.x[:, j], panel.x[:, keep]
         post_y_j, post_x_j = panel.post_x[:, j], panel.post_x[:, keep]
-        for i, pt in enumerate(points):
-            fit = _fit_at(y_j, x_j, estimator_kind, pt)
-            totals[i] += _forecast_mse(fit, post_x_j, post_y_j)
+        fits = _fit_grid(y_j, x_j, estimator_kind, points)
+        totals += [_forecast_mse(fit, post_x_j, post_y_j) for fit in fits]
     return _select(points, totals / p, None, METHOD_CV_LOO_UNTREATED)
 
 
@@ -304,8 +318,7 @@ def cv_rolling(
         target = t + horizon - 1
         x_te = panel.x[target : target + 1]
         y_te = panel.y[target : target + 1]
-        for i, pt in enumerate(points):
-            fit = _fit_at(y_tr, x_tr, estimator_kind, pt)
-            totals[i] += _forecast_mse(fit, x_te, y_te)
+        fits = _fit_grid(y_tr, x_tr, estimator_kind, points)
+        totals += [_forecast_mse(fit, x_te, y_te) for fit in fits]
     n_folds = len(list(origins))
     return _select(points, totals / n_folds, None, METHOD_CV_ROLLING)

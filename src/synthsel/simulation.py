@@ -30,6 +30,7 @@ from .selection import (
     METHOD_SURE,
     SelectionResult,
     _argmin_most_regularized,
+    _fit_grid,
     TuningPoint,
     cv_holdout,
     cv_loo_untreated,
@@ -37,7 +38,7 @@ from .selection import (
     default_lambda_grid,
 )
 from .dof import df_hat
-from .solvers import PENALIZED, solve_penalized_sc, solve_sc
+from .solvers import PENALIZED, solve_sc
 
 METHOD_RISK = "risk"
 METHOD_SURE_STAR = "sure_star"
@@ -589,9 +590,10 @@ def run_selection_benchmark(
 ) -> BenchmarkReport:
     """Race the selection methods on a known design.
 
-    Per replication the penalized estimator is fit along the grid; each
-    method picks a grid point; accuracy is scored on the one-period and
-    twelve-period treatment-effect errors (the true effect is zero by
+    Per replication the penalized estimator is fit along the grid, walked
+    as one warm-started path (see ``selection``); each method picks a grid
+    point; accuracy is scored on the one-period and twelve-period
+    treatment-effect errors (the true effect is zero by
     construction), the squared distance of the chosen point from the
     per-draw true-risk minimizer, and the error of each method's own risk
     estimate.  Under the block-bootstrap design the truth is unavailable,
@@ -651,7 +653,7 @@ def run_selection_benchmark(
         y_post, x_post = y_all[n_pre:], x_all[n_pre:]
         panel = PanelDataset(y=y_pre, x=x_pre, post_y=y_post, post_x=x_post)
 
-        fits = [solve_penalized_sc(y_pre, x_pre, pt.lam) for pt in points]
+        fits = _fit_grid(y_pre, x_pre, PENALIZED, points)
         dfs = np.array([df_hat(f).df_hat for f in fits])
         rsss = np.array([f.rss for f in fits])
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dpotrf as _potrf, dpotrs as _potrs
 
 from .errors import ConfigurationError, ConvergenceError, SingularityError
 
@@ -29,6 +30,9 @@ KKT_TOL = 1e-8
 _FEAS_TOL = 5e-14
 #: a zero-bound multiplier must exceed this to trigger a release
 _RELEASE_TOL = 1e-10
+#: relative infeasibility a caller's start may carry (rounding in the fit
+#: it came from)
+_START_TOL = 1e-8
 
 PLAIN = "plain"
 COVARIATE = "covariate"
@@ -177,31 +181,34 @@ class EngineResult:
 def _eq_ls_solve(gram, g, a_mat, rhs):
     """Solve ``G b + A' xi = g``, ``A b = rhs`` for (b, xi, consistent).
 
-    The fast path inverts the Gram block and the Schur complement
-    ``A G^-1 A'`` directly and falls back to a minimum-norm solve of the
-    full KKT system.  Either way the candidate is validated by its own KKT
-    residual: ``consistent=False`` means the face problem has no stationary
-    point (a rank-deficient Gram with a descent ray), which the caller must
-    handle directionally.  ``g`` and ``rhs`` may also be matrices with one
-    column per right-hand side, as for the hat matrix.
+    The fast path factors the Gram block with LAPACK ``potrf``/``potrs``
+    (what ``cho_factor``/``cho_solve`` call, minus their argument
+    checking, which costs more than the solve at working-set sizes) and
+    solves the ``h x h`` Schur complement ``A G^-1 A'`` directly; it falls
+    back to a minimum-norm solve of the full KKT system.  Either way the
+    candidate is validated by its own KKT residual: ``consistent=False``
+    means the face problem has no stationary point (a rank-deficient Gram
+    with a descent ray), which the caller must handle directionally.  ``g``
+    and ``rhs`` may also be matrices with one column per right-hand side,
+    as for the hat matrix.
     """
     k = gram.shape[0]
     h = a_mat.shape[0]
     scale = 1.0 + float(np.max(np.abs(g), initial=0.0)) + float(np.max(np.abs(rhs), initial=0.0))
-    beta = xi = None
     try:
-        cho = scipy.linalg.cho_factor(gram, check_finite=False)
-        gi_g = scipy.linalg.cho_solve(cho, g, check_finite=False)
+        chol, info = _potrf(gram, lower=0, clean=0)
+        if info:
+            raise np.linalg.LinAlgError("Gram block is not positive definite")
+        gi_g = _potrs(chol, g, lower=0)[0]
         if h == 0:
             beta, xi = gi_g, np.zeros(0)
         else:
-            gi_at = scipy.linalg.cho_solve(cho, a_mat.T, check_finite=False)
-            schur = a_mat @ gi_at
-            xi = scipy.linalg.solve(schur, a_mat @ gi_g - rhs, assume_a="sym")
+            gi_at = _potrs(chol, a_mat.T, lower=0)[0]
+            xi = np.linalg.solve(a_mat @ gi_at, a_mat @ gi_g - rhs)
             beta = gi_g - gi_at @ xi
         if _kkt_residual(gram, g, a_mat, rhs, beta, xi) <= 1e-9 * scale:
             return beta, xi, True
-    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError, ValueError):
+    except np.linalg.LinAlgError:
         pass
     kkt = np.zeros((k + h, k + h))
     kkt[:k, :k] = gram
@@ -339,7 +346,12 @@ def simplex_ls(
     Deterministic: the start vertex, release rule (largest violating
     multiplier, lowest index on ties) and blocking rule (smallest step,
     lowest index on ties) are all tie-broken by index.  When extra equality
-    rows are present a feasible ``start`` must be supplied.
+    rows are present a ``start`` must be supplied.  A ``start`` must be
+    finite, of length ``p``, nonnegative and sum to ``sum_to``, up to
+    ``1e-8 * (1 + sum|b| + |sum_to|)``; otherwise ``ConfigurationError`` is
+    raised.  It need not meet the extra rows: the first working-set solve
+    lands on them, and a caller such as the covariate estimator can only
+    fit them to a tolerance scaled by data the engine does not see.
     """
     x = np.atleast_2d(np.asarray(design, dtype=float))
     y = np.asarray(target, dtype=float).ravel()
@@ -369,7 +381,7 @@ def simplex_ls(
         beta = np.zeros(p)
         beta[j0] = sum_to
     else:
-        beta = np.maximum(np.asarray(start, dtype=float).ravel().copy(), 0.0)
+        beta = np.maximum(_feasible_start(start, p, float(sum_to)), 0.0)
     free = beta > 0.0
     if not np.any(free):
         free[0] = True
@@ -466,6 +478,22 @@ def simplex_ls(
     )
 
 
+def _feasible_start(start, p: int, sum_to: float) -> np.ndarray:
+    """The start as a float vector, or ``ConfigurationError`` unless it lies
+    on the scaled simplex up to ``_START_TOL`` of its magnitude."""
+    beta = np.asarray(start, dtype=float).ravel()
+    if beta.shape[0] != p:
+        raise ConfigurationError(f"start has length {beta.shape[0]}, expected {p}")
+    if not np.all(np.isfinite(beta)):
+        raise ConfigurationError("start has a non-finite entry")
+    tol = _START_TOL * (1.0 + float(np.sum(np.abs(beta))) + abs(sum_to))
+    if float(np.min(beta)) < -tol:
+        raise ConfigurationError(f"start has a negative entry {float(np.min(beta)):.3g}")
+    if abs(float(np.sum(beta)) - sum_to) > tol:
+        raise ConfigurationError(f"start sums to {beta.sum():.12g}, expected {sum_to:.12g}")
+    return beta
+
+
 def _finalize(beta, free, grad, a_mat, xi, mu, iterations) -> EngineResult:
     lagrangian_grad = grad + a_mat.T @ xi + mu
     stat = float(np.max(np.abs(lagrangian_grad), initial=0.0))
@@ -549,9 +577,19 @@ def _build_fit(
     )
 
 
-def _is_degenerate(x: np.ndarray, fit: ScFit) -> bool:
-    a = list(fit.sets.a)
-    return len(a) > 0 and matrix_rank_qr(x[:, a]) < len(a)
+def _is_degenerate(fit: ScFit) -> bool:
+    return fit.rank_xa < fit.n_active
+
+
+def _is_unique_optimum(fit: ScFit, g0: np.ndarray) -> bool:
+    """Sufficient condition for a unique minimizer: ``X_A`` has full column
+    rank and every inactive multiplier is strictly negative (beyond the
+    release tolerance), so no optimal direction leaves the active face and
+    none moves within it."""
+    inactive = np.ones(fit.beta.shape[0], dtype=bool)
+    inactive[list(fit.sets.a)] = False
+    tol = _RELEASE_TOL * (1.0 + float(np.max(np.abs(g0), initial=0.0)))
+    return not _is_degenerate(fit) and bool(np.all(fit.kkt.mu[inactive] < -tol))
 
 
 def solve_sc(
@@ -572,7 +610,7 @@ def solve_sc(
     y = np.asarray(y, dtype=float).ravel()
     res = simplex_ls(y, x, kkt_tol=kkt_tol)
     fit = _build_fit(PLAIN, y, x, res)
-    if canonicalize and _is_degenerate(x, fit):
+    if canonicalize and _is_degenerate(fit):
         pen = simplex_ls(y, x, lin=0.5e-8 * fit.donor_sq_distances, kkt_tol=kkt_tol)
         fit = _build_fit(PLAIN, y, x, pen, sq_dist=fit.donor_sq_distances, degenerate=True)
     return fit
@@ -586,13 +624,30 @@ def solve_penalized_sc(
     The penalty is linear in ``b``, so the same engine runs with a shifted
     linear coefficient; ``lam = 0`` coincides with the plain estimator.
     """
+    return _solve_penalized(y, x, lam, None, kkt_tol)
+
+
+def _solve_penalized(y, x, lam: float, start, kkt_tol: float = KKT_TOL) -> ScFit:
+    """``solve_penalized_sc``, warm-started from ``start`` unless it is None.
+
+    ``start`` is a feasible weight vector, such as the fit at a neighbouring
+    ``lam`` on a grid.  It never changes the answer: the warm fit is kept
+    only where the optimum is unique (``X_A`` of full column rank, every
+    inactive multiplier strictly negative), where it equals the cold fit;
+    otherwise the point is solved again from the cold start vertex.
+    """
     if not np.isfinite(lam) or lam < 0:
         raise ConfigurationError(f"penalty parameter must be finite and >= 0, got {lam}")
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
     q = donor_sq_distances(y, x)
-    res = simplex_ls(y, x, lin=0.5 * lam * q, kkt_tol=kkt_tol)
-    return _build_fit(PENALIZED, y, x, res, lam=float(lam), sq_dist=q)
+    lin = 0.5 * lam * q
+    res = simplex_ls(y, x, lin=lin, start=start, kkt_tol=kkt_tol)
+    fit = _build_fit(PENALIZED, y, x, res, lam=float(lam), sq_dist=q)
+    if start is not None and not _is_unique_optimum(fit, x.T @ y - lin):
+        res = simplex_ls(y, x, lin=lin, kkt_tol=kkt_tol)
+        fit = _build_fit(PENALIZED, y, x, res, lam=float(lam), sq_dist=q)
+    return fit
 
 
 def matching_weights(y: np.ndarray, x: np.ndarray, m: int) -> Weights:
@@ -644,12 +699,22 @@ def solve_masc(
     index sets are those of the synthetic-control component, which is the
     only piece with a nonzero derivative in the outcome.
     """
-    if not 0.0 <= lam <= 1.0:
-        raise ConfigurationError(f"averaging weight must lie in [0, 1], got {lam}")
+    _check_averaging_weight(lam)
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
-    fit_sc = solve_sc(y, x, kkt_tol=kkt_tol)
-    fit_ma = solve_matching(y, x, m)
+    return masc_average(y, solve_sc(y, x, kkt_tol=kkt_tol), solve_matching(y, x, m), lam)
+
+
+def _check_averaging_weight(lam: float) -> None:
+    if not 0.0 <= lam <= 1.0:
+        raise ConfigurationError(f"averaging weight must lie in [0, 1], got {lam}")
+
+
+def masc_average(y: np.ndarray, fit_sc: ScFit, fit_ma: ScFit, lam: float) -> ScFit:
+    """The model-averaged fit ``lam * fit_ma + (1 - lam) * fit_sc`` from a
+    plain synthetic-control fit and a matching fit of the outcome ``y``, so
+    a grid over ``(lam, m)`` needs one solve of each component."""
+    _check_averaging_weight(lam)
     beta = lam * fit_ma.beta + (1.0 - lam) * fit_sc.beta
     fitted = lam * fit_ma.fitted + (1.0 - lam) * fit_sc.fitted
     weights = Weights(beta=beta, active_tol=default_active_tol(beta))
@@ -657,11 +722,11 @@ def solve_masc(
         kind=MASC,
         weights=weights,
         fitted=fitted,
-        residuals=y - fitted,
+        residuals=np.asarray(y, dtype=float).ravel() - fitted,
         sets=fit_sc.sets,
         kkt=fit_sc.kkt,
         lam=float(lam),
-        m=int(m),
+        m=int(fit_ma.m),
         rank_xa=fit_sc.rank_xa,
         donor_sq_distances=fit_sc.donor_sq_distances,
         sc_component=fit_sc,

@@ -3,8 +3,10 @@
 These deliberately share no code with the solvers they check: the simplex
 oracle enumerates a dense grid of weight vectors and refines locally, the
 constraint-line oracle scans the one-dimensional feasible set of an
-equality-constrained problem, and the rank-one-correction divergence
-writes the sum-to-one hat matrix in a form the package never uses.
+equality-constrained problem, the rank-one-correction divergence
+writes the sum-to-one hat matrix in a form the package never uses, and
+the KKT reference solves the working-set system densely by ``lstsq``
+instead of by Cholesky and Schur complement.
 """
 
 import numpy as np
@@ -87,3 +89,13 @@ def duplicate_pairs_by_loop(x):
     return [
         (i, j) for i in range(p) for j in range(i + 1, p) if np.array_equal(x[:, i], x[:, j])
     ]
+
+
+def kkt_lstsq_solve(gram, g, a_mat, rhs):
+    """Minimum-norm least-squares solution (b, xi) of the dense KKT system
+    ``[[G, A'], [A, 0]] [b; xi] = [g; rhs]``, and its residual norm."""
+    k, h = gram.shape[0], a_mat.shape[0]
+    kkt = np.block([[gram, a_mat.T], [a_mat, np.zeros((h, h))]])
+    full_rhs = np.concatenate([g, rhs])
+    sol = np.linalg.lstsq(kkt, full_rhs, rcond=None)[0]
+    return sol[:k], sol[k:], float(np.linalg.norm(kkt @ sol - full_rhs))

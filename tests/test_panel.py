@@ -1,8 +1,9 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from synthsel.panel import duplicate_donor_columns
+from synthsel.panel import PanelDataset, duplicate_donor_columns
 
 from oracles import duplicate_pairs_by_loop
 
@@ -28,3 +29,31 @@ def test_duplicate_pairs_match_pairwise_comparison(seed):
     values = np.array([0.0, -0.0, 1.0, -1.0, np.inf, np.nan])
     x = gen.choice(values, size=(n, p), p=[0.3, 0.2, 0.3, 0.1, 0.05, 0.05])
     assert duplicate_donor_columns(x) == duplicate_pairs_by_loop(x)
+
+
+@pytest.mark.parametrize(
+    "field, where",
+    [
+        ("y", "row 3"),
+        ("x", "row 3, column 1"),
+        ("z", "row 1"),
+        ("d", "row 1, column 1"),
+        ("post_y", "row 1"),
+        ("post_x", "row 1, column 1"),
+    ],
+)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_field_rejected_with_its_location(field, where, bad):
+    gen = np.random.default_rng(4)
+    fields = {
+        "y": gen.normal(size=5),
+        "x": gen.normal(size=(5, 3)),
+        "z": gen.normal(size=2),
+        "d": gen.normal(size=(2, 3)),
+        "post_y": gen.normal(size=2),
+        "post_x": gen.normal(size=(2, 3)),
+    }
+    index = tuple(int(part.split()[1]) for part in where.split(", "))
+    fields[field][index] = bad
+    with pytest.raises(ValueError, match=f"^{field} has a non-finite value .* at {where}$"):
+        PanelDataset(**fields)

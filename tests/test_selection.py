@@ -18,7 +18,8 @@ from synthsel.selection import (
     sigma2_hat,
     tuning_grid,
 )
-from synthsel.solvers import default_v_grid, solve_penalized_sc, solve_sc
+from synthsel.simulation import draw_factor_gaussian, spawn_rng, synthetic_factor_spec
+from synthsel.solvers import default_v_grid, solve_masc, solve_penalized_sc, solve_sc
 
 from conftest import make_instance
 
@@ -123,6 +124,15 @@ class TestSelectLambdaIc:
         assert len(res.grid) == 6
         assert res.grid[res.chosen] is res.chosen_point
 
+    def test_masc_grid_scores_equal_pointwise_fits_exactly(self):
+        # the grid solves each component once; every score must still be
+        # bit-identical to a fresh solve_masc at that point
+        panel = _panel(4, p=6)
+        res = select_lambda_ic(panel, "masc", grid=[0.0, 0.3, 1.0], m_grid=[1, 4])
+        s2 = sigma2_hat(panel.y, panel.x)
+        for pt, score in zip(res.grid, res.scores):
+            assert score == ic_for_fit(solve_masc(panel.y, panel.x, pt.lam, pt.m), s2)
+
 
 class TestSelectVIc:
     def test_singleton_grids(self):
@@ -183,6 +193,21 @@ class TestCvHoldout:
     def test_degenerate_split_rejected(self):
         with pytest.raises(ConfigurationError):
             cv_holdout(_panel(11, n=4), "penalized", grid=[0.0], split_fraction=0.1)
+
+    def test_non_unique_window_keeps_its_cold_fit(self):
+        # one acceptance-09 draw whose 18-row training window at lam=0 has
+        # 19 active donors of rank 18 and a zero residual: a warm start from
+        # the lam=0.0125 fit lands on another optimum with a worse forecast
+        spec = synthetic_factor_spec(40, 48, r=1, seed=100, sigma_y=0.5, sigma_x=2.0)
+        draw = draw_factor_gaussian(spec, 48, spawn_rng(389, 0))
+        panel = PanelDataset(y=draw.y[:36], x=draw.x[:36], post_y=draw.y[36:], post_x=draw.x[36:])
+        grid = np.concatenate([[0.0], np.geomspace(0.0125, 10.0, 19)])
+        cold = solve_penalized_sc(panel.y[:18], panel.x[:18], 0.0)
+        assert (cold.n_active, cold.rank_xa) == (19, 18)
+        res = cv_holdout(panel, "penalized", grid=grid, split_fraction=0.5)
+        assert res.chosen == 1
+        err = panel.y[18:] - panel.x[18:] @ cold.beta
+        assert res.scores[0] == float(np.mean(err**2))
 
 
 class TestCvLooUntreated:

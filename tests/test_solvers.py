@@ -4,7 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from synthsel.errors import ConfigurationError, SingularityError
+from synthsel.selection import _fit_grid, tuning_grid
 from synthsel.solvers import (
+    _eq_ls_solve,
+    _solve_penalized,
     active_sets,
     default_v_grid,
     donor_sq_distances,
@@ -20,7 +23,7 @@ from synthsel.solvers import (
 )
 
 from conftest import make_instance
-from oracles import constraint_line_min, simplex_grid_min
+from oracles import constraint_line_min, kkt_lstsq_solve, simplex_grid_min
 
 
 # ---------------------------------------------------------------------------
@@ -70,6 +73,130 @@ class TestConstrainedLs:
         rows = rng.normal(size=(2, 5))
         res = solve_constrained_ls(y, x, rows, rng.normal(size=2))
         assert np.trace(res.hat_matrix()) == pytest.approx(5 - 2, abs=1e-9)
+
+
+class TestWorkingSetKernel:
+    """``_eq_ls_solve`` against the dense KKT ``lstsq`` reference."""
+
+    @pytest.mark.parametrize("h", [0, 1, 3])
+    def test_matches_dense_reference(self, rng, h):
+        x = rng.normal(size=(15, 6))
+        gram, g = x.T @ x, x.T @ rng.normal(size=15)
+        a_mat = np.vstack([np.ones((1, 6)), rng.normal(size=(2, 6))])[:h]
+        rhs = rng.normal(size=h)
+        beta, xi, consistent = _eq_ls_solve(gram, g, a_mat, rhs)
+        ref_beta, ref_xi, ref_res = kkt_lstsq_solve(gram, g, a_mat, rhs)
+        assert consistent and ref_res <= 1e-10
+        np.testing.assert_allclose(beta, ref_beta, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(xi, ref_xi, rtol=0, atol=1e-10)
+
+    def test_matrix_right_hand_sides_solve_column_by_column(self, rng):
+        x = rng.normal(size=(10, 4))
+        a_mat = np.vstack([np.ones((1, 4)), rng.normal(size=(1, 4))])
+        g, rhs = x.T, rng.normal(size=(2, 10))
+        beta, xi, consistent = _eq_ls_solve(x.T @ x, g, a_mat, rhs)
+        assert consistent and beta.shape == (4, 10) and xi.shape == (2, 10)
+        for j in range(10):
+            ref_beta, ref_xi, _ = kkt_lstsq_solve(x.T @ x, g[:, j], a_mat, rhs[:, j])
+            np.testing.assert_allclose(beta[:, j], ref_beta, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(xi[:, j], ref_xi, rtol=0, atol=1e-10)
+
+    def test_singular_gram_without_stationary_point_is_inconsistent(self, rng):
+        base = rng.normal(size=(8, 2))
+        x = np.column_stack([base, base[:, 0]])  # duplicate donor: singular Gram
+        g = x.T @ rng.normal(size=8) - np.array([0.0, 0.0, 1.0])
+        a_mat = np.ones((1, 3))
+        beta, xi, consistent = _eq_ls_solve(x.T @ x, g, a_mat, np.array([1.0]))
+        assert not consistent
+        assert kkt_lstsq_solve(x.T @ x, g, a_mat, np.array([1.0]))[2] > 1e-3
+
+    def test_singular_gram_with_stationary_points_is_consistent(self, rng):
+        base = rng.normal(size=(8, 2))
+        x = np.column_stack([base, base[:, 0]])
+        g = x.T @ rng.normal(size=8)
+        beta, xi, consistent = _eq_ls_solve(x.T @ x, g, np.ones((1, 3)), np.array([1.0]))
+        ref_beta, ref_xi, _ = kkt_lstsq_solve(x.T @ x, g, np.ones((1, 3)), np.array([1.0]))
+        assert consistent
+        np.testing.assert_allclose(beta, ref_beta, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(xi, ref_xi, rtol=0, atol=1e-10)
+
+
+class TestStart:
+    @pytest.mark.parametrize(
+        "start, match",
+        [
+            ([0.5, 0.5], "length"),
+            ([0.5, np.nan, 0.5], "non-finite"),
+            ([1.2, -0.1, -0.1], "negative"),
+            ([0.5, 0.4, 0.0], "sums to"),
+        ],
+    )
+    def test_infeasible_start_rejected(self, start, match):
+        y, x = make_instance(5, p=3)
+        with pytest.raises(ConfigurationError, match=match):
+            simplex_ls(y, x, start=np.array(start))
+
+    def test_start_off_the_extra_equality_rows_lands_on_them(self):
+        y, x = make_instance(6, p=3)
+        row, target = np.array([[1.0, 0.0, 0.0]]), np.array([0.5])
+        on = simplex_ls(y, x, eq_mat=row, eq_rhs=target, start=np.array([0.5, 0.25, 0.25]))
+        off = simplex_ls(y, x, eq_mat=row, eq_rhs=target, start=np.array([0.2, 0.4, 0.4]))
+        assert abs(float(row[0] @ off.beta) - 0.5) <= 1e-12
+        np.testing.assert_allclose(off.beta, on.beta, rtol=0, atol=1e-12)
+
+    def test_rounding_level_infeasibility_accepted(self):
+        y, x = make_instance(7, p=3)
+        start = np.array([0.5, 0.5 + 1e-12, -1e-12])
+        cold, warm = simplex_ls(y, x), simplex_ls(y, x, start=start)
+        np.testing.assert_allclose(warm.beta, cold.beta, atol=1e-12)
+
+
+class TestPenalizedPath:
+    def test_start_never_changes_the_answer(self):
+        y, x = make_instance(9, n=6, p=12)
+        cold = solve_penalized_sc(y, x, 0.05)
+        for seed in range(5):
+            start = np.random.default_rng(seed).dirichlet(np.ones(12))
+            warm = _solve_penalized(y, x, 0.05, start)
+            np.testing.assert_allclose(warm.beta, cold.beta, rtol=0, atol=1e-12)
+            assert warm.sets == cold.sets
+
+    @pytest.mark.parametrize(
+        "start",
+        [
+            [0.2, 0.0, 0.3, 0.5],  # other optimum: an inactive multiplier is zero
+            [0.2, 0.25, 0.3, 0.25],  # both copies active: rank(X_A) < |A|
+        ],
+    )
+    def test_warm_fit_with_non_unique_optimum_is_solved_cold(self, start):
+        # donor 3 duplicates donor 1, so the optimum is not unique
+        gen = np.random.default_rng(10)
+        base = gen.normal(size=(8, 3))
+        x = np.column_stack([base, base[:, 1]])
+        y = base @ np.array([0.2, 0.5, 0.3])
+        cold = solve_penalized_sc(y, x, 0.0)
+        warm = _solve_penalized(y, x, 0.0, np.array(start))
+        np.testing.assert_array_equal(warm.beta, cold.beta)
+        assert warm.sets == cold.sets
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), shape=st.sampled_from(["tall", "wide", "duplicated"]))
+def test_grid_path_equals_pointwise_cold_solves(seed, shape):
+    gen = np.random.default_rng(seed)
+    n = int(gen.integers(5, 20))
+    p = int(gen.integers(n + 1, 3 * n)) if shape == "wide" else int(gen.integers(2, n))
+    x = gen.normal(size=(n, p))
+    if shape == "duplicated":
+        x = np.column_stack([x, x[:, gen.integers(0, p, size=2)]])
+    y = x @ gen.dirichlet(np.ones(x.shape[1])) + 0.3 * gen.normal(size=n)
+    lams = np.concatenate([[0.0], np.geomspace(0.0125, 10.0, int(gen.integers(3, 12)))])
+    points = tuning_grid("penalized", gen.permutation(lams))
+    for pt, fit in zip(points, _fit_grid(y, x, "penalized", points)):
+        cold = solve_penalized_sc(y, x, pt.lam)
+        np.testing.assert_allclose(fit.beta, cold.beta, rtol=0, atol=1e-12)
+        assert fit.sets == cold.sets
+        assert fit.kkt.satisfied()
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +337,11 @@ class TestMatchingAndMasc:
         target = lam * fit.ma_component.fitted + (1 - lam) * fit.sc_component.fitted
         assert np.max(np.abs(fit.fitted - target)) == 0.0
 
+    def test_averaging_weight_checked_before_the_component_solves(self):
+        y, x = make_instance(15, p=3)
+        with pytest.raises(ConfigurationError, match="averaging weight"):
+            solve_masc(y, x, 1.5, 99)
+
 
 # ---------------------------------------------------------------------------
 # covariate estimator
@@ -255,6 +387,29 @@ class TestCovariate:
         np.testing.assert_allclose(d @ fit.beta, z, atol=1e-9)
         assert fit.sets.e_minus_m == (0, 1)
         assert fit.cov_eq_rows == (0, 1)
+
+    def test_small_exact_row_beside_a_large_covariate(self):
+        # row 1 counts as exactly fit under a residual tolerance scaled by
+        # the large target of row 0, with an inner residual far above the
+        # rounding level of row 1 itself; the outer solve still starts from
+        # the inner solution and lands on the row
+        gen = np.random.default_rng(0)
+        x = gen.normal(size=(8, 3))
+        y = x @ np.array([0.2, 0.3, 0.5]) + 0.1 * gen.normal(size=8)
+        d = np.array([[1e6, 1e6 + 1.0, 1e6 + 2.0], [0.0, 1.0, 2.0]])
+        z = np.array([1.5e6, 1.0])
+        v = np.array([3e-8, 1.0 - 3e-8])
+        sqrt_v = np.sqrt(v)
+        inner = simplex_ls(sqrt_v * z, sqrt_v[:, None] * d)
+        assert 1e-6 < float(d[1] @ inner.beta) - z[1] <= 1e-8 * (1.0 + z[0])
+        fit = solve_sc_cov_inner(y, x, z, d, v)
+        assert fit.cov_eq_rows == (1,)
+        assert fit.kkt.satisfied()
+        ref, _, _ = kkt_lstsq_solve(
+            x.T @ x, x.T @ y, np.vstack([np.ones(3), d[1]]), np.array([1.0, z[1]])
+        )
+        assert np.all(ref > 0)
+        np.testing.assert_allclose(fit.beta, ref, rtol=0, atol=1e-10)
 
     def test_all_weights_zero_rejected(self, rng):
         x = rng.normal(size=(6, 3))
