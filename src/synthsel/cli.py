@@ -146,10 +146,20 @@ def _selection_results(res: selection.SelectionResult) -> dict:
 
 
 def _curve_csv(path: str, res: selection.SelectionResult) -> None:
+    """One row per grid point; ``v`` holds the diagonal covariate weights
+    joined by ``;`` (empty when the point has none)."""
     pio.write_csv(
         path,
-        ["lambda", "m", "score"],
-        [[pt.lam, pt.m if pt.m is not None else "", float(s)] for pt, s in zip(res.grid, res.scores)],
+        ["lambda", "m", "v", "score"],
+        [
+            [
+                pt.lam,
+                pt.m if pt.m is not None else "",
+                ";".join(str(float(w)) for w in pt.v) if pt.v is not None else "",
+                float(s),
+            ]
+            for pt, s in zip(res.grid, res.scores)
+        ],
     )
 
 

@@ -10,7 +10,9 @@ residuals, regardless of which candidate is being scored.  All selectors
 return the grid, the per-point scores and the chosen index; exact score
 ties break toward the largest tuning parameter (the most regularized
 candidate), then toward grid order.  Every selector fits its grid through
-``_fit_grid``, which solves a penalized grid as one warm-started path.
+``_fit_grid``, which solves a penalized grid as one warm-started path,
+except ``select_v_ic``, which solves its covariate inner problem once per
+diagonal weighting and walks that weighting's penalty grid the same way.
 """
 
 from __future__ import annotations
@@ -28,11 +30,12 @@ from .solvers import (
     PENALIZED,
     PLAIN,
     ScFit,
+    _cov_inner,
+    _cov_outer,
     _solve_penalized,
     masc_average,
     solve_matching,
     solve_sc,
-    solve_sc_cov_inner,
 )
 
 METHOD_SURE = "sure"
@@ -210,7 +213,15 @@ def select_v_ic(
     sigma2: float | None = None,
 ) -> SelectionResult:
     """Joint grid argmin of the information criterion over the diagonal
-    covariate weighting and the penalty parameter."""
+    covariate weighting and the penalty parameter.
+
+    Every weighting is checked, and its ``lam``-independent inner covariate
+    problem solved, once, before any outer solve.  Each weighting's penalty
+    grid is then walked from the largest ``lam`` down, each outer solve
+    warm-started from the previous fit when that fit has the same exactly-fit
+    rows; ``_cov_outer`` keeps a warm fit only where the optimum is unique,
+    so every score equals the one ``solve_sc_cov_inner`` gives at that point.
+    """
     if not panel.has_covariates:
         raise ConfigurationError("V selection requires covariates in the panel")
     lams = (
@@ -221,15 +232,31 @@ def select_v_ic(
     candidates = [np.asarray(v, dtype=float).ravel() for v in v_grid]
     if not candidates or lams.size == 0:
         raise ConfigurationError("empty (V, lambda) grid")
-    s2 = sigma2_hat(panel.y, panel.x) if sigma2 is None else float(sigma2)
+    y, x = panel.y, panel.x
+    inners = [_cov_inner(y, x, panel.z, panel.d, v) for v in candidates]
+    s2 = sigma2_hat(y, x) if sigma2 is None else float(sigma2)
     points = []
     scores = []
-    for v in candidates:
-        for lam in lams:
-            fit = solve_sc_cov_inner(panel.y, panel.x, panel.z, panel.d, v, lam=float(lam))
-            points.append(TuningPoint(float(lam), v=tuple(v)))
-            scores.append(ic_for_fit(fit, s2))
+    for inner in inners:
+        points += [TuningPoint(float(lam), v=tuple(inner.v)) for lam in lams]
+        scores += [ic_for_fit(fit, s2) for fit in _fit_v_path(y, x, inner, lams)]
     return _select(points, np.asarray(scores), s2, METHOD_SURE)
+
+
+def _fit_v_path(y: np.ndarray, x: np.ndarray, inner, lams: np.ndarray) -> list[ScFit]:
+    """The covariate fits at one diagonal weighting (its first stage
+    ``inner``, from ``solvers._cov_inner``) over the penalty grid ``lams``,
+    in grid order, walked from the largest penalty down.  A fit warm-starts
+    the next point only when it carries the weighting's exactly-fit rows as
+    its equality rows; one that took the reduction to the plain estimator
+    does not."""
+    fits: list[ScFit | None] = [None] * lams.size
+    fit = None
+    for i in np.argsort(-lams, kind="stable"):
+        warm = fit is not None and fit.cov_eq_rows == inner.exact_rows
+        fit = _cov_outer(y, x, inner, float(lams[i]), fit.beta if warm else None)
+        fits[i] = fit
+    return fits
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dpotrf as _potrf, dpotrs as _potrs
+from scipy.linalg.lapack import dgeqp3 as _geqp3, dpotrf as _potrf, dpotrs as _potrs
 
 from .errors import ConfigurationError, ConvergenceError, SingularityError
 
@@ -515,11 +514,19 @@ def _finalize(beta, free, grad, a_mat, xi, mu, iterations) -> EngineResult:
 
 def matrix_rank_qr(mat: np.ndarray) -> int:
     """Rank via column-pivoted QR, relative tolerance 1e-10 of the largest
-    diagonal element."""
+    diagonal element.
+
+    Calls LAPACK ``geqp3`` directly, with the workspace query that
+    ``scipy.linalg.qr`` makes, so R is the same; the wrapper's argument
+    handling costs more than the factorization at these sizes.
+    """
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
     if min(mat.shape) == 0:
         return 0
-    r = scipy.linalg.qr(mat, mode="r", pivoting=True, check_finite=False)[0]
+    lwork = int(_geqp3(mat, lwork=-1)[3][0])
+    r, _, _, _, info = _geqp3(mat, lwork=lwork)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK geqp3")
     diag = np.abs(np.diag(r))
     if diag.size == 0 or diag[0] == 0.0:
         return 0
@@ -766,17 +773,43 @@ def solve_sc_cov_inner(
     residual rows leave free.  If the nonzero-residual rows are at least as
     numerous as the active donors minus one, the equality rows exert no
     force at all and the fit reduces to the plain estimator on its active
-    set; that reduction is applied and flagged when it fires.
+    set; that reduction is applied and flagged when it fires.  The first
+    stage does not depend on ``lam``, so a grid over ``lam`` at one
+    weighting needs it once (see ``selection.select_v_ic``).
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
     d = np.atleast_2d(np.asarray(d, dtype=float)) if np.size(d) else np.zeros((0, x.shape[1]))
     z = np.asarray(z, dtype=float).ravel()
     v = np.asarray(v, dtype=float).ravel()
-    n_cov = d.shape[0]
-    if n_cov == 0:
+    if d.shape[0] == 0:
         base = solve_penalized_sc(y, x, lam) if lam > 0 else solve_sc(y, x)
         return replace(base, kind=COVARIATE, lam=float(lam), v=v)
+    inner = _cov_inner(y, x, z, d, v, kkt_tol, residual_tol, weight_tol)
+    return _cov_outer(y, x, inner, lam, None, kkt_tol)
+
+
+@dataclass(frozen=True)
+class _CovInner:
+    """The ``lam``-independent first stage of the covariate estimator at one
+    diagonal weighting ``v``: the informative weighted rows ``e_rows``, the
+    rows the inner solution fits exactly (``exact_rows``, the outer
+    equality rows) and that solution, the start of the outer solve."""
+
+    z: np.ndarray
+    d: np.ndarray
+    v: np.ndarray
+    e_rows: tuple[int, ...]
+    exact_rows: tuple[int, ...]
+    inner_beta: np.ndarray | None
+    r_tol: float
+    sq_dist: np.ndarray
+
+
+def _cov_inner(y, x, z, d, v, kkt_tol=KKT_TOL, residual_tol=1e-8, weight_tol=1e-8) -> _CovInner:
+    """Stage one of ``solve_sc_cov_inner``: check ``v`` against the ``d``
+    rows, then solve the inner weighted problem over the simplex."""
+    n_cov = d.shape[0]
     if v.shape[0] != n_cov:
         raise ConfigurationError("diagonal weight length does not match covariate rows")
     if np.any(v < 0):
@@ -789,66 +822,53 @@ def solve_sc_cov_inner(
     weighted = [i for i in range(n_cov) if v[i] > w_tol]
     # all-zero rows with zero targets are vacuous: they cannot constrain b,
     # so they are excluded from the recorded sets as well
-    e_rows = [i for i in weighted if np.max(np.abs(d[i])) > 1e-12 or abs(z[i]) > 1e-12]
-    informative = e_rows
+    e_rows = tuple(i for i in weighted if np.max(np.abs(d[i])) > 1e-12 or abs(z[i]) > 1e-12)
+    inner_beta = None
+    exact_rows: tuple[int, ...] = ()
+    if e_rows:
+        rows = list(e_rows)
+        sqrt_v = np.sqrt(v[rows])
+        inner_beta = simplex_ls(sqrt_v * z[rows], sqrt_v[:, None] * d[rows], kkt_tol=kkt_tol).beta
+        inner_res = d[rows] @ inner_beta - z[rows]
+        exact_rows = tuple(row for row, r in zip(e_rows, inner_res) if abs(r) <= r_tol)
+    return _CovInner(z, d, v, e_rows, exact_rows, inner_beta, r_tol, donor_sq_distances(y, x))
 
-    q = donor_sq_distances(y, x)
-    lin = 0.5 * lam * q if lam > 0 else None
 
-    if not informative:
-        res = simplex_ls(y, x, lin=lin, kkt_tol=kkt_tol)
-        fit = _build_fit(COVARIATE, y, x, res, lam=float(lam), v=v, sq_dist=q)
-        cov_res = d @ fit.beta - z
-        sets = ActiveSets(
-            a=fit.sets.a,
-            m=tuple(i for i in range(n_cov) if abs(cov_res[i]) > r_tol),
-            e=tuple(e_rows),
-        )
-        return replace(fit, sets=sets, cov_residuals=cov_res)
+def _cov_outer(y, x, inner: _CovInner, lam: float, start, kkt_tol: float = KKT_TOL) -> ScFit:
+    """Stage two of ``solve_sc_cov_inner``: the outer loss over the inner
+    solution set, warm-started from ``start`` unless it is None.
 
-    # stage 1: inner weighted problem over the simplex
-    sqrt_v = np.sqrt(v[informative])
-    inner = simplex_ls(sqrt_v * z[informative], sqrt_v[:, None] * d[informative], kkt_tol=kkt_tol)
-    inner_res = d[informative] @ inner.beta - z[informative]
-    exact_rows = tuple(
-        row for row, r in zip(informative, inner_res) if abs(r) <= r_tol
-    )
+    ``start`` is a feasible weight vector, such as the fit at a neighbouring
+    ``lam`` with the same equality rows.  As in ``_solve_penalized`` it
+    never changes the answer: the warm fit is kept only where
+    ``_is_unique_optimum`` holds, which pins the optimum with the equality
+    rows as without them; otherwise the point is solved again from the
+    inner solution.  The reduction to the plain estimator is always solved
+    from the cold start vertex.
+    """
+    lin = 0.5 * lam * inner.sq_dist if lam > 0 else None
 
-    # stage 2: outer loss over the inner solution set
-    def _outer(eq_rows: tuple[int, ...], start: np.ndarray | None) -> EngineResult:
-        if eq_rows:
-            return simplex_ls(
-                y, x, lin=lin, eq_mat=d[list(eq_rows)], eq_rhs=z[list(eq_rows)],
-                start=start, kkt_tol=kkt_tol,
-            )
-        return simplex_ls(y, x, lin=lin, kkt_tol=kkt_tol)
+    def _fit(eq_rows: tuple[int, ...], start_beta, degenerate: bool = False) -> ScFit:
+        rows = list(eq_rows)
+        res = simplex_ls(y, x, lin=lin, eq_mat=inner.d[rows], eq_rhs=inner.z[rows],
+                         start=start_beta, kkt_tol=kkt_tol)
+        fit = _build_fit(COVARIATE, y, x, res, lam=float(lam), v=inner.v, sq_dist=inner.sq_dist,
+                         cov_eq_rows=eq_rows, degenerate=degenerate)
+        cov_res = inner.d @ fit.beta - inner.z
+        m_rows = tuple(i for i in range(cov_res.shape[0]) if abs(cov_res[i]) > inner.r_tol)
+        return replace(fit, sets=ActiveSets(a=fit.sets.a, m=m_rows, e=inner.e_rows),
+                       cov_residuals=cov_res)
 
-    res = _outer(exact_rows, inner.beta)
-    fit = _build_fit(COVARIATE, y, x, res, lam=float(lam), v=v, sq_dist=q,
-                     cov_eq_rows=exact_rows)
-    cov_res = d @ fit.beta - z
-    m_rows = tuple(i for i in range(n_cov) if abs(cov_res[i]) > r_tol)
-    sets = ActiveSets(a=fit.sets.a, m=m_rows, e=tuple(e_rows))
-    degenerate = False
-
-    n_me = len(sets.m_and_e)
-    if exact_rows and n_me >= len(sets.a) - 1:
+    rows = inner.exact_rows
+    cold_start = inner.inner_beta if rows else None
+    fit = _fit(rows, cold_start if start is None else start)
+    if start is not None and not _is_unique_optimum(fit, x.T @ y if lin is None else x.T @ y - lin):
+        fit = _fit(rows, cold_start)
+    if rows and len(fit.sets.m_and_e) >= fit.n_active - 1:
         # with this many unfit weighted rows the equality rows carry no
         # force; drop them, re-solve once, and flag the switch
-        res = _outer((), None)
-        fit = _build_fit(COVARIATE, y, x, res, lam=float(lam), v=v, sq_dist=q,
-                         cov_eq_rows=(), degenerate=True)
-        cov_res = d @ fit.beta - z
-        m_rows = tuple(i for i in range(n_cov) if abs(cov_res[i]) > r_tol)
-        sets = ActiveSets(a=fit.sets.a, m=m_rows, e=tuple(e_rows))
-        degenerate = True
-
-    return replace(
-        fit,
-        sets=sets,
-        cov_residuals=cov_res,
-        kkt=replace(fit.kkt, degenerate=degenerate or fit.kkt.degenerate),
-    )
+        fit = _fit((), None, degenerate=True)
+    return fit
 
 
 def default_v_grid(n_cov: int, lattice_step: float = 0.25) -> list[np.ndarray]:

@@ -202,6 +202,38 @@ class TestCli:
         assert payload["results"]["method"] == "sure"
         assert len(payload["results"]["grid"]) == 10
 
+    def _select_args(self, panel_csv, *extra):
+        return ["select", *self._fit_args(panel_csv)[1:], "--method", "sure", *extra]
+
+    def test_penalized_curve_csv_has_one_row_per_lambda(self, panel_csv, tmp_path, capsys):
+        curve = tmp_path / "curve.csv"
+        args = self._select_args(panel_csv, "--estimator", "penalized", "--grid", "0,0.5,2")
+        assert cli.main([*args, "--curve-csv", str(curve)]) == 0
+        res = json.loads(capsys.readouterr().out)["results"]
+        lines = curve.read_text().splitlines()
+        assert lines[0] == "lambda,m,v,score"
+        rows = [line.split(",") for line in lines[1:]]
+        assert [float(r[0]) for r in rows] == [0.0, 0.5, 2.0]
+        assert all(r[1] == "" and r[2] == "" for r in rows)
+        assert [float(r[3]) for r in rows] == res["scores"]
+
+    def test_covariate_curve_csv_tells_the_weightings_apart(self, panel_csv, tmp_path, capsys):
+        cov = tmp_path / "cov.csv"
+        cov.write_text("cov,treated,d1,d2\nprice,2.5,2.0,3.0\nsize,4.0,5.0,3.0\n")
+        curve = tmp_path / "curve.csv"
+        args = self._select_args(
+            panel_csv, "--covariates", str(cov), "--estimator", "covariate", "--grid", "0,0.5"
+        )
+        assert cli.main([*args, "--curve-csv", str(curve)]) == 0
+        res = json.loads(capsys.readouterr().out)["results"]
+        lines = curve.read_text().splitlines()
+        assert lines[0] == "lambda,m,v,score"
+        rows = [line.split(",") for line in lines[1:]]
+        keys = [(float(r[0]), tuple(float(w) for w in r[2].split(";"))) for r in rows]
+        assert keys == [(pt["lambda"], tuple(pt["v"])) for pt in res["grid"]]
+        assert len(set(keys)) == len(keys) == 2 * len({k[1] for k in keys}) > 2
+        assert [float(r[3]) for r in rows] == res["scores"]
+
     def test_df_command_reports_case_and_trace(self, panel_csv, capsys):
         code = cli.main([
             "df",

@@ -170,6 +170,30 @@ class TestSelectVIc:
         with pytest.raises(ConfigurationError):
             select_v_ic(_panel(9), [np.array([1.0])], lambda_grid=[0.0])
 
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            ([0.5, 0.3, 0.2], "length does not match"),
+            ([1.5, -0.5], "nonnegative"),
+            ([0.0, 0.0], "not all be zero"),
+        ],
+    )
+    def test_bad_weighting_fails_before_any_solve_of_it(self, monkeypatch, bad, match):
+        from synthsel import solvers
+        from synthsel.solvers import solve_sc_cov_inner
+
+        panel = _panel(10)
+        d = np.random.default_rng(19).normal(size=(2, panel.p))
+        panel_cov = PanelDataset(y=panel.y, x=panel.x, z=d @ np.full(panel.p, 1.0 / panel.p), d=d)
+        with pytest.raises(ConfigurationError, match=match):
+            solve_sc_cov_inner(panel.y, panel.x, panel_cov.z, d, np.array(bad))
+        solves = []
+        engine = solvers.simplex_ls
+        monkeypatch.setattr(solvers, "simplex_ls", lambda *a, **k: solves.append(1) or engine(*a, **k))
+        with pytest.raises(ConfigurationError, match=match):
+            select_v_ic(panel_cov, [np.array([0.5, 0.5]), np.array(bad)], lambda_grid=[0.0, 0.5])
+        assert len(solves) == 1  # the inner solve of the good weighting, nothing after it
+
 
 class TestCvHoldout:
     def test_noiseless_representable_scores_zero_and_breaks_to_largest(self, rng):

@@ -4,8 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from synthsel.errors import ConfigurationError, SingularityError
-from synthsel.selection import _fit_grid, tuning_grid
+from synthsel.panel import PanelDataset
+from synthsel.selection import _fit_grid, _fit_v_path, ic_for_fit, select_v_ic, tuning_grid
 from synthsel.solvers import (
+    _cov_inner,
+    _cov_outer,
     _eq_ls_solve,
     _solve_penalized,
     active_sets,
@@ -461,6 +464,97 @@ class TestCovariate:
         assert (0.25, 0.75) in as_tuples
         for v in grid:
             assert v.sum() == pytest.approx(1.0)
+
+
+class TestCovariatePath:
+    def _duplicated_instance(self):
+        # donor 3 duplicates donor 1 in the outcome and in both covariate
+        # rows; row 0 is fit exactly, row 1 is the same for every donor and
+        # cannot be fit, so row 0 is the one outer equality row
+        gen = np.random.default_rng(10)
+        base = gen.normal(size=(8, 3))
+        x = np.column_stack([base, base[:, 1]])
+        w = np.array([0.2, 0.5, 0.3])
+        d_base = np.vstack([gen.normal(size=3), np.ones(3)])
+        d = np.column_stack([d_base, d_base[:, 1]])
+        z = np.array([d_base[0] @ w, 5.0])
+        return base @ w, x, z, d, np.array([0.7, 0.3])
+
+    @pytest.mark.parametrize(
+        "start",
+        [
+            [0.2, 0.0, 0.3, 0.5],  # other optimum: an inactive multiplier is zero
+            [0.2, 0.25, 0.3, 0.25],  # both copies active: rank(X_A) < |A|
+        ],
+    )
+    def test_warm_fit_with_non_unique_optimum_restarts_from_the_inner_solution(self, start):
+        y, x, z, d, v = self._duplicated_instance()
+        inner = _cov_inner(y, x, z, d, v)
+        assert inner.exact_rows == (0,)
+        cold = solve_sc_cov_inner(y, x, z, d, v)
+        warm = _cov_outer(y, x, inner, 0.0, np.array(start))
+        np.testing.assert_array_equal(warm.beta, cold.beta)
+        assert warm.sets == cold.sets
+        assert warm.cov_eq_rows == cold.cov_eq_rows == (0,)
+
+    def test_path_across_the_reduction_equals_pointwise_cold_solves(self):
+        # rows 1 and 2 are the same for every donor and never fit, so the
+        # fit reduces to the plain estimator wherever at most three donors
+        # are active: at the large penalties, not at the small ones
+        gen = np.random.default_rng(0)
+        x = gen.normal(size=(10, 6))
+        w = gen.dirichlet(np.ones(6))
+        y = x @ w + 0.3 * gen.normal(size=10)
+        d = np.vstack([gen.normal(size=6), np.ones(6), 2.0 * np.ones(6)])
+        z = np.array([d[0] @ w, 3.0, -1.0])
+        v = np.array([0.5, 0.25, 0.25])
+        lams = np.concatenate([[0.0], np.geomspace(0.0125, 10.0, 9)])
+        inner = _cov_inner(y, x, z, d, v)
+        fits = _fit_v_path(y, x, inner, lams)
+        reduced = [fit.kkt.degenerate for fit in fits]
+        assert inner.exact_rows == (0,)
+        assert reduced[-1] and not reduced[0]
+        for lam, fit in zip(lams, fits):
+            cold = solve_sc_cov_inner(y, x, z, d, v, lam=lam)
+            np.testing.assert_array_equal(fit.beta, cold.beta)
+            assert fit.cov_eq_rows == cold.cov_eq_rows == (() if fit.kkt.degenerate else (0,))
+
+
+@pytest.mark.filterwarnings("ignore:donor columns are exact duplicates")
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10_000), shape=st.sampled_from(["tall", "wide", "duplicated"]))
+def test_v_path_equals_pointwise_cold_solves(seed, shape):
+    gen = np.random.default_rng(seed)
+    n = int(gen.integers(5, 20))
+    p = int(gen.integers(n + 1, 3 * n)) if shape == "wide" else int(gen.integers(2, n))
+    x = gen.normal(size=(n, p))
+    n_cov = int(gen.integers(1, 4))
+    d = gen.normal(size=(n_cov, p))
+    if shape == "duplicated":
+        copies = gen.integers(0, p, size=2)
+        x = np.column_stack([x, x[:, copies]])
+        d = np.column_stack([d, d[:, copies]])
+    w = gen.dirichlet(np.ones(x.shape[1]))
+    y = x @ w + 0.3 * gen.normal(size=n)
+    # each covariate row is fit by the true weights, shifted off them, or
+    # the same for every donor (never fit, and no pull on the inner solution)
+    kinds = gen.choice(["exact", "shifted", "constant"], size=n_cov)
+    d[kinds == "constant"] = 1.0
+    z = d @ w + np.where(kinds == "exact", 0.0, 2.0)
+    lams = gen.permutation(np.concatenate([[0.0], np.geomspace(0.0125, 10.0, int(gen.integers(3, 9)))]))
+    v_grid = default_v_grid(n_cov)  # vertices put zero weight on rows
+    scores = select_v_ic(PanelDataset(y=y, x=x, z=z, d=d), v_grid, lams, sigma2=1.0).scores
+    cold_scores = []
+    for v in v_grid:
+        for lam, fit in zip(lams, _fit_v_path(y, x, _cov_inner(y, x, z, d, v), lams)):
+            cold = solve_sc_cov_inner(y, x, z, d, v, lam=lam)
+            np.testing.assert_allclose(fit.beta, cold.beta, rtol=0, atol=1e-12)
+            assert fit.sets == cold.sets
+            assert fit.cov_eq_rows == cold.cov_eq_rows
+            assert fit.kkt.degenerate == cold.kkt.degenerate
+            assert fit.kkt.satisfied()
+            cold_scores.append(ic_for_fit(cold, 1.0))
+    np.testing.assert_array_equal(scores, cold_scores)
 
 
 # ---------------------------------------------------------------------------
