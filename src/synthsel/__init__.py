@@ -14,7 +14,6 @@ from .solvers import (
     KktCertificate,
     ScFit,
     Weights,
-    active_sets,
     default_v_grid,
     matching_weights,
     simplex_ls,
@@ -32,9 +31,6 @@ from .dof import (
     df_hat,
     divergence,
     divergence_fd_oracle,
-    divergence_masc,
-    divergence_pen,
-    divergence_sc,
 )
 from .selection import (
     SelectionResult,

@@ -2,21 +2,22 @@
 
 The divergence of a fit is the matrix of derivatives of the fitted values
 in the outcome.  Locally every estimator here is an equality-constrained
-least squares on its active donors, so the divergence is the closed-form
-hat matrix of that local problem:
+least squares on its active donors, so the divergence is a scale times the
+closed-form hat matrix of that local problem, and the degrees of freedom
+are its trace, ``scale * (rank(X_A) - 1 - binding rows)``.  One rule,
+``_df_rule``, gives the scale, case and binding rows of every fit but a
+matching one, and both ``divergence`` and ``df_hat`` read it:
 
-* plain / covariate fits: projection onto the active donors minus the
-  correction for the binding equality rows (the sum-to-one row alone, or
-  together with the exactly-fit positively-weighted covariate rows);
-* penalized fits: the same matrix scaled by ``1 + lam`` (the donor-distance
-  penalty contributes a term whose trailing outcome dependence is
-  annihilated by the constraint correction, leaving a pure rescaling);
-* model-averaged fits: the synthetic-control component's divergence scaled
-  by ``1 - lam`` (matching is locally constant);
+* binding rows: the sum-to-one row, plus, for a covariate fit, the
+  exactly-fit positively-weighted covariate rows unless they are
+  outnumbered (the ``cov_many`` case);
+* scale: ``1 + lam`` for the donor-distance penalty of penalized and
+  covariate fits (its trailing outcome dependence is annihilated by the
+  constraint correction, leaving a pure rescaling), ``1 - lam`` for
+  model-averaged fits (matching is locally constant), 1 for plain fits;
 * matching: the zero matrix.
 
-Traces therefore collapse to the closed-form degrees-of-freedom values,
-and a central finite-difference oracle is provided to check the matrices
+A central finite-difference oracle is provided to check the matrices
 against re-solves of the actual estimator.
 """
 
@@ -96,82 +97,44 @@ def _active_design(fit: ScFit, x: np.ndarray) -> np.ndarray:
     return xa
 
 
-def _constraint_rows(fit: ScFit, d: np.ndarray | None) -> tuple[np.ndarray, str]:
-    """Binding equality rows on the active donors and the case label.
-
-    Without covariates only the sum-to-one row binds.  With covariates the
-    exactly-fit positively-weighted rows bind in addition, unless the
-    nonzero-residual weighted rows are at least as numerous as the active
-    donors minus one, in which case the covariate side exerts no force.
-    """
-    a = list(fit.sets.a)
-    ones = np.ones((1, len(a)))
-    if fit.kind in (PLAIN, PENALIZED, MASC, MATCHING):
-        return ones, CASE_PLAIN
-    n_me = len(fit.sets.m_and_e)
-    em = list(fit.sets.e_minus_m)
-    if n_me >= len(a) - 1:
-        return ones, CASE_COV_MANY
-    if not em:
-        return ones, CASE_COV_FEW
-    if d is None:
-        raise ConfigurationError(
-            "covariate fit with binding rows requires the covariate matrix"
-        )
-    d = np.atleast_2d(np.asarray(d, dtype=float))
-    return np.vstack([ones, d[np.ix_(em, a)]]), CASE_COV_FEW
-
-
-def _active_hat(fit: ScFit, x: np.ndarray, d: np.ndarray | None) -> DivergenceMatrix:
-    """Constrained hat matrix on the active donors, scaled by ``1 + lam``
-    when the fit carries a donor-distance penalty."""
-    xa = _active_design(fit, x)
-    rows, _ = _constraint_rows(fit, d)
-    mat = eq_constrained_hat(xa, rows)
-    if fit.lam > 0:
-        mat = (1.0 + fit.lam) * mat
-    return DivergenceMatrix(matrix=mat)
-
-
-def divergence_sc(fit: ScFit, x: np.ndarray, d: np.ndarray | None = None) -> DivergenceMatrix:
-    """Divergence of a plain or covariate fit (scaled by ``1 + lam`` if the
-    fit carries a donor-distance penalty)."""
-    if fit.kind not in (PLAIN, COVARIATE):
-        raise ConfigurationError(f"divergence_sc expects a plain or covariate fit, got {fit.kind}")
-    return _active_hat(fit, x, d)
-
-
-def divergence_pen(fit: ScFit, x: np.ndarray) -> DivergenceMatrix:
-    """Divergence of the penalized fit: ``(1 + lam)`` times the unpenalized
-    divergence on the same active set.  The outcome-dependent penalty terms
-    cancel exactly against the constraint correction."""
-    if fit.kind != PENALIZED:
-        raise ConfigurationError(f"divergence_pen expects a penalized fit, got {fit.kind}")
-    return _active_hat(fit, x, None)
-
-
-def divergence_masc(fit_sc_component: ScFit, lam: float, x: np.ndarray) -> DivergenceMatrix:
-    """Divergence of the model-averaged fit: the matching side is locally
-    constant, so only ``(1 - lam)`` of the synthetic-control divergence
-    survives."""
-    if not 0.0 <= lam <= 1.0:
-        raise ConfigurationError(f"averaging weight must lie in [0, 1], got {lam}")
-    base = divergence_sc(fit_sc_component, x)
-    return DivergenceMatrix(matrix=(1.0 - lam) * base.matrix)
+def _df_rule(fit: ScFit) -> tuple[float, str, tuple[int, ...]]:
+    """The degrees-of-freedom rule of the module docstring for a fit with a
+    local least-squares problem: its scale, its case and the covariate rows
+    that bind on top of the sum-to-one row.  The exactly-fit positively
+    weighted rows bind unless the nonzero-residual weighted rows are at
+    least as numerous as the active donors minus one, in which case the
+    covariate side exerts no force."""
+    if fit.kind == PLAIN:
+        return 1.0, CASE_PLAIN, ()
+    if fit.kind == PENALIZED:
+        return 1.0 + fit.lam, CASE_PENALIZED, ()
+    if fit.kind == MASC:
+        return 1.0 - fit.lam, CASE_MASC, ()
+    if fit.kind == COVARIATE:
+        if len(fit.sets.m_and_e) >= fit.n_active - 1:
+            return 1.0 + fit.lam, CASE_COV_MANY, ()
+        return 1.0 + fit.lam, CASE_COV_FEW, fit.sets.e_minus_m
+    raise ConfigurationError(f"unknown fit kind {fit.kind}")
 
 
 def divergence(fit: ScFit, x: np.ndarray, d: np.ndarray | None = None) -> DivergenceMatrix:
-    """Dispatch on the fit kind."""
-    if fit.kind in (PLAIN, COVARIATE):
-        return divergence_sc(fit, x, d)
-    if fit.kind == PENALIZED:
-        return divergence_pen(fit, x)
-    if fit.kind == MASC:
-        return divergence_masc(fit.sc_component, fit.lam, x)
+    """Divergence of any fit: ``_df_rule``'s scale times the constrained
+    hat matrix on the active donors; the zero matrix for matching.  ``d``
+    is needed for a covariate fit with binding rows."""
     if fit.kind == MATCHING:
         n = np.atleast_2d(np.asarray(x)).shape[0]
         return DivergenceMatrix(matrix=np.zeros((n, n)))
-    raise ConfigurationError(f"unknown fit kind {fit.kind}")
+    scale, _, rows = _df_rule(fit)
+    xa = _active_design(fit, x)
+    eq_mat = np.ones((1, xa.shape[1]))
+    if rows:
+        if d is None:
+            raise ConfigurationError(
+                "covariate fit with binding rows requires the covariate matrix"
+            )
+        d = np.atleast_2d(np.asarray(d, dtype=float))
+        eq_mat = np.vstack([eq_mat, d[np.ix_(list(rows), list(fit.sets.a))]])
+    return DivergenceMatrix(matrix=scale * eq_constrained_hat(xa, eq_mat))
 
 
 # ---------------------------------------------------------------------------
@@ -182,11 +145,8 @@ def divergence(fit: ScFit, x: np.ndarray, d: np.ndarray | None = None) -> Diverg
 def df_hat(fit) -> DofReport:
     """Closed-form degrees-of-freedom sample analog for any fit.
 
-    Plain fits spend ``rank(X_A) - 1``; exactly-fit positively-weighted
-    covariate rows each remove one more unless outnumbered as described in
-    ``_constraint_rows``; the donor-distance penalty multiplies by
-    ``1 + lam`` and model averaging by ``1 - lam``; matching is free; pure
-    equality-constrained least squares spends ``rank(X) - h``.
+    ``_df_rule`` gives every estimator fit its value; matching is free;
+    pure equality-constrained least squares spends ``rank(X) - h``.
     """
     if isinstance(fit, ConstrainedLstsqResult):
         rank_x = matrix_rank_qr(fit.design)
@@ -200,28 +160,11 @@ def df_hat(fit) -> DofReport:
             n_em=0,
         )
     sets: ActiveSets = fit.sets
-    rank_xa = fit.rank_xa
-    n_me = len(sets.m_and_e)
-    n_em = len(sets.e_minus_m)
-    if fit.kind == PLAIN:
-        return DofReport(rank_xa - 1.0, CASE_PLAIN, rank_xa, len(sets.a), n_me, n_em)
-    if fit.kind == COVARIATE:
-        if n_me >= len(sets.a) - 1:
-            base, case = rank_xa - 1.0, CASE_COV_MANY
-        else:
-            base, case = rank_xa - n_em - 1.0, CASE_COV_FEW
-        return DofReport((1.0 + fit.lam) * base, case, rank_xa, len(sets.a), n_me, n_em)
-    if fit.kind == PENALIZED:
-        return DofReport(
-            (1.0 + fit.lam) * (rank_xa - 1.0), CASE_PENALIZED, rank_xa, len(sets.a), n_me, n_em
-        )
-    if fit.kind == MASC:
-        return DofReport(
-            (1.0 - fit.lam) * (rank_xa - 1.0), CASE_MASC, rank_xa, len(sets.a), n_me, n_em
-        )
+    counts = (fit.rank_xa, len(sets.a), len(sets.m_and_e), len(sets.e_minus_m))
     if fit.kind == MATCHING:
-        return DofReport(0.0, CASE_MATCHING, rank_xa, len(sets.a), n_me, n_em)
-    raise ConfigurationError(f"unknown fit kind {fit.kind}")
+        return DofReport(0.0, CASE_MATCHING, *counts)
+    scale, case, rows = _df_rule(fit)
+    return DofReport(scale * (fit.rank_xa - len(rows) - 1.0), case, *counts)
 
 
 # ---------------------------------------------------------------------------

@@ -9,14 +9,14 @@ with ``sigma2_hat`` always taken from the unpenalized synthetic control
 residuals, regardless of which candidate is being scored.  All selectors
 return the grid, the per-point scores and the chosen index; exact score
 ties break toward the largest tuning parameter (the most regularized
-candidate), then toward grid order.  Every selector fits its grid through
-``_fit_grid``, which solves a penalized grid as one warm-started path,
-except ``select_v_ic``, which solves its covariate inner problem once per
-diagonal weighting and walks that weighting's penalty grid the same way.
+candidate), then toward grid order.  Every penalty grid, penalized or
+covariate (after one inner solve per diagonal weighting), is walked by
+``_fit_path`` through the guarded outer solve ``solvers._outer_solve``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -32,7 +32,8 @@ from .solvers import (
     ScFit,
     _cov_inner,
     _cov_outer,
-    _solve_penalized,
+    _outer_solve,
+    donor_sq_distances,
     masc_average,
     solve_matching,
     solve_sc,
@@ -141,21 +142,18 @@ def tuning_grid(
 def _fit_grid(y: np.ndarray, x: np.ndarray, kind: str, points) -> list[ScFit]:
     """The fits at every grid point, in grid order.
 
-    A penalized grid is walked as one path from the largest penalty down,
-    each point warm-started from the fit before it; ``_solve_penalized``
-    keeps a warm fit only where the optimum is unique, so every fit equals
-    its cold ``solve_penalized_sc``.  A model-averaging grid solves plain
-    synthetic control once and each matching count once and averages them
-    per point.
+    A penalized grid is one ``_fit_path``.  A model-averaging grid solves
+    plain synthetic control once and each matching count once and averages
+    them per point.
     """
     if kind == PENALIZED:
-        lams = np.array([pt.lam for pt in points])
-        fits: list[ScFit | None] = [None] * len(points)
-        beta = None
-        for i in np.argsort(-lams, kind="stable"):
-            fits[i] = _solve_penalized(y, x, lams[i], beta)
-            beta = fits[i].beta
-        return fits
+        y = np.asarray(y, dtype=float).ravel()  # contiguous, as solve_penalized_sc makes it
+        q = donor_sq_distances(y, x)
+
+        def solve(lam, prev):
+            return _outer_solve(PENALIZED, y, x, lam, q, getattr(prev, "beta", None))
+
+        return _fit_path([pt.lam for pt in points], solve)
     if kind == MASC:
         fit_sc = solve_sc(y, x)
         matches = {m: solve_matching(y, x, m) for m in sorted({pt.m for pt in points})}
@@ -163,6 +161,20 @@ def _fit_grid(y: np.ndarray, x: np.ndarray, kind: str, points) -> list[ScFit]:
     if kind == PLAIN:
         return [solve_sc(y, x)] * len(points)
     raise ConfigurationError(f"unknown estimator kind {kind!r}")
+
+
+def _fit_path(lams, solve) -> list[ScFit]:
+    """``solve(lam, prev)`` at every penalty in ``lams``, returned in grid
+    order but solved from the largest penalty down, ``prev`` being the fit
+    solved just before (None for the first).  The solver warm-starts from
+    ``prev``; ``_outer_solve`` keeps a warm fit only where the optimum is
+    unique, so every fit equals its cold solve."""
+    lams = np.asarray(lams, dtype=float)
+    fits: list[ScFit | None] = [None] * lams.size
+    fit = None
+    for i in np.argsort(-lams, kind="stable"):
+        fit = fits[i] = solve(float(lams[i]), fit)
+    return fits
 
 
 # ---------------------------------------------------------------------------
@@ -217,10 +229,10 @@ def select_v_ic(
 
     Every weighting is checked, and its ``lam``-independent inner covariate
     problem solved, once, before any outer solve.  Each weighting's penalty
-    grid is then walked from the largest ``lam`` down, each outer solve
-    warm-started from the previous fit when that fit has the same exactly-fit
-    rows; ``_cov_outer`` keeps a warm fit only where the optimum is unique,
-    so every score equals the one ``solve_sc_cov_inner`` gives at that point.
+    grid is then one ``_fit_path``, each outer solve warm-started from the
+    previous fit when that fit has the same exactly-fit rows, so every score
+    equals the one ``solve_sc_cov_inner`` gives at that point.  A negative
+    or non-finite ``lam`` raises ``ConfigurationError``.
     """
     if not panel.has_covariates:
         raise ConfigurationError("V selection requires covariates in the panel")
@@ -239,24 +251,9 @@ def select_v_ic(
     scores = []
     for inner in inners:
         points += [TuningPoint(float(lam), v=tuple(inner.v)) for lam in lams]
-        scores += [ic_for_fit(fit, s2) for fit in _fit_v_path(y, x, inner, lams)]
+        fits = _fit_path(lams, functools.partial(_cov_outer, y, x, inner))
+        scores += [ic_for_fit(fit, s2) for fit in fits]
     return _select(points, np.asarray(scores), s2, METHOD_SURE)
-
-
-def _fit_v_path(y: np.ndarray, x: np.ndarray, inner, lams: np.ndarray) -> list[ScFit]:
-    """The covariate fits at one diagonal weighting (its first stage
-    ``inner``, from ``solvers._cov_inner``) over the penalty grid ``lams``,
-    in grid order, walked from the largest penalty down.  A fit warm-starts
-    the next point only when it carries the weighting's exactly-fit rows as
-    its equality rows; one that took the reduction to the plain estimator
-    does not."""
-    fits: list[ScFit | None] = [None] * lams.size
-    fit = None
-    for i in np.argsort(-lams, kind="stable"):
-        warm = fit is not None and fit.cov_eq_rows == inner.exact_rows
-        fit = _cov_outer(y, x, inner, float(lams[i]), fit.beta if warm else None)
-        fits[i] = fit
-    return fits
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from .selection import (
     cv_loo_untreated,
     cv_rolling,
     default_lambda_grid,
+    sigma2_hat,
 )
 from .dof import df_hat
 from .solvers import PENALIZED, solve_sc
@@ -675,7 +676,7 @@ def run_selection_benchmark(
             star_idx = None
             cv_truth_curve = None
 
-        sigma2_plain = float(np.mean(solve_sc(y_pre, x_pre).residuals ** 2))
+        sigma2_plain = sigma2_hat(y_pre, x_pre)
 
         for method in methods:
             idx = None

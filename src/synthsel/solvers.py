@@ -285,10 +285,15 @@ def eq_constrained_hat(design: np.ndarray, eq_mat: np.ndarray) -> np.ndarray:
     ``P - X G^-1 E' (E G^-1 E')^-1 E G^-1 X'`` with ``G = X'X`` and ``P``
     the unconstrained projection, obtained by solving the subproblem with
     right-hand side ``X'`` and zero constraint values; the trace is rank(X)
-    minus the number of independent constraint rows.
+    minus the number of independent constraint rows.  As many rows as
+    columns pin ``b`` and leave nothing to fit: the matrix is then exactly
+    zero, where the Schur complement would leave rounding of order
+    ``cond(E)^2 * eps`` (2e-9 in the trace at ``cond(E) = 4600``).
     """
     x = np.asarray(design, dtype=float)
     _require_independent_blocks(x, eq_mat)
+    if eq_mat.shape[0] == x.shape[1]:
+        return np.zeros((x.shape[0], x.shape[0]))
     beta, _, _ = _eq_ls_solve(x.T @ x, x.T, eq_mat, np.zeros((eq_mat.shape[0], x.shape[0])))
     return x @ beta
 
@@ -335,8 +340,6 @@ def simplex_ls(
     eq_mat: np.ndarray | None = None,
     eq_rhs: np.ndarray | None = None,
     start: np.ndarray | None = None,
-    kkt_tol: float = KKT_TOL,
-    max_iter: int | None = None,
 ) -> EngineResult:
     """Minimize ``0.5||target - design @ b||^2 + lin'b`` over the scaled
     simplex ``{b >= 0, sum(b) = sum_to}`` intersected with optional extra
@@ -385,11 +388,9 @@ def simplex_ls(
     if not np.any(free):
         free[0] = True
 
-    if max_iter is None:
-        max_iter = max(200, 30 * p)
-
+    max_iter = max(200, 30 * p)
     scale = 1.0 + float(np.max(np.abs(g0), initial=0.0))
-    release_tol = min(kkt_tol, _RELEASE_TOL * scale)
+    release_tol = min(KKT_TOL, _RELEASE_TOL * scale)
 
     def _objective(b: np.ndarray) -> float:
         return float(0.5 * b @ (gram @ b) - g0 @ b)
@@ -599,13 +600,7 @@ def _is_unique_optimum(fit: ScFit, g0: np.ndarray) -> bool:
     return not _is_degenerate(fit) and bool(np.all(fit.kkt.mu[inactive] < -tol))
 
 
-def solve_sc(
-    y: np.ndarray,
-    x: np.ndarray,
-    *,
-    kkt_tol: float = KKT_TOL,
-    canonicalize: bool = True,
-) -> ScFit:
+def solve_sc(y: np.ndarray, x: np.ndarray) -> ScFit:
     """Plain synthetic control: least squares over the probability simplex.
 
     When the active design is rank deficient (duplicate or collinear active
@@ -615,45 +610,61 @@ def solve_sc(
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
-    res = simplex_ls(y, x, kkt_tol=kkt_tol)
-    fit = _build_fit(PLAIN, y, x, res)
-    if canonicalize and _is_degenerate(fit):
-        pen = simplex_ls(y, x, lin=0.5e-8 * fit.donor_sq_distances, kkt_tol=kkt_tol)
+    fit = _build_fit(PLAIN, y, x, simplex_ls(y, x))
+    if _is_degenerate(fit):
+        pen = simplex_ls(y, x, lin=0.5e-8 * fit.donor_sq_distances)
         fit = _build_fit(PLAIN, y, x, pen, sq_dist=fit.donor_sq_distances, degenerate=True)
     return fit
 
 
-def solve_penalized_sc(
-    y: np.ndarray, x: np.ndarray, lam: float, *, kkt_tol: float = KKT_TOL
-) -> ScFit:
+def solve_penalized_sc(y: np.ndarray, x: np.ndarray, lam: float) -> ScFit:
     """Penalized synthetic control: adds ``lam * sum_i b_i ||y - x_i||^2``.
 
     The penalty is linear in ``b``, so the same engine runs with a shifted
     linear coefficient; ``lam = 0`` coincides with the plain estimator.
     """
-    return _solve_penalized(y, x, lam, None, kkt_tol)
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    y = np.asarray(y, dtype=float).ravel()
+    return _outer_solve(PENALIZED, y, x, lam, donor_sq_distances(y, x), None)
 
 
-def _solve_penalized(y, x, lam: float, start, kkt_tol: float = KKT_TOL) -> ScFit:
-    """``solve_penalized_sc``, warm-started from ``start`` unless it is None.
+def _outer_solve(
+    kind: str,
+    y: np.ndarray,
+    x: np.ndarray,
+    lam: float,
+    sq_dist: np.ndarray,
+    start,
+    *,
+    cold_start=None,
+    eq_mat: np.ndarray | None = None,
+    eq_rhs: np.ndarray | None = None,
+    **fields,
+) -> ScFit:
+    """The outer solve of the penalized and covariate estimators:
+    ``0.5||y - X b||^2 + 0.5 lam sq_dist'b`` over the simplex, subject to
+    ``eq_mat b = eq_rhs`` when those rows are given.
 
-    ``start`` is a feasible weight vector, such as the fit at a neighbouring
-    ``lam`` on a grid.  It never changes the answer: the warm fit is kept
-    only where the optimum is unique (``X_A`` of full column rank, every
-    inactive multiplier strictly negative), where it equals the cold fit;
-    otherwise the point is solved again from the cold start vertex.
+    ``lam`` must be finite and ``>= 0``.  The solve starts from ``start``
+    when it is not None (a feasible weight vector, such as the fit at a
+    neighbouring ``lam`` on a grid) and from ``cold_start`` otherwise
+    (None: the engine's start vertex).  A warm start never changes the
+    answer: the warm fit is kept only where ``_is_unique_optimum`` holds,
+    which pins the optimum with equality rows as without them, so it
+    equals the cold fit; otherwise the point is solved again from
+    ``cold_start``.  ``fields`` go to the fit.
     """
     if not np.isfinite(lam) or lam < 0:
         raise ConfigurationError(f"penalty parameter must be finite and >= 0, got {lam}")
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.asarray(y, dtype=float).ravel()
-    q = donor_sq_distances(y, x)
-    lin = 0.5 * lam * q
-    res = simplex_ls(y, x, lin=lin, start=start, kkt_tol=kkt_tol)
-    fit = _build_fit(PENALIZED, y, x, res, lam=float(lam), sq_dist=q)
+    lin = 0.5 * lam * sq_dist
+
+    def _fit(beta) -> ScFit:
+        res = simplex_ls(y, x, lin=lin, eq_mat=eq_mat, eq_rhs=eq_rhs, start=beta)
+        return _build_fit(kind, y, x, res, lam=float(lam), sq_dist=sq_dist, **fields)
+
+    fit = _fit(cold_start if start is None else start)
     if start is not None and not _is_unique_optimum(fit, x.T @ y - lin):
-        res = simplex_ls(y, x, lin=lin, kkt_tol=kkt_tol)
-        fit = _build_fit(PENALIZED, y, x, res, lam=float(lam), sq_dist=q)
+        fit = _fit(cold_start)
     return fit
 
 
@@ -696,9 +707,7 @@ def solve_matching(y: np.ndarray, x: np.ndarray, m: int) -> ScFit:
     )
 
 
-def solve_masc(
-    y: np.ndarray, x: np.ndarray, lam: float, m: int, *, kkt_tol: float = KKT_TOL
-) -> ScFit:
+def solve_masc(y: np.ndarray, x: np.ndarray, lam: float, m: int) -> ScFit:
     """Model-averaged estimator: lam * matching + (1 - lam) * synthetic control.
 
     The weight vector, the fitted values and hence the whole fit are the
@@ -709,7 +718,7 @@ def solve_masc(
     _check_averaging_weight(lam)
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
-    return masc_average(y, solve_sc(y, x, kkt_tol=kkt_tol), solve_matching(y, x, m), lam)
+    return masc_average(y, solve_sc(y, x), solve_matching(y, x, m), lam)
 
 
 def _check_averaging_weight(lam: float) -> None:
@@ -745,6 +754,10 @@ def masc_average(y: np.ndarray, fit_sc: ScFit, fit_ma: ScFit, lam: float) -> ScF
 # covariate estimator
 # ---------------------------------------------------------------------------
 
+#: relative tolerance of an exactly-fit covariate row (of ``max|z|``) and of
+#: a positive diagonal weight (of ``max v``)
+_COV_TOL = 1e-8
+
 
 def _scaled_tol(base: float, values: np.ndarray) -> float:
     return base * (1.0 + float(np.max(np.abs(values), initial=0.0)))
@@ -758,9 +771,6 @@ def solve_sc_cov_inner(
     v: np.ndarray,
     *,
     lam: float = 0.0,
-    kkt_tol: float = KKT_TOL,
-    residual_tol: float = 1e-8,
-    weight_tol: float = 1e-8,
 ) -> ScFit:
     """Covariate-constrained synthetic control at a fixed diagonal weighting.
 
@@ -768,14 +778,18 @@ def solve_sc_cov_inner(
     over the simplex; its fitted values on the positively weighted rows are
     unique even when the minimizer is not, so they split those rows into
     exactly-fit rows and rows with nonzero inner residual.  Second, the
-    outer loss is minimized over the inner solution set, which the
+    outer loss, with the donor-distance penalty of ``solve_penalized_sc``
+    at ``lam``, is minimized over the inner solution set, which the
     exactly-fit rows pin down as equality constraints while the nonzero
-    residual rows leave free.  If the nonzero-residual rows are at least as
+    residual rows leave free; this is the one outer solve the penalized
+    estimator also runs.  If the nonzero-residual rows are at least as
     numerous as the active donors minus one, the equality rows exert no
     force at all and the fit reduces to the plain estimator on its active
     set; that reduction is applied and flagged when it fires.  The first
     stage does not depend on ``lam``, so a grid over ``lam`` at one
-    weighting needs it once (see ``selection.select_v_ic``).
+    weighting needs it once (see ``selection.select_v_ic``).  ``lam`` must
+    be finite and ``>= 0``, with or without covariate rows; otherwise
+    ``ConfigurationError`` is raised, as by ``solve_penalized_sc``.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
@@ -783,10 +797,11 @@ def solve_sc_cov_inner(
     z = np.asarray(z, dtype=float).ravel()
     v = np.asarray(v, dtype=float).ravel()
     if d.shape[0] == 0:
-        base = solve_penalized_sc(y, x, lam) if lam > 0 else solve_sc(y, x)
+        # any lam but zero, negative and non-finite ones included, goes to
+        # the penalized solver, which rejects the invalid ones
+        base = solve_sc(y, x) if lam == 0 else solve_penalized_sc(y, x, lam)
         return replace(base, kind=COVARIATE, lam=float(lam), v=v)
-    inner = _cov_inner(y, x, z, d, v, kkt_tol, residual_tol, weight_tol)
-    return _cov_outer(y, x, inner, lam, None, kkt_tol)
+    return _cov_outer(y, x, _cov_inner(y, x, z, d, v), lam, None)
 
 
 @dataclass(frozen=True)
@@ -806,7 +821,7 @@ class _CovInner:
     sq_dist: np.ndarray
 
 
-def _cov_inner(y, x, z, d, v, kkt_tol=KKT_TOL, residual_tol=1e-8, weight_tol=1e-8) -> _CovInner:
+def _cov_inner(y, x, z, d, v) -> _CovInner:
     """Stage one of ``solve_sc_cov_inner``: check ``v`` against the ``d``
     rows, then solve the inner weighted problem over the simplex."""
     n_cov = d.shape[0]
@@ -817,8 +832,8 @@ def _cov_inner(y, x, z, d, v, kkt_tol=KKT_TOL, residual_tol=1e-8, weight_tol=1e-
     if float(np.max(v, initial=0.0)) <= 0.0:
         raise ConfigurationError("diagonal weights must not all be zero")
 
-    w_tol = _scaled_tol(weight_tol, v)
-    r_tol = _scaled_tol(residual_tol, z)
+    w_tol = _scaled_tol(_COV_TOL, v)
+    r_tol = _scaled_tol(_COV_TOL, z)
     weighted = [i for i in range(n_cov) if v[i] > w_tol]
     # all-zero rows with zero targets are vacuous: they cannot constrain b,
     # so they are excluded from the recorded sets as well
@@ -828,52 +843,44 @@ def _cov_inner(y, x, z, d, v, kkt_tol=KKT_TOL, residual_tol=1e-8, weight_tol=1e-
     if e_rows:
         rows = list(e_rows)
         sqrt_v = np.sqrt(v[rows])
-        inner_beta = simplex_ls(sqrt_v * z[rows], sqrt_v[:, None] * d[rows], kkt_tol=kkt_tol).beta
+        inner_beta = simplex_ls(sqrt_v * z[rows], sqrt_v[:, None] * d[rows]).beta
         inner_res = d[rows] @ inner_beta - z[rows]
         exact_rows = tuple(row for row, r in zip(e_rows, inner_res) if abs(r) <= r_tol)
     return _CovInner(z, d, v, e_rows, exact_rows, inner_beta, r_tol, donor_sq_distances(y, x))
 
 
-def _cov_outer(y, x, inner: _CovInner, lam: float, start, kkt_tol: float = KKT_TOL) -> ScFit:
-    """Stage two of ``solve_sc_cov_inner``: the outer loss over the inner
-    solution set, warm-started from ``start`` unless it is None.
-
-    ``start`` is a feasible weight vector, such as the fit at a neighbouring
-    ``lam`` with the same equality rows.  As in ``_solve_penalized`` it
-    never changes the answer: the warm fit is kept only where
-    ``_is_unique_optimum`` holds, which pins the optimum with the equality
-    rows as without them; otherwise the point is solved again from the
-    inner solution.  The reduction to the plain estimator is always solved
-    from the cold start vertex.
+def _cov_outer(y, x, inner: _CovInner, lam: float, prev: ScFit | None) -> ScFit:
+    """Stage two of ``solve_sc_cov_inner``: ``_outer_solve`` with the
+    exactly-fit rows as equality rows, started from the inner solution.
+    A fit ``prev`` at a neighbouring ``lam`` starts it instead when its
+    equality rows are the same; one that took the reduction to the plain
+    estimator has none and does not.  The reduction is always solved from
+    the cold start vertex.
     """
-    lin = 0.5 * lam * inner.sq_dist if lam > 0 else None
 
-    def _fit(eq_rows: tuple[int, ...], start_beta, degenerate: bool = False) -> ScFit:
+    def _fit(eq_rows: tuple[int, ...], start_beta, cold_start, degenerate=False) -> ScFit:
         rows = list(eq_rows)
-        res = simplex_ls(y, x, lin=lin, eq_mat=inner.d[rows], eq_rhs=inner.z[rows],
-                         start=start_beta, kkt_tol=kkt_tol)
-        fit = _build_fit(COVARIATE, y, x, res, lam=float(lam), v=inner.v, sq_dist=inner.sq_dist,
-                         cov_eq_rows=eq_rows, degenerate=degenerate)
+        fit = _outer_solve(COVARIATE, y, x, lam, inner.sq_dist, start_beta,
+                           cold_start=cold_start, eq_mat=inner.d[rows], eq_rhs=inner.z[rows],
+                           v=inner.v, cov_eq_rows=eq_rows, degenerate=degenerate)
         cov_res = inner.d @ fit.beta - inner.z
         m_rows = tuple(i for i in range(cov_res.shape[0]) if abs(cov_res[i]) > inner.r_tol)
         return replace(fit, sets=ActiveSets(a=fit.sets.a, m=m_rows, e=inner.e_rows),
                        cov_residuals=cov_res)
 
     rows = inner.exact_rows
-    cold_start = inner.inner_beta if rows else None
-    fit = _fit(rows, cold_start if start is None else start)
-    if start is not None and not _is_unique_optimum(fit, x.T @ y if lin is None else x.T @ y - lin):
-        fit = _fit(rows, cold_start)
+    start = prev.beta if prev is not None and prev.cov_eq_rows == rows else None
+    fit = _fit(rows, start, inner.inner_beta if rows else None)
     if rows and len(fit.sets.m_and_e) >= fit.n_active - 1:
         # with this many unfit weighted rows the equality rows carry no
         # force; drop them, re-solve once, and flag the switch
-        fit = _fit((), None, degenerate=True)
+        fit = _fit((), None, None, degenerate=True)
     return fit
 
 
-def default_v_grid(n_cov: int, lattice_step: float = 0.25) -> list[np.ndarray]:
+def default_v_grid(n_cov: int) -> list[np.ndarray]:
     """Trace-one diagonal weight candidates: vertices, barycenter and a
-    lattice of the given step on the simplex of diagonals (the lattice is
+    lattice of step 1/4 on the simplex of diagonals (the lattice is
     skipped above eight covariate rows, where it would explode)."""
     if n_cov <= 0:
         raise ConfigurationError("need at least one covariate row for a V grid")
@@ -891,7 +898,6 @@ def default_v_grid(n_cov: int, lattice_step: float = 0.25) -> list[np.ndarray]:
         vec[i] = 1.0
         _push(vec)
     _push(np.full(n_cov, 1.0 / n_cov))
-    steps = int(round(1.0 / lattice_step))
 
     def _compositions(total: int, parts: int):
         if parts == 1:
@@ -902,8 +908,8 @@ def default_v_grid(n_cov: int, lattice_step: float = 0.25) -> list[np.ndarray]:
                 yield (head,) + tail
 
     if n_cov <= 8:
-        for comp in _compositions(steps, n_cov):
-            _push(np.asarray(comp, dtype=float) / steps)
+        for comp in _compositions(4, n_cov):
+            _push(np.asarray(comp, dtype=float) / 4)
     return grid
 
 
@@ -914,52 +920,13 @@ def solve_sc_cov(
     d: np.ndarray,
     v_grid,
     *,
-    criterion=None,
     lam: float = 0.0,
-    kkt_tol: float = KKT_TOL,
 ) -> ScFit:
-    """Search the diagonal weighting over a grid, keeping the fit that
-    minimizes the caller's criterion (outer residual sum of squares by
-    default).  Ties go to the lexicographically smallest weighting."""
+    """Search the diagonal weighting over a grid, keeping the fit with the
+    smallest outer residual sum of squares.  Ties go to the
+    lexicographically smallest weighting."""
     candidates = [np.asarray(v, dtype=float).ravel() for v in v_grid]
     if not candidates:
         raise ConfigurationError("empty V grid")
-    if criterion is None:
-        criterion = lambda fit: fit.rss
-    best = None
-    best_key = None
-    for v in candidates:
-        fit = solve_sc_cov_inner(y, x, z, d, v, lam=lam, kkt_tol=kkt_tol)
-        key = (float(criterion(fit)), tuple(v))
-        if best_key is None or key < best_key:
-            best, best_key = fit, key
-    return best
-
-
-# ---------------------------------------------------------------------------
-# active sets
-# ---------------------------------------------------------------------------
-
-
-def active_sets(
-    fit: ScFit,
-    *,
-    active_tol: float | None = None,
-    residual_tol: float = 1e-8,
-    weight_tol: float = 1e-8,
-) -> ActiveSets:
-    """Threshold the stored weight, inner-residual and diagonal vectors into
-    index sets.  The canonical choice among equivalent optima is made at
-    solve time (vanishing-penalty re-solve), so re-thresholding here is
-    deterministic."""
-    tol = active_tol if active_tol is not None else fit.weights.active_tol
-    a = tuple(int(i) for i in np.flatnonzero(fit.beta > tol))
-    m: tuple[int, ...] = ()
-    e: tuple[int, ...] = ()
-    if fit.cov_residuals is not None:
-        r_tol = _scaled_tol(residual_tol, fit.cov_residuals)
-        m = tuple(int(i) for i in np.flatnonzero(np.abs(fit.cov_residuals) > r_tol))
-    if fit.v is not None and np.size(fit.v):
-        w_tol = _scaled_tol(weight_tol, fit.v)
-        e = tuple(int(i) for i in np.flatnonzero(fit.v > w_tol))
-    return ActiveSets(a=a, m=m, e=e)
+    fits = [solve_sc_cov_inner(y, x, z, d, v, lam=lam) for v in candidates]
+    return min(fits, key=lambda fit: (fit.rss, tuple(fit.v)))

@@ -16,7 +16,6 @@ from synthsel.dof import (
     df_hat,
     divergence,
     divergence_fd_oracle,
-    divergence_sc,
 )
 from synthsel.simulation import (
     BootstrapSpec,

@@ -11,9 +11,6 @@ from synthsel.dof import (
     df_hat,
     divergence,
     divergence_fd_oracle,
-    divergence_masc,
-    divergence_pen,
-    divergence_sc,
 )
 from synthsel.solvers import (
     solve_constrained_ls,
@@ -66,7 +63,7 @@ class TestDivergenceSc:
         x = rng.normal(size=(8, 4))
         fit = solve_sc(x[:, 2].copy(), x)
         assert fit.sets.a == (2,)
-        div = divergence_sc(fit, x)
+        div = divergence(fit, x)
         assert np.max(np.abs(div.matrix)) == pytest.approx(0.0, abs=1e-12)
         assert div.trace == pytest.approx(0.0, abs=1e-12)
 
@@ -74,18 +71,18 @@ class TestDivergenceSc:
         for seed in range(10):
             y, x = make_instance(seed, n=12, p=6)
             fit = solve_sc(y, x)
-            div = divergence_sc(fit, x)
+            div = divergence(fit, x)
             assert div.trace == pytest.approx(fit.rank_xa - 1, abs=1e-10)
 
     def test_matrix_is_symmetric(self):
         y, x = make_instance(3, n=10, p=5)
-        div = divergence_sc(solve_sc(y, x), x)
+        div = divergence(solve_sc(y, x), x)
         assert np.max(np.abs(div.matrix - div.matrix.T)) <= 1e-10
 
     def test_rank_one_correction_form_agrees(self):
         y, x = make_instance(4, n=10, p=5)
         fit = solve_sc(y, x)
-        a = divergence_sc(fit, x).matrix
+        a = divergence(fit, x).matrix
         b = rank_one_correction_divergence(x[:, list(fit.sets.a)])
         np.testing.assert_allclose(a, b, atol=1e-9)
 
@@ -93,7 +90,7 @@ class TestDivergenceSc:
         y, x, z, d, v = _cov_few_instance(21)
         fit = solve_sc_cov_inner(y, x, z, d, v)
         assert fit.sets.e_minus_m and len(fit.sets.m_and_e) < len(fit.sets.a) - 1
-        analytic = divergence_sc(fit, x, d)
+        analytic = divergence(fit, x, d)
         fd = divergence_fd_oracle(lambda yy: solve_sc_cov_inner(yy, x, z, d, v), y)
         assert not fd.active_set_changed
         assert np.max(np.abs(analytic.matrix - fd.matrix)) <= 1e-5
@@ -105,14 +102,14 @@ class TestDivergencePen:
         pen = solve_penalized_sc(y, x, 0.0)
         plain = solve_sc(y, x)
         np.testing.assert_allclose(
-            divergence_pen(pen, x).matrix, divergence_sc(plain, x).matrix, atol=1e-10
+            divergence(pen, x).matrix, divergence(plain, x).matrix, atol=1e-10
         )
 
     def test_trace_five_active_donors_lambda_half(self):
         y, x = _all_active_instance(8, p=5)
         fit = solve_penalized_sc(y, x, 0.5)
         assert len(fit.sets.a) == 5
-        assert divergence_pen(fit, x).trace == pytest.approx(1.5 * 4, abs=1e-9)
+        assert divergence(fit, x).trace == pytest.approx(1.5 * 4, abs=1e-9)
 
     def test_finite_difference_agreement(self):
         y, x = make_instance(9, n=10, p=5)
@@ -120,22 +117,22 @@ class TestDivergencePen:
         fd = divergence_fd_oracle(lambda yy: solve_penalized_sc(yy, x, 0.3), y)
         if fd.active_set_changed:
             pytest.skip("active set flipped at the perturbation points")
-        assert np.max(np.abs(divergence_pen(fit, x).matrix - fd.matrix)) <= 1e-5
+        assert np.max(np.abs(divergence(fit, x).matrix - fd.matrix)) <= 1e-5
 
 
 class TestDivergenceMasc:
     def test_pure_matching_is_zero(self):
         y, x = make_instance(10)
         fit = solve_masc(y, x, 1.0, 2)
-        div = divergence_masc(fit.sc_component, 1.0, x)
+        div = divergence(fit, x)
         assert np.max(np.abs(div.matrix)) == 0.0
 
     def test_zero_averaging_recovers_sc_divergence(self):
         y, x = make_instance(11)
         fit = solve_masc(y, x, 0.0, 2)
         np.testing.assert_allclose(
-            divergence_masc(fit.sc_component, 0.0, x).matrix,
-            divergence_sc(fit.sc_component, x).matrix,
+            divergence(fit, x).matrix,
+            divergence(fit.sc_component, x).matrix,
             atol=1e-12,
         )
 
@@ -209,7 +206,7 @@ class TestFdOracle:
         assert fd.step == pytest.approx(1e-5 * max(1.0, np.max(np.abs(y))))
         if fd.active_set_changed:
             pytest.skip("active set flipped at the perturbation points")
-        assert np.max(np.abs(divergence_sc(fit, x).matrix - fd.matrix)) <= 1e-5
+        assert np.max(np.abs(divergence(fit, x).matrix - fd.matrix)) <= 1e-5
 
     def test_flip_detection_flags_unstable_columns(self):
         # a fit whose active set depends on the sign of the first coordinate
@@ -246,6 +243,38 @@ def test_trace_identities_random_instances(seed):
     assert divergence(pen, x).trace == pytest.approx((1 + lam) * (pen.rank_xa - 1), abs=1e-8)
     masc = solve_masc(y, x, alpha, 2)
     assert divergence(masc, x).trace == pytest.approx((1 - alpha) * (masc.rank_xa - 1), abs=1e-8)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_df_hat_equals_divergence_trace_for_every_kind(seed):
+    gen = np.random.default_rng(seed)
+    n = int(gen.integers(10, 16))
+    p = int(gen.integers(3, 6))
+    x = gen.normal(size=(n, p))
+    w = gen.dirichlet(np.full(p, 4.0))
+    y = x @ w + 0.3 * gen.normal(size=n)
+    lam = float(gen.uniform(0.05, 2.0))
+    # two rows the weights fit exactly bind (cov_few); p - 1 rows that no
+    # weights can fit outnumber any active set (cov_many)
+    d_few = gen.normal(size=(2, p))
+    d_many = gen.normal(size=(p - 1, p))
+    few = solve_sc_cov_inner(y, x, d_few @ w, d_few, np.full(2, 0.5), lam=lam)
+    v_many = np.full(p - 1, 1.0 / (p - 1))
+    many = solve_sc_cov_inner(y, x, d_many @ w + 25.0, d_many, v_many, lam=lam)
+    assert (df_hat(few).case, df_hat(many).case) == (CASE_COV_FEW, CASE_COV_MANY)
+    no_rows = solve_sc_cov_inner(y, x, np.zeros(0), np.zeros((0, p)), np.zeros(0), lam=lam)
+    fits = [
+        (solve_sc(y, x), None),
+        (solve_penalized_sc(y, x, lam), None),
+        (solve_matching(y, x, 2), None),
+        *[(solve_masc(y, x, alpha, 2), None) for alpha in (0.0, 0.5, 1.0)],
+        (few, d_few),
+        (many, d_many),
+        (no_rows, None),
+    ]
+    for fit, d in fits:
+        assert abs(df_hat(fit).df_hat - divergence(fit, x, d).trace) <= 1e-9
 
 
 def test_covariate_phase_transition_profile():

@@ -158,6 +158,13 @@ class TestPreprocess:
         assert out.dataset.n == loaded.dataset.n - 2
 
 
+@pytest.fixture
+def cov_csv(tmp_path):
+    path = tmp_path / "cov.csv"
+    path.write_text("cov,treated,d1,d2\nprice,2.5,2.0,3.0\nsize,4.0,5.0,3.0\n")
+    return path
+
+
 class TestCli:
     def _fit_args(self, panel_csv, *extra):
         return [
@@ -217,12 +224,10 @@ class TestCli:
         assert all(r[1] == "" and r[2] == "" for r in rows)
         assert [float(r[3]) for r in rows] == res["scores"]
 
-    def test_covariate_curve_csv_tells_the_weightings_apart(self, panel_csv, tmp_path, capsys):
-        cov = tmp_path / "cov.csv"
-        cov.write_text("cov,treated,d1,d2\nprice,2.5,2.0,3.0\nsize,4.0,5.0,3.0\n")
+    def test_covariate_curve_csv_tells_the_weightings_apart(self, panel_csv, cov_csv, tmp_path, capsys):
         curve = tmp_path / "curve.csv"
         args = self._select_args(
-            panel_csv, "--covariates", str(cov), "--estimator", "covariate", "--grid", "0,0.5"
+            panel_csv, "--covariates", str(cov_csv), "--estimator", "covariate", "--grid", "0,0.5"
         )
         assert cli.main([*args, "--curve-csv", str(curve)]) == 0
         res = json.loads(capsys.readouterr().out)["results"]
@@ -325,6 +330,18 @@ class TestCli:
         assert code == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["error"]["type"] == "ConfigurationError"
+
+    @pytest.mark.parametrize("command", ["select", "fit"])
+    def test_negative_covariate_penalty_exits_one(self, panel_csv, cov_csv, capsys, command):
+        if command == "select":
+            argv = self._select_args(panel_csv, "--grid=-0.5,0")
+        else:
+            argv = self._fit_args(panel_csv, "--lambda", "-0.5")
+        argv += ["--covariates", str(cov_csv), "--estimator", "covariate"]
+        assert cli.main(argv) == 1
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "ConfigurationError"
+        assert "penalty parameter" in error["message"]
 
     @pytest.mark.parametrize("flag", ["--input", "--covariates"])
     def test_missing_file_exits_one_with_structured_error(self, panel_csv, tmp_path, capsys, flag):

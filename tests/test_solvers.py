@@ -1,3 +1,6 @@
+from functools import partial
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,13 +8,13 @@ from hypothesis import strategies as st
 
 from synthsel.errors import ConfigurationError, SingularityError
 from synthsel.panel import PanelDataset
-from synthsel.selection import _fit_grid, _fit_v_path, ic_for_fit, select_v_ic, tuning_grid
+from synthsel.selection import _fit_grid, _fit_path, ic_for_fit, select_v_ic, tuning_grid
 from synthsel.solvers import (
+    Weights,
     _cov_inner,
     _cov_outer,
     _eq_ls_solve,
-    _solve_penalized,
-    active_sets,
+    _outer_solve,
     default_v_grid,
     donor_sq_distances,
     matching_weights,
@@ -76,6 +79,12 @@ class TestConstrainedLs:
         rows = rng.normal(size=(2, 5))
         res = solve_constrained_ls(y, x, rows, rng.normal(size=2))
         assert np.trace(res.hat_matrix()) == pytest.approx(5 - 2, abs=1e-9)
+
+    def test_rows_that_pin_the_weights_leave_an_exactly_zero_hat(self, rng):
+        x = rng.normal(size=(12, 3))
+        rows = np.array([[0.0, 1.0, 2.0], [0.0, 1.0, 2.0 + 1e-3]])  # cond([1; rows]) = 1.2e4
+        res = solve_constrained_ls(rng.normal(size=12), x, np.vstack([np.ones(3), rows]), [1, 1, 1])
+        assert np.max(np.abs(res.hat_matrix())) == 0.0
 
 
 class TestWorkingSetKernel:
@@ -160,7 +169,7 @@ class TestPenalizedPath:
         cold = solve_penalized_sc(y, x, 0.05)
         for seed in range(5):
             start = np.random.default_rng(seed).dirichlet(np.ones(12))
-            warm = _solve_penalized(y, x, 0.05, start)
+            warm = _outer_solve("penalized", y, x, 0.05, donor_sq_distances(y, x), start)
             np.testing.assert_allclose(warm.beta, cold.beta, rtol=0, atol=1e-12)
             assert warm.sets == cold.sets
 
@@ -178,7 +187,7 @@ class TestPenalizedPath:
         x = np.column_stack([base, base[:, 1]])
         y = base @ np.array([0.2, 0.5, 0.3])
         cold = solve_penalized_sc(y, x, 0.0)
-        warm = _solve_penalized(y, x, 0.0, np.array(start))
+        warm = _outer_solve("penalized", y, x, 0.0, donor_sq_distances(y, x), np.array(start))
         np.testing.assert_array_equal(warm.beta, cold.beta)
         assert warm.sets == cold.sets
 
@@ -419,6 +428,26 @@ class TestCovariate:
         with pytest.raises(ConfigurationError):
             solve_sc_cov_inner(rng.normal(size=6), x, np.zeros(2), np.ones((2, 3)), np.zeros(2))
 
+    @pytest.mark.parametrize("lam", [-0.5, np.nan, np.inf])
+    @pytest.mark.parametrize("n_cov", [0, 2])
+    def test_invalid_penalty_rejected_with_and_without_rows(self, lam, n_cov):
+        y, x = make_instance(24, n=10, p=5)
+        d = np.random.default_rng(24).normal(size=(n_cov, 5))
+        v = np.full(n_cov, 0.5)
+        with pytest.raises(ConfigurationError, match="penalty parameter"):
+            solve_sc_cov_inner(y, x, d @ np.full(5, 0.2), d, v, lam=lam)
+
+    def test_invalid_penalty_rejected_by_grid_search_and_selection(self):
+        y, x = make_instance(25, n=10, p=5)
+        d = np.random.default_rng(25).normal(size=(2, 5))
+        z = d @ np.full(5, 0.2)
+        with pytest.raises(ConfigurationError, match="penalty parameter"):
+            solve_sc_cov(y, x, z, d, default_v_grid(2), lam=-0.5)
+        panel = PanelDataset(y=y, x=x, z=z, d=d)
+        for grid in ([-0.5, 0.0], [0.0, np.nan]):
+            with pytest.raises(ConfigurationError, match="penalty parameter"):
+                select_v_ic(panel, default_v_grid(2), grid)
+
     def test_grid_singleton_matches_inner(self, rng):
         x = rng.normal(size=(8, 4))
         y = rng.normal(size=8)
@@ -492,7 +521,8 @@ class TestCovariatePath:
         inner = _cov_inner(y, x, z, d, v)
         assert inner.exact_rows == (0,)
         cold = solve_sc_cov_inner(y, x, z, d, v)
-        warm = _cov_outer(y, x, inner, 0.0, np.array(start))
+        prev = SimpleNamespace(beta=np.array(start), cov_eq_rows=(0,))
+        warm = _cov_outer(y, x, inner, 0.0, prev)
         np.testing.assert_array_equal(warm.beta, cold.beta)
         assert warm.sets == cold.sets
         assert warm.cov_eq_rows == cold.cov_eq_rows == (0,)
@@ -510,7 +540,7 @@ class TestCovariatePath:
         v = np.array([0.5, 0.25, 0.25])
         lams = np.concatenate([[0.0], np.geomspace(0.0125, 10.0, 9)])
         inner = _cov_inner(y, x, z, d, v)
-        fits = _fit_v_path(y, x, inner, lams)
+        fits = _fit_path(lams, partial(_cov_outer, y, x, inner))
         reduced = [fit.kkt.degenerate for fit in fits]
         assert inner.exact_rows == (0,)
         assert reduced[-1] and not reduced[0]
@@ -546,7 +576,8 @@ def test_v_path_equals_pointwise_cold_solves(seed, shape):
     scores = select_v_ic(PanelDataset(y=y, x=x, z=z, d=d), v_grid, lams, sigma2=1.0).scores
     cold_scores = []
     for v in v_grid:
-        for lam, fit in zip(lams, _fit_v_path(y, x, _cov_inner(y, x, z, d, v), lams)):
+        path = _fit_path(lams, partial(_cov_outer, y, x, _cov_inner(y, x, z, d, v)))
+        for lam, fit in zip(lams, path):
             cold = solve_sc_cov_inner(y, x, z, d, v, lam=lam)
             np.testing.assert_allclose(fit.beta, cold.beta, rtol=0, atol=1e-12)
             assert fit.sets == cold.sets
@@ -563,17 +594,11 @@ def test_v_path_equals_pointwise_cold_solves(seed, shape):
 
 
 class TestActiveSets:
-    def test_exact_zeros(self, rng):
-        y, x = make_instance(30, p=3)
-        fit = solve_sc(y, x)
-        object.__setattr__(fit.weights, "beta", np.array([0.5, 0.5, 0.0]))
-        assert active_sets(fit, active_tol=1e-8).a == (0, 1)
+    def test_exact_zeros(self):
+        assert Weights(np.array([0.5, 0.5, 0.0]), 1e-8).active_set() == (0, 1)
 
-    def test_below_threshold_entries_excluded(self, rng):
-        y, x = make_instance(31, p=3)
-        fit = solve_sc(y, x)
-        object.__setattr__(fit.weights, "beta", np.array([1 - 1e-12, 1e-12, 0.0]))
-        assert active_sets(fit, active_tol=1e-8).a == (0,)
+    def test_below_threshold_entries_excluded(self):
+        assert Weights(np.array([1 - 1e-12, 1e-12, 0.0]), 1e-8).active_set() == (0,)
 
     def test_duplicate_donor_instance_stable_across_resolves(self):
         gen = np.random.default_rng(77)
