@@ -17,7 +17,6 @@ from .solvers import (
     default_v_grid,
     matching_weights,
     simplex_ls,
-    solve_constrained_ls,
     solve_masc,
     solve_matching,
     solve_penalized_sc,

@@ -52,11 +52,16 @@ def parse_grid(spec: str) -> np.ndarray:
 
 
 def parse_int_grid(spec: str) -> list[int]:
+    """Integer grid notations: ``a:b`` (inclusive range) or a
+    comma-separated list of values."""
     spec = spec.strip()
-    if ":" in spec:
-        a, b = spec.split(":")
-        return list(range(int(a), int(b) + 1))
-    return [int(tok) for tok in spec.split(",") if tok.strip() != ""]
+    try:
+        if ":" in spec:
+            a, b = spec.split(":")
+            return list(range(int(a), int(b) + 1))
+        return [int(tok) for tok in spec.split(",") if tok.strip() != ""]
+    except ValueError as exc:
+        raise ConfigurationError(f"cannot parse integer grid spec {spec!r}: {exc}")
 
 
 def _load(args) -> pio.LoadedPanel:
@@ -127,20 +132,16 @@ def _fit_report(fit: ScFit, loaded: pio.LoadedPanel, panel: PanelDataset) -> dic
 
 
 def _selection_results(res: selection.SelectionResult) -> dict:
+    def point(pt: selection.TuningPoint) -> dict:
+        return {"lambda": pt.lam, "m": pt.m, "v": list(pt.v) if pt.v else None}
+
     return {
         "method": res.method,
         "sigma2_hat": res.sigma2_hat,
-        "grid": [
-            {"lambda": pt.lam, "m": pt.m, "v": list(pt.v) if pt.v else None}
-            for pt in res.grid
-        ],
+        "grid": [point(pt) for pt in res.grid],
         "scores": res.scores,
         "chosen_index": res.chosen,
-        "chosen": {
-            "lambda": res.chosen_point.lam,
-            "m": res.chosen_point.m,
-            "v": list(res.chosen_point.v) if res.chosen_point.v else None,
-        },
+        "chosen": point(res.chosen_point),
         "chosen_score": res.chosen_score,
     }
 
@@ -264,15 +265,12 @@ def _cmd_simulate(args) -> dict:
     if args.design == "gaussian":
         draw = simulation.draw_factor_gaussian(spec, periods, args.seed)
     else:
-        base = simulation.draw_factor_gaussian(spec, loaded.dataset.n, simulation.spawn_rng(args.seed, 1))
-        pool = loaded.dataset.y - simulation.conditional_mean_path(
+        observed = loaded.dataset
+        pool = observed.y - simulation.conditional_mean_path(
             spec,
             simulation.FactorPanelDraw(
-                y=loaded.dataset.y,
-                x=loaded.dataset.x,
-                y_systematic=base.y_systematic,
-                x_systematic=base.x_systematic,
-                delta=spec.delta[: loaded.dataset.n],
+                y=observed.y, x=observed.x, y_systematic=None, x_systematic=None,
+                delta=spec.delta[: observed.n],
             ),
         )
         draw = simulation.draw_factor_empirical(spec, pool, periods, args.seed)
@@ -298,7 +296,7 @@ def _cmd_simulate(args) -> dict:
     }
 
 
-def _cmd_benchmark(args) -> dict:
+def _cmd_benchmark(args) -> simulation.BenchmarkReport:
     methods = [tok.strip() for tok in args.methods.split(",") if tok.strip()]
     grid = parse_grid(args.grid) if args.grid else None
     report = simulation.run_selection_benchmark(
@@ -314,26 +312,7 @@ def _cmd_benchmark(args) -> dict:
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="") as handle:
             handle.write(pio.benchmark_csv_text(report))
-    return {
-        "design": report.design,
-        "replications": report.replications,
-        "seed": report.seed,
-        "n_pre": report.n_pre,
-        "n_post": report.n_post,
-        "lambda_grid": report.lambda_grid,
-        "methods": [
-            {
-                "method": row.method,
-                "mse_tau1": row.mse_tau1,
-                "mse_tau12": row.mse_tau12,
-                "mse_lambda": row.mse_lambda,
-                "mse_risk_raw": row.mse_risk_raw,
-                "mse_risk_per_n": row.mse_risk_per_n,
-                "mean_rank_corr": row.mean_rank_corr,
-            }
-            for row in report.methods
-        ],
-    }
+    return report
 
 
 def _cmd_placebo(args) -> dict:
@@ -341,15 +320,19 @@ def _cmd_placebo(args) -> dict:
     loaded = _load(args)
     panel = loaded.dataset
     if args.exclude:
-        drop = {name.strip() for name in args.exclude.split(",")}
+        drop = {name.strip() for name in args.exclude.split(",") if name.strip()}
+        unknown = sorted(drop - set(loaded.donor_names))
+        if unknown:
+            raise ConfigurationError(f"--exclude names no donor: {', '.join(unknown)}")
         keep = [i for i, name in enumerate(loaded.donor_names) if name not in drop]
         if not keep:
             raise ConfigurationError("every donor was excluded")
-        panel = PanelDataset(
-            y=panel.y,
-            x=panel.x[:, keep],
-            post_y=panel.post_y,
-            post_x=panel.post_x[:, keep] if panel.post_x is not None else None,
+
+        def columns(mat):
+            return None if mat is None else mat[:, keep]
+
+        panel = dataclasses.replace(
+            panel, x=panel.x[:, keep], d=columns(panel.d), post_x=columns(panel.post_x)
         )
     fit = _fit_one(args, panel)
     placebo = diagnostics.placebo_forecast(fit, panel, horizon=args.horizon)
@@ -368,15 +351,7 @@ def _cmd_whitetest(args) -> dict:
     panel = loaded.dataset
     fit = _fit_one(args, panel)
     report = diagnostics.white_test(fit, panel.x)
-    return {
-        "estimator": fit.kind,
-        "lambda": fit.lam,
-        "r_squared": report.r_squared,
-        "statistic": report.statistic,
-        "p_value": report.p_value,
-        "regressor_count": report.regressor_count,
-        "dropped_collinear": report.dropped_collinear,
-    }
+    return {"estimator": fit.kind, "lambda": fit.lam, **dataclasses.asdict(report)}
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +367,15 @@ def _add_panel_args(sub, treated_flag=True):
     sub.add_argument("--covariates", default=None, help="optional covariate CSV")
     sub.add_argument("--ma-window", type=int, default=1, dest="ma_window")
     sub.add_argument("--demean", action="store_true")
+
+
+def _add_cv_args(sub):
+    sub.add_argument("--grid", default=None, help="a:b:count, log:a:b:count, or v1,v2,...")
+    sub.add_argument("--m-grid", default=None, dest="m_grid", help="a:b or m1,m2,...")
+    sub.add_argument("--split", type=float, default=0.5)
+    sub.add_argument("--window", type=int, default=None)
+    sub.add_argument("--horizon", type=int, default=1)
+    sub.add_argument("--curve-csv", default=None, dest="curve_csv")
 
 
 def _add_estimator_args(sub):
@@ -427,12 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_panel_args(sel)
     _add_estimator_args(sel)
     sel.add_argument("--method", default="sure", choices=["sure", "cv-holdout", "cv-loo", "cv-rolling"])
-    sel.add_argument("--grid", default=None, help="a:b:count, log:a:b:count, or v1,v2,...")
-    sel.add_argument("--m-grid", default=None, dest="m_grid", help="a:b or m1,m2,...")
-    sel.add_argument("--split", type=float, default=0.5)
-    sel.add_argument("--window", type=int, default=None)
-    sel.add_argument("--horizon", type=int, default=1)
-    sel.add_argument("--curve-csv", default=None, dest="curve_csv")
+    _add_cv_args(sel)
     sel.set_defaults(run=_cmd_select)
 
     dfp = add_parser("df", "degrees of freedom and divergence of one fit")
@@ -446,12 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_estimator_args(cvp)
     cvp.add_argument("--cv-method", default="holdout", dest="cv_method",
                      choices=["holdout", "loo-untreated", "rolling"])
-    cvp.add_argument("--grid", default=None)
-    cvp.add_argument("--m-grid", default=None, dest="m_grid")
-    cvp.add_argument("--split", type=float, default=0.5)
-    cvp.add_argument("--window", type=int, default=None)
-    cvp.add_argument("--horizon", type=int, default=1)
-    cvp.add_argument("--curve-csv", default=None, dest="curve_csv")
+    _add_cv_args(cvp)
     cvp.set_defaults(run=_cmd_cv)
 
     sim = add_parser("simulate", "draw a synthetic panel from the factor design")
@@ -481,12 +455,8 @@ def build_parser() -> argparse.ArgumentParser:
     ben.set_defaults(run=_cmd_benchmark)
 
     pla = add_parser("placebo", "forecast a known-untreated unit")
-    pla.add_argument("--input", required=True)
+    _add_panel_args(pla, treated_flag=False)
     pla.add_argument("--target", required=True, help="untreated unit to forecast")
-    pla.add_argument("--treatment-period", required=True, dest="treatment_period")
-    pla.add_argument("--covariates", default=None)
-    pla.add_argument("--ma-window", type=int, default=1, dest="ma_window")
-    pla.add_argument("--demean", action="store_true")
     pla.add_argument("--exclude", default=None, help="donors to exclude, comma separated")
     pla.add_argument("--horizon", type=int, default=12)
     _add_estimator_args(pla)

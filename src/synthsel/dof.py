@@ -35,7 +35,6 @@ from .solvers import (
     PENALIZED,
     PLAIN,
     ActiveSets,
-    ConstrainedLstsqResult,
     ScFit,
     eq_constrained_hat,
     matrix_rank_qr,
@@ -47,7 +46,6 @@ CASE_COV_FEW = "cov_few"
 CASE_PENALIZED = "penalized"
 CASE_MASC = "masc"
 CASE_MATCHING = "matching"
-CASE_CONSTRAINED_LS = "constrained_ls"
 
 
 @dataclass(frozen=True)
@@ -142,23 +140,10 @@ def divergence(fit: ScFit, x: np.ndarray, d: np.ndarray | None = None) -> Diverg
 # ---------------------------------------------------------------------------
 
 
-def df_hat(fit) -> DofReport:
-    """Closed-form degrees-of-freedom sample analog for any fit.
-
-    ``_df_rule`` gives every estimator fit its value; matching is free;
-    pure equality-constrained least squares spends ``rank(X) - h``.
-    """
-    if isinstance(fit, ConstrainedLstsqResult):
-        rank_x = matrix_rank_qr(fit.design)
-        h = fit.eq_mat.shape[0]
-        return DofReport(
-            df_hat=float(rank_x - h),
-            case=CASE_CONSTRAINED_LS,
-            rank_xa=rank_x,
-            n_active=fit.design.shape[1],
-            n_me=0,
-            n_em=0,
-        )
+def df_hat(fit: ScFit) -> DofReport:
+    """Closed-form degrees-of-freedom sample analog of an estimator fit:
+    ``_df_rule``'s value, or zero for a matching fit, which is locally
+    constant in the outcome."""
     sets: ActiveSets = fit.sets
     counts = (fit.rank_xa, len(sets.a), len(sets.m_and_e), len(sets.e_minus_m))
     if fit.kind == MATCHING:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigurationError, PanelParseError
 from .panel import PanelDataset
-from .simulation import BenchmarkReport
+from .simulation import BenchmarkReport, MethodResult
 
 SCHEMA_VERSION = 1
 
@@ -259,7 +259,7 @@ def to_jsonable(value):
     return value
 
 
-def render_report(command: str, config: dict, results: dict) -> str:
+def render_report(command: str, config: dict, results) -> str:
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
@@ -269,7 +269,7 @@ def render_report(command: str, config: dict, results: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def write_report(path: str | None, command: str, config: dict, results: dict) -> str:
+def write_report(path: str | None, command: str, config: dict, results) -> str:
     text = render_report(command, config, results)
     if path:
         with open(path, "w", encoding="utf-8") as handle:
@@ -286,32 +286,14 @@ def write_csv(path: str, header: list[str], rows) -> None:
 
 
 def benchmark_csv_text(report: BenchmarkReport) -> str:
-    """Benchmark table as CSV: one row per method, fixed column order."""
+    """Benchmark table as CSV: one row per method, the columns of
+    ``MethodResult`` in field order."""
+    names = [field.name for field in dataclasses.fields(MethodResult)]
     buf = _io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(
-        [
-            "method",
-            "mse_tau1",
-            "mse_tau12",
-            "mse_lambda",
-            "mse_risk_raw",
-            "mse_risk_per_n",
-            "mean_rank_corr",
-        ]
-    )
+    writer.writerow(names)
     for row in report.methods:
-        writer.writerow(
-            [
-                row.method,
-                _fmt(row.mse_tau1),
-                _fmt(row.mse_tau12),
-                _fmt(row.mse_lambda),
-                _fmt(row.mse_risk_raw),
-                _fmt(row.mse_risk_per_n),
-                _fmt(row.mean_rank_corr),
-            ]
-        )
+        writer.writerow([row.method, *(_fmt(getattr(row, name)) for name in names[1:])])
     return buf.getvalue()
 
 

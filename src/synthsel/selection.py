@@ -261,9 +261,15 @@ def select_v_ic(
 # ---------------------------------------------------------------------------
 
 
-def _forecast_mse(fit: ScFit, x_new: np.ndarray, y_new: np.ndarray) -> float:
-    err = y_new - x_new @ fit.beta
-    return float(np.mean(err**2))
+def _cv_select(kind: str, points, folds, method: str) -> SelectionResult:
+    """Fit the grid on each fold's training part, score the mean squared
+    forecast error on its test part and average over the folds; a fold is
+    ``(y_train, x_train, y_test, x_test)``."""
+    totals = np.zeros(len(points))
+    for y_tr, x_tr, y_te, x_te in folds:
+        fits = _fit_grid(y_tr, x_tr, kind, points)
+        totals += [float(np.mean((y_te - x_te @ fit.beta) ** 2)) for fit in fits]
+    return _select(points, totals / len(folds), None, method)
 
 
 def cv_holdout(
@@ -283,11 +289,9 @@ def cv_holdout(
             f"holdout split {split_fraction} leaves train={n_train}, test={n - n_train}"
         )
     points = tuning_grid(estimator_kind, grid, m_grid, n_donors=panel.p)
-    y_tr, x_tr = panel.y[:n_train], panel.x[:n_train]
-    y_te, x_te = panel.y[n_train:], panel.x[n_train:]
-    fits = _fit_grid(y_tr, x_tr, estimator_kind, points)
-    scores = [_forecast_mse(fit, x_te, y_te) for fit in fits]
-    return _select(points, scores, None, METHOD_CV_HOLDOUT)
+    y, x = panel.y, panel.x
+    fold = (y[:n_train], x[:n_train], y[n_train:], x[n_train:])
+    return _cv_select(estimator_kind, points, [fold], METHOD_CV_HOLDOUT)
 
 
 def cv_loo_untreated(
@@ -306,14 +310,12 @@ def cv_loo_untreated(
     if p < 2:
         raise ConfigurationError("leave-one-out validation needs at least two donors")
     points = tuning_grid(estimator_kind, grid, m_grid, n_donors=p - 1)
-    totals = np.zeros(len(points))
+    x, post_x = panel.x, panel.post_x
+    folds = []
     for j in range(p):
         keep = [k for k in range(p) if k != j]
-        y_j, x_j = panel.x[:, j], panel.x[:, keep]
-        post_y_j, post_x_j = panel.post_x[:, j], panel.post_x[:, keep]
-        fits = _fit_grid(y_j, x_j, estimator_kind, points)
-        totals += [_forecast_mse(fit, post_x_j, post_y_j) for fit in fits]
-    return _select(points, totals / p, None, METHOD_CV_LOO_UNTREATED)
+        folds.append((x[:, j], x[:, keep], post_x[:, j], post_x[:, keep]))
+    return _cv_select(estimator_kind, points, folds, METHOD_CV_LOO_UNTREATED)
 
 
 def cv_rolling(
@@ -335,14 +337,9 @@ def cv_rolling(
             f"rolling scheme infeasible: window={window}, horizon={horizon}, n={n}"
         )
     points = tuning_grid(estimator_kind, grid, m_grid, n_donors=panel.p)
-    origins = range(window, n - horizon + 1)
-    totals = np.zeros(len(points))
-    for t in origins:
-        y_tr, x_tr = panel.y[:t], panel.x[:t]
-        target = t + horizon - 1
-        x_te = panel.x[target : target + 1]
-        y_te = panel.y[target : target + 1]
-        fits = _fit_grid(y_tr, x_tr, estimator_kind, points)
-        totals += [_forecast_mse(fit, x_te, y_te) for fit in fits]
-    n_folds = len(list(origins))
-    return _select(points, totals / n_folds, None, METHOD_CV_ROLLING)
+    y, x = panel.y, panel.x
+    folds = [
+        (y[:t], x[:t], y[t + horizon - 1 : t + horizon], x[t + horizon - 1 : t + horizon])
+        for t in range(window, n - horizon + 1)
+    ]
+    return _cv_select(estimator_kind, points, folds, METHOD_CV_ROLLING)

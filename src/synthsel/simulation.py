@@ -257,10 +257,6 @@ class FactorModelSpec:
     def n_factors(self) -> int:
         return self.loadings.shape[1]
 
-    @property
-    def innovation_orders(self) -> tuple[tuple[int, int], ...]:
-        return tuple((len(c), 0) for c in self.ar_coefs)
-
     def covariance(self) -> np.ndarray:
         """Per-period covariance of (outcome, donors): ``L L' + diag(sigma)``."""
         return self.loadings @ self.loadings.T + np.diag(self.sigma)
@@ -281,12 +277,13 @@ class FactorModelSpec:
 
 @dataclass(frozen=True)
 class FactorPanelDraw:
-    """One draw: observed outcome/donors plus their noiseless systematic parts."""
+    """One draw: observed outcome/donors plus their noiseless systematic
+    parts (None for an observed panel, whose systematic parts are unknown)."""
 
     y: np.ndarray
     x: np.ndarray
-    y_systematic: np.ndarray
-    x_systematic: np.ndarray
+    y_systematic: np.ndarray | None
+    x_systematic: np.ndarray | None
     delta: np.ndarray
 
 

@@ -38,7 +38,6 @@ COVARIATE = "covariate"
 PENALIZED = "penalized"
 MASC = "masc"
 MATCHING = "matching"
-ESTIMATOR_KINDS = (PLAIN, COVARIATE, PENALIZED, MASC, MATCHING)
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +131,6 @@ class ScFit:
     v: np.ndarray | None = None
     rank_xa: int = 0
     donor_sq_distances: np.ndarray | None = None
-    cov_residuals: np.ndarray | None = None
     cov_eq_rows: tuple[int, ...] = ()
     sc_component: "ScFit | None" = None
     ma_component: "ScFit | None" = None
@@ -248,37 +246,6 @@ def _null_descent_direction(design_f, a_f, lin_f):
     return -direction if slopes[j] > 0 else direction
 
 
-@dataclass(frozen=True)
-class ConstrainedLstsqResult:
-    """Solution of least squares under pure linear equality constraints."""
-
-    beta: np.ndarray
-    eq_multipliers: np.ndarray
-    design: np.ndarray
-    eq_mat: np.ndarray
-
-    def hat_matrix(self) -> np.ndarray:
-        """Derivative of the fitted values in the outcome, in closed form."""
-        return eq_constrained_hat(self.design, self.eq_mat)
-
-    @property
-    def fitted(self) -> np.ndarray:
-        return self.design @ self.beta
-
-    @property
-    def df(self) -> float:
-        return float(np.trace(self.hat_matrix()))
-
-
-def _require_independent_blocks(x: np.ndarray, eq_mat: np.ndarray) -> None:
-    """Raise unless ``X`` has full column rank and the rows of ``E`` are
-    independent, i.e. unless ``X'X`` and ``E (X'X)^-1 E'`` are invertible."""
-    if matrix_rank_qr(x) < x.shape[1]:
-        raise SingularityError("X'X", "design not of full column rank")
-    if matrix_rank_qr(eq_mat) < eq_mat.shape[0]:
-        raise SingularityError("E (X'X)^-1 E'", "numerically dependent rows")
-
-
 def eq_constrained_hat(design: np.ndarray, eq_mat: np.ndarray) -> np.ndarray:
     """Hat matrix of equality-constrained least squares.
 
@@ -289,41 +256,18 @@ def eq_constrained_hat(design: np.ndarray, eq_mat: np.ndarray) -> np.ndarray:
     columns pin ``b`` and leave nothing to fit: the matrix is then exactly
     zero, where the Schur complement would leave rounding of order
     ``cond(E)^2 * eps`` (2e-9 in the trace at ``cond(E) = 4600``).
+    Raises ``SingularityError`` unless ``X'X`` and ``E (X'X)^-1 E'`` are
+    invertible.
     """
     x = np.asarray(design, dtype=float)
-    _require_independent_blocks(x, eq_mat)
+    if matrix_rank_qr(x) < x.shape[1]:
+        raise SingularityError("X'X", "design not of full column rank")
+    if matrix_rank_qr(eq_mat) < eq_mat.shape[0]:
+        raise SingularityError("E (X'X)^-1 E'", "numerically dependent rows")
     if eq_mat.shape[0] == x.shape[1]:
         return np.zeros((x.shape[0], x.shape[0]))
     beta, _, _ = _eq_ls_solve(x.T @ x, x.T, eq_mat, np.zeros((eq_mat.shape[0], x.shape[0])))
     return x @ beta
-
-
-def solve_constrained_ls(
-    y: np.ndarray,
-    x: np.ndarray,
-    eq_mat: np.ndarray | None = None,
-    eq_rhs: np.ndarray | None = None,
-    lin: np.ndarray | None = None,
-) -> ConstrainedLstsqResult:
-    """Minimize ``0.5||y - X b||^2 + lin'b`` subject to ``E b = f`` only.
-
-    No inequality handling: this is the closed form that also powers every
-    working-set subproblem of the simplex solver.  ``E`` empty reduces to
-    ordinary least squares.
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.asarray(y, dtype=float).ravel()
-    p = x.shape[1]
-    if eq_mat is None or np.size(eq_mat) == 0:
-        eq_mat = np.zeros((0, p))
-        eq_rhs = np.zeros(0)
-    else:
-        eq_mat = np.atleast_2d(np.asarray(eq_mat, dtype=float))
-        eq_rhs = np.asarray(eq_rhs, dtype=float).ravel()
-    _require_independent_blocks(x, eq_mat)
-    g = x.T @ y if lin is None else x.T @ y - np.asarray(lin, dtype=float)
-    beta, xi, _ = _eq_ls_solve(x.T @ x, g, eq_mat, eq_rhs)
-    return ConstrainedLstsqResult(beta, xi, x, eq_mat)
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +499,6 @@ def _build_fit(
     m: int | None = None,
     v: np.ndarray | None = None,
     sq_dist: np.ndarray | None = None,
-    cov_residuals: np.ndarray | None = None,
     cov_eq_rows: tuple[int, ...] = (),
     sets: ActiveSets | None = None,
     degenerate: bool = False,
@@ -580,7 +523,6 @@ def _build_fit(
         v=v,
         rank_xa=rank_xa,
         donor_sq_distances=sq_dist if sq_dist is not None else donor_sq_distances(y, x),
-        cov_residuals=cov_residuals,
         cov_eq_rows=cov_eq_rows,
     )
 
@@ -865,8 +807,7 @@ def _cov_outer(y, x, inner: _CovInner, lam: float, prev: ScFit | None) -> ScFit:
                            v=inner.v, cov_eq_rows=eq_rows, degenerate=degenerate)
         cov_res = inner.d @ fit.beta - inner.z
         m_rows = tuple(i for i in range(cov_res.shape[0]) if abs(cov_res[i]) > inner.r_tol)
-        return replace(fit, sets=ActiveSets(a=fit.sets.a, m=m_rows, e=inner.e_rows),
-                       cov_residuals=cov_res)
+        return replace(fit, sets=ActiveSets(a=fit.sets.a, m=m_rows, e=inner.e_rows))
 
     rows = inner.exact_rows
     start = prev.beta if prev is not None and prev.cov_eq_rows == rows else None

@@ -13,7 +13,7 @@ from synthsel.dof import (
     divergence_fd_oracle,
 )
 from synthsel.solvers import (
-    solve_constrained_ls,
+    eq_constrained_hat,
     solve_masc,
     solve_matching,
     solve_penalized_sc,
@@ -173,15 +173,6 @@ class TestDfHat:
         y, x = make_instance(17)
         assert df_hat(solve_matching(y, x, 3)).df_hat == 0.0
 
-    def test_constrained_ls_spends_rank_minus_constraints(self, rng):
-        y = rng.normal(size=12)
-        x = rng.normal(size=(12, 5))
-        rows = rng.normal(size=(2, 5))
-        res = solve_constrained_ls(y, x, rows, rng.normal(size=2))
-        report = df_hat(res)
-        assert report.df_hat == 3.0
-        assert report.case == "constrained_ls"
-
 
 class TestFdOracle:
     def test_affine_map_recovered_exactly(self, rng):
@@ -222,8 +213,7 @@ class TestFdOracle:
 
 def test_ols_projection_trace_equals_regressor_count(rng):
     x = rng.normal(size=(30, 6))
-    res = solve_constrained_ls(rng.normal(size=30), x)
-    assert np.trace(res.hat_matrix()) == pytest.approx(6.0, abs=1e-10)
+    assert np.trace(eq_constrained_hat(x, np.zeros((0, 6)))) == pytest.approx(6.0, abs=1e-10)
 
 
 @settings(max_examples=25, deadline=None)

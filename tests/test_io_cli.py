@@ -293,6 +293,50 @@ class TestCli:
         res = json.loads(capsys.readouterr().out)["results"]
         assert res["mean_squared_forecast_error"] >= 0.0
 
+    def _placebo_pair(self, tmp_path, units):
+        """Outcome and covariate CSVs over ``units`` cut from one fixed panel."""
+        gen = np.random.default_rng(12)
+        names = ["a", "b", "c", "d", "e"]
+        values = gen.normal(size=(14, 5)) + 4
+        cov = gen.normal(size=(2, 5))
+        cols = [names.index(u) for u in units]
+        tag = "_".join(units)
+        panel = tmp_path / f"panel_{tag}.csv"
+        _write_panel(panel, None, ["time", *units],
+                     [[f"t{i:02d}", *values[i, cols]] for i in range(14)])
+        covs = tmp_path / f"cov_{tag}.csv"
+        _write_panel(covs, None, ["cov", *units],
+                     [[f"c{k}", *cov[k, cols]] for k in range(2)])
+        return str(panel), str(covs)
+
+    def _placebo_args(self, panel, covs, *extra):
+        return ["placebo", "--input", panel, "--covariates", covs, "--target", "a",
+                "--treatment-period", "t10", "--estimator", "covariate", "--v", "0.5,0.5",
+                "--horizon", "4", *extra]
+
+    def test_placebo_exclusion_keeps_the_covariates(self, tmp_path, capsys):
+        full = self._placebo_pair(tmp_path, ["a", "b", "c", "d", "e"])
+        assert cli.main(self._placebo_args(*full, "--exclude", "b")) == 0
+        excluded = json.loads(capsys.readouterr().out)["results"]
+        reduced = self._placebo_pair(tmp_path, ["a", "c", "d", "e"])
+        assert cli.main(self._placebo_args(*reduced)) == 0
+        direct = json.loads(capsys.readouterr().out)["results"]
+        assert excluded["tau"] == direct["tau"]
+        assert excluded["mean_squared_forecast_error"] == direct["mean_squared_forecast_error"]
+
+    def test_placebo_exclusion_of_an_unknown_donor_exits_one(self, panel_csv, capsys):
+        code = cli.main([
+            "placebo",
+            "--input", str(panel_csv),
+            "--target", "d1",
+            "--treatment-period", "2013-07",
+            "--exclude", "treated,zzz",
+        ])
+        assert code == 1
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "ConfigurationError"
+        assert "zzz" in error["message"] and "treated" not in error["message"]
+
     def test_simulate_writes_panel(self, tmp_path, capsys):
         out_panel = tmp_path / "sim.csv"
         code = cli.main([
@@ -306,6 +350,31 @@ class TestCli:
         assert code == 0
         loaded = load_panel(str(out_panel), "treated", "t20")
         assert loaded.dataset.n == 19
+
+    def test_simulate_empirical_design_from_a_panel(self, tmp_path, capsys):
+        gen = np.random.default_rng(8)
+        source = tmp_path / "source.csv"
+        _write_panel(source, None, ["time", "treated", *(f"u{j}" for j in range(5))],
+                     [[f"p{i:02d}", *(gen.normal(size=6) + 3)] for i in range(30)])
+        argv = [
+            "simulate",
+            "--design", "empirical",
+            "--fit-from", str(source),
+            "--treated", "treated",
+            "--treatment-period", "p25",
+            "--factors", "2",
+            "--seed", "3",
+        ]
+        outputs = []
+        for name in ("a.csv", "b.csv"):
+            assert cli.main([*argv, "--output-panel", str(tmp_path / name)]) == 0
+            res = json.loads(capsys.readouterr().out)["results"]
+            assert res["design"] == "empirical"
+            assert res["periods"] == 25 and res["units"] == 6 and res["factors"] == 2
+            outputs.append((tmp_path / name).read_bytes())
+        assert outputs[0] == outputs[1]
+        loaded = load_panel(str(tmp_path / "a.csv"), "treated", "t25")
+        assert loaded.dataset.n == 24 and loaded.dataset.p == 5
 
     def test_benchmark_reports_are_reproducible_bytes(self, tmp_path):
         argv = [
@@ -368,3 +437,13 @@ class TestCli:
         assert cli.parse_int_grid("1:3") == [1, 2, 3]
         with pytest.raises(ConfigurationError):
             cli.parse_grid("nope:1")
+        for spec in ("1:2:3", "1,x", "a:b"):
+            with pytest.raises(ConfigurationError, match=f"integer grid spec '{spec}'"):
+                cli.parse_int_grid(spec)
+
+    def test_bad_matching_grid_exits_one(self, panel_csv, capsys):
+        argv = self._select_args(panel_csv, "--estimator", "masc", "--m-grid", "1:2:3")
+        assert cli.main(argv) == 1
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "ConfigurationError"
+        assert "1:2:3" in error["message"]
