@@ -74,24 +74,28 @@ def _load(args) -> pio.LoadedPanel:
     return pio.preprocess_loaded(loaded, ma_window=args.ma_window, demean=args.demean)
 
 
-def _fit_one(args, panel: PanelDataset) -> ScFit:
+def _fit_one(args, panel: PanelDataset, y: np.ndarray | None = None) -> ScFit:
+    """Fit the chosen estimator to ``panel``, or to the outcome ``y`` against
+    the panel's already-validated donors and covariates."""
     kind = args.estimator
     lam = args.lam
+    y = panel.y if y is None else y
     if kind == PLAIN:
-        return solve_sc(panel.y, panel.x)
+        return solve_sc(y, panel.x)
     if kind == PENALIZED:
-        return solve_penalized_sc(panel.y, panel.x, lam)
+        return solve_penalized_sc(y, panel.x, lam)
     if kind == MASC:
-        return solve_masc(panel.y, panel.x, lam, args.m)
+        return solve_masc(y, panel.x, lam, args.m)
     if kind == COVARIATE:
         if not panel.has_covariates:
             raise ConfigurationError("covariate estimator requires --covariates")
         if args.v:
-            v = np.asarray([float(tok) for tok in args.v.split(",")])
-            return solve_sc_cov_inner(panel.y, panel.x, panel.z, panel.d, v, lam=lam)
-        return solve_sc_cov(
-            panel.y, panel.x, panel.z, panel.d, default_v_grid(panel.n_cov), lam=lam
-        )
+            try:
+                v = np.asarray([float(tok) for tok in args.v.split(",")])
+            except ValueError as exc:
+                raise ConfigurationError(f"cannot parse --v {args.v!r}: {exc}")
+            return solve_sc_cov_inner(y, panel.x, panel.z, panel.d, v, lam=lam)
+        return solve_sc_cov(y, panel.x, panel.z, panel.d, default_v_grid(panel.n_cov), lam=lam)
     raise ConfigurationError(f"unknown estimator {kind!r}")
 
 
@@ -237,10 +241,7 @@ def _cmd_df(args) -> dict:
         "divergence_trace": div.trace,
     }
     if args.fd_check:
-        def resolve(y):
-            return _fit_one(args, PanelDataset(y=y, x=panel.x, z=panel.z, d=panel.d))
-
-        fd = divergence_fd_oracle(resolve, panel.y)
+        fd = divergence_fd_oracle(lambda y: _fit_one(args, panel, y), panel.y)
         results["fd_check"] = {
             "max_abs_deviation": float(np.max(np.abs(div.matrix - fd.matrix))),
             "active_set_changed": fd.active_set_changed,

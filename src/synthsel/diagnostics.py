@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.stats
 
 from .errors import ConfigurationError
 from .panel import PanelDataset
@@ -86,7 +85,9 @@ def white_test(fit: ScFit, x: np.ndarray) -> WhiteTestReport:
     ssr = float(np.sum((resid_sq - fitted) ** 2))
     r_squared = max(0.0, min(1.0, 1.0 - ssr / sst))
     statistic = n * r_squared
-    p_value = float(scipy.stats.chi2.sf(statistic, keep_rank))
+    from scipy.stats import chi2  # not at the top: ~0.8 s of import few commands need
+
+    p_value = float(chi2.sf(statistic, keep_rank))
     return WhiteTestReport(r_squared, statistic, p_value, keep_rank, dropped)
 
 

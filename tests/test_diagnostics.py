@@ -38,6 +38,15 @@ class TestWhiteTest:
         ps = [scipy.stats.chi2.sf(s, df) for s in stats]
         assert ps[0] > ps[1] > ps[2]
 
+    def test_p_value_is_the_chi2_tail_of_the_statistic(self):
+        import scipy.stats
+
+        y, x = make_instance(1, n=60, p=4)
+        report = white_test(solve_sc(y, x), x)
+        assert report.statistic > 0.0
+        tail = scipy.stats.chi2.sf(report.statistic, report.regressor_count)
+        assert report.p_value == float(tail)
+
     def test_collinear_regressors_dropped_and_recorded(self):
         gen = np.random.default_rng(3)
         n = 40

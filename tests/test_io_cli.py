@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -440,6 +444,27 @@ class TestCli:
         for spec in ("1:2:3", "1,x", "a:b"):
             with pytest.raises(ConfigurationError, match=f"integer grid spec '{spec}'"):
                 cli.parse_int_grid(spec)
+
+    def test_bad_covariate_weights_exit_one_naming_the_option(self, panel_csv, cov_csv, capsys):
+        argv = self._fit_args(
+            panel_csv, "--covariates", str(cov_csv), "--estimator", "covariate", "--v", "0.5,x"
+        )
+        assert cli.main(argv) == 1
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "ConfigurationError"
+        assert "--v '0.5,x'" in error["message"] and "'x'" in error["message"]
+
+    def test_benchmark_without_replications_exits_one(self, capsys):
+        assert cli.main(["benchmark", "--reps", "0"]) == 1
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "ConfigurationError"
+        assert "replications" in error["message"]
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        # this test process has loaded scipy.stats already, so check a fresh one
+        code = "import sys, synthsel, synthsel.cli; assert 'scipy.stats' not in sys.modules"
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
     def test_bad_matching_grid_exits_one(self, panel_csv, capsys):
         argv = self._select_args(panel_csv, "--estimator", "masc", "--m-grid", "1:2:3")

@@ -7,6 +7,7 @@ from synthsel.panel import PanelDataset
 from synthsel.simulation import (
     BootstrapSpec,
     FactorModelSpec,
+    _spearman,
     ar_stationary_variance,
     conditional_mean,
     conditional_mean_path,
@@ -283,6 +284,18 @@ class TestBenchmark:
     def test_unknown_design_rejected(self):
         with pytest.raises(ConfigurationError):
             run_selection_benchmark("weird", ["sure"], 2, 1)
+
+    @pytest.mark.parametrize("reps", [0, -1])
+    def test_no_replications_rejected(self, reps):
+        with pytest.raises(ConfigurationError, match="replications"):
+            run_selection_benchmark("gaussian", ["sure"], reps, 1)
+
+    def test_rank_correlation_is_scipys_spearman_on_ties(self):
+        gen = np.random.default_rng(4)
+        a = gen.integers(0, 5, size=20).astype(float)
+        b = a + gen.integers(0, 3, size=20)
+        assert len(np.unique(a)) < a.size and len(np.unique(b)) < b.size
+        assert _spearman(a, b) == float(scipy.stats.spearmanr(a, b).statistic)
 
     def test_empirical_design_runs_with_default_pool(self):
         report = run_selection_benchmark(
