@@ -62,7 +62,8 @@ class PanelDataset:
             warnings.warn(
                 f"donor columns are exact duplicates: {dup}; solutions may be "
                 "non-unique and will be canonicalized",
-                stacklevel=2,
+                # past __post_init__ and the generated __init__ to the caller
+                stacklevel=3,
             )
 
     @property

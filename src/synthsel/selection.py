@@ -32,6 +32,7 @@ from .solvers import (
     ScFit,
     _cov_inner,
     _cov_outer,
+    _normal_equations,
     _outer_solve,
     donor_sq_distances,
     masc_average,
@@ -142,16 +143,20 @@ def tuning_grid(
 def _fit_grid(y: np.ndarray, x: np.ndarray, kind: str, points) -> list[ScFit]:
     """The fits at every grid point, in grid order.
 
-    A penalized grid is one ``_fit_path``.  A model-averaging grid solves
+    A penalized grid is one ``_fit_path`` on ``X'X`` and ``X'y`` formed once
+    for it, each fit passed the one before it.  A model-averaging grid solves
     plain synthetic control once and each matching count once and averages
     them per point.
     """
     if kind == PENALIZED:
         y = np.asarray(y, dtype=float).ravel()  # contiguous, as solve_penalized_sc makes it
+        x = np.asarray(x, dtype=float)  # as simplex_ls sees it, to share its X'X, X'y
         q = donor_sq_distances(y, x)
+        normal = _normal_equations(y, x)
 
         def solve(lam, prev):
-            return _outer_solve(PENALIZED, y, x, lam, q, getattr(prev, "beta", None))
+            start = getattr(prev, "beta", None)
+            return _outer_solve(PENALIZED, y, x, lam, q, start, prev=prev, normal=normal)
 
         return _fit_path([pt.lam for pt in points], solve)
     if kind == MASC:
@@ -247,11 +252,12 @@ def select_v_ic(
     y, x = panel.y, panel.x
     inners = [_cov_inner(y, x, panel.z, panel.d, v) for v in candidates]
     s2 = sigma2_hat(y, x) if sigma2 is None else float(sigma2)
+    normal = _normal_equations(y, x)
     points = []
     scores = []
     for inner in inners:
         points += [TuningPoint(float(lam), v=tuple(inner.v)) for lam in lams]
-        fits = _fit_path(lams, functools.partial(_cov_outer, y, x, inner))
+        fits = _fit_path(lams, functools.partial(_cov_outer, y, x, inner, normal=normal))
         scores += [ic_for_fit(fit, s2) for fit in fits]
     return _select(points, np.asarray(scores), s2, METHOD_SURE)
 

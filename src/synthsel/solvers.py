@@ -45,9 +45,16 @@ MATCHING = "matching"
 # ---------------------------------------------------------------------------
 
 
+def _absmax(v: np.ndarray) -> float:
+    """``max |v|`` over every entry, 0.0 when ``v`` is empty; NaN propagates.
+    Equal to ``np.max(np.abs(v), initial=0.0)`` at a fraction of its call
+    cost, which the working-set engine pays several times per iteration."""
+    return float(abs(v).max()) if v.size else 0.0
+
+
 def default_active_tol(beta: np.ndarray) -> float:
     """Relative threshold for active-set membership, 1e-8 * (1 + ||b||_inf)."""
-    return 1e-8 * (1.0 + float(np.max(np.abs(beta), initial=0.0)))
+    return 1e-8 * (1.0 + _absmax(beta))
 
 
 @dataclass(frozen=True)
@@ -61,7 +68,7 @@ class Weights:
         object.__setattr__(self, "beta", np.asarray(self.beta, dtype=float).ravel())
 
     def active_set(self) -> tuple[int, ...]:
-        return tuple(int(i) for i in np.flatnonzero(self.beta > self.active_tol))
+        return tuple((self.beta > self.active_tol).nonzero()[0].tolist())
 
 
 @dataclass(frozen=True)
@@ -181,9 +188,11 @@ def _eq_ls_solve(gram, g, a_mat, rhs):
     The fast path factors the Gram block with LAPACK ``potrf``/``potrs``
     (what ``cho_factor``/``cho_solve`` call, minus their argument
     checking, which costs more than the solve at working-set sizes) and
-    solves the ``h x h`` Schur complement ``A G^-1 A'`` directly; it falls
-    back to a minimum-norm solve of the full KKT system.  Either way the
-    candidate is validated by its own KKT residual: ``consistent=False``
+    solves the ``h x h`` Schur complement ``A G^-1 A'`` directly: with the
+    sum row alone (``h = 1``) and one right-hand side that is one division,
+    which is what LAPACK's ``1 x 1`` ``gesv`` computes, bit for bit.  It
+    falls back to a minimum-norm solve of the full KKT system.  Either way
+    the candidate is validated by its own KKT residual: ``consistent=False``
     means the face problem has no stationary point (a rank-deficient Gram
     with a descent ray), which the caller must handle directionally.  ``g``
     and ``rhs`` may also be matrices with one column per right-hand side,
@@ -191,7 +200,7 @@ def _eq_ls_solve(gram, g, a_mat, rhs):
     """
     k = gram.shape[0]
     h = a_mat.shape[0]
-    scale = 1.0 + float(np.max(np.abs(g), initial=0.0)) + float(np.max(np.abs(rhs), initial=0.0))
+    scale = 1.0 + _absmax(g) + _absmax(rhs)
     try:
         chol, info = _potrf(gram, lower=0, clean=0)
         if info:
@@ -201,7 +210,7 @@ def _eq_ls_solve(gram, g, a_mat, rhs):
             beta, xi = gi_g, np.zeros(0)
         else:
             gi_at = _potrs(chol, a_mat.T, lower=0)[0]
-            xi = np.linalg.solve(a_mat @ gi_at, a_mat @ gi_g - rhs)
+            xi = _schur_solve(a_mat @ gi_at, a_mat @ gi_g - rhs)
             beta = gi_g - gi_at @ xi
         if _kkt_residual(gram, g, a_mat, rhs, beta, xi) <= 1e-9 * scale:
             return beta, xi, True
@@ -218,15 +227,23 @@ def _eq_ls_solve(gram, g, a_mat, rhs):
     return beta, xi, consistent
 
 
+def _schur_solve(schur, resid):
+    """``np.linalg.solve(schur, resid)``; a ``1 x 1`` system with one
+    right-hand side is the one division LAPACK's ``gesv`` makes, without
+    its call overhead.  A zero pivot raises ``LinAlgError`` either way."""
+    if resid.ndim == 1 and resid.shape[0] == 1:
+        pivot = schur[0, 0]
+        if pivot == 0.0:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return resid / pivot
+    return np.linalg.solve(schur, resid)
+
+
 def _kkt_residual(gram, g, a_mat, rhs, beta, xi) -> float:
     stat = gram @ beta - g
-    if a_mat.shape[0]:
-        stat = stat + a_mat.T @ xi
-    feas = a_mat @ beta - rhs if a_mat.shape[0] else np.zeros(0)
-    return max(
-        float(np.max(np.abs(stat), initial=0.0)),
-        float(np.max(np.abs(feas), initial=0.0)),
-    )
+    if not a_mat.shape[0]:
+        return _absmax(stat)
+    return max(_absmax(stat + a_mat.T @ xi), _absmax(a_mat @ beta - rhs))
 
 
 def _null_descent_direction(design_f, a_f, lin_f):
@@ -240,7 +257,7 @@ def _null_descent_direction(design_f, a_f, lin_f):
         return None
     slopes = null_basis @ lin_f
     j = int(np.argmax(np.abs(slopes)))
-    if abs(slopes[j]) <= 1e-12 * (1.0 + float(np.max(np.abs(lin_f), initial=0.0))):
+    if abs(slopes[j]) <= 1e-12 * (1.0 + _absmax(lin_f)):
         return None
     direction = null_basis[j]
     return -direction if slopes[j] > 0 else direction
@@ -284,6 +301,7 @@ def simplex_ls(
     eq_mat: np.ndarray | None = None,
     eq_rhs: np.ndarray | None = None,
     start: np.ndarray | None = None,
+    _normal: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> EngineResult:
     """Minimize ``0.5||target - design @ b||^2 + lin'b`` over the scaled
     simplex ``{b >= 0, sum(b) = sum_to}`` intersected with optional extra
@@ -298,14 +316,17 @@ def simplex_ls(
     raised.  It need not meet the extra rows: the first working-set solve
     lands on them, and a caller such as the covariate estimator can only
     fit them to a tolerance scaled by data the engine does not see.
+
+    ``_normal`` is internal to the package: ``_normal_equations(target,
+    design)`` when the caller already holds it, as a path of solves on one
+    design does (see ``_outer_solve``); the result is the same either way.
     """
     x = np.atleast_2d(np.asarray(design, dtype=float))
     y = np.asarray(target, dtype=float).ravel()
     n, p = x.shape
     if y.shape[0] != n:
         raise ValueError("target length does not match design rows")
-    gram = x.T @ x
-    g0 = x.T @ y
+    gram, g0 = _normal_equations(y, x) if _normal is None else _normal
     if lin is not None:
         g0 = g0 - np.asarray(lin, dtype=float).ravel()
 
@@ -322,18 +343,18 @@ def simplex_ls(
             raise ConfigurationError(
                 "a feasible start is required when extra equality rows are given"
             )
-        vertex_obj = 0.5 * sum_to**2 * np.diag(gram) - sum_to * g0
-        j0 = int(np.argmin(vertex_obj))
+        vertex_obj = 0.5 * sum_to**2 * gram.diagonal() - sum_to * g0
+        j0 = int(vertex_obj.argmin())
         beta = np.zeros(p)
         beta[j0] = sum_to
     else:
         beta = np.maximum(_feasible_start(start, p, float(sum_to)), 0.0)
     free = beta > 0.0
-    if not np.any(free):
+    if not free.any():
         free[0] = True
 
     max_iter = max(200, 30 * p)
-    scale = 1.0 + float(np.max(np.abs(g0), initial=0.0))
+    scale = 1.0 + _absmax(g0)
     release_tol = min(KKT_TOL, _RELEASE_TOL * scale)
 
     def _objective(b: np.ndarray) -> float:
@@ -344,9 +365,9 @@ def simplex_ls(
     stalled = 0
     bland = False
     for iteration in range(1, max_iter + 1):
-        f_idx = np.flatnonzero(free)
+        f_idx = free.nonzero()[0]
         cand_f, xi, consistent = _eq_ls_solve(
-            gram[np.ix_(f_idx, f_idx)], g0[f_idx], a_mat[:, f_idx], rhs
+            gram.take(f_idx, 0).take(f_idx, 1), g0.take(f_idx), a_mat[:, f_idx], rhs
         )
         if not consistent:
             # the face problem has no stationary point: descend along a
@@ -361,15 +382,15 @@ def simplex_ls(
             direction = np.zeros(p)
             direction[f_idx] = ray
             falling = free & (direction < -1e-14)
-            if not np.any(falling):
+            if not falling.any():
                 raise ConvergenceError(
                     "unbounded descent ray on a compact feasible set",
                     float("nan"),
                     0.0,
                 )
-            fall_idx = np.flatnonzero(falling)
+            fall_idx = falling.nonzero()[0]
             steps = beta[fall_idx] / -direction[fall_idx]
-            k = int(np.argmin(steps))
+            k = int(steps.argmin())
             blocking = int(fall_idx[k])
             beta = beta + float(steps[k]) * direction
             beta[blocking] = 0.0
@@ -378,14 +399,15 @@ def simplex_ls(
             continue
         cand = np.zeros(p)
         cand[f_idx] = cand_f
-        feas_tol = _FEAS_TOL * max(1.0, float(np.max(np.abs(cand_f), initial=1.0)))
-        if np.min(cand_f, initial=0.0) >= -feas_tol:
-            beta = np.where(free, np.maximum(cand, 0.0), 0.0)
+        feas_tol = _FEAS_TOL * max(1.0, _absmax(cand_f))
+        if cand_f.min() >= -feas_tol:
+            # cand is zero off the free set, so this zeroes the bound entries
+            beta = np.maximum(cand, 0.0)
             grad = gram @ beta - g0
             mu = -(grad + a_mat.T @ xi)
             mu[free] = 0.0
-            worst = float(np.max(mu, initial=0.0))
-            if worst <= release_tol:
+            # mu is zero on the (nonempty) free set, so its max is >= 0
+            if mu.max() <= release_tol:
                 return _finalize(beta, free, grad, a_mat, xi, mu, iteration)
             obj = _objective(beta)
             if obj < best_obj - 1e-14 * (1.0 + abs(best_obj)):
@@ -396,15 +418,14 @@ def simplex_ls(
                 if stalled > p + 5:
                     bland = True
             if bland:
-                release = int(np.flatnonzero(mu > release_tol)[0])
+                release = int((mu > release_tol).nonzero()[0][0])
             else:
-                release = int(np.argmax(mu))
+                release = int(mu.argmax())
             free[release] = True
         else:
-            neg = free & (cand < 0.0)
-            neg_idx = np.flatnonzero(neg)
+            neg_idx = (free & (cand < 0.0)).nonzero()[0]
             steps = beta[neg_idx] / (beta[neg_idx] - cand[neg_idx])
-            k = int(np.argmin(steps))
+            k = int(steps.argmin())
             alpha = float(max(steps[k], 0.0))
             blocking = int(neg_idx[k])
             beta = beta + alpha * (cand - beta)
@@ -415,11 +436,16 @@ def simplex_ls(
     grad = gram @ beta - g0
     mu = -(grad + a_mat.T @ xi)
     mu[free] = 0.0
-    stat = float(np.max(np.abs((grad + a_mat.T @ xi)[free]), initial=0.0))
-    comp = float(np.max(np.abs(mu * beta), initial=0.0))
+    stat = _absmax((grad + a_mat.T @ xi)[free])
+    comp = _absmax(mu * beta)
     raise ConvergenceError(
         f"active-set solver exceeded {max_iter} iterations", stat, comp
     )
+
+
+def _normal_equations(y: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(x'x, x'y)``, which ``simplex_ls`` forms from its target and design."""
+    return x.T @ x, x.T @ y
 
 
 def _feasible_start(start, p: int, sum_to: float) -> np.ndarray:
@@ -428,26 +454,26 @@ def _feasible_start(start, p: int, sum_to: float) -> np.ndarray:
     beta = np.asarray(start, dtype=float).ravel()
     if beta.shape[0] != p:
         raise ConfigurationError(f"start has length {beta.shape[0]}, expected {p}")
-    if not np.all(np.isfinite(beta)):
+    if not np.isfinite(beta).all():
         raise ConfigurationError("start has a non-finite entry")
-    tol = _START_TOL * (1.0 + float(np.sum(np.abs(beta))) + abs(sum_to))
-    if float(np.min(beta)) < -tol:
-        raise ConfigurationError(f"start has a negative entry {float(np.min(beta)):.3g}")
-    if abs(float(np.sum(beta)) - sum_to) > tol:
-        raise ConfigurationError(f"start sums to {beta.sum():.12g}, expected {sum_to:.12g}")
+    tol = _START_TOL * (1.0 + float(abs(beta).sum()) + abs(sum_to))
+    low = float(beta.min())
+    if low < -tol:
+        raise ConfigurationError(f"start has a negative entry {low:.3g}")
+    total = float(beta.sum())
+    if abs(total - sum_to) > tol:
+        raise ConfigurationError(f"start sums to {total:.12g}, expected {sum_to:.12g}")
     return beta
 
 
 def _finalize(beta, free, grad, a_mat, xi, mu, iterations) -> EngineResult:
     lagrangian_grad = grad + a_mat.T @ xi + mu
-    stat = float(np.max(np.abs(lagrangian_grad), initial=0.0))
-    comp = float(np.max(np.abs(mu * beta), initial=0.0))
     return EngineResult(
         beta=beta,
         eq_multipliers=xi,
         mu=mu,
-        stationarity_residual=stat,
-        complementarity_gap=comp,
+        stationarity_residual=_absmax(lagrangian_grad),
+        complementarity_gap=_absmax(mu * beta),
         iterations=iterations,
     )
 
@@ -472,10 +498,10 @@ def matrix_rank_qr(mat: np.ndarray) -> int:
     r, _, _, _, info = _geqp3(mat, lwork=lwork)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of LAPACK geqp3")
-    diag = np.abs(np.diag(r))
+    diag = abs(r.diagonal())
     if diag.size == 0 or diag[0] == 0.0:
         return 0
-    return int(np.sum(diag > 1e-10 * diag[0]))
+    return int((diag > 1e-10 * diag[0]).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -500,17 +526,20 @@ def _build_fit(
     v: np.ndarray | None = None,
     sq_dist: np.ndarray | None = None,
     cov_eq_rows: tuple[int, ...] = (),
-    sets: ActiveSets | None = None,
     degenerate: bool = False,
+    prev: ScFit | None = None,
 ) -> ScFit:
+    """The fit of engine result ``res``.  ``prev``, a fit of the same ``x``
+    (None if there is none), lends its ``rank_xa`` when its active set is
+    this fit's: the rank is then one of the same columns."""
     beta = res.beta
-    tol = default_active_tol(beta)
-    weights = Weights(beta=beta, active_tol=tol)
-    if sets is None:
-        sets = ActiveSets(a=weights.active_set())
+    weights = Weights(beta=beta, active_tol=default_active_tol(beta))
+    sets = ActiveSets(a=weights.active_set())
     fitted = x @ beta
-    a_idx = list(sets.a)
-    rank_xa = matrix_rank_qr(x[:, a_idx]) if a_idx else 0
+    if prev is not None and prev.sets.a == sets.a:
+        rank_xa = prev.rank_xa
+    else:
+        rank_xa = matrix_rank_qr(x[:, list(sets.a)]) if sets.a else 0
     return ScFit(
         kind=kind,
         weights=weights,
@@ -536,10 +565,12 @@ def _is_unique_optimum(fit: ScFit, g0: np.ndarray) -> bool:
     rank and every inactive multiplier is strictly negative (beyond the
     release tolerance), so no optimal direction leaves the active face and
     none moves within it."""
+    if _is_degenerate(fit):
+        return False
     inactive = np.ones(fit.beta.shape[0], dtype=bool)
     inactive[list(fit.sets.a)] = False
-    tol = _RELEASE_TOL * (1.0 + float(np.max(np.abs(g0), initial=0.0)))
-    return not _is_degenerate(fit) and bool(np.all(fit.kkt.mu[inactive] < -tol))
+    tol = _RELEASE_TOL * (1.0 + _absmax(g0))
+    return bool((fit.kkt.mu[inactive] < -tol).all())
 
 
 def solve_sc(y: np.ndarray, x: np.ndarray) -> ScFit:
@@ -578,6 +609,8 @@ def _outer_solve(
     sq_dist: np.ndarray,
     start,
     *,
+    prev: ScFit | None = None,
+    normal=None,
     cold_start=None,
     eq_mat: np.ndarray | None = None,
     eq_rhs: np.ndarray | None = None,
@@ -594,19 +627,24 @@ def _outer_solve(
     answer: the warm fit is kept only where ``_is_unique_optimum`` holds,
     which pins the optimum with equality rows as without them, so it
     equals the cold fit; otherwise the point is solved again from
-    ``cold_start``.  ``fields`` go to the fit.
+    ``cold_start``.  ``prev`` is a fit of the same ``x`` solved before, such
+    as that neighbour, or None; see ``_build_fit``.  ``normal`` is
+    ``_normal_equations(y, x)`` when the caller computed it once for a
+    whole path of solves on ``(y, x)``, or None.  ``fields`` go to the fit.
     """
     if not np.isfinite(lam) or lam < 0:
         raise ConfigurationError(f"penalty parameter must be finite and >= 0, got {lam}")
     lin = 0.5 * lam * sq_dist
 
-    def _fit(beta) -> ScFit:
-        res = simplex_ls(y, x, lin=lin, eq_mat=eq_mat, eq_rhs=eq_rhs, start=beta)
-        return _build_fit(kind, y, x, res, lam=float(lam), sq_dist=sq_dist, **fields)
+    def _fit(beta, donor) -> ScFit:
+        res = simplex_ls(y, x, lin=lin, eq_mat=eq_mat, eq_rhs=eq_rhs, start=beta, _normal=normal)
+        return _build_fit(kind, y, x, res, lam=float(lam), sq_dist=sq_dist, prev=donor, **fields)
 
-    fit = _fit(cold_start if start is None else start)
-    if start is not None and not _is_unique_optimum(fit, x.T @ y - lin):
-        fit = _fit(cold_start)
+    fit = _fit(cold_start if start is None else start, prev)
+    if start is not None:
+        xty = x.T @ y if normal is None else normal[1]
+        if not _is_unique_optimum(fit, xty - lin):
+            fit = _fit(cold_start, fit)
     return fit
 
 
@@ -702,7 +740,7 @@ _COV_TOL = 1e-8
 
 
 def _scaled_tol(base: float, values: np.ndarray) -> float:
-    return base * (1.0 + float(np.max(np.abs(values), initial=0.0)))
+    return base * (1.0 + _absmax(values))
 
 
 def solve_sc_cov_inner(
@@ -769,6 +807,10 @@ def _cov_inner(y, x, z, d, v) -> _CovInner:
     n_cov = d.shape[0]
     if v.shape[0] != n_cov:
         raise ConfigurationError("diagonal weight length does not match covariate rows")
+    # a NaN passes both checks below and an inf makes the weight tolerance
+    # infinite; either would silently drop every covariate row
+    if not np.isfinite(v).all():
+        raise ConfigurationError(f"diagonal weights must be finite, got {v.tolist()}")
     if np.any(v < 0):
         raise ConfigurationError("diagonal weights must be nonnegative")
     if float(np.max(v, initial=0.0)) <= 0.0:
@@ -791,20 +833,21 @@ def _cov_inner(y, x, z, d, v) -> _CovInner:
     return _CovInner(z, d, v, e_rows, exact_rows, inner_beta, r_tol, donor_sq_distances(y, x))
 
 
-def _cov_outer(y, x, inner: _CovInner, lam: float, prev: ScFit | None) -> ScFit:
+def _cov_outer(y, x, inner: _CovInner, lam: float, prev: ScFit | None, *, normal=None) -> ScFit:
     """Stage two of ``solve_sc_cov_inner``: ``_outer_solve`` with the
     exactly-fit rows as equality rows, started from the inner solution.
     A fit ``prev`` at a neighbouring ``lam`` starts it instead when its
     equality rows are the same; one that took the reduction to the plain
     estimator has none and does not.  The reduction is always solved from
-    the cold start vertex.
+    the cold start vertex.  ``normal`` goes to ``_outer_solve``.
     """
 
-    def _fit(eq_rows: tuple[int, ...], start_beta, cold_start, degenerate=False) -> ScFit:
+    def _fit(eq_rows: tuple[int, ...], start_beta, cold_start, donor=None, degenerate=False):
         rows = list(eq_rows)
-        fit = _outer_solve(COVARIATE, y, x, lam, inner.sq_dist, start_beta,
-                           cold_start=cold_start, eq_mat=inner.d[rows], eq_rhs=inner.z[rows],
-                           v=inner.v, cov_eq_rows=eq_rows, degenerate=degenerate)
+        fit = _outer_solve(COVARIATE, y, x, lam, inner.sq_dist, start_beta, prev=donor,
+                           normal=normal, cold_start=cold_start, eq_mat=inner.d[rows],
+                           eq_rhs=inner.z[rows], v=inner.v, cov_eq_rows=eq_rows,
+                           degenerate=degenerate)
         cov_res = inner.d @ fit.beta - inner.z
         m_rows = tuple(i for i in range(cov_res.shape[0]) if abs(cov_res[i]) > inner.r_tol)
         return replace(fit, sets=ActiveSets(a=fit.sets.a, m=m_rows, e=inner.e_rows))
@@ -815,7 +858,7 @@ def _cov_outer(y, x, inner: _CovInner, lam: float, prev: ScFit | None) -> ScFit:
     if rows and len(fit.sets.m_and_e) >= fit.n_active - 1:
         # with this many unfit weighted rows the equality rows carry no
         # force; drop them, re-solve once, and flag the switch
-        fit = _fit((), None, None, degenerate=True)
+        fit = _fit((), None, None, donor=fit, degenerate=True)
     return fit
 
 

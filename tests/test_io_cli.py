@@ -454,6 +454,15 @@ class TestCli:
         assert error["type"] == "ConfigurationError"
         assert "--v '0.5,x'" in error["message"] and "'x'" in error["message"]
 
+    def test_non_finite_covariate_weights_exit_one(self, panel_csv, cov_csv, capsys):
+        argv = self._fit_args(
+            panel_csv, "--covariates", str(cov_csv), "--estimator", "covariate", "--v", "nan,1"
+        )
+        assert cli.main(argv) == 1
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "ConfigurationError"
+        assert "must be finite" in error["message"]
+
     def test_benchmark_without_replications_exits_one(self, capsys):
         assert cli.main(["benchmark", "--reps", "0"]) == 1
         error = json.loads(capsys.readouterr().out)["error"]

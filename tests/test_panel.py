@@ -57,3 +57,11 @@ def test_non_finite_field_rejected_with_its_location(field, where, bad):
     fields[field][index] = bad
     with pytest.raises(ValueError, match=f"^{field} has a non-finite value .* at {where}$"):
         PanelDataset(**fields)
+
+
+def test_duplicate_donor_warning_names_the_calling_line():
+    x = np.random.default_rng(5).normal(size=(6, 3))
+    x[:, 2] = x[:, 0]
+    with pytest.warns(UserWarning, match="exact duplicates") as record:
+        PanelDataset(y=x[:, 1], x=x)
+    assert record[0].filename == __file__

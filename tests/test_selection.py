@@ -176,6 +176,8 @@ class TestSelectVIc:
             ([0.5, 0.3, 0.2], "length does not match"),
             ([1.5, -0.5], "nonnegative"),
             ([0.0, 0.0], "not all be zero"),
+            ([np.nan, 1.0], "must be finite"),
+            ([np.inf, 1.0], "must be finite"),
         ],
     )
     def test_bad_weighting_fails_before_any_solve_of_it(self, monkeypatch, bad, match):

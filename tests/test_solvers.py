@@ -1,3 +1,4 @@
+import dataclasses
 from functools import partial
 from types import SimpleNamespace
 
@@ -10,15 +11,20 @@ from synthsel.errors import ConfigurationError, SingularityError
 from synthsel.panel import PanelDataset
 from synthsel.selection import _fit_grid, _fit_path, ic_for_fit, select_v_ic, tuning_grid
 from synthsel.solvers import (
+    EngineResult,
     Weights,
+    _absmax,
     _cov_inner,
     _cov_outer,
     _eq_ls_solve,
+    _normal_equations,
     _outer_solve,
+    _schur_solve,
     default_v_grid,
     donor_sq_distances,
     eq_constrained_hat,
     matching_weights,
+    matrix_rank_qr,
     simplex_ls,
     solve_masc,
     solve_matching,
@@ -216,6 +222,110 @@ def test_grid_path_equals_pointwise_cold_solves(seed, shape):
         np.testing.assert_allclose(fit.beta, cold.beta, rtol=0, atol=1e-12)
         assert fit.sets == cold.sets
         assert fit.kkt.satisfied()
+
+
+def _random_design(gen, shape):
+    n = int(gen.integers(5, 20))
+    p = int(gen.integers(n + 1, 3 * n)) if shape == "wide" else int(gen.integers(2, n))
+    x = gen.normal(size=(n, p))
+    if shape == "duplicated":
+        x = np.column_stack([x, x[:, gen.integers(0, p, size=2)]])
+    y = x @ gen.dirichlet(np.ones(x.shape[1])) + 0.3 * gen.normal(size=n)
+    return y, x
+
+
+class TestShortcuts:
+    """The engine's cheaper forms of numpy and LAPACK calls give the same
+    bits as the calls they replace."""
+
+    def test_scalar_schur_solve_is_lapack_solve(self):
+        gen = np.random.default_rng(0)
+        for _ in range(5000):
+            pivot = np.array([[gen.choice([-1.0, 1.0]) * 10 ** gen.uniform(-3, 3)]])
+            resid = np.array([gen.normal() * 10 ** gen.uniform(-3, 3)])
+            np.testing.assert_array_equal(_schur_solve(pivot, resid), np.linalg.solve(pivot, resid))
+
+    def test_singular_or_larger_schur_systems_go_to_lapack(self, rng):
+        with pytest.raises(np.linalg.LinAlgError):
+            _schur_solve(np.zeros((1, 1)), np.ones(1))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(np.zeros((1, 1)), np.ones(1))
+        for schur, resid in [
+            (np.array([[2.5]]), rng.normal(size=(1, 4))),
+            (rng.normal(size=(3, 3)) + 3 * np.eye(3), rng.normal(size=3)),
+        ]:
+            np.testing.assert_array_equal(_schur_solve(schur, resid), np.linalg.solve(schur, resid))
+
+    @pytest.mark.parametrize(
+        "v",
+        [
+            np.zeros(0),
+            np.zeros((0, 3)),
+            np.array([-0.0, 0.0]),
+            np.array([1.5, -7.25, 3.0]),
+            np.array([1.0, np.nan, -2.0]),
+            np.array([np.inf, -1.0]),
+            np.arange(-6.0, 6.0).reshape(3, 4),
+            np.array([[0.5, np.nan], [-3.0, 1.0]]),
+        ],
+    )
+    def test_absmax_is_numpy_max_of_abs(self, v):
+        want = float(np.max(np.abs(v), initial=0.0))
+        got = _absmax(v)
+        assert type(got) is float
+        np.testing.assert_array_equal(got, want)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    shape=st.sampled_from(["tall", "wide", "duplicated"]),
+    n_rows=st.integers(0, 2),
+    warm=st.booleans(),
+)
+def test_solve_on_shared_normal_equations_is_the_plain_solve(seed, shape, n_rows, warm):
+    gen = np.random.default_rng(seed)
+    y, x = _random_design(gen, shape)
+    w = gen.dirichlet(np.ones(x.shape[1]))
+    d = gen.normal(size=(n_rows, x.shape[1]))
+    rows = {"eq_mat": d, "eq_rhs": d @ w} if n_rows else {}
+    start = w if warm or n_rows else None  # extra rows need a start
+    normal = _normal_equations(y, x)
+    kept = [a.copy() for a in normal]
+    for lam in (0.0, 0.3, 3.0):
+        lin = 0.5 * lam * donor_sq_distances(y, x)
+        plain = simplex_ls(y, x, lin=lin, start=start, **rows)
+        shared = simplex_ls(y, x, lin=lin, start=start, _normal=normal, **rows)
+        for field in dataclasses.fields(EngineResult):
+            np.testing.assert_array_equal(getattr(shared, field.name), getattr(plain, field.name))
+    for a, b in zip(normal, kept):
+        np.testing.assert_array_equal(a, b)  # a path shares them: no solve may write to them
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10_000), shape=st.sampled_from(["tall", "wide", "duplicated"]))
+def test_grid_path_is_bitwise_its_warm_solves_made_one_by_one(seed, shape):
+    # the path shares X'X, X'y and the rank of an unchanged active set; each
+    # fit must equal the same warm solve made without either
+    gen = np.random.default_rng(seed)
+    y, x = _random_design(gen, shape)
+    lams = np.concatenate([[0.0], np.geomspace(0.0125, 10.0, int(gen.integers(3, 12)))])
+    q = donor_sq_distances(y, x)
+    prev = None
+    for lam, fit in sorted(zip(lams, _fit_grid(y, x, "penalized", tuning_grid("penalized", lams))),
+                           key=lambda pair: -pair[0]):
+        alone = _outer_solve("penalized", y, x, lam, q, getattr(prev, "beta", None))
+        for got, want in [
+            (fit.beta, alone.beta),
+            (fit.kkt.mu, alone.kkt.mu),
+            (fit.kkt.eq_multipliers, alone.kkt.eq_multipliers),
+            (fit.kkt.iterations, alone.kkt.iterations),
+            (fit.sets, alone.sets),
+            (fit.rank_xa, alone.rank_xa),
+        ]:
+            np.testing.assert_array_equal(got, want)
+        assert fit.rank_xa == matrix_rank_qr(x[:, list(fit.sets.a)])
+        prev = fit
 
 
 # ---------------------------------------------------------------------------
