@@ -47,7 +47,6 @@ from .simulation import (
     BenchmarkReport,
     BootstrapSpec,
     FactorModelSpec,
-    conditional_mean,
     conditional_mean_path,
     draw_factor_empirical,
     draw_factor_gaussian,

@@ -332,8 +332,11 @@ def _cmd_placebo(args) -> dict:
         def columns(mat):
             return None if mat is None else mat[:, keep]
 
-        panel = dataclasses.replace(
-            panel, x=panel.x[:, keep], d=columns(panel.d), post_x=columns(panel.post_x)
+        # a constructor call of this module's, so that a duplicate-donor
+        # warning names this line
+        panel = PanelDataset(
+            y=panel.y, x=panel.x[:, keep], z=panel.z, d=columns(panel.d),
+            post_y=panel.post_y, post_x=columns(panel.post_x),
         )
     fit = _fit_one(args, panel)
     placebo = diagnostics.placebo_forecast(fit, panel, horizon=args.horizon)
@@ -475,7 +478,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _run_config(args)
+        # checked before the command runs, also where no panel is preprocessed
+        if getattr(args, "ma_window", 1) < 1:
+            raise ConfigurationError("moving-average window must be >= 1")
         results = args.run(args)
     except (SynthselError, ValueError) as exc:
         error_payload = {
@@ -485,23 +490,16 @@ def main(argv=None) -> int:
         }
         sys.stdout.write(json.dumps(error_payload, indent=2, sort_keys=True) + "\n")
         return 1
-    text = pio.write_report(args.output, args.command, _config_echo(args, config), results)
+    text = pio.write_report(args.output, args.command, _config_echo(args), results)
     if not args.output:
         sys.stdout.write(text)
     return 0
 
 
-def _run_config(args) -> pio.RunConfig:
-    known = {f.name for f in dataclasses.fields(pio.RunConfig)}
-    fields = {k: v for k, v in vars(args).items() if k in known}
-    return pio.RunConfig(**fields)
-
-
-def _config_echo(args, config: pio.RunConfig) -> dict:
-    skip = {"run", "command", "output"}
-    echo = {k: v for k, v in vars(args).items() if k not in skip and v is not None}
-    echo.update(config.as_dict())
-    return echo
+def _config_echo(args) -> dict:
+    """The command's options as parsed (and as the command completed them),
+    without the unset ones."""
+    return {k: v for k, v in vars(args).items() if k not in ("run", "command") and v is not None}
 
 
 if __name__ == "__main__":

@@ -121,8 +121,11 @@ def placebo_forecast(fit: ScFit, panel: PanelDataset, horizon: int = 12) -> Plac
     """Forecast-error summary for a target known to be untreated.
 
     The squared forecast error over the horizon estimates out-of-sample
-    risk directly, since the true effect is zero by assumption.
+    risk directly, since the true effect is zero by assumption.  The
+    horizon must be at least one period.
     """
+    if horizon < 1:
+        raise ConfigurationError(f"placebo horizon must be >= 1, got {horizon}")
     if not panel.has_post:
         raise ConfigurationError("placebo forecast needs post-period data")
     path = effect_path(fit, panel.post_y, panel.post_x)

@@ -29,34 +29,6 @@ SCHEMA_VERSION = 1
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    """One command's resolved configuration, echoed into every report."""
-
-    input: str | None = None
-    treated: str | None = None
-    treatment_period: str | None = None
-    covariates: str | None = None
-    estimator: str | None = None
-    lam: float | None = None
-    m: int | None = None
-    v: str | None = None
-    method: str | None = None
-    grid: str | None = None
-    m_grid: str | None = None
-    ma_window: int = 1
-    demean: bool = False
-    seed: int | None = None
-    output: str | None = None
-
-    def __post_init__(self):
-        if self.ma_window < 1:
-            raise ConfigurationError("moving-average window must be >= 1")
-
-    def as_dict(self) -> dict:
-        return {k: v for k, v in dataclasses.asdict(self).items() if v is not None}
-
-
-@dataclass(frozen=True)
 class LoadedPanel:
     """Arrays plus the label metadata needed for readable reports."""
 

@@ -55,14 +55,6 @@ class TuningPoint:
     m: int | None = None
     v: tuple[float, ...] | None = None
 
-    def label(self) -> str:
-        parts = [f"lam={self.lam:g}"]
-        if self.m is not None:
-            parts.append(f"m={self.m}")
-        if self.v is not None:
-            parts.append("v=(" + ",".join(f"{w:g}" for w in self.v) + ")")
-        return " ".join(parts)
-
 
 @dataclass(frozen=True)
 class SelectionResult:
@@ -120,6 +112,11 @@ def default_lambda_grid(kind: str) -> np.ndarray:
     raise ConfigurationError(f"no default grid for estimator kind {kind!r}")
 
 
+def _lambda_grid(kind: str, lambdas) -> np.ndarray:
+    """``lambdas`` as a float array, or the default grid of ``kind`` when None."""
+    return default_lambda_grid(kind) if lambdas is None else np.asarray(lambdas, dtype=float)
+
+
 def tuning_grid(
     kind: str,
     lambdas=None,
@@ -128,7 +125,7 @@ def tuning_grid(
     n_donors: int | None = None,
 ) -> tuple[TuningPoint, ...]:
     """Materialize the candidate list for one estimator kind."""
-    lams = default_lambda_grid(kind) if lambdas is None else np.asarray(lambdas, dtype=float)
+    lams = _lambda_grid(kind, lambdas)
     if lams.size == 0:
         raise ConfigurationError("empty tuning grid")
     if kind == MASC:
@@ -241,11 +238,7 @@ def select_v_ic(
     """
     if not panel.has_covariates:
         raise ConfigurationError("V selection requires covariates in the panel")
-    lams = (
-        default_lambda_grid(PENALIZED)
-        if lambda_grid is None
-        else np.asarray(lambda_grid, dtype=float)
-    )
+    lams = _lambda_grid(PENALIZED, lambda_grid)
     candidates = [np.asarray(v, dtype=float).ravel() for v in v_grid]
     if not candidates or lams.size == 0:
         raise ConfigurationError("empty (V, lambda) grid")

@@ -15,7 +15,7 @@ are reproducible and independent of execution order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -30,11 +30,11 @@ from .selection import (
     SelectionResult,
     _argmin_most_regularized,
     _fit_grid,
+    _lambda_grid,
     TuningPoint,
     cv_holdout,
     cv_loo_untreated,
     cv_rolling,
-    default_lambda_grid,
     sigma2_hat,
 )
 from .dof import df_hat
@@ -51,6 +51,12 @@ BENCHMARK_METHODS = (
     METHOD_CV_ROLLING,
 )
 DESIGNS = ("gaussian", "empirical", "block_bootstrap")
+#: stationary-bootstrap restart probability of the empirical and block designs
+_BLOCK_PROB = 0.2
+#: largest autoregressive order the BIC considers for a fitted design
+_AR_MAX_ORDER = 3
+#: contiguous batches behind the Monte-Carlo standard error
+_MC_BATCHES = 20
 
 
 def spawn_rng(seed: int, *key: int) -> np.random.Generator:
@@ -121,21 +127,26 @@ def stationary_bootstrap(
 # ---------------------------------------------------------------------------
 
 
-def ar_stationary_variance(coefs: np.ndarray) -> float:
-    """Stationary variance of an autoregression driven by unit-variance
-    innovations, from the companion-form discrete Lyapunov equation."""
-    coefs = np.asarray(coefs, dtype=float).ravel()
+def _ar_state_covariance(coefs: np.ndarray, innov_var: float) -> np.ndarray:
+    """Stationary covariance of the companion-form state of an
+    autoregression (at least one coefficient), from the discrete Lyapunov
+    equation."""
     q = coefs.size
-    if q == 0:
-        return 1.0
     comp = np.zeros((q, q))
     comp[0] = coefs
-    if q > 1:
-        comp[1:, :-1] = np.eye(q - 1)
+    comp[1:, :-1] = np.eye(q - 1)
     noise = np.zeros((q, q))
-    noise[0, 0] = 1.0
-    gamma = scipy.linalg.solve_discrete_lyapunov(comp, noise)
-    return float(gamma[0, 0])
+    noise[0, 0] = innov_var
+    return scipy.linalg.solve_discrete_lyapunov(comp, noise)
+
+
+def ar_stationary_variance(coefs: np.ndarray) -> float:
+    """Stationary variance of an autoregression driven by unit-variance
+    innovations."""
+    coefs = np.asarray(coefs, dtype=float).ravel()
+    if coefs.size == 0:
+        return 1.0
+    return float(_ar_state_covariance(coefs, 1.0)[0, 0])
 
 
 def draw_ar_series(
@@ -154,13 +165,7 @@ def draw_ar_series(
         return np.sqrt(marginal_var) * rng.standard_normal(t_len)
     unit_var = ar_stationary_variance(coefs)
     innov_sd = np.sqrt(marginal_var / unit_var)
-    comp = np.zeros((q, q))
-    comp[0] = coefs
-    if q > 1:
-        comp[1:, :-1] = np.eye(q - 1)
-    noise = np.zeros((q, q))
-    noise[0, 0] = innov_sd**2
-    gamma = scipy.linalg.solve_discrete_lyapunov(comp, noise)
+    gamma = _ar_state_covariance(coefs, innov_sd**2)
     chol = np.linalg.cholesky(gamma + 1e-14 * np.eye(q))
     state = chol @ rng.standard_normal(q)
     out = np.empty(t_len)
@@ -190,11 +195,12 @@ def yule_walker(series: np.ndarray, order: int) -> tuple[np.ndarray, float]:
     return coefs, max(innov_var, 1e-12)
 
 
-def select_ar_order(series: np.ndarray, max_order: int = 3) -> int:
-    """Bayesian information criterion over autoregressive orders."""
+def select_ar_order(series: np.ndarray) -> int:
+    """Bayesian information criterion over autoregressive orders up to
+    ``_AR_MAX_ORDER``."""
     t_len = np.asarray(series).size
     best_order, best_bic = 0, np.inf
-    for q in range(max_order + 1):
+    for q in range(_AR_MAX_ORDER + 1):
         _, innov_var = yule_walker(series, q)
         bic = t_len * np.log(innov_var) + q * np.log(t_len)
         if bic < best_bic - 1e-12:
@@ -249,10 +255,6 @@ class FactorModelSpec:
         return self.loadings.shape[0]
 
     @property
-    def n_donors(self) -> int:
-        return self.n_units - 1
-
-    @property
     def n_factors(self) -> int:
         return self.loadings.shape[1]
 
@@ -284,14 +286,6 @@ class FactorPanelDraw:
     y_systematic: np.ndarray | None
     x_systematic: np.ndarray | None
     delta: np.ndarray
-
-
-def conditional_mean(spec: FactorModelSpec, x_t: np.ndarray, delta_t: float = 0.0) -> float:
-    """Closed-form conditional expectation of the outcome at one period
-    given that period's fixed-effect-removed donor values."""
-    w = spec.blp_weights()
-    x_t = np.asarray(x_t, dtype=float).ravel()
-    return float(delta_t + w @ x_t)
 
 
 def conditional_mean_path(spec: FactorModelSpec, draw: FactorPanelDraw) -> np.ndarray:
@@ -334,7 +328,6 @@ def draw_factor_empirical(
     residual_pool: np.ndarray,
     t_len: int,
     seed: int | np.random.Generator,
-    block_prob: float = 0.2,
 ) -> FactorPanelDraw:
     """Gaussian donor draw, treated outcome rebuilt as its closed-form
     conditional mean plus innovations resampled from an empirical pool via
@@ -347,18 +340,11 @@ def draw_factor_empirical(
     means = conditional_mean_path(spec, draw)
     boot = stationary_bootstrap(
         residual_pool[:, None],
-        BootstrapSpec(block_prob=block_prob, seed=0),
+        BootstrapSpec(block_prob=_BLOCK_PROB, seed=0),
         out_length=t_len,
         rng=rng,
     )
-    y = means + boot.data[:, 0]
-    return FactorPanelDraw(
-        y=y,
-        x=draw.x,
-        y_systematic=draw.y_systematic,
-        x_systematic=draw.x_systematic,
-        delta=draw.delta,
-    )
+    return replace(draw, y=means + boot.data[:, 0])
 
 
 def true_proportional_risk(
@@ -375,9 +361,7 @@ def true_proportional_risk(
     return float(diff @ diff)
 
 
-def fit_factor_model(
-    panel: PanelDataset, r: int, *, max_ar_order: int = 3
-) -> FactorModelSpec:
+def fit_factor_model(panel: PanelDataset, r: int) -> FactorModelSpec:
     """Estimate the factor design from an observed (preprocessed) panel.
 
     Fixed effects are per-period means across units; donor loadings come
@@ -410,7 +394,7 @@ def fit_factor_model(
     ar_coefs = []
     sigma = np.empty(n_donors + 1)
     for i in range(n_donors + 1):
-        order = select_ar_order(resid[:, i], max_ar_order)
+        order = select_ar_order(resid[:, i])
         coefs, _ = yule_walker(resid[:, i], order)
         ar_coefs.append(tuple(float(c) for c in coefs))
         sigma[i] = float(np.var(resid[:, i]))
@@ -433,13 +417,14 @@ def synthetic_factor_spec(
     sigma_y: float = 0.7,
     sigma_x: float = 0.7,
     sigma_x_active: float | None = None,
-    ar1: float = 0.0,
 ) -> FactorModelSpec:
     """Deterministic synthetic design: random donor loadings, a sparse
     best-linear-predictor weight vector, and the treated loading row built
     from it.  ``sigma_x_active`` makes the weighted donors quieter than the
     rest, the configuration in which unpenalized fits overfit by chasing
-    noise with far-away donors."""
+    noise with far-away donors.  Innovations are white noise."""
+    if r < 0:
+        raise ConfigurationError("factor count must be nonnegative")
     rng = spawn_rng(seed, 9)
     load_donors = rng.standard_normal((n_donors, r)) / np.sqrt(max(r, 1))
     omega = np.zeros(n_donors)
@@ -451,17 +436,12 @@ def synthetic_factor_spec(
     if sigma_x_active is not None:
         donor_var[chosen] = sigma_x_active**2
     sigma = np.concatenate([[sigma_y**2], donor_var])
-    coefs: tuple[tuple[float, ...], ...]
-    if ar1 != 0.0:
-        coefs = tuple((float(ar1),) for _ in range(n_donors + 1))
-    else:
-        coefs = tuple(() for _ in range(n_donors + 1))
     return FactorModelSpec(
         loadings=loadings,
         delta=np.zeros(t_total),
         sigma=sigma,
         omega_star=omega,
-        ar_coefs=coefs,
+        ar_coefs=tuple(() for _ in range(n_donors + 1)),
     )
 
 
@@ -474,8 +454,6 @@ def synthetic_factor_spec(
 class McDofEstimate:
     df: float
     se: float
-    replications: int
-    batch_estimates: tuple[float, ...]
 
 
 def mc_dof(
@@ -485,7 +463,6 @@ def mc_dof(
     seed: int,
     *,
     sigma2: float,
-    n_batches: int = 20,
 ) -> McDofEstimate:
     """Covariance definition of degrees of freedom, estimated by simulation.
 
@@ -513,13 +490,13 @@ def mc_dof(
         return float(np.sum(yc * fc) / (yb.shape[0] - 1) / sigma2)
 
     point = _df(y_mat, f_mat)
-    n_batches = max(2, min(n_batches, replications // 2))
+    n_batches = max(2, min(_MC_BATCHES, replications // 2))
     edges = np.linspace(0, replications, n_batches + 1, dtype=int)
     batches = tuple(
         _df(y_mat[a:b], f_mat[a:b]) for a, b in zip(edges[:-1], edges[1:]) if b - a >= 2
     )
     se = float(np.std(batches, ddof=1) / np.sqrt(len(batches)))
-    return McDofEstimate(df=point, se=se, replications=replications, batch_estimates=batches)
+    return McDofEstimate(df=point, se=se)
 
 
 # ---------------------------------------------------------------------------
@@ -581,9 +558,6 @@ def run_selection_benchmark(
     n_pre: int = 36,
     n_post: int = 12,
     lambda_grid=None,
-    holdout_split: float = 0.5,
-    residual_pool: np.ndarray | None = None,
-    block_prob: float = 0.2,
 ) -> BenchmarkReport:
     """Race the selection methods on a known design.
 
@@ -598,25 +572,25 @@ def run_selection_benchmark(
     """
     if replications < 1:
         raise ConfigurationError(f"replications must be at least 1, got {replications}")
+    if n_post < 1:
+        raise ConfigurationError(f"the race needs at least 1 post-period, got n_post={n_post}")
     if design not in DESIGNS:
         raise ConfigurationError(f"unknown design {design!r}; expected one of {DESIGNS}")
     methods = tuple(methods)
+    if not methods:
+        raise ConfigurationError("no methods to race")
     unknown = [m for m in methods if m not in BENCHMARK_METHODS]
     if unknown:
         raise ConfigurationError(f"unknown methods {unknown}; expected among {BENCHMARK_METHODS}")
     if spec is None:
         spec = synthetic_factor_spec(n_donors, n_pre + n_post, seed=seed)
-    lams = (
-        default_lambda_grid(PENALIZED)
-        if lambda_grid is None
-        else np.asarray(lambda_grid, dtype=float)
-    )
+    lams = _lambda_grid(PENALIZED, lambda_grid)
     points = tuple(TuningPoint(float(l)) for l in lams)
     t_total = n_pre + n_post
     has_truth = design in ("gaussian", "empirical")
     sigma2_true = spec.conditional_variance() if has_truth else None
 
-    if design == "empirical" and residual_pool is None:
+    if design == "empirical":
         # standardized heavy-tailed pool scaled to the true conditional
         # variance keeps the design deliberately non-Gaussian
         pool_rng = spawn_rng(seed, 7, 7)
@@ -638,11 +612,11 @@ def run_selection_benchmark(
             draw = draw_factor_gaussian(spec, t_total, rng)
             y_all, x_all = draw.y, draw.x
         elif design == "empirical":
-            draw = draw_factor_empirical(spec, residual_pool, t_total, rng, block_prob)
+            draw = draw_factor_empirical(spec, residual_pool, t_total, rng)
             y_all, x_all = draw.y, draw.x
         else:
             boot = stationary_bootstrap(
-                base_panel, BootstrapSpec(block_prob=block_prob, seed=0),
+                base_panel, BootstrapSpec(block_prob=_BLOCK_PROB, seed=0),
                 out_length=t_total, rng=rng,
             )
             draw = None
@@ -696,7 +670,7 @@ def run_selection_benchmark(
                     risk_raw, risk_per_n = err**2, (err / n_pre) ** 2
                     corr = _spearman(scores, risk_curve)
             else:
-                sel = _run_cv(method, panel, lams, holdout_split)
+                sel = _run_cv(method, panel, lams)
                 idx = sel.chosen
                 if has_truth:
                     err = float(sel.scores[idx]) - cv_truth_curve[idx]
@@ -744,9 +718,9 @@ def _spearman(a: np.ndarray, b: np.ndarray) -> float | None:
     return None if np.isnan(rho) else float(rho)
 
 
-def _run_cv(method: str, panel: PanelDataset, lams, holdout_split: float) -> SelectionResult:
+def _run_cv(method: str, panel: PanelDataset, lams) -> SelectionResult:
     if method == METHOD_CV_HOLDOUT:
-        return cv_holdout(panel, PENALIZED, grid=lams, split_fraction=holdout_split)
+        return cv_holdout(panel, PENALIZED, grid=lams)
     if method == METHOD_CV_LOO_UNTREATED:
         return cv_loo_untreated(panel, PENALIZED, grid=lams)
     if method == METHOD_CV_ROLLING:

@@ -388,13 +388,7 @@ def simplex_ls(
                     float("nan"),
                     0.0,
                 )
-            fall_idx = falling.nonzero()[0]
-            steps = beta[fall_idx] / -direction[fall_idx]
-            k = int(steps.argmin())
-            blocking = int(fall_idx[k])
-            beta = beta + float(steps[k]) * direction
-            beta[blocking] = 0.0
-            beta[beta < 0.0] = 0.0
+            beta, blocking = _step_to_bound(beta, direction, falling.nonzero()[0])
             free[blocking] = False
             continue
         cand = np.zeros(p)
@@ -424,13 +418,7 @@ def simplex_ls(
             free[release] = True
         else:
             neg_idx = (free & (cand < 0.0)).nonzero()[0]
-            steps = beta[neg_idx] / (beta[neg_idx] - cand[neg_idx])
-            k = int(steps.argmin())
-            alpha = float(max(steps[k], 0.0))
-            blocking = int(neg_idx[k])
-            beta = beta + alpha * (cand - beta)
-            beta[blocking] = 0.0
-            beta[beta < 0.0] = 0.0
+            beta, blocking = _step_to_bound(beta, cand - beta, neg_idx)
             free[blocking] = False
 
     grad = gram @ beta - g0
@@ -441,6 +429,20 @@ def simplex_ls(
     raise ConvergenceError(
         f"active-set solver exceeded {max_iter} iterations", stat, comp
     )
+
+
+def _step_to_bound(beta: np.ndarray, direction: np.ndarray, idx: np.ndarray):
+    """Move ``beta`` along ``direction`` until the first entry among ``idx``
+    (entries that fall along it) reaches zero, lowest index on ties; that
+    entry is set to zero and rounding below zero is clipped.  Returns the
+    new point and the blocking entry."""
+    steps = beta[idx] / -direction[idx]
+    k = int(steps.argmin())
+    blocking = int(idx[k])
+    beta = beta + float(max(steps[k], 0.0)) * direction
+    beta[blocking] = 0.0
+    beta[beta < 0.0] = 0.0
+    return beta, blocking
 
 
 def _normal_equations(y: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -665,26 +667,16 @@ def solve_matching(y: np.ndarray, x: np.ndarray, m: int) -> ScFit:
     """Matching estimator wrapped as a fit (locally constant in y)."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
-    w = matching_weights(y, x, m)
-    fitted = x @ w.beta
-    sets = ActiveSets(a=w.active_set())
-    cert = KktCertificate(
-        stationarity_residual=0.0,
-        complementarity_gap=0.0,
+    # the weights are not an engine solution: an all-zero certificate
+    res = EngineResult(
+        beta=matching_weights(y, x, m).beta,
         eq_multipliers=np.zeros(1),
         mu=np.zeros(x.shape[1]),
+        stationarity_residual=0.0,
+        complementarity_gap=0.0,
+        iterations=0,
     )
-    return ScFit(
-        kind=MATCHING,
-        weights=w,
-        fitted=fitted,
-        residuals=y - fitted,
-        sets=sets,
-        kkt=cert,
-        m=int(m),
-        rank_xa=matrix_rank_qr(x[:, list(sets.a)]),
-        donor_sq_distances=donor_sq_distances(y, x),
-    )
+    return _build_fit(MATCHING, y, x, res, m=int(m))
 
 
 def solve_masc(y: np.ndarray, x: np.ndarray, lam: float, m: int) -> ScFit:

@@ -163,6 +163,13 @@ class TestPlacebo:
         with pytest.raises(ConfigurationError):
             placebo_forecast(solve_sc(y, x), PanelDataset(y=y, x=x))
 
+    @pytest.mark.parametrize("horizon", [0, -3])
+    def test_horizon_below_one_rejected(self, rng, horizon):
+        x = rng.normal(size=(16, 4))
+        panel = PanelDataset(y=x[:10, 0], x=x[:10, 1:], post_y=x[10:, 0], post_x=x[10:, 1:])
+        with pytest.raises(ConfigurationError, match="horizon must be >= 1"):
+            placebo_forecast(solve_sc(panel.y, panel.x), panel, horizon=horizon)
+
 
 class TestPenaltyDistance:
     def test_exact_match_donor_scores_zero(self, rng):

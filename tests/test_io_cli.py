@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -462,6 +463,66 @@ class TestCli:
         error = json.loads(capsys.readouterr().out)["error"]
         assert error["type"] == "ConfigurationError"
         assert "must be finite" in error["message"]
+
+    def _assert_config_error(self, capsys, *fragments):
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "ConfigurationError"
+        for fragment in fragments:
+            assert fragment in error["message"]
+
+    def test_placebo_exclusion_warning_names_the_cli(self, tmp_path, capsys):
+        gen = np.random.default_rng(21)
+        values = gen.normal(size=(12, 4)) + 3
+        values[:, 3] = values[:, 2]  # donors c and d are equal
+        panel = tmp_path / "dup.csv"
+        _write_panel(panel, None, ["time", "a", "b", "c", "d"],
+                     [[f"t{i:02d}", *values[i]] for i in range(12)])
+        argv = ["placebo", "--input", str(panel), "--target", "a", "--treatment-period", "t09",
+                "--exclude", "b"]
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            assert cli.main(argv) == 0
+        duplicates = [w for w in record if "exact duplicates" in str(w.message)]
+        assert duplicates
+        assert not [w for w in record if os.path.basename(w.filename) == "dataclasses.py"]
+        assert os.path.basename(duplicates[-1].filename) == "cli.py"
+
+    @pytest.mark.parametrize("horizon", ["0", "-3"])
+    def test_placebo_horizon_below_one_exits_one(self, panel_csv, capsys, horizon):
+        code = cli.main([
+            "placebo",
+            "--input", str(panel_csv),
+            "--target", "d1",
+            "--treatment-period", "2013-07",
+            f"--horizon={horizon}",
+        ])
+        assert code == 1
+        self._assert_config_error(capsys, "horizon must be >= 1")
+
+    @pytest.mark.parametrize(
+        "extra, fragment",
+        [(["--post", "0"], "post-period"), (["--methods", ""], "no methods")],
+    )
+    def test_benchmark_bad_inputs_exit_one(self, capsys, extra, fragment):
+        argv = ["benchmark", "--reps", "1", "--donors", "6", "--pre", "10", "--grid", "0,1"]
+        assert cli.main(argv + extra) == 1
+        self._assert_config_error(capsys, fragment)
+
+    def test_simulate_negative_factor_count_exits_one(self, capsys):
+        assert cli.main(["simulate", "--units", "5", "--periods", "12", "--factors", "-1"]) == 1
+        self._assert_config_error(capsys, "factor count must be nonnegative")
+
+    def test_simulate_zero_moving_average_window_exits_one(self, capsys):
+        assert cli.main(["simulate", "--units", "5", "--periods", "12", "--ma-window", "0"]) == 1
+        self._assert_config_error(capsys, "moving-average window must be >= 1")
+
+    def test_benchmark_config_echoes_only_its_options(self, capsys):
+        argv = ["benchmark", "--reps", "1", "--donors", "6", "--pre", "10", "--post", "3",
+                "--grid", "0,1"]
+        assert cli.main(argv) == 0
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert "ma_window" not in config and "demean" not in config
+        assert config["donors"] == 6 and config["grid"] == "0,1"
 
     def test_benchmark_without_replications_exits_one(self, capsys):
         assert cli.main(["benchmark", "--reps", "0"]) == 1

@@ -7,9 +7,9 @@ from synthsel.panel import PanelDataset
 from synthsel.simulation import (
     BootstrapSpec,
     FactorModelSpec,
+    FactorPanelDraw,
     _spearman,
     ar_stationary_variance,
-    conditional_mean,
     conditional_mean_path,
     draw_ar_series,
     draw_factor_empirical,
@@ -156,6 +156,10 @@ class TestFactorModel:
         fitted = fit_factor_model(panel, r=2)
         np.testing.assert_allclose(fitted.omega_star, solve_sc(draw.y, draw.x).beta, atol=1e-12)
 
+    def test_negative_factor_count_rejected_by_the_synthetic_spec(self):
+        with pytest.raises(ConfigurationError, match="factor count must be nonnegative"):
+            synthetic_factor_spec(5, 20, r=-1)
+
     def test_factor_count_exceeding_donors_rejected(self):
         spec = synthetic_factor_spec(4, 20, seed=1)
         draw = draw_factor_gaussian(spec, 20, 2)
@@ -163,14 +167,26 @@ class TestFactorModel:
             fit_factor_model(PanelDataset(y=draw.y, x=draw.x), r=9)
 
 
+def _one_period_draw(demeaned_donors: np.ndarray, delta_t: float) -> FactorPanelDraw:
+    """One period whose donors sit ``demeaned_donors`` above the fixed effect."""
+    x = (np.asarray(demeaned_donors, dtype=float) + delta_t)[None, :]
+    return FactorPanelDraw(
+        y=np.zeros(1), x=x, y_systematic=None, x_systematic=None, delta=np.array([delta_t])
+    )
+
+
 class TestConditionalMean:
     def test_zero_loadings_give_fixed_effect(self):
         spec = synthetic_factor_spec(5, 20, r=0, seed=5)
-        assert conditional_mean(spec, np.zeros(5), delta_t=2.5) == pytest.approx(2.5)
+        means = conditional_mean_path(spec, _one_period_draw(np.zeros(5), 2.5))
+        assert means.shape == (1,)
+        assert means[0] == pytest.approx(2.5)
 
     def test_zero_demeaned_donors_give_fixed_effect(self):
         spec = synthetic_factor_spec(5, 20, r=2, seed=5)
-        assert conditional_mean(spec, np.zeros(5), delta_t=1.25) == pytest.approx(1.25)
+        means = conditional_mean_path(spec, _one_period_draw(np.zeros(5), 1.25))
+        assert means.shape == (1,)
+        assert means[0] == pytest.approx(1.25)
 
     def test_matches_monte_carlo_regression(self):
         spec = synthetic_factor_spec(6, 10, r=2, seed=3)
@@ -289,6 +305,17 @@ class TestBenchmark:
     def test_no_replications_rejected(self, reps):
         with pytest.raises(ConfigurationError, match="replications"):
             run_selection_benchmark("gaussian", ["sure"], reps, 1)
+
+    @pytest.mark.parametrize("n_post", [0, -2])
+    def test_no_post_periods_rejected(self, n_post):
+        with pytest.raises(ConfigurationError, match="post-period"):
+            run_selection_benchmark(
+                "gaussian", ["sure"], 1, 1, n_donors=6, n_pre=12, n_post=n_post
+            )
+
+    def test_empty_method_list_rejected(self):
+        with pytest.raises(ConfigurationError, match="no methods"):
+            run_selection_benchmark("gaussian", [], 1, 1, n_donors=6, n_pre=12, n_post=3)
 
     def test_rank_correlation_is_scipys_spearman_on_ties(self):
         gen = np.random.default_rng(4)
