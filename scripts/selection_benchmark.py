@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from synthsel.io import benchmark_csv_text
+from synthsel.io import write_benchmark_csv
 from synthsel.simulation import (
     BENCHMARK_METHODS,
     run_selection_benchmark,
@@ -56,8 +56,7 @@ def main(argv=None) -> int:
             lambda_grid=lams,
         )
         path = f"{args.prefix}_{design}.csv"
-        with open(path, "w", newline="") as handle:
-            handle.write(benchmark_csv_text(report))
+        write_benchmark_csv(path, report)
         print(f"[{design}]")
         for row in report.methods:
             lam = "   *  " if row.mse_lambda is None else f"{row.mse_lambda:6.4f}"

@@ -45,7 +45,6 @@ from .selection import (
 )
 from .simulation import (
     BenchmarkReport,
-    BootstrapSpec,
     FactorModelSpec,
     conditional_mean_path,
     draw_factor_empirical,
@@ -55,7 +54,6 @@ from .simulation import (
     run_selection_benchmark,
     stationary_bootstrap,
     synthetic_factor_spec,
-    true_proportional_risk,
 )
 from .diagnostics import (
     EffectPath,

@@ -255,13 +255,14 @@ def _cmd_simulate(args) -> dict:
         loaded = pio.load_panel(args.fit_from, args.treated, args.treatment_period)
         loaded = pio.preprocess_loaded(loaded, ma_window=args.ma_window, demean=args.demean)
         spec = simulation.fit_factor_model(loaded.dataset, r=args.factors)
-        periods = args.periods or loaded.dataset.n
+        periods = loaded.dataset.n if args.periods is None else args.periods
     else:
         if args.design == "empirical":
             raise ConfigurationError("the empirical design needs --fit-from for a residual pool")
-        periods = args.periods or 48
+        periods = 48 if args.periods is None else args.periods
+        # --units counts the treated unit as well as the donors
         spec = simulation.synthetic_factor_spec(
-            args.units, periods, r=args.factors, seed=args.seed
+            args.units - 1, periods, r=args.factors, seed=args.seed
         )
     if args.design == "gaussian":
         draw = simulation.draw_factor_gaussian(spec, periods, args.seed)
@@ -269,10 +270,7 @@ def _cmd_simulate(args) -> dict:
         observed = loaded.dataset
         pool = observed.y - simulation.conditional_mean_path(
             spec,
-            simulation.FactorPanelDraw(
-                y=observed.y, x=observed.x, y_systematic=None, x_systematic=None,
-                delta=spec.delta[: observed.n],
-            ),
+            simulation.FactorPanelDraw(y=observed.y, x=observed.x, delta=spec.delta[: observed.n]),
         )
         draw = simulation.draw_factor_empirical(spec, pool, periods, args.seed)
     if args.output_panel:
@@ -311,8 +309,7 @@ def _cmd_benchmark(args) -> simulation.BenchmarkReport:
         lambda_grid=grid,
     )
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as handle:
-            handle.write(pio.benchmark_csv_text(report))
+        pio.write_benchmark_csv(args.csv, report)
     return report
 
 
@@ -439,7 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--treatment-period", default=None, dest="treatment_period")
     sim.add_argument("--ma-window", type=int, default=1, dest="ma_window")
     sim.add_argument("--demean", action="store_true")
-    sim.add_argument("--units", type=int, default=11, help="unit count for synthetic specs")
+    sim.add_argument("--units", type=int, default=11,
+                     help="unit count of a synthetic spec: the treated unit plus the donors")
     sim.add_argument("--periods", type=int, default=None)
     sim.add_argument("--factors", type=int, default=3)
     sim.add_argument("--seed", type=int, default=0)

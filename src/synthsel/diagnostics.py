@@ -6,11 +6,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConfigurationError
 from .panel import PanelDataset
-from .solvers import ScFit
+from .solvers import ScFit, _qr_rank
 
 _RELATIVE_GUARD = 1e-12
 
@@ -34,15 +33,11 @@ class EffectPath:
     """Post-period gap between realized and forecast outcomes.
 
     ``tau_avg`` holds the averages over the first 1 and first 12 post
-    periods (absent when the path is shorter than the horizon);
-    ``relative`` is the gap as a proportion of the forecast, undefined
-    where the forecast is numerically zero.
+    periods (absent when the path is shorter than the horizon).
     """
 
     tau: np.ndarray
-    forecast: np.ndarray
     tau_avg: dict[int, float | None]
-    relative: np.ndarray
 
 
 def white_test(fit: ScFit, x: np.ndarray) -> WhiteTestReport:
@@ -68,9 +63,7 @@ def white_test(fit: ScFit, x: np.ndarray) -> WhiteTestReport:
         )
 
     centered = raw - raw.mean(axis=0)
-    r_mat, piv = scipy.linalg.qr(centered, mode="r", pivoting=True, check_finite=False)[:2]
-    diag = np.abs(np.diag(r_mat))
-    keep_rank = int(np.sum(diag > 1e-10 * diag[0])) if diag.size and diag[0] > 0 else 0
+    keep_rank, piv = _qr_rank(centered)
     kept = np.sort(piv[:keep_rank])
     dropped = raw.shape[1] - keep_rank
     if keep_rank == 0:
@@ -99,15 +92,11 @@ def effect_path(fit: ScFit, post_y: np.ndarray, post_x: np.ndarray) -> EffectPat
     post_x = np.atleast_2d(np.asarray(post_x, dtype=float))
     if post_x.shape[0] != post_y.shape[0]:
         raise ConfigurationError("post-period outcome and donor lengths disagree")
-    forecast = post_x @ fit.beta
-    tau = post_y - forecast
+    tau = post_y - post_x @ fit.beta
     tau_avg: dict[int, float | None] = {}
     for h in (1, 12):
         tau_avg[h] = float(np.mean(tau[:h])) if tau.shape[0] >= h else None
-    scale = float(np.max(np.abs(forecast), initial=0.0))
-    guard = _RELATIVE_GUARD * (1.0 + scale)
-    relative = np.where(np.abs(forecast) > guard, tau / np.where(forecast == 0, 1.0, forecast), np.nan)
-    return EffectPath(tau=tau, forecast=forecast, tau_avg=tau_avg, relative=relative)
+    return EffectPath(tau=tau, tau_avg=tau_avg)
 
 
 @dataclass(frozen=True)
@@ -137,6 +126,4 @@ def placebo_forecast(fit: ScFit, panel: PanelDataset, horizon: int = 12) -> Plac
 def penalty_distance(fit: ScFit) -> float:
     """Weighted average squared donor distance at the fitted weights: the
     audit of how far the selected donors sit from the treated series."""
-    if fit.donor_sq_distances is None:
-        raise ConfigurationError("fit does not carry donor distances")
     return float(fit.beta @ fit.donor_sq_distances)

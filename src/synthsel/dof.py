@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, SingularityError
+from .errors import ConfigurationError
 from .solvers import (
     COVARIATE,
     MASC,
@@ -36,8 +36,8 @@ from .solvers import (
     PLAIN,
     ActiveSets,
     ScFit,
+    _covariate_rows_idle,
     eq_constrained_hat,
-    matrix_rank_qr,
 )
 
 CASE_PLAIN = "plain"
@@ -85,23 +85,12 @@ class DofReport:
 # ---------------------------------------------------------------------------
 
 
-def _active_design(fit: ScFit, x: np.ndarray) -> np.ndarray:
-    a = list(fit.sets.a)
-    if not a:
-        raise ConfigurationError("fit has an empty active set")
-    xa = np.atleast_2d(np.asarray(x, dtype=float))[:, a]
-    if matrix_rank_qr(xa) < xa.shape[1]:
-        raise SingularityError("X_A", "active design not of full column rank")
-    return xa
-
-
 def _df_rule(fit: ScFit) -> tuple[float, str, tuple[int, ...]]:
     """The degrees-of-freedom rule of the module docstring for a fit with a
     local least-squares problem: its scale, its case and the covariate rows
     that bind on top of the sum-to-one row.  The exactly-fit positively
-    weighted rows bind unless the nonzero-residual weighted rows are at
-    least as numerous as the active donors minus one, in which case the
-    covariate side exerts no force."""
+    weighted rows bind unless ``solvers._covariate_rows_idle`` holds, in
+    which case the covariate side exerts no force."""
     if fit.kind == PLAIN:
         return 1.0, CASE_PLAIN, ()
     if fit.kind == PENALIZED:
@@ -109,7 +98,7 @@ def _df_rule(fit: ScFit) -> tuple[float, str, tuple[int, ...]]:
     if fit.kind == MASC:
         return 1.0 - fit.lam, CASE_MASC, ()
     if fit.kind == COVARIATE:
-        if len(fit.sets.m_and_e) >= fit.n_active - 1:
+        if _covariate_rows_idle(fit):
             return 1.0 + fit.lam, CASE_COV_MANY, ()
         return 1.0 + fit.lam, CASE_COV_FEW, fit.sets.e_minus_m
     raise ConfigurationError(f"unknown fit kind {fit.kind}")
@@ -118,12 +107,15 @@ def _df_rule(fit: ScFit) -> tuple[float, str, tuple[int, ...]]:
 def divergence(fit: ScFit, x: np.ndarray, d: np.ndarray | None = None) -> DivergenceMatrix:
     """Divergence of any fit: ``_df_rule``'s scale times the constrained
     hat matrix on the active donors; the zero matrix for matching.  ``d``
-    is needed for a covariate fit with binding rows."""
+    is needed for a covariate fit with binding rows.  Raises
+    ``SingularityError`` unless the active design has full column rank."""
     if fit.kind == MATCHING:
         n = np.atleast_2d(np.asarray(x)).shape[0]
         return DivergenceMatrix(matrix=np.zeros((n, n)))
     scale, _, rows = _df_rule(fit)
-    xa = _active_design(fit, x)
+    if not fit.sets.a:
+        raise ConfigurationError("fit has an empty active set")
+    xa = np.atleast_2d(np.asarray(x, dtype=float))[:, list(fit.sets.a)]
     eq_mat = np.ones((1, xa.shape[1]))
     if rows:
         if d is None:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import io as _io
 import json
 from dataclasses import dataclass
 
@@ -37,7 +36,6 @@ class LoadedPanel:
     donor_names: tuple[str, ...]
     pre_times: tuple[str, ...]
     post_times: tuple[str, ...]
-    covariate_names: tuple[str, ...] = ()
 
 
 def _read_rows(path: str) -> list[list[str]]:
@@ -100,7 +98,6 @@ def load_panel(
     donor_names = tuple(units[j] for j in donor_cols)
 
     z = d = None
-    covariate_names: tuple[str, ...] = ()
     if covariates_path is not None:
         cov_rows = _read_rows(covariates_path)
         if not cov_rows:
@@ -110,7 +107,6 @@ def load_panel(
             raise PanelParseError(
                 "covariate file units must match the outcome file units in order"
             )
-        names = []
         zs = []
         ds = []
         for i, row in enumerate(cov_rows[1:], start=2):
@@ -118,11 +114,9 @@ def load_panel(
                 raise PanelParseError(
                     f"ragged covariate row: expected {width} cells, found {len(row)}", row=i
                 )
-            names.append(row[0].strip())
             vals = [_parse_value(cell, i, cov_header[j + 1]) for j, cell in enumerate(row[1:])]
             zs.append(vals[t_col])
             ds.append([vals[j] for j in donor_cols])
-        covariate_names = tuple(names)
         z = np.asarray(zs, dtype=float)
         d = np.asarray(ds, dtype=float)
 
@@ -141,7 +135,6 @@ def load_panel(
         donor_names=donor_names,
         pre_times=tuple(times[:cut]),
         post_times=tuple(times[cut:]),
-        covariate_names=covariate_names,
     )
 
 
@@ -205,7 +198,6 @@ def preprocess_loaded(loaded: LoadedPanel, ma_window: int = 1, demean: bool = Fa
         donor_names=loaded.donor_names,
         pre_times=loaded.pre_times[ma_window - 1 :],
         post_times=loaded.post_times,
-        covariate_names=loaded.covariate_names,
     )
 
 
@@ -250,6 +242,9 @@ def write_report(path: str | None, command: str, config: dict, results) -> str:
 
 
 def write_csv(path: str, header: list[str], rows) -> None:
+    """Every CSV table the package writes: cells go through
+    ``to_jsonable``, so a float is written as its ``repr`` and ``None`` as
+    an empty cell."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
@@ -257,20 +252,11 @@ def write_csv(path: str, header: list[str], rows) -> None:
             writer.writerow([to_jsonable(cell) for cell in row])
 
 
-def benchmark_csv_text(report: BenchmarkReport) -> str:
-    """Benchmark table as CSV: one row per method, the columns of
-    ``MethodResult`` in field order."""
+def write_benchmark_csv(path: str, report: BenchmarkReport) -> None:
+    """Benchmark table: one row per method, the columns of ``MethodResult``
+    in field order."""
     names = [field.name for field in dataclasses.fields(MethodResult)]
-    buf = _io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(names)
-    for row in report.methods:
-        writer.writerow([row.method, *(_fmt(getattr(row, name)) for name in names[1:])])
-    return buf.getvalue()
-
-
-def _fmt(value: float | None) -> str:
-    return "" if value is None else repr(float(value))
+    write_csv(path, names, ([getattr(row, name) for name in names] for row in report.methods))
 
 
 def write_panel_csv(path: str, loaded: LoadedPanel) -> None:
@@ -280,8 +266,4 @@ def write_panel_csv(path: str, loaded: LoadedPanel) -> None:
     y = ds.y if ds.post_y is None else np.concatenate([ds.y, ds.post_y])
     x = ds.x if ds.post_x is None else np.vstack([ds.x, ds.post_x])
     header = ["time", loaded.treated, *loaded.donor_names]
-    rows = [[times[i], repr(float(y[i])), *(repr(float(v)) for v in x[i])] for i in range(len(times))]
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
+    write_csv(path, header, ([times[i], y[i], *x[i]] for i in range(len(times))))

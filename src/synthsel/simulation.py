@@ -70,20 +70,6 @@ def spawn_rng(seed: int, *key: int) -> np.random.Generator:
 
 
 @dataclass(frozen=True)
-class BootstrapSpec:
-    """Restart probability (expected block length is its reciprocal) and seed."""
-
-    block_prob: float
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 < self.block_prob <= 1.0:
-            raise ConfigurationError(
-                f"block restart probability must lie in (0, 1], got {self.block_prob}"
-            )
-
-
-@dataclass(frozen=True)
 class BootstrapDraw:
     data: np.ndarray
     indices: np.ndarray
@@ -91,28 +77,28 @@ class BootstrapDraw:
 
 
 def stationary_bootstrap(
-    series: np.ndarray,
-    spec: BootstrapSpec,
-    out_length: int | None = None,
-    rng: np.random.Generator | None = None,
+    series: np.ndarray, block_prob: float, out_length: int, rng: np.random.Generator
 ) -> BootstrapDraw:
-    """Resample rows jointly in geometric-length blocks with circular
-    wraparound.  All columns share the same row indices, preserving the
-    cross-sectional dependence, and the marginal row distribution is the
-    empirical one."""
+    """Resample ``out_length`` rows jointly in geometric-length blocks with
+    circular wraparound; ``block_prob`` is the restart probability, so the
+    expected block length is its reciprocal.  All columns share the same
+    row indices, preserving the cross-sectional dependence, and the
+    marginal row distribution is the empirical one."""
+    if not 0.0 < block_prob <= 1.0:
+        raise ConfigurationError(
+            f"block restart probability must lie in (0, 1], got {block_prob}"
+        )
     series = np.atleast_2d(np.asarray(series, dtype=float))
     t_len = series.shape[0]
     if t_len < 2:
         raise ConfigurationError("need at least two rows to bootstrap")
-    n_out = t_len if out_length is None else int(out_length)
-    if rng is None:
-        rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
+    n_out = int(out_length)
     indices = np.empty(n_out, dtype=np.int64)
     lengths: list[int] = []
     pos = 0
     while pos < n_out:
         start = int(rng.integers(t_len))
-        length = int(rng.geometric(spec.block_prob))
+        length = int(rng.geometric(block_prob))
         take = min(length, n_out - pos)
         indices[pos : pos + take] = (start + np.arange(take)) % t_len
         lengths.append(take)
@@ -278,13 +264,11 @@ class FactorModelSpec:
 
 @dataclass(frozen=True)
 class FactorPanelDraw:
-    """One draw: observed outcome/donors plus their noiseless systematic
-    parts (None for an observed panel, whose systematic parts are unknown)."""
+    """One draw: observed outcome and donors, and the per-period fixed
+    effects they were drawn around."""
 
     y: np.ndarray
     x: np.ndarray
-    y_systematic: np.ndarray | None
-    x_systematic: np.ndarray | None
     delta: np.ndarray
 
 
@@ -300,6 +284,8 @@ def draw_factor_gaussian(
     """Gaussian factor draw: iid standard-normal factors plus stationary
     Gaussian autoregressive innovations scaled to the spec variances."""
     rng = seed if isinstance(seed, np.random.Generator) else spawn_rng(int(seed))
+    if t_len < 1:
+        raise ConfigurationError(f"need at least 1 period, got {t_len}")
     if t_len > spec.delta.size:
         raise ConfigurationError(
             f"requested {t_len} periods but the spec carries {spec.delta.size} fixed effects"
@@ -314,13 +300,7 @@ def draw_factor_gaussian(
         ]
     )
     obs = systematic + noise
-    return FactorPanelDraw(
-        y=obs[:, 0],
-        x=obs[:, 1:],
-        y_systematic=systematic[:, 0],
-        x_systematic=systematic[:, 1:],
-        delta=delta,
-    )
+    return FactorPanelDraw(y=obs[:, 0], x=obs[:, 1:], delta=delta)
 
 
 def draw_factor_empirical(
@@ -338,27 +318,8 @@ def draw_factor_empirical(
     rng = seed if isinstance(seed, np.random.Generator) else spawn_rng(int(seed))
     draw = draw_factor_gaussian(spec, t_len, rng)
     means = conditional_mean_path(spec, draw)
-    boot = stationary_bootstrap(
-        residual_pool[:, None],
-        BootstrapSpec(block_prob=_BLOCK_PROB, seed=0),
-        out_length=t_len,
-        rng=rng,
-    )
+    boot = stationary_bootstrap(residual_pool[:, None], _BLOCK_PROB, t_len, rng)
     return replace(draw, y=means + boot.data[:, 0])
-
-
-def true_proportional_risk(
-    spec: FactorModelSpec, fitted: np.ndarray, draw: FactorPanelDraw
-) -> float:
-    """Squared distance of fitted values to the conditional means along a
-    draw (the population target of the information criterion, up to the
-    additive noise constant)."""
-    means = conditional_mean_path(spec, draw)
-    fitted = np.asarray(fitted, dtype=float).ravel()
-    if fitted.size != means.size:
-        raise ConfigurationError("fitted path and draw length disagree")
-    diff = fitted - means
-    return float(diff @ diff)
 
 
 def fit_factor_model(panel: PanelDataset, r: int) -> FactorModelSpec:
@@ -423,6 +384,10 @@ def synthetic_factor_spec(
     from it.  ``sigma_x_active`` makes the weighted donors quieter than the
     rest, the configuration in which unpenalized fits overfit by chasing
     noise with far-away donors.  Innovations are white noise."""
+    if n_donors < 1:
+        raise ConfigurationError(f"need at least 1 donor, got n_donors={n_donors}")
+    if t_total < 1:
+        raise ConfigurationError(f"need at least 1 period, got {t_total}")
     if r < 0:
         raise ConfigurationError("factor count must be nonnegative")
     rng = spawn_rng(seed, 9)
@@ -615,10 +580,7 @@ def run_selection_benchmark(
             draw = draw_factor_empirical(spec, residual_pool, t_total, rng)
             y_all, x_all = draw.y, draw.x
         else:
-            boot = stationary_bootstrap(
-                base_panel, BootstrapSpec(block_prob=_BLOCK_PROB, seed=0),
-                out_length=t_total, rng=rng,
-            )
+            boot = stationary_bootstrap(base_panel, _BLOCK_PROB, t_total, rng)
             draw = None
             y_all, x_all = boot.data[:, 0], boot.data[:, 1:]
 

@@ -59,13 +59,17 @@ def default_active_tol(beta: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class Weights:
-    """Donor weight vector with the threshold that defines its support."""
+    """Donor weight vector; ``active_tol`` is the threshold that defines its
+    support."""
 
     beta: np.ndarray
-    active_tol: float
 
     def __post_init__(self):
         object.__setattr__(self, "beta", np.asarray(self.beta, dtype=float).ravel())
+
+    @property
+    def active_tol(self) -> float:
+        return default_active_tol(self.beta)
 
     def active_set(self) -> tuple[int, ...]:
         return tuple((self.beta > self.active_tol).nonzero()[0].tolist())
@@ -133,14 +137,12 @@ class ScFit:
     residuals: np.ndarray
     sets: ActiveSets
     kkt: KktCertificate
+    donor_sq_distances: np.ndarray
     lam: float = 0.0
     m: int | None = None
     v: np.ndarray | None = None
     rank_xa: int = 0
-    donor_sq_distances: np.ndarray | None = None
     cov_eq_rows: tuple[int, ...] = ()
-    sc_component: "ScFit | None" = None
-    ma_component: "ScFit | None" = None
 
     @property
     def beta(self) -> np.ndarray:
@@ -487,23 +489,29 @@ def _finalize(beta, free, grad, a_mat, xi, mu, iterations) -> EngineResult:
 
 def matrix_rank_qr(mat: np.ndarray) -> int:
     """Rank via column-pivoted QR, relative tolerance 1e-10 of the largest
-    diagonal element.
+    diagonal element."""
+    return _qr_rank(mat)[0]
+
+
+def _qr_rank(mat: np.ndarray) -> tuple[int, np.ndarray]:
+    """``matrix_rank_qr``'s rank and the column pivots (0-based, the first
+    ``rank`` of them the retained columns).
 
     Calls LAPACK ``geqp3`` directly, with the workspace query that
-    ``scipy.linalg.qr`` makes, so R is the same; the wrapper's argument
-    handling costs more than the factorization at these sizes.
+    ``scipy.linalg.qr(mat, mode="r", pivoting=True)`` makes, so R and the
+    pivots are the same; the wrapper's argument handling costs more than
+    the factorization at these sizes.
     """
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
     if min(mat.shape) == 0:
-        return 0
+        return 0, np.arange(mat.shape[1])
     lwork = int(_geqp3(mat, lwork=-1)[3][0])
-    r, _, _, _, info = _geqp3(mat, lwork=lwork)
+    r, piv, _, _, info = _geqp3(mat, lwork=lwork)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of LAPACK geqp3")
     diag = abs(r.diagonal())
-    if diag.size == 0 or diag[0] == 0.0:
-        return 0
-    return int((diag > 1e-10 * diag[0]).sum())
+    rank = 0 if diag[0] == 0.0 else int((diag > 1e-10 * diag[0]).sum())
+    return rank, piv - 1
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +543,7 @@ def _build_fit(
     (None if there is none), lends its ``rank_xa`` when its active set is
     this fit's: the rank is then one of the same columns."""
     beta = res.beta
-    weights = Weights(beta=beta, active_tol=default_active_tol(beta))
+    weights = Weights(beta=beta)
     sets = ActiveSets(a=weights.active_set())
     fitted = x @ beta
     if prev is not None and prev.sets.a == sets.a:
@@ -660,7 +668,7 @@ def matching_weights(y: np.ndarray, x: np.ndarray, m: int) -> Weights:
     order = np.argsort(dist, kind="stable")
     beta = np.zeros(p)
     beta[order[:m]] = 1.0 / m
-    return Weights(beta=beta, active_tol=default_active_tol(beta))
+    return Weights(beta=beta)
 
 
 def solve_matching(y: np.ndarray, x: np.ndarray, m: int) -> ScFit:
@@ -705,10 +713,9 @@ def masc_average(y: np.ndarray, fit_sc: ScFit, fit_ma: ScFit, lam: float) -> ScF
     _check_averaging_weight(lam)
     beta = lam * fit_ma.beta + (1.0 - lam) * fit_sc.beta
     fitted = lam * fit_ma.fitted + (1.0 - lam) * fit_sc.fitted
-    weights = Weights(beta=beta, active_tol=default_active_tol(beta))
     return ScFit(
         kind=MASC,
-        weights=weights,
+        weights=Weights(beta=beta),
         fitted=fitted,
         residuals=np.asarray(y, dtype=float).ravel() - fitted,
         sets=fit_sc.sets,
@@ -717,8 +724,6 @@ def masc_average(y: np.ndarray, fit_sc: ScFit, fit_ma: ScFit, lam: float) -> ScF
         m=int(fit_ma.m),
         rank_xa=fit_sc.rank_xa,
         donor_sq_distances=fit_sc.donor_sq_distances,
-        sc_component=fit_sc,
-        ma_component=fit_ma,
     )
 
 
@@ -825,6 +830,13 @@ def _cov_inner(y, x, z, d, v) -> _CovInner:
     return _CovInner(z, d, v, e_rows, exact_rows, inner_beta, r_tol, donor_sq_distances(y, x))
 
 
+def _covariate_rows_idle(fit: ScFit) -> bool:
+    """True when the weighted rows left unfit are at least as numerous as
+    the active donors minus one: the exactly-fit rows then exert no force,
+    and the fit is the plain estimator's on its active set."""
+    return len(fit.sets.m_and_e) >= fit.n_active - 1
+
+
 def _cov_outer(y, x, inner: _CovInner, lam: float, prev: ScFit | None, *, normal=None) -> ScFit:
     """Stage two of ``solve_sc_cov_inner``: ``_outer_solve`` with the
     exactly-fit rows as equality rows, started from the inner solution.
@@ -847,7 +859,7 @@ def _cov_outer(y, x, inner: _CovInner, lam: float, prev: ScFit | None, *, normal
     rows = inner.exact_rows
     start = prev.beta if prev is not None and prev.cov_eq_rows == rows else None
     fit = _fit(rows, start, inner.inner_beta if rows else None)
-    if rows and len(fit.sets.m_and_e) >= fit.n_active - 1:
+    if rows and _covariate_rows_idle(fit):
         # with this many unfit weighted rows the equality rows carry no
         # force; drop them, re-solve once, and flag the switch
         fit = _fit((), None, None, donor=fit, degenerate=True)

@@ -18,7 +18,6 @@ from synthsel.dof import (
     divergence_fd_oracle,
 )
 from synthsel.simulation import (
-    BootstrapSpec,
     conditional_mean_path,
     draw_factor_gaussian,
     mc_dof,
@@ -307,14 +306,16 @@ def test_criterion_07_stationary_bootstrap():
         target_blocks = 10_000
         out_len = int(target_blocks / prob * 1.2)
         draw = stationary_bootstrap(
-            series, BootstrapSpec(prob, seed=17), out_length=out_len
+            series, prob, out_len, np.random.default_rng(np.random.SeedSequence(17))
         )
         lengths = np.asarray(draw.block_lengths[:-1], dtype=float)
         assert lengths.size >= 10_000
         mean_len = float(lengths.mean())
         assert mean_len == pytest.approx(1.0 / prob, rel=0.05)
         details.append(f"p={prob}:{mean_len:.2f}")
-    draw = stationary_bootstrap(series, BootstrapSpec(0.25, seed=3), out_length=10_000)
+    draw = stationary_bootstrap(
+        series, 0.25, 10_000, np.random.default_rng(np.random.SeedSequence(3))
+    )
     counts = np.bincount(draw.indices, minlength=40)
     expected = 10_000 / 40
     stat = float(np.sum((counts - expected) ** 2 / expected))

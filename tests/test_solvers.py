@@ -19,7 +19,9 @@ from synthsel.solvers import (
     _eq_ls_solve,
     _normal_equations,
     _outer_solve,
+    _qr_rank,
     _schur_solve,
+    default_active_tol,
     default_v_grid,
     donor_sq_distances,
     eq_constrained_hat,
@@ -456,14 +458,14 @@ class TestMatchingAndMasc:
     def test_masc_midpoint_is_mean_of_component_fits(self):
         y, x = make_instance(13)
         fit = solve_masc(y, x, 0.5, 2)
-        combined = 0.5 * fit.ma_component.fitted + 0.5 * fit.sc_component.fitted
+        combined = 0.5 * solve_matching(y, x, 2).fitted + 0.5 * solve_sc(y, x).fitted
         np.testing.assert_allclose(fit.fitted, combined, atol=1e-12, rtol=0.0)
 
     @pytest.mark.parametrize("lam", [0.0, 0.25, 0.6, 1.0])
     def test_masc_exact_linearity(self, lam):
         y, x = make_instance(14, n=12, p=6)
         fit = solve_masc(y, x, lam, 3)
-        target = lam * fit.ma_component.fitted + (1 - lam) * fit.sc_component.fitted
+        target = lam * solve_matching(y, x, 3).fitted + (1 - lam) * solve_sc(y, x).fitted
         assert np.max(np.abs(fit.fitted - target)) == 0.0
 
     def test_averaging_weight_checked_before_the_component_solves(self):
@@ -712,10 +714,10 @@ def test_v_path_equals_pointwise_cold_solves(seed, shape):
 
 class TestActiveSets:
     def test_exact_zeros(self):
-        assert Weights(np.array([0.5, 0.5, 0.0]), 1e-8).active_set() == (0, 1)
+        assert Weights(np.array([0.5, 0.5, 0.0])).active_set() == (0, 1)
 
     def test_below_threshold_entries_excluded(self):
-        assert Weights(np.array([1 - 1e-12, 1e-12, 0.0]), 1e-8).active_set() == (0,)
+        assert Weights(np.array([1 - 1e-12, 1e-12, 0.0])).active_set() == (0,)
 
     def test_duplicate_donor_instance_stable_across_resolves(self):
         gen = np.random.default_rng(77)
@@ -728,6 +730,53 @@ class TestActiveSets:
             PanelDataset(y=y, x=x)
         supports = {solve_sc(y, x).sets.a for _ in range(10)}
         assert len(supports) == 1
+
+    def test_active_tol_is_the_default_of_beta_for_every_fit_kind(self):
+        y, x = make_instance(21, n=12, p=6)
+        gen = np.random.default_rng(21)
+        d = gen.normal(size=(2, 6))
+        z = d @ gen.dirichlet(np.ones(6))
+        fits = [
+            solve_sc(y, x),
+            solve_penalized_sc(y, x, 0.4),
+            solve_matching(y, x, 3),
+            solve_masc(y, x, 0.3, 2),
+            solve_sc_cov_inner(y, x, z, d, np.array([0.6, 0.4]), lam=0.1),
+        ]
+        assert [fit.kind for fit in fits] == ["plain", "penalized", "matching", "masc", "covariate"]
+        for fit in fits:
+            assert fit.weights.active_tol == default_active_tol(fit.beta)
+            assert fit.weights.active_set() == tuple(np.flatnonzero(fit.beta > fit.weights.active_tol))
+
+
+# ---------------------------------------------------------------------------
+# pivoted-QR rank
+# ---------------------------------------------------------------------------
+
+
+def _rank_matrices():
+    gen = np.random.default_rng(5)
+    for n, p in [(1, 1), (3, 7), (7, 3), (12, 12), (40, 9)]:
+        yield pytest.param(gen.normal(size=(n, p)), id=f"random-{n}x{p}")
+        collinear = gen.normal(size=(n, p))
+        collinear[:, -1] = 2.0 * collinear[:, 0] - collinear[:, p // 2]
+        yield pytest.param(collinear, id=f"collinear-{n}x{p}")
+        yield pytest.param(np.zeros((n, p)), id=f"zero-{n}x{p}")
+    low = gen.normal(size=(15, 2)) @ gen.normal(size=(2, 8))
+    yield pytest.param(low, id="rank-two")
+    yield pytest.param(np.column_stack([low, 1e-12 * gen.normal(size=15)]), id="below-the-cut")
+
+
+@pytest.mark.parametrize("mat", list(_rank_matrices()))
+def test_qr_rank_matches_scipy_pivoted_qr(mat):
+    import scipy.linalg
+
+    r_mat, piv = scipy.linalg.qr(mat, mode="r", pivoting=True, check_finite=False)
+    diag = np.abs(np.diag(r_mat))
+    expected = int(np.sum(diag > 1e-10 * diag[0])) if diag[0] > 0 else 0
+    rank, pivots = _qr_rank(mat)
+    assert rank == expected == matrix_rank_qr(mat)
+    np.testing.assert_array_equal(pivots, piv)
 
 
 # ---------------------------------------------------------------------------
