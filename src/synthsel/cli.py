@@ -100,7 +100,7 @@ def _fit_one(args, panel: PanelDataset, y: np.ndarray | None = None) -> ScFit:
 
 
 def _fit_report(fit: ScFit, loaded: pio.LoadedPanel, panel: PanelDataset) -> dict:
-    s2 = selection.sigma2_hat(panel.y, panel.x)
+    s2 = selection._plain_sigma2(panel.y, panel.x, [fit])
     report = df_hat(fit)
     results = {
         "estimator": fit.kind,

@@ -6,7 +6,11 @@ The information criterion is the unbiased-risk estimate
     IC = ||y - yhat||^2 + 2 * sigma2_hat * df_hat(yhat),
 
 with ``sigma2_hat`` always taken from the unpenalized synthetic control
-residuals, regardless of which candidate is being scored.  All selectors
+residuals, regardless of which candidate is being scored.  The
+penalized and model-averaged IC selectors read it off their own grid's fit
+at ``lam = 0`` when that fit is the one ``solve_sc`` returns
+(``_plain_sigma2``), so plain synthetic control is solved once for them,
+and solve it separately only otherwise.  All selectors
 return the grid, the per-point scores and the chosen index; exact score
 ties break toward the largest tuning parameter (the most regularized
 candidate), then toward grid order.  Every penalty grid, penalized or
@@ -32,6 +36,7 @@ from .solvers import (
     ScFit,
     _cov_inner,
     _cov_outer,
+    _is_degenerate,
     _normal_equations,
     _outer_solve,
     donor_sq_distances,
@@ -186,7 +191,28 @@ def _fit_path(lams, solve) -> list[ScFit]:
 
 def sigma2_hat(y: np.ndarray, x: np.ndarray) -> float:
     """Mean squared residual of the unpenalized synthetic control fit."""
-    fit = solve_sc(y, x)
+    return _plain_sigma2(y, x, ())
+
+
+def _plain_sigma2(y: np.ndarray, x: np.ndarray, fits) -> float:
+    """``sigma2_hat(y, x)``, bit for bit, read off the first of ``fits``
+    (fits of ``y`` on ``x``) that is ``solve_sc``'s own fit; ``solve_sc``
+    runs only when none is.
+
+    Those are a plain fit; a model-averaged fit at ``lam = 0``, whose
+    residuals are its plain component's; and a penalized fit at ``lam = 0``
+    whose active design has full column rank.  That last one is
+    ``solve_sc``'s first, cold solve (a path keeps a warm fit only where it
+    equals its cold solve), which ``solve_sc`` keeps because only a
+    rank-deficient one is canonicalized.
+    """
+    for fit in fits:
+        if fit.kind == PLAIN or fit.lam == 0.0 and (
+            fit.kind == MASC or fit.kind == PENALIZED and not _is_degenerate(fit)
+        ):
+            break
+    else:
+        fit = solve_sc(y, x)
     return float(np.mean(fit.residuals**2))
 
 
@@ -214,8 +240,8 @@ def select_lambda_ic(
     minimizer.  The tuning parameter enters both directly and through the
     active-set size of each refit."""
     points = tuning_grid(estimator_kind, grid, m_grid, n_donors=panel.p)
-    s2 = sigma2_hat(panel.y, panel.x) if sigma2 is None else float(sigma2)
     fits = _fit_grid(panel.y, panel.x, estimator_kind, points)
+    s2 = _plain_sigma2(panel.y, panel.x, fits) if sigma2 is None else float(sigma2)
     return _select(points, [ic_for_fit(fit, s2) for fit in fits], s2, METHOD_SURE)
 
 

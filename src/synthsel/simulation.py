@@ -31,11 +31,11 @@ from .selection import (
     _argmin_most_regularized,
     _fit_grid,
     _lambda_grid,
+    _plain_sigma2,
     TuningPoint,
     cv_holdout,
     cv_loo_untreated,
     cv_rolling,
-    sigma2_hat,
 )
 from .dof import df_hat
 from .solvers import PENALIZED, solve_sc
@@ -610,7 +610,7 @@ def run_selection_benchmark(
             star_idx = None
             cv_truth_curve = None
 
-        sigma2_plain = sigma2_hat(y_pre, x_pre)
+        sigma2_plain = _plain_sigma2(y_pre, x_pre, fits)
 
         for method in methods:
             idx = None
@@ -672,12 +672,22 @@ def run_selection_benchmark(
 
 
 def _spearman(a: np.ndarray, b: np.ndarray) -> float | None:
-    if np.std(a) == 0 or np.std(b) == 0:
+    """Spearman's rank correlation, computed as ``scipy.stats.spearmanr(a,
+    b).statistic`` computes it: Pearson's correlation (``np.corrcoef``) of
+    the average ranks.  None when either input is constant or holds a NaN."""
+    if np.isnan(a).any() or np.isnan(b).any():
         return None
-    from scipy.stats import spearmanr  # not at the top: ~0.8 s of import only the race needs
+    ra, rb = _average_ranks(a), _average_ranks(b)
+    if np.ptp(ra) == 0 or np.ptp(rb) == 0:
+        return None
+    return float(np.corrcoef(np.column_stack([ra, rb]), rowvar=False)[1, 0])
 
-    rho = spearmanr(a, b).statistic
-    return None if np.isnan(rho) else float(rho)
+
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks, tied values sharing the mean of their ranks."""
+    _, group, counts = np.unique(values, return_inverse=True, return_counts=True)
+    last = np.cumsum(counts)
+    return (last - 0.5 * (counts - 1))[group]
 
 
 def _run_cv(method: str, panel: PanelDataset, lams) -> SelectionResult:

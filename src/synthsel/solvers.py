@@ -17,6 +17,7 @@ Multiplier convention for the nonnegativity constraints: stationarity is
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -497,21 +498,27 @@ def _qr_rank(mat: np.ndarray) -> tuple[int, np.ndarray]:
     """``matrix_rank_qr``'s rank and the column pivots (0-based, the first
     ``rank`` of them the retained columns).
 
-    Calls LAPACK ``geqp3`` directly, with the workspace query that
-    ``scipy.linalg.qr(mat, mode="r", pivoting=True)`` makes, so R and the
+    Calls LAPACK ``geqp3`` directly, with the workspace size that
+    ``scipy.linalg.qr(mat, mode="r", pivoting=True)`` queries, so R and the
     pivots are the same; the wrapper's argument handling costs more than
     the factorization at these sizes.
     """
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
     if min(mat.shape) == 0:
         return 0, np.arange(mat.shape[1])
-    lwork = int(_geqp3(mat, lwork=-1)[3][0])
-    r, piv, _, _, info = _geqp3(mat, lwork=lwork)
+    r, piv, _, _, info = _geqp3(mat, lwork=_geqp3_lwork(mat.shape))
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of LAPACK geqp3")
     diag = abs(r.diagonal())
     rank = 0 if diag[0] == 0.0 else int((diag > 1e-10 * diag[0]).sum())
     return rank, piv - 1
+
+
+@functools.lru_cache(maxsize=1024)
+def _geqp3_lwork(shape: tuple[int, int]) -> int:
+    """``geqp3``'s optimal workspace for a matrix of ``shape``, which
+    LAPACK's workspace query computes from the shape alone."""
+    return int(_geqp3(np.zeros(shape), lwork=-1)[3][0])
 
 
 # ---------------------------------------------------------------------------

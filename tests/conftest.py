@@ -19,3 +19,15 @@ def make_instance(seed, n=10, p=5, noise=0.5, offset=0.0):
     w = gen.dirichlet(np.full(p, 2.0))
     y = x @ w + noise * gen.normal(size=n)
     return y, x
+
+
+def random_design(gen, shape):
+    """A draw of ``shape`` "tall" (fewer donors than periods), "wide" (up to
+    three times as many) or "duplicated" (tall, two donors repeated)."""
+    n = int(gen.integers(5, 20))
+    p = int(gen.integers(n + 1, 3 * n)) if shape == "wide" else int(gen.integers(2, n))
+    x = gen.normal(size=(n, p))
+    if shape == "duplicated":
+        x = np.column_stack([x, x[:, gen.integers(0, p, size=2)]])
+    y = x @ gen.dirichlet(np.ones(x.shape[1])) + 0.3 * gen.normal(size=n)
+    return y, x

@@ -583,6 +583,16 @@ class TestCli:
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
         subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
+    def test_race_leaves_scipy_stats_unloaded(self):
+        code = (
+            "import sys; from synthsel import run_selection_benchmark; "
+            "run_selection_benchmark('gaussian', ['sure', 'cv_holdout'], 1, 1, n_donors=6, "
+            "n_pre=10, n_post=3, lambda_grid=[0, 1]); "
+            "assert 'scipy.stats' not in sys.modules"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
     def test_bad_matching_grid_exits_one(self, panel_csv, capsys):
         argv = self._select_args(panel_csv, "--estimator", "masc", "--m-grid", "1:2:3")
         assert cli.main(argv) == 1

@@ -1,12 +1,17 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from synthsel import selection
 from synthsel.dof import df_hat
-from synthsel.errors import ConfigurationError
+from synthsel.errors import ConfigurationError, ConvergenceError
 from synthsel.panel import PanelDataset
 from synthsel.selection import (
+    _fit_grid,
+    _plain_sigma2,
     cv_holdout,
     cv_loo_untreated,
     cv_rolling,
@@ -18,10 +23,21 @@ from synthsel.selection import (
     sigma2_hat,
     tuning_grid,
 )
-from synthsel.simulation import draw_factor_gaussian, spawn_rng, synthetic_factor_spec
-from synthsel.solvers import default_v_grid, solve_masc, solve_penalized_sc, solve_sc
+from synthsel.simulation import (
+    draw_factor_gaussian,
+    run_selection_benchmark,
+    spawn_rng,
+    synthetic_factor_spec,
+)
+from synthsel.solvers import (
+    _is_degenerate,
+    default_v_grid,
+    solve_masc,
+    solve_penalized_sc,
+    solve_sc,
+)
 
-from conftest import make_instance
+from conftest import make_instance, random_design
 
 
 def _panel(seed=0, n=12, p=6, noise=0.4, post=0):
@@ -52,6 +68,84 @@ class TestSigma2:
         y, x = make_instance(40)
         fit = solve_sc(y, x)
         assert sigma2_hat(y, x) == pytest.approx(float(np.mean(fit.residuals**2)), abs=1e-15)
+
+
+def _outcome(f, *args):
+    """``f(*args)``, or the error it raises: ``solve_sc`` can still fail to
+    canonicalize a wide draw, and the rule must then fail as it does."""
+    try:
+        return f(*args)
+    except ConvergenceError as exc:
+        return str(exc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    shape=st.sampled_from(["tall", "wide", "duplicated"]),
+    kind=st.sampled_from(["penalized", "masc"]),
+)
+def test_sigma2_read_off_the_default_grid_is_sigma2_hat(seed, shape, kind):
+    y, x = random_design(np.random.default_rng(seed), shape)
+    points = tuning_grid(kind, n_donors=x.shape[1])
+    want = _outcome(sigma2_hat, y, x)
+    if kind == "masc" and isinstance(want, str):
+        with pytest.raises(ConvergenceError, match=re.escape(want)):  # the grid's own solve_sc fails
+            _fit_grid(y, x, kind, points)
+        return
+    assert _outcome(_plain_sigma2, y, x, _fit_grid(y, x, kind, points)) == want
+
+
+class TestPlainSigma2Fallback:
+    """``_plain_sigma2`` solves plain synthetic control itself exactly when
+    no fit it is given is ``solve_sc``'s fit."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(selection, "solve_sc", lambda y, x: calls.append(1) or solve_sc(y, x))
+        return calls
+
+    def test_solves_only_when_the_zero_penalty_fit_is_degenerate(self, solves):
+        degenerate = 0
+        for seed in range(30):
+            y, x = random_design(np.random.default_rng(seed), "wide")
+            points = tuning_grid("penalized", [0.0, 0.1, 1.0])
+            fits = _fit_grid(y, x, "penalized", points)
+            want = _outcome(sigma2_hat, y, x)
+            solves.clear()
+            assert _outcome(_plain_sigma2, y, x, fits) == want
+            assert len(solves) == _is_degenerate(fits[0])
+            degenerate += _is_degenerate(fits[0])
+        assert degenerate > 0
+
+    @pytest.mark.parametrize("kind", ["penalized", "masc"])
+    def test_solves_when_the_grid_has_no_zero(self, solves, kind):
+        y, x = random_design(np.random.default_rng(3), "tall")
+        fits = _fit_grid(y, x, kind, tuning_grid(kind, [0.2, 0.7], [1, 2]))
+        want = sigma2_hat(y, x)
+        solves.clear()
+        assert _plain_sigma2(y, x, fits) == want
+        assert len(solves) == 1
+
+    @pytest.mark.parametrize("kind", ["plain", "masc"])
+    def test_reads_a_plain_or_averaged_zero_fit(self, solves, kind):
+        y, x = random_design(np.random.default_rng(5), "duplicated")
+        fits = _fit_grid(y, x, kind, tuning_grid(kind, [0.0], [2]))
+        want = sigma2_hat(y, x)
+        solves.clear()
+        assert _plain_sigma2(y, x, fits) == want
+        assert not solves
+
+    def test_ic_selection_and_race_solve_plain_sc_only_for_their_grid(self, solves):
+        panel = _panel(seed=2, n=14, p=5)
+        select_lambda_ic(panel, "penalized")
+        assert not solves
+        select_lambda_ic(panel, "masc")
+        assert len(solves) == 1  # the model-averaged grid's own plain component
+        solves.clear()
+        run_selection_benchmark("gaussian", ["sure"], 2, 1, n_donors=5, n_pre=14, n_post=3)
+        assert not solves
 
 
 class TestIcValue:

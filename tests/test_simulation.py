@@ -328,6 +328,29 @@ class TestBenchmark:
         b = a + gen.integers(0, 3, size=20)
         assert len(np.unique(a)) < a.size and len(np.unique(b)) < b.size
         assert _spearman(a, b) == float(scipy.stats.spearmanr(a, b).statistic)
+        for _ in range(400):
+            n = int(gen.integers(3, 41))
+            if gen.random() < 0.5:  # integers: many ties
+                a = gen.integers(0, 4, size=n)
+                b = a + gen.integers(-2, 3, size=n)
+            else:  # floats, some of them rounded into ties
+                a = gen.normal(size=n)
+                b = np.round(a + gen.normal(size=n), int(gen.integers(0, 3)))
+            if np.ptp(a) == 0 or np.ptp(b) == 0:
+                continue
+            assert _spearman(a, b) == float(scipy.stats.spearmanr(a, b).statistic)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ([2.0, 2.0, 2.0], [1.0, 3.0, 2.0]),
+            ([1.0, 3.0, 2.0], [0.1, 0.1, 0.1]),
+            ([1.0, np.nan, 2.0], [1.0, 3.0, 2.0]),
+            ([1.0, 3.0, 2.0], [np.nan, np.nan, np.nan]),
+        ],
+    )
+    def test_rank_correlation_is_none_on_constant_or_nan_input(self, a, b):
+        assert _spearman(np.array(a), np.array(b)) is None
 
     def test_empirical_design_runs_with_default_pool(self):
         report = run_selection_benchmark(

@@ -36,7 +36,7 @@ from synthsel.solvers import (
     solve_sc_cov_inner,
 )
 
-from conftest import make_instance
+from conftest import make_instance, random_design
 from oracles import constraint_line_min, kkt_lstsq_solve, simplex_grid_min
 
 
@@ -211,12 +211,7 @@ class TestPenalizedPath:
 @given(seed=st.integers(0, 10_000), shape=st.sampled_from(["tall", "wide", "duplicated"]))
 def test_grid_path_equals_pointwise_cold_solves(seed, shape):
     gen = np.random.default_rng(seed)
-    n = int(gen.integers(5, 20))
-    p = int(gen.integers(n + 1, 3 * n)) if shape == "wide" else int(gen.integers(2, n))
-    x = gen.normal(size=(n, p))
-    if shape == "duplicated":
-        x = np.column_stack([x, x[:, gen.integers(0, p, size=2)]])
-    y = x @ gen.dirichlet(np.ones(x.shape[1])) + 0.3 * gen.normal(size=n)
+    y, x = random_design(gen, shape)
     lams = np.concatenate([[0.0], np.geomspace(0.0125, 10.0, int(gen.integers(3, 12)))])
     points = tuning_grid("penalized", gen.permutation(lams))
     for pt, fit in zip(points, _fit_grid(y, x, "penalized", points)):
@@ -224,16 +219,6 @@ def test_grid_path_equals_pointwise_cold_solves(seed, shape):
         np.testing.assert_allclose(fit.beta, cold.beta, rtol=0, atol=1e-12)
         assert fit.sets == cold.sets
         assert fit.kkt.satisfied()
-
-
-def _random_design(gen, shape):
-    n = int(gen.integers(5, 20))
-    p = int(gen.integers(n + 1, 3 * n)) if shape == "wide" else int(gen.integers(2, n))
-    x = gen.normal(size=(n, p))
-    if shape == "duplicated":
-        x = np.column_stack([x, x[:, gen.integers(0, p, size=2)]])
-    y = x @ gen.dirichlet(np.ones(x.shape[1])) + 0.3 * gen.normal(size=n)
-    return y, x
 
 
 class TestShortcuts:
@@ -287,7 +272,7 @@ class TestShortcuts:
 )
 def test_solve_on_shared_normal_equations_is_the_plain_solve(seed, shape, n_rows, warm):
     gen = np.random.default_rng(seed)
-    y, x = _random_design(gen, shape)
+    y, x = random_design(gen, shape)
     w = gen.dirichlet(np.ones(x.shape[1]))
     d = gen.normal(size=(n_rows, x.shape[1]))
     rows = {"eq_mat": d, "eq_rhs": d @ w} if n_rows else {}
@@ -310,7 +295,7 @@ def test_grid_path_is_bitwise_its_warm_solves_made_one_by_one(seed, shape):
     # the path shares X'X, X'y and the rank of an unchanged active set; each
     # fit must equal the same warm solve made without either
     gen = np.random.default_rng(seed)
-    y, x = _random_design(gen, shape)
+    y, x = random_design(gen, shape)
     lams = np.concatenate([[0.0], np.geomspace(0.0125, 10.0, int(gen.integers(3, 12)))])
     q = donor_sq_distances(y, x)
     prev = None
