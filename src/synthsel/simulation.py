@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConfigurationError, SingularityError
 from .panel import PanelDataset
@@ -123,6 +122,8 @@ def _ar_state_covariance(coefs: np.ndarray, innov_var: float) -> np.ndarray:
     comp[1:, :-1] = np.eye(q - 1)
     noise = np.zeros((q, q))
     noise[0, 0] = innov_var
+    import scipy.linalg  # not at the top: ~0.3 s of import only the factor designs need
+
     return scipy.linalg.solve_discrete_lyapunov(comp, noise)
 
 
@@ -175,6 +176,8 @@ def yule_walker(series: np.ndarray, order: int) -> tuple[np.ndarray, float]:
     gammas = np.array(
         [centered[: t_len - k] @ centered[k:] / t_len for k in range(order + 1)]
     )
+    import scipy.linalg  # not at the top: ~0.3 s of import only the factor designs need
+
     toep = scipy.linalg.toeplitz(gammas[:order])
     coefs = scipy.linalg.solve(toep, gammas[1 : order + 1], assume_a="sym")
     innov_var = float(gammas[0] - coefs @ gammas[1 : order + 1])
@@ -251,6 +254,8 @@ class FactorModelSpec:
     def blp_weights(self) -> np.ndarray:
         """Coefficients of the conditional expectation of the outcome in the
         contemporaneous donor values."""
+        import scipy.linalg  # not at the top: ~0.3 s of import only the factor designs need
+
         cov = self.covariance()
         try:
             return scipy.linalg.solve(cov[1:, 1:], cov[1:, 0], assume_a="sym")
@@ -610,7 +615,8 @@ def run_selection_benchmark(
             star_idx = None
             cv_truth_curve = None
 
-        sigma2_plain = _plain_sigma2(y_pre, x_pre, fits)
+        # only sure reads it, and it may need a solve of its own
+        sigma2_plain = _plain_sigma2(y_pre, x_pre, fits) if METHOD_SURE in methods else None
 
         for method in methods:
             idx = None

@@ -18,12 +18,54 @@ Multiplier convention for the nonnegativity constraints: stationarity is
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg.lapack import dgeqp3 as _geqp3, dpotrf as _potrf, dpotrs as _potrs
 
 from .errors import ConfigurationError, ConvergenceError, SingularityError
+
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def _load_flapack():
+    """scipy's compiled LAPACK module, loaded from its file in scipy's
+    directory without running the ``scipy`` or ``scipy.linalg`` package
+    imports; ImportError when it is not there or does not load."""
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None or not scipy_spec.submodule_search_locations:
+        raise ImportError("scipy is not installed as a package directory")
+    dirs = [os.path.join(d, "linalg") for d in scipy_spec.submodule_search_locations]
+    spec = importlib.machinery.PathFinder.find_spec(_FLAPACK, dirs)
+    if spec is None:
+        raise ImportError(f"{_FLAPACK} not found under {dirs}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    # the extension enters itself in sys.modules; left there, a later
+    # ``import scipy.linalg`` finds it and never sets ``scipy.linalg._flapack``
+    sys.modules.pop(_FLAPACK, None)
+    return module
+
+
+def _lapack_kernels():
+    """LAPACK ``dgeqp3``, ``dpotrf`` and ``dpotrs``: the routines
+    ``scipy.linalg.lapack`` exports, without that package's import (about
+    0.3 s and 25 MB per process, mostly numpy submodules nothing here uses).
+    A module scipy has loaded already is reused; the package import is the
+    fallback when the compiled module cannot be loaded on its own."""
+    flapack = sys.modules.get(_FLAPACK)
+    if flapack is None:
+        try:
+            flapack = _load_flapack()
+        except ImportError:
+            from scipy.linalg import lapack as flapack
+    return flapack.dgeqp3, flapack.dpotrf, flapack.dpotrs
+
+
+_geqp3, _potrf, _potrs = _lapack_kernels()
 
 KKT_TOL = 1e-8
 #: candidate iterates this far below zero are treated as infeasible

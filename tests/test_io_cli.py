@@ -583,6 +583,21 @@ class TestCli:
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
         subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
+    def test_fit_and_df_leave_scipy_linalg_unloaded(self, panel_csv):
+        # the solver loads scipy's compiled LAPACK module on its own, not
+        # through the scipy.linalg package; a fresh process shows what loaded
+        args = ["--input", str(panel_csv), "--treated", "treated", "--treatment-period", "2013-07"]
+        code = (
+            "import sys, synthsel.cli; "
+            "assert not {'scipy.linalg', 'scipy.stats'} & set(sys.modules), 'import'; "
+            f"assert synthsel.cli.main(['fit', *{args}, '--estimator', 'penalized', '--lambda', '0.3']) == 0; "
+            f"assert synthsel.cli.main(['df', *{args}, '--estimator', 'penalized', '--lambda', '0.3', '--fd-check']) == 0; "
+            "loaded = {m for m in sys.modules if m.startswith('scipy.')}; "
+            "assert loaded <= {'scipy.linalg._flapack'}, loaded"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, stdout=subprocess.DEVNULL)
+
     def test_race_leaves_scipy_stats_unloaded(self):
         code = (
             "import sys; from synthsel import run_selection_benchmark; "

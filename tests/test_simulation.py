@@ -302,6 +302,22 @@ class TestBenchmark:
             assert row.mse_risk_raw is None
             assert row.mse_tau1 is not None
 
+    def test_race_without_sure_solves_no_plain_fit(self, monkeypatch):
+        # sigma-hat^2 may need a plain solve of its own (no grid fit at lam = 0
+        # here), which can raise where the race's own fits do not; only sure
+        # reads it
+        import synthsel.selection
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the race solved a plain fit")
+
+        monkeypatch.setattr(synthsel.selection, "solve_sc", refuse)
+        kwargs = dict(n_donors=8, n_pre=16, n_post=12, lambda_grid=[0.1, 0.5])
+        report = run_selection_benchmark("gaussian", ["risk", "cv_holdout"], 2, 3, **kwargs)
+        assert report.method("cv_holdout").mse_tau1 is not None
+        with pytest.raises(AssertionError, match="plain fit"):
+            run_selection_benchmark("gaussian", ["sure"], 1, 3, **kwargs)
+
     def test_unknown_design_rejected(self):
         with pytest.raises(ConfigurationError):
             run_selection_benchmark("weird", ["sure"], 2, 1)

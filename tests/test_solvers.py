@@ -1,5 +1,11 @@
 import dataclasses
+import importlib.util
+import inspect
+import os
+import subprocess
+import sys
 from functools import partial
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from synthsel import solvers
 from synthsel.errors import ConfigurationError, SingularityError
 from synthsel.panel import PanelDataset
 from synthsel.selection import _fit_grid, _fit_path, ic_for_fit, select_v_ic, tuning_grid
@@ -762,6 +769,62 @@ def test_qr_rank_matches_scipy_pivoted_qr(mat):
     rank, pivots = _qr_rank(mat)
     assert rank == expected == matrix_rank_qr(mat)
     np.testing.assert_array_equal(pivots, piv)
+
+
+def _kernel_outputs(geqp3, potrf, potrs):
+    """R, pivots, Cholesky factors and solves of a few matrices, through the
+    given LAPACK kernels."""
+    gen = np.random.default_rng(11)
+    out = []
+    for n, p in [(3, 7), (7, 3), (12, 12), (40, 9)]:
+        mat = gen.normal(size=(n, p))
+        mat[:, -1] = mat[:, 0] - mat[:, p // 2]
+        lwork = int(geqp3(np.zeros(mat.shape), lwork=-1)[3][0])
+        out.extend(geqp3(mat, lwork=lwork)[:2])
+        gram = mat.T @ mat + np.eye(p)
+        chol = potrf(gram, lower=0, clean=0)[0]
+        out.extend([chol, potrs(chol, gen.normal(size=(p, 2)), lower=0)[0]])
+    return out
+
+
+def test_lapack_kernels_are_scipys_when_loaded_first():
+    # synthsel loads scipy's compiled LAPACK module before scipy.linalg is
+    # imported; the package's own kernels must give the same bits after it
+    code = "\n".join([
+        inspect.getsource(_kernel_outputs),
+        "import sys",
+        "import numpy as np",
+        "from synthsel import solvers",
+        "assert 'scipy.linalg' not in sys.modules",
+        "import scipy.linalg",
+        "from scipy.linalg import lapack",
+        "assert scipy.linalg._flapack.dgeqp3 is lapack.dgeqp3",
+        "mine = _kernel_outputs(solvers._geqp3, solvers._potrf, solvers._potrs)",
+        "theirs = _kernel_outputs(lapack.dgeqp3, lapack.dpotrf, lapack.dpotrs)",
+        "assert all(np.array_equal(a, b) for a, b in zip(mine, theirs, strict=True))",
+        "mat = np.random.default_rng(2).normal(size=(9, 14))",
+        "_, piv = scipy.linalg.qr(mat, mode='r', pivoting=True)",
+        "assert np.array_equal(solvers._qr_rank(mat)[1], piv)",
+    ])
+    env = {**os.environ, "PYTHONPATH": str(Path(solvers.__file__).resolve().parents[1])}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_lapack_kernels_reuse_a_loaded_module_or_fall_back(monkeypatch):
+    from scipy.linalg import lapack
+
+    public = (lapack.dgeqp3, lapack.dpotrf, lapack.dpotrs)
+    assert solvers._lapack_kernels() == public
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name, package=None: None)
+    with pytest.raises(ImportError):
+        solvers._load_flapack()
+    fallback = solvers._lapack_kernels()
+    monkeypatch.undo()
+    assert fallback == public
+    mine = _kernel_outputs(solvers._geqp3, solvers._potrf, solvers._potrs)
+    for a, b in zip(mine, _kernel_outputs(*fallback), strict=True):
+        np.testing.assert_array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------
