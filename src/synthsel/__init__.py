@@ -13,7 +13,6 @@ from .solvers import (
     ActiveSets,
     KktCertificate,
     ScFit,
-    Weights,
     default_v_grid,
     matching_weights,
     simplex_ls,

@@ -109,7 +109,7 @@ def _fit_report(fit: ScFit, loaded: pio.LoadedPanel, panel: PanelDataset) -> dic
         "weights": {
             loaded.donor_names[i]: float(w)
             for i, w in enumerate(fit.beta)
-            if w > fit.weights.active_tol
+            if w > fit.active_tol
         },
         "active_set": [loaded.donor_names[i] for i in fit.sets.a],
         "rss": fit.rss,

@@ -38,12 +38,16 @@ class LoadedPanel:
     post_times: tuple[str, ...]
 
 
-def _read_rows(path: str) -> list[list[str]]:
+def _read_rows(path: str, what: str) -> list[list[str]]:
+    """The nonblank rows of the ``what`` CSV file at ``path``, at least one."""
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as handle:
-            return [row for row in csv.reader(handle) if row and any(cell.strip() for cell in row)]
+            rows = [row for row in csv.reader(handle) if row and any(cell.strip() for cell in row)]
     except (OSError, UnicodeDecodeError) as exc:
         raise PanelParseError(f"cannot read {path!r}: {exc}") from exc
+    if not rows:
+        raise PanelParseError(f"empty {what} file", row=0)
+    return rows
 
 
 def _parse_value(cell: str, row: int, column: str) -> float:
@@ -56,6 +60,18 @@ def _parse_value(cell: str, row: int, column: str) -> float:
     return value
 
 
+def _parse_rows(rows: list[list[str]], header: list[str], what: str):
+    """Each row after the header as its first cell and its other cells
+    parsed; ``PanelParseError`` at a ``what`` whose width is not the
+    header's, or at a cell that is not a finite number."""
+    for i, row in enumerate(rows[1:], start=2):
+        if len(row) != len(header):
+            raise PanelParseError(
+                f"ragged {what}: expected {len(header)} cells, found {len(row)}", row=i
+            )
+        yield row[0], [_parse_value(cell, i, header[j + 1]) for j, cell in enumerate(row[1:])]
+
+
 def load_panel(
     path: str,
     treated: str,
@@ -64,27 +80,15 @@ def load_panel(
 ) -> LoadedPanel:
     """Read an outcome panel, split it at the treatment period, and attach
     optional covariates."""
-    rows = _read_rows(path)
-    if not rows:
-        raise PanelParseError("empty input file", row=0)
+    rows = _read_rows(path, "input")
     header = [cell.strip() for cell in rows[0]]
     if not header or header[0].lower() != "time":
         raise PanelParseError("first header column must be 'time'", row=1, column=header[0] if header else "")
     units = header[1:]
     if treated not in units:
         raise PanelParseError(f"treated column {treated!r} not found", column=treated)
-    width = len(header)
-    times: list[str] = []
-    values: list[list[float]] = []
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) != width:
-            raise PanelParseError(
-                f"ragged row: expected {width} cells, found {len(row)}", row=i
-            )
-        times.append(row[0].strip())
-        values.append(
-            [_parse_value(cell, i, header[j + 1]) for j, cell in enumerate(row[1:])]
-        )
+    parsed = list(_parse_rows(rows, header, "row"))
+    times = [label.strip() for label, _ in parsed]
     if treatment_period not in times:
         raise PanelParseError(f"treatment period {treatment_period!r} not in the time column")
     cut = times.index(treatment_period)
@@ -92,42 +96,31 @@ def load_panel(
         raise PanelParseError(
             f"need at least 2 pre-treatment periods before {treatment_period!r}"
         )
-    mat = np.asarray(values, dtype=float)
+    mat = np.asarray([vals for _, vals in parsed], dtype=float)
     t_col = units.index(treated)
     donor_cols = [j for j in range(len(units)) if j != t_col]
     donor_names = tuple(units[j] for j in donor_cols)
 
     z = d = None
     if covariates_path is not None:
-        cov_rows = _read_rows(covariates_path)
-        if not cov_rows:
-            raise PanelParseError("empty covariate file", row=0)
+        cov_rows = _read_rows(covariates_path, "covariate")
         cov_header = [cell.strip() for cell in cov_rows[0]]
         if cov_header[1:] != units:
             raise PanelParseError(
                 "covariate file units must match the outcome file units in order"
             )
-        zs = []
-        ds = []
-        for i, row in enumerate(cov_rows[1:], start=2):
-            if len(row) != width:
-                raise PanelParseError(
-                    f"ragged covariate row: expected {width} cells, found {len(row)}", row=i
-                )
-            vals = [_parse_value(cell, i, cov_header[j + 1]) for j, cell in enumerate(row[1:])]
-            zs.append(vals[t_col])
-            ds.append([vals[j] for j in donor_cols])
-        z = np.asarray(zs, dtype=float)
-        d = np.asarray(ds, dtype=float)
+        cov = [vals for _, vals in _parse_rows(cov_rows, cov_header, "covariate row")]
+        z = np.asarray([vals[t_col] for vals in cov], dtype=float)
+        d = np.asarray([[vals[j] for j in donor_cols] for vals in cov], dtype=float)
 
-    has_post = cut < len(times)
+    # the treatment period is a row, so the post-period is never empty
     dataset = PanelDataset(
         y=mat[:cut, t_col],
         x=mat[:cut][:, donor_cols],
         z=z,
         d=d,
-        post_y=mat[cut:, t_col] if has_post and cut < mat.shape[0] else None,
-        post_x=mat[cut:][:, donor_cols] if has_post and cut < mat.shape[0] else None,
+        post_y=mat[cut:, t_col],
+        post_x=mat[cut:][:, donor_cols],
     )
     return LoadedPanel(
         dataset=dataset,

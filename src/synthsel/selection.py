@@ -30,16 +30,16 @@ from .errors import ConfigurationError
 from .panel import PanelDataset
 from .dof import df_hat
 from .solvers import (
+    COVARIATE,
     MASC,
     PENALIZED,
     PLAIN,
     ScFit,
     _cov_inner,
-    _cov_outer,
     _is_degenerate,
+    _no_cov_rows,
     _normal_equations,
     _outer_solve,
-    donor_sq_distances,
     masc_average,
     solve_matching,
     solve_sc,
@@ -153,13 +153,8 @@ def _fit_grid(y: np.ndarray, x: np.ndarray, kind: str, points) -> list[ScFit]:
     if kind == PENALIZED:
         y = np.asarray(y, dtype=float).ravel()  # contiguous, as solve_penalized_sc makes it
         x = np.asarray(x, dtype=float)  # as simplex_ls sees it, to share its X'X, X'y
-        q = donor_sq_distances(y, x)
-        normal = _normal_equations(y, x)
-
-        def solve(lam, prev):
-            start = getattr(prev, "beta", None)
-            return _outer_solve(PENALIZED, y, x, lam, q, start, prev=prev, normal=normal)
-
+        solve = functools.partial(_outer_solve, PENALIZED, y, x, _no_cov_rows(y, x),
+                                  normal=_normal_equations(y, x))
         return _fit_path([pt.lam for pt in points], solve)
     if kind == MASC:
         fit_sc = solve_sc(y, x)
@@ -276,7 +271,7 @@ def select_v_ic(
     scores = []
     for inner in inners:
         points += [TuningPoint(float(lam), v=tuple(inner.v)) for lam in lams]
-        fits = _fit_path(lams, functools.partial(_cov_outer, y, x, inner, normal=normal))
+        fits = _fit_path(lams, functools.partial(_outer_solve, COVARIATE, y, x, inner, normal=normal))
         scores += [ic_for_fit(fit, s2) for fit in fits]
     return _select(points, np.asarray(scores), s2, METHOD_SURE)
 

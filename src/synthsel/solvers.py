@@ -100,22 +100,9 @@ def default_active_tol(beta: np.ndarray) -> float:
     return 1e-8 * (1.0 + _absmax(beta))
 
 
-@dataclass(frozen=True)
-class Weights:
-    """Donor weight vector; ``active_tol`` is the threshold that defines its
-    support."""
-
-    beta: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "beta", np.asarray(self.beta, dtype=float).ravel())
-
-    @property
-    def active_tol(self) -> float:
-        return default_active_tol(self.beta)
-
-    def active_set(self) -> tuple[int, ...]:
-        return tuple((self.beta > self.active_tol).nonzero()[0].tolist())
+def _active_set(beta: np.ndarray) -> tuple[int, ...]:
+    """Indices of the entries of ``beta`` above ``default_active_tol``."""
+    return tuple((beta > default_active_tol(beta)).nonzero()[0].tolist())
 
 
 @dataclass(frozen=True)
@@ -139,7 +126,7 @@ class ActiveSets:
 
 @dataclass(frozen=True)
 class KktCertificate:
-    """First-order certificate of the returned solution.
+    """A solution ``beta`` of the engine and its first-order certificate.
 
     ``mu`` are the nonnegativity multipliers (``<= 0`` at an optimum),
     ``eq_multipliers`` the equality multipliers with the sum-to-one row
@@ -147,6 +134,7 @@ class KktCertificate:
     optima had to be broken by the canonicalization re-solve.
     """
 
+    beta: np.ndarray
     stationarity_residual: float
     complementarity_gap: float
     eq_multipliers: np.ndarray
@@ -175,7 +163,7 @@ class ScFit:
     """
 
     kind: str
-    weights: Weights
+    beta: np.ndarray
     fitted: np.ndarray
     residuals: np.ndarray
     sets: ActiveSets
@@ -188,8 +176,16 @@ class ScFit:
     cov_eq_rows: tuple[int, ...] = ()
 
     @property
-    def beta(self) -> np.ndarray:
-        return self.weights.beta
+    def active_tol(self) -> float:
+        """The threshold that defines the support of ``beta``."""
+        return default_active_tol(self.beta)
+
+    @property
+    def weights(self) -> ScFit:
+        """The fit itself, so ``fit.weights.beta`` and
+        ``fit.weights.active_tol`` read ``beta`` and ``active_tol`` (the
+        benchmark harness in ``perfbench/`` reads the latter)."""
+        return self
 
     @property
     def rss(self) -> float:
@@ -198,28 +194,6 @@ class ScFit:
     @property
     def n_active(self) -> int:
         return len(self.sets.a)
-
-
-@dataclass(frozen=True)
-class EngineResult:
-    """Raw output of the simplex quadratic program engine."""
-
-    beta: np.ndarray
-    eq_multipliers: np.ndarray
-    mu: np.ndarray
-    stationarity_residual: float
-    complementarity_gap: float
-    iterations: int
-
-    def certificate(self, degenerate: bool = False) -> KktCertificate:
-        return KktCertificate(
-            stationarity_residual=self.stationarity_residual,
-            complementarity_gap=self.complementarity_gap,
-            eq_multipliers=self.eq_multipliers,
-            mu=self.mu,
-            iterations=self.iterations,
-            degenerate=degenerate,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -347,10 +321,10 @@ def simplex_ls(
     eq_rhs: np.ndarray | None = None,
     start: np.ndarray | None = None,
     _normal: tuple[np.ndarray, np.ndarray] | None = None,
-) -> EngineResult:
+) -> KktCertificate:
     """Minimize ``0.5||target - design @ b||^2 + lin'b`` over the scaled
     simplex ``{b >= 0, sum(b) = sum_to}`` intersected with optional extra
-    equality rows.
+    equality rows; returns the minimizer with its certificate.
 
     Deterministic: the start vertex, release rule (largest violating
     multiplier, lowest index on ties) and blocking rule (smallest step,
@@ -447,7 +421,14 @@ def simplex_ls(
             mu[free] = 0.0
             # mu is zero on the (nonempty) free set, so its max is >= 0
             if mu.max() <= release_tol:
-                return _finalize(beta, free, grad, a_mat, xi, mu, iteration)
+                return KktCertificate(
+                    beta=beta,
+                    stationarity_residual=_absmax(grad + a_mat.T @ xi + mu),
+                    complementarity_gap=_absmax(mu * beta),
+                    eq_multipliers=xi,
+                    mu=mu,
+                    iterations=iteration,
+                )
             obj = _objective(beta)
             if obj < best_obj - 1e-14 * (1.0 + abs(best_obj)):
                 best_obj = obj
@@ -513,18 +494,6 @@ def _feasible_start(start, p: int, sum_to: float) -> np.ndarray:
     return beta
 
 
-def _finalize(beta, free, grad, a_mat, xi, mu, iterations) -> EngineResult:
-    lagrangian_grad = grad + a_mat.T @ xi + mu
-    return EngineResult(
-        beta=beta,
-        eq_multipliers=xi,
-        mu=mu,
-        stationarity_residual=_absmax(lagrangian_grad),
-        complementarity_gap=_absmax(mu * beta),
-        iterations=iterations,
-    )
-
-
 # ---------------------------------------------------------------------------
 # rank with the package-wide tolerance
 # ---------------------------------------------------------------------------
@@ -578,22 +547,23 @@ def _build_fit(
     kind: str,
     y: np.ndarray,
     x: np.ndarray,
-    res: EngineResult,
+    cert: KktCertificate,
     *,
-    lam: float = 0.0,
-    m: int | None = None,
-    v: np.ndarray | None = None,
     sq_dist: np.ndarray | None = None,
-    cov_eq_rows: tuple[int, ...] = (),
+    m_rows: tuple[int, ...] = (),
+    e_rows: tuple[int, ...] = (),
     degenerate: bool = False,
     prev: ScFit | None = None,
+    **fields,
 ) -> ScFit:
-    """The fit of engine result ``res``.  ``prev``, a fit of the same ``x``
-    (None if there is none), lends its ``rank_xa`` when its active set is
-    this fit's: the rank is then one of the same columns."""
-    beta = res.beta
-    weights = Weights(beta=beta)
-    sets = ActiveSets(a=weights.active_set())
+    """The fit of engine solution ``cert``, its certificate flagged
+    ``degenerate`` when ties between optima were broken; ``m_rows`` and
+    ``e_rows`` are its covariate sets (see ``ActiveSets``) and ``fields``
+    go to the fit.  ``prev``, a fit of the same ``x`` (None if there is
+    none), lends its ``rank_xa`` when its active set is this fit's: the rank
+    is then one of the same columns."""
+    beta = cert.beta
+    sets = ActiveSets(a=_active_set(beta), m=m_rows, e=e_rows)
     fitted = x @ beta
     if prev is not None and prev.sets.a == sets.a:
         rank_xa = prev.rank_xa
@@ -601,17 +571,14 @@ def _build_fit(
         rank_xa = matrix_rank_qr(x[:, list(sets.a)]) if sets.a else 0
     return ScFit(
         kind=kind,
-        weights=weights,
+        beta=beta,
         fitted=fitted,
         residuals=y - fitted,
         sets=sets,
-        kkt=res.certificate(degenerate=degenerate),
-        lam=lam,
-        m=m,
-        v=v,
+        kkt=replace(cert, degenerate=True) if degenerate else cert,
         rank_xa=rank_xa,
         donor_sq_distances=sq_dist if sq_dist is not None else donor_sq_distances(y, x),
-        cov_eq_rows=cov_eq_rows,
+        **fields,
     )
 
 
@@ -654,60 +621,97 @@ def solve_penalized_sc(y: np.ndarray, x: np.ndarray, lam: float) -> ScFit:
 
     The penalty is linear in ``b``, so the same engine runs with a shifted
     linear coefficient; ``lam = 0`` coincides with the plain estimator.
+    This is the covariate estimator's outer solve with no covariate rows.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
-    return _outer_solve(PENALIZED, y, x, lam, donor_sq_distances(y, x), None)
+    return _outer_solve(PENALIZED, y, x, _no_cov_rows(y, x), lam, None)
+
+
+@dataclass(frozen=True)
+class _CovInner:
+    """What the outer solve needs of the covariate rows at one diagonal
+    weighting ``v``, none of it dependent on ``lam``: the informative
+    weighted rows ``e_rows``, the rows the inner solution fits exactly
+    (``exact_rows``, the outer equality rows), the cold start of the outer
+    solve (that inner solution when ``exact_rows`` is not empty, else None),
+    the inner residual tolerance and the donor distances of the penalty.
+    The penalized estimator's has no rows (``_no_cov_rows``)."""
+
+    z: np.ndarray
+    d: np.ndarray
+    v: np.ndarray | None
+    e_rows: tuple[int, ...]
+    exact_rows: tuple[int, ...]
+    cold_start: np.ndarray | None
+    r_tol: float
+    sq_dist: np.ndarray
+
+
+def _no_cov_rows(y: np.ndarray, x: np.ndarray) -> _CovInner:
+    """The ``_CovInner`` of a fit without covariate rows and weighting."""
+    return _CovInner(np.zeros(0), np.zeros((0, x.shape[1])), None, (), (), None, 0.0,
+                     donor_sq_distances(y, x))
 
 
 def _outer_solve(
     kind: str,
     y: np.ndarray,
     x: np.ndarray,
+    inner: _CovInner,
     lam: float,
-    sq_dist: np.ndarray,
-    start,
+    prev: ScFit | None,
     *,
-    prev: ScFit | None = None,
     normal=None,
-    cold_start=None,
-    eq_mat: np.ndarray | None = None,
-    eq_rhs: np.ndarray | None = None,
-    **fields,
 ) -> ScFit:
     """The outer solve of the penalized and covariate estimators:
-    ``0.5||y - X b||^2 + 0.5 lam sq_dist'b`` over the simplex, subject to
-    ``eq_mat b = eq_rhs`` when those rows are given.
+    ``0.5||y - X b||^2 + 0.5 lam q'b`` over the simplex, ``q`` being
+    ``inner.sq_dist``, with the exactly-fit covariate rows
+    ``inner.exact_rows`` as equality rows (a penalized fit has none).
 
-    ``lam`` must be finite and ``>= 0``.  The solve starts from ``start``
-    when it is not None (a feasible weight vector, such as the fit at a
-    neighbouring ``lam`` on a grid) and from ``cold_start`` otherwise
-    (None: the engine's start vertex).  A warm start never changes the
-    answer: the warm fit is kept only where ``_is_unique_optimum`` holds,
-    which pins the optimum with equality rows as without them, so it
-    equals the cold fit; otherwise the point is solved again from
-    ``cold_start``.  ``prev`` is a fit of the same ``x`` solved before, such
-    as that neighbour, or None; see ``_build_fit``.  ``normal`` is
+    ``lam`` must be finite and ``>= 0``.  ``prev`` is a fit of the same
+    ``x`` solved before, such as the fit at a neighbouring ``lam`` on a
+    grid, or None; it lends its rank (see ``_build_fit``).  The solve
+    starts from ``prev.beta`` when ``prev`` has the same equality rows and
+    from ``inner.cold_start`` otherwise (None: the engine's start vertex).
+    A warm start never changes the answer: the warm fit is kept only where
+    ``_is_unique_optimum`` holds, which pins the optimum with equality rows
+    as without them, so it equals the cold fit; otherwise the point is
+    solved again from the cold start.  If the weighted rows left unfit are
+    at least as numerous as the active donors minus one, the equality rows
+    exert no force and the fit reduces to the plain estimator on its active
+    set: the rows are dropped, the point is solved again from the start
+    vertex, and the switch is flagged as degenerate.  ``normal`` is
     ``_normal_equations(y, x)`` when the caller computed it once for a
-    whole path of solves on ``(y, x)``, or None.  ``fields`` go to the fit.
+    whole path of solves on ``(y, x)``, or None.
     """
     if not np.isfinite(lam) or lam < 0:
         raise ConfigurationError(f"penalty parameter must be finite and >= 0, got {lam}")
-    lin = 0.5 * lam * sq_dist
+    lin = 0.5 * lam * inner.sq_dist
 
-    def _fit(beta, donor) -> ScFit:
-        res = simplex_ls(y, x, lin=lin, eq_mat=eq_mat, eq_rhs=eq_rhs, start=beta, _normal=normal)
-        return _build_fit(kind, y, x, res, lam=float(lam), sq_dist=sq_dist, prev=donor, **fields)
+    def _fit(eq_rows: tuple[int, ...], start, donor, degenerate=False) -> ScFit:
+        rows = list(eq_rows)
+        cert = simplex_ls(y, x, lin=lin, eq_mat=inner.d[rows], eq_rhs=inner.z[rows],
+                          start=start, _normal=normal)
+        cov_res = inner.d @ cert.beta - inner.z
+        m_rows = tuple(i for i in range(cov_res.shape[0]) if abs(cov_res[i]) > inner.r_tol)
+        return _build_fit(kind, y, x, cert, sq_dist=inner.sq_dist, m_rows=m_rows,
+                          e_rows=inner.e_rows, degenerate=degenerate, prev=donor,
+                          lam=float(lam), v=inner.v, cov_eq_rows=eq_rows)
 
-    fit = _fit(cold_start if start is None else start, prev)
-    if start is not None:
+    rows = inner.exact_rows
+    warm = prev is not None and prev.cov_eq_rows == rows
+    fit = _fit(rows, prev.beta if warm else inner.cold_start, prev)
+    if warm:
         xty = x.T @ y if normal is None else normal[1]
         if not _is_unique_optimum(fit, xty - lin):
-            fit = _fit(cold_start, fit)
+            fit = _fit(rows, inner.cold_start, fit)
+    if rows and _covariate_rows_idle(fit):
+        fit = _fit((), None, fit, degenerate=True)
     return fit
 
 
-def matching_weights(y: np.ndarray, x: np.ndarray, m: int) -> Weights:
+def matching_weights(y: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
     """Uniform weight 1/m on the m nearest donors (ties by lowest index)."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     p = x.shape[1]
@@ -717,7 +721,7 @@ def matching_weights(y: np.ndarray, x: np.ndarray, m: int) -> Weights:
     order = np.argsort(dist, kind="stable")
     beta = np.zeros(p)
     beta[order[:m]] = 1.0 / m
-    return Weights(beta=beta)
+    return beta
 
 
 def solve_matching(y: np.ndarray, x: np.ndarray, m: int) -> ScFit:
@@ -725,15 +729,14 @@ def solve_matching(y: np.ndarray, x: np.ndarray, m: int) -> ScFit:
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
     # the weights are not an engine solution: an all-zero certificate
-    res = EngineResult(
-        beta=matching_weights(y, x, m).beta,
-        eq_multipliers=np.zeros(1),
-        mu=np.zeros(x.shape[1]),
+    cert = KktCertificate(
+        beta=matching_weights(y, x, m),
         stationarity_residual=0.0,
         complementarity_gap=0.0,
-        iterations=0,
+        eq_multipliers=np.zeros(1),
+        mu=np.zeros(x.shape[1]),
     )
-    return _build_fit(MATCHING, y, x, res, m=int(m))
+    return _build_fit(MATCHING, y, x, cert, m=int(m))
 
 
 def solve_masc(y: np.ndarray, x: np.ndarray, lam: float, m: int) -> ScFit:
@@ -764,7 +767,7 @@ def masc_average(y: np.ndarray, fit_sc: ScFit, fit_ma: ScFit, lam: float) -> ScF
     fitted = lam * fit_ma.fitted + (1.0 - lam) * fit_sc.fitted
     return ScFit(
         kind=MASC,
-        weights=Weights(beta=beta),
+        beta=beta,
         fitted=fitted,
         residuals=np.asarray(y, dtype=float).ravel() - fitted,
         sets=fit_sc.sets,
@@ -827,24 +830,7 @@ def solve_sc_cov_inner(
         # the penalized solver, which rejects the invalid ones
         base = solve_sc(y, x) if lam == 0 else solve_penalized_sc(y, x, lam)
         return replace(base, kind=COVARIATE, lam=float(lam), v=v)
-    return _cov_outer(y, x, _cov_inner(y, x, z, d, v), lam, None)
-
-
-@dataclass(frozen=True)
-class _CovInner:
-    """The ``lam``-independent first stage of the covariate estimator at one
-    diagonal weighting ``v``: the informative weighted rows ``e_rows``, the
-    rows the inner solution fits exactly (``exact_rows``, the outer
-    equality rows) and that solution, the start of the outer solve."""
-
-    z: np.ndarray
-    d: np.ndarray
-    v: np.ndarray
-    e_rows: tuple[int, ...]
-    exact_rows: tuple[int, ...]
-    inner_beta: np.ndarray | None
-    r_tol: float
-    sq_dist: np.ndarray
+    return _outer_solve(COVARIATE, y, x, _cov_inner(y, x, z, d, v), lam, None)
 
 
 def _cov_inner(y, x, z, d, v) -> _CovInner:
@@ -876,7 +862,8 @@ def _cov_inner(y, x, z, d, v) -> _CovInner:
         inner_beta = simplex_ls(sqrt_v * z[rows], sqrt_v[:, None] * d[rows]).beta
         inner_res = d[rows] @ inner_beta - z[rows]
         exact_rows = tuple(row for row, r in zip(e_rows, inner_res) if abs(r) <= r_tol)
-    return _CovInner(z, d, v, e_rows, exact_rows, inner_beta, r_tol, donor_sq_distances(y, x))
+    cold_start = inner_beta if exact_rows else None
+    return _CovInner(z, d, v, e_rows, exact_rows, cold_start, r_tol, donor_sq_distances(y, x))
 
 
 def _covariate_rows_idle(fit: ScFit) -> bool:
@@ -884,35 +871,6 @@ def _covariate_rows_idle(fit: ScFit) -> bool:
     the active donors minus one: the exactly-fit rows then exert no force,
     and the fit is the plain estimator's on its active set."""
     return len(fit.sets.m_and_e) >= fit.n_active - 1
-
-
-def _cov_outer(y, x, inner: _CovInner, lam: float, prev: ScFit | None, *, normal=None) -> ScFit:
-    """Stage two of ``solve_sc_cov_inner``: ``_outer_solve`` with the
-    exactly-fit rows as equality rows, started from the inner solution.
-    A fit ``prev`` at a neighbouring ``lam`` starts it instead when its
-    equality rows are the same; one that took the reduction to the plain
-    estimator has none and does not.  The reduction is always solved from
-    the cold start vertex.  ``normal`` goes to ``_outer_solve``.
-    """
-
-    def _fit(eq_rows: tuple[int, ...], start_beta, cold_start, donor=None, degenerate=False):
-        rows = list(eq_rows)
-        fit = _outer_solve(COVARIATE, y, x, lam, inner.sq_dist, start_beta, prev=donor,
-                           normal=normal, cold_start=cold_start, eq_mat=inner.d[rows],
-                           eq_rhs=inner.z[rows], v=inner.v, cov_eq_rows=eq_rows,
-                           degenerate=degenerate)
-        cov_res = inner.d @ fit.beta - inner.z
-        m_rows = tuple(i for i in range(cov_res.shape[0]) if abs(cov_res[i]) > inner.r_tol)
-        return replace(fit, sets=ActiveSets(a=fit.sets.a, m=m_rows, e=inner.e_rows))
-
-    rows = inner.exact_rows
-    start = prev.beta if prev is not None and prev.cov_eq_rows == rows else None
-    fit = _fit(rows, start, inner.inner_beta if rows else None)
-    if rows and _covariate_rows_idle(fit):
-        # with this many unfit weighted rows the equality rows carry no
-        # force; drop them, re-solve once, and flag the switch
-        fit = _fit((), None, None, donor=fit, degenerate=True)
-    return fit
 
 
 def default_v_grid(n_cov: int) -> list[np.ndarray]:

@@ -173,7 +173,7 @@ class TestPenaltyDistance:
         y = np.zeros(2)
         x = np.array([[np.sqrt(2.0), 2.0], [0.0, 0.0]])
         fit = solve_sc(y, x)
-        object.__setattr__(fit.weights, "beta", np.array([0.5, 0.5]))
+        object.__setattr__(fit, "beta", np.array([0.5, 0.5]))
         assert penalty_distance(fit) == pytest.approx(3.0)
 
     def test_non_increasing_along_penalty_path(self):
