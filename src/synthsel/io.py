@@ -85,6 +85,9 @@ def load_panel(
     if not header or header[0].lower() != "time":
         raise PanelParseError("first header column must be 'time'", row=1, column=header[0] if header else "")
     units = header[1:]
+    repeated = next((u for i, u in enumerate(units) if u in units[:i]), None)
+    if repeated is not None:
+        raise PanelParseError(f"unit {repeated!r} repeated in the header", row=1, column=repeated)
     if treated not in units:
         raise PanelParseError(f"treated column {treated!r} not found", column=treated)
     parsed = list(_parse_rows(rows, header, "row"))
@@ -110,6 +113,8 @@ def load_panel(
                 "covariate file units must match the outcome file units in order"
             )
         cov = [vals for _, vals in _parse_rows(cov_rows, cov_header, "covariate row")]
+        if not cov:
+            raise PanelParseError(f"covariate file {covariates_path!r} has a header and no rows")
         z = np.asarray([vals[t_col] for vals in cov], dtype=float)
         d = np.asarray([[vals[j] for j in donor_cols] for vals in cov], dtype=float)
 

@@ -202,20 +202,19 @@ class ScFit:
 
 
 def _eq_ls_solve(gram, g, a_mat, rhs):
-    """Solve ``G b + A' xi = g``, ``A b = rhs`` for (b, xi, consistent).
+    """Solve ``G b + A' xi = g``, ``A b = rhs`` for (b, xi, consistent),
+    where ``A`` holds the sum row first and any extra equality rows below.
 
     The fast path factors the Gram block with LAPACK ``potrf``/``potrs``
     (what ``cho_factor``/``cho_solve`` call, minus their argument
     checking, which costs more than the solve at working-set sizes) and
     solves the ``h x h`` Schur complement ``A G^-1 A'`` directly: with the
-    sum row alone (``h = 1``) and one right-hand side that is one division,
-    which is what LAPACK's ``1 x 1`` ``gesv`` computes, bit for bit.  It
-    falls back to a minimum-norm solve of the full KKT system.  Either way
-    the candidate is validated by its own KKT residual: ``consistent=False``
-    means the face problem has no stationary point (a rank-deficient Gram
-    with a descent ray), which the caller must handle directionally.  ``g``
-    and ``rhs`` may also be matrices with one column per right-hand side,
-    as for the hat matrix.
+    sum row alone (``h = 1``) that is one division, which is what LAPACK's
+    ``1 x 1`` ``gesv`` computes, bit for bit.  It falls back to a
+    minimum-norm solve of the full KKT system.  Either way the candidate is
+    validated by its own KKT residual: ``consistent=False`` means the face
+    problem has no stationary point (a rank-deficient Gram with a descent
+    ray), which the caller must handle directionally.
     """
     k = gram.shape[0]
     h = a_mat.shape[0]
@@ -225,12 +224,9 @@ def _eq_ls_solve(gram, g, a_mat, rhs):
         if info:
             raise np.linalg.LinAlgError("Gram block is not positive definite")
         gi_g = _potrs(chol, g, lower=0)[0]
-        if h == 0:
-            beta, xi = gi_g, np.zeros(0)
-        else:
-            gi_at = _potrs(chol, a_mat.T, lower=0)[0]
-            xi = _schur_solve(a_mat @ gi_at, a_mat @ gi_g - rhs)
-            beta = gi_g - gi_at @ xi
+        gi_at = _potrs(chol, a_mat.T, lower=0)[0]
+        xi = _schur_solve(a_mat @ gi_at, a_mat @ gi_g - rhs)
+        beta = gi_g - gi_at @ xi
         if _kkt_residual(gram, g, a_mat, rhs, beta, xi) <= 1e-9 * scale:
             return beta, xi, True
     except np.linalg.LinAlgError:
@@ -247,10 +243,10 @@ def _eq_ls_solve(gram, g, a_mat, rhs):
 
 
 def _schur_solve(schur, resid):
-    """``np.linalg.solve(schur, resid)``; a ``1 x 1`` system with one
-    right-hand side is the one division LAPACK's ``gesv`` makes, without
-    its call overhead.  A zero pivot raises ``LinAlgError`` either way."""
-    if resid.ndim == 1 and resid.shape[0] == 1:
+    """``np.linalg.solve(schur, resid)``; a ``1 x 1`` system is the one
+    division LAPACK's ``gesv`` makes, without its call overhead.  A zero
+    pivot raises ``LinAlgError`` either way."""
+    if resid.shape[0] == 1:
         pivot = schur[0, 0]
         if pivot == 0.0:
             raise np.linalg.LinAlgError("Singular matrix")
@@ -259,10 +255,7 @@ def _schur_solve(schur, resid):
 
 
 def _kkt_residual(gram, g, a_mat, rhs, beta, xi) -> float:
-    stat = gram @ beta - g
-    if not a_mat.shape[0]:
-        return _absmax(stat)
-    return max(_absmax(stat + a_mat.T @ xi), _absmax(a_mat @ beta - rhs))
+    return max(_absmax(gram @ beta - g + a_mat.T @ xi), _absmax(a_mat @ beta - rhs))
 
 
 def _null_descent_direction(design_f, a_f, lin_f):
@@ -283,27 +276,24 @@ def _null_descent_direction(design_f, a_f, lin_f):
 
 
 def eq_constrained_hat(design: np.ndarray, eq_mat: np.ndarray) -> np.ndarray:
-    """Hat matrix of equality-constrained least squares.
-
-    ``P - X G^-1 E' (E G^-1 E')^-1 E G^-1 X'`` with ``G = X'X`` and ``P``
-    the unconstrained projection, obtained by solving the subproblem with
-    right-hand side ``X'`` and zero constraint values; the trace is rank(X)
-    minus the number of independent constraint rows.  As many rows as
-    columns pin ``b`` and leave nothing to fit: the matrix is then exactly
-    zero, where the Schur complement would leave rounding of order
-    ``cond(E)^2 * eps`` (2e-9 in the trace at ``cond(E) = 4600``).
-    Raises ``SingularityError`` unless ``X'X`` and ``E (X'X)^-1 E'`` are
-    invertible.
+    """Hat matrix of equality-constrained least squares: the orthogonal
+    projection ``Q Q'`` onto the range of ``X N``, where the columns of
+    ``N`` span ``null(E)`` (the trailing columns of a complete QR of
+    ``E'``) and ``Q`` is an orthonormal basis from the QR of ``X N``.  Its
+    trace is rank(X) minus the number of constraint rows to rounding, and
+    as many rows as columns leave an empty basis and an exactly zero
+    matrix.  Raises ``SingularityError`` unless ``X`` has full column rank
+    and ``E`` full row rank, that is unless ``X'X`` and ``E (X'X)^-1 E'``
+    are invertible.
     """
     x = np.asarray(design, dtype=float)
     if matrix_rank_qr(x) < x.shape[1]:
         raise SingularityError("X'X", "design not of full column rank")
     if matrix_rank_qr(eq_mat) < eq_mat.shape[0]:
         raise SingularityError("E (X'X)^-1 E'", "numerically dependent rows")
-    if eq_mat.shape[0] == x.shape[1]:
-        return np.zeros((x.shape[0], x.shape[0]))
-    beta, _, _ = _eq_ls_solve(x.T @ x, x.T, eq_mat, np.zeros((eq_mat.shape[0], x.shape[0])))
-    return x @ beta
+    null = np.linalg.qr(eq_mat.T, mode="complete")[0][:, eq_mat.shape[0]:]
+    q = np.linalg.qr(x @ null)[0]
+    return q @ q.T
 
 
 # ---------------------------------------------------------------------------

@@ -31,3 +31,13 @@ def random_design(gen, shape):
         x = np.column_stack([x, x[:, gen.integers(0, p, size=2)]])
     y = x @ gen.dirichlet(np.ones(x.shape[1])) + 0.3 * gen.normal(size=n)
     return y, x
+
+
+def near_common_rows(gen, k):
+    """The sum row over ``k`` donors plus 1-3 rows, each one common vector
+    plus noise of relative size 1e-4 to 1e-3: covariates that barely differ
+    across donors, which make ``E`` ill conditioned."""
+    common = gen.normal(size=k)
+    rows = [common + 10 ** gen.uniform(-4, -3) * gen.normal(size=k)
+            for _ in range(int(gen.integers(1, 4)))]
+    return np.vstack([np.ones(k), *rows])

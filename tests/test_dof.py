@@ -21,7 +21,7 @@ from synthsel.solvers import (
     solve_sc_cov_inner,
 )
 
-from conftest import make_instance
+from conftest import make_instance, near_common_rows
 from oracles import rank_one_correction_divergence
 
 
@@ -265,6 +265,19 @@ def test_df_hat_equals_divergence_trace_for_every_kind(seed):
     ]
     for fit, d in fits:
         assert abs(df_hat(fit).df_hat - divergence(fit, x, d).trace) <= 1e-9
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_df_hat_equals_divergence_trace_with_near_common_covariate_rows(seed):
+    gen = np.random.default_rng(seed)
+    x = gen.normal(size=(24, 12))
+    w = gen.dirichlet(np.ones(12))
+    y = x @ w + 0.3 * gen.normal(size=24)
+    d = near_common_rows(gen, 12)[1:]
+    fit = solve_sc_cov_inner(y, x, d @ w, d, np.full(d.shape[0], 1.0 / d.shape[0]),
+                             lam=float(gen.uniform(0.0, 1.0)))
+    assert abs(df_hat(fit).df_hat - divergence(fit, x, d).trace) <= 1e-12
 
 
 def test_covariate_phase_transition_profile():

@@ -98,6 +98,12 @@ class TestLoadPanel:
         np.testing.assert_array_equal(loaded.dataset.z, [1.0, 4.0])
         np.testing.assert_array_equal(loaded.dataset.d, [[2.0, 3.0], [5.0, 6.0]])
 
+    def test_repeated_unit_in_the_header_is_named(self, tmp_path):
+        path = tmp_path / "dup.csv"
+        path.write_text("time,treated,a,b,b\n1,1,2,3,4\n2,1,2,3,4\n3,1,2,3,4\n")
+        with pytest.raises(PanelParseError, match=r"'b' repeated .*row 1, column 'b'"):
+            load_panel(str(path), "treated", "3")
+
     def test_round_trip_preserves_dataset(self, tmp_path, panel_csv):
         loaded = load_panel(str(panel_csv), "treated", "2013-07")
         out = tmp_path / "rt.csv"
@@ -454,6 +460,15 @@ class TestCli:
         error = json.loads(capsys.readouterr().out)["error"]
         assert error["type"] == "PanelParseError"
         assert "absent.csv" in error["message"]
+
+    def test_header_only_covariate_file_exits_one_naming_it(self, panel_csv, tmp_path, capsys):
+        cov = tmp_path / "covh.csv"
+        cov.write_text("cov,treated,d1,d2\n")
+        argv = self._fit_args(panel_csv, "--covariates", str(cov), "--estimator", "covariate")
+        assert cli.main(argv) == 1
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "PanelParseError"
+        assert "covh.csv" in error["message"] and "no rows" in error["message"]
 
     def test_usage_error_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
