@@ -26,6 +26,7 @@ from .solvers import (
     PENALIZED,
     PLAIN,
     ScFit,
+    _warm_source,
     default_v_grid,
     solve_masc,
     solve_penalized_sc,
@@ -74,18 +75,22 @@ def _load(args) -> pio.LoadedPanel:
     return pio.preprocess_loaded(loaded, ma_window=args.ma_window, demean=args.demean)
 
 
-def _fit_one(args, panel: PanelDataset, y: np.ndarray | None = None) -> ScFit:
-    """Fit the chosen estimator to ``panel``, or to the outcome ``y`` against
-    the panel's already-validated donors and covariates."""
+def _estimator(args, panel: PanelDataset):
+    """The chosen estimator as ``solve(y, prev)``: the fit of the outcome
+    ``y`` against the panel's already-validated donors and covariates,
+    started from ``prev``, a fit of the same estimator to a nearby outcome,
+    or cold when it is None.  A solve keeps a warm fit only where it equals
+    the cold one, so ``prev`` changes the work and never the fit; the
+    covariate search over V ignores it."""
     kind = args.estimator
     lam = args.lam
-    y = panel.y if y is None else y
+    x = panel.x
     if kind == PLAIN:
-        return solve_sc(y, panel.x)
+        return lambda y, prev: solve_sc(y, x, _prev=prev)
     if kind == PENALIZED:
-        return solve_penalized_sc(y, panel.x, lam)
+        return lambda y, prev: solve_penalized_sc(y, x, lam, _prev=prev)
     if kind == MASC:
-        return solve_masc(y, panel.x, lam, args.m)
+        return lambda y, prev: solve_masc(y, x, lam, args.m, _prev=prev)
     if kind == COVARIATE:
         if not panel.has_covariates:
             raise ConfigurationError("covariate estimator requires --covariates")
@@ -94,9 +99,16 @@ def _fit_one(args, panel: PanelDataset, y: np.ndarray | None = None) -> ScFit:
                 v = np.asarray([float(tok) for tok in args.v.split(",")])
             except ValueError as exc:
                 raise ConfigurationError(f"cannot parse --v {args.v!r}: {exc}")
-            return solve_sc_cov_inner(y, panel.x, panel.z, panel.d, v, lam=lam)
-        return solve_sc_cov(y, panel.x, panel.z, panel.d, default_v_grid(panel.n_cov), lam=lam)
+            z, d = panel.z, panel.d
+            return lambda y, prev: solve_sc_cov_inner(y, x, z, d, v, lam=lam, _prev=prev)
+        v_grid = default_v_grid(panel.n_cov)
+        return lambda y, prev: solve_sc_cov(y, x, panel.z, panel.d, v_grid, lam=lam)
     raise ConfigurationError(f"unknown estimator {kind!r}")
+
+
+def _fit_one(args, panel: PanelDataset) -> ScFit:
+    """Fit the chosen estimator to ``panel``."""
+    return _estimator(args, panel)(panel.y, None)
 
 
 def _fit_report(fit: ScFit, loaded: pio.LoadedPanel, panel: PanelDataset) -> dict:
@@ -226,7 +238,8 @@ def _cmd_cv(args) -> dict:
 def _cmd_df(args) -> dict:
     loaded = _load(args)
     panel = loaded.dataset
-    fit = _fit_one(args, panel)
+    solve = _estimator(args, panel)
+    fit = solve(panel.y, None)
     report = df_hat(fit)
     div = divergence(fit, panel.x, panel.d)
     results = {
@@ -241,7 +254,10 @@ def _cmd_df(args) -> dict:
         "divergence_trace": div.trace,
     }
     if args.fd_check:
-        fd = divergence_fd_oracle(lambda y: _fit_one(args, panel, y), panel.y)
+        # each perturbed outcome is solved from the fit it perturbs, when
+        # that fit is the unique optimum
+        prev = _warm_source(fit, panel.y, panel.x)
+        fd = divergence_fd_oracle(lambda y: solve(y, prev), panel.y)
         results["fd_check"] = {
             "max_abs_deviation": float(np.max(np.abs(div.matrix - fd.matrix))),
             "active_set_changed": fd.active_set_changed,

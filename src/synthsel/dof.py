@@ -154,7 +154,8 @@ def divergence_fd_oracle(solver, y: np.ndarray, step: float | None = None) -> Fd
 
     ``solver`` maps an outcome vector to an object with ``fitted`` and
     ``sets`` attributes and must be deterministic.  Each coordinate is
-    perturbed by ``+-step`` (default ``1e-5 * max(1, ||y||_inf)``) and the
+    perturbed by ``+-step`` (default ``1e-5 * max(1, ||y||_inf)``; a step
+    that is not finite and positive raises ``ConfigurationError``) and the
     fitted values differenced.  Coordinates at which the active sets flip
     are recorded: the analytic divergence is only defined away from those
     instability points, so flagged comparisons should be excluded rather
@@ -164,8 +165,8 @@ def divergence_fd_oracle(solver, y: np.ndarray, step: float | None = None) -> Fd
     n = y.shape[0]
     if step is None:
         step = 1e-5 * max(1.0, float(np.max(np.abs(y), initial=0.0)))
-    if step <= 0:
-        raise ConfigurationError("finite-difference step must be positive")
+    if not np.isfinite(step) or step <= 0:
+        raise ConfigurationError(f"finite-difference step must be finite and positive, got {step}")
     base_sets = solver(y).sets
 
     columns = []

@@ -462,8 +462,23 @@ def _step_to_bound(beta: np.ndarray, direction: np.ndarray, idx: np.ndarray):
 
 
 def _normal_equations(y: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(x'x, x'y)``, which ``simplex_ls`` forms from its target and design."""
+    """``(x'x, x'y)``, which ``simplex_ls`` forms from its target and design.
+    ``ConfigurationError`` names the first NaN or infinite entry of either,
+    so a path of solves on one design checks its data once."""
+    if not (np.isfinite(y).all() and np.isfinite(x).all()):
+        _check_finite("target", y)
+        _check_finite("design", x)
     return x.T @ x, x.T @ y
+
+
+def _check_finite(name: str, a: np.ndarray) -> None:
+    """``ConfigurationError`` at the first non-finite entry of ``a``, named
+    by its 0-based row (and column)."""
+    bad = np.argwhere(~np.isfinite(a))
+    if bad.size:
+        at = tuple(int(i) for i in bad[0])
+        where = ", ".join(f"{axis} {i}" for axis, i in zip(("row", "column"), at))
+        raise ConfigurationError(f"{name} has a non-finite entry {a[at]} at {where}")
 
 
 def _feasible_start(start, p: int, sum_to: float) -> np.ndarray:
@@ -589,33 +604,53 @@ def _is_unique_optimum(fit: ScFit, g0: np.ndarray) -> bool:
     return bool((fit.kkt.mu[inactive] < -tol).all())
 
 
-def solve_sc(y: np.ndarray, x: np.ndarray) -> ScFit:
+def _warm_source(fit: ScFit, y: np.ndarray, x: np.ndarray) -> ScFit | None:
+    """``fit``, a fit of ``(y, x)``, when it is the unique optimum of its
+    outer problem, else None.  Solves of nearby outcomes are started from a
+    unique fit only: from one that is not, each warm solve would fail the
+    uniqueness guard and be solved again cold.  A MASC fit is judged by its
+    synthetic-control part, whose certificate it carries."""
+    if fit.kkt.degenerate:
+        return None
+    lam = 0.0 if fit.kind == MASC else fit.lam
+    return fit if _is_unique_optimum(fit, x.T @ y - 0.5 * lam * fit.donor_sq_distances) else None
+
+
+def solve_sc(y: np.ndarray, x: np.ndarray, *, _prev: ScFit | None = None) -> ScFit:
     """Plain synthetic control: least squares over the probability simplex.
 
     When the active design is rank deficient (duplicate or collinear active
     donors make the optimum non-unique), the active set is canonicalized by
     re-solving with a vanishing donor-distance penalty, which picks out one
     optimum deterministically.
+
+    ``_prev`` is internal to the package: a fit of the same ``x`` to start
+    from, as in ``_outer_solve``, which keeps the warm fit only where it
+    equals the cold one; the result is the same either way.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
-    fit = _build_fit(PLAIN, y, x, simplex_ls(y, x))
+    normal = _normal_equations(y, x)
+    fit = _outer_solve(PLAIN, y, x, _no_cov_rows(y, x), 0.0, _prev, normal=normal)
     if _is_degenerate(fit):
-        pen = simplex_ls(y, x, lin=0.5e-8 * fit.donor_sq_distances)
+        pen = simplex_ls(y, x, lin=0.5e-8 * fit.donor_sq_distances, _normal=normal)
         fit = _build_fit(PLAIN, y, x, pen, sq_dist=fit.donor_sq_distances, degenerate=True)
     return fit
 
 
-def solve_penalized_sc(y: np.ndarray, x: np.ndarray, lam: float) -> ScFit:
+def solve_penalized_sc(
+    y: np.ndarray, x: np.ndarray, lam: float, *, _prev: ScFit | None = None
+) -> ScFit:
     """Penalized synthetic control: adds ``lam * sum_i b_i ||y - x_i||^2``.
 
     The penalty is linear in ``b``, so the same engine runs with a shifted
     linear coefficient; ``lam = 0`` coincides with the plain estimator.
-    This is the covariate estimator's outer solve with no covariate rows.
+    This is the covariate estimator's outer solve with no covariate rows;
+    ``_prev`` is its ``prev``, internal to the package as in ``solve_sc``.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
-    return _outer_solve(PENALIZED, y, x, _no_cov_rows(y, x), lam, None)
+    return _outer_solve(PENALIZED, y, x, _no_cov_rows(y, x), lam, _prev)
 
 
 @dataclass(frozen=True)
@@ -661,7 +696,8 @@ def _outer_solve(
 
     ``lam`` must be finite and ``>= 0``.  ``prev`` is a fit of the same
     ``x`` solved before, such as the fit at a neighbouring ``lam`` on a
-    grid, or None; it lends its rank (see ``_build_fit``).  The solve
+    grid or the fit of a nearby outcome, or None; it lends its rank (see
+    ``_build_fit``).  The solve
     starts from ``prev.beta`` when ``prev`` has the same equality rows and
     from ``inner.cold_start`` otherwise (None: the engine's start vertex).
     A warm start never changes the answer: the warm fit is kept only where
@@ -673,10 +709,13 @@ def _outer_solve(
     set: the rows are dropped, the point is solved again from the start
     vertex, and the switch is flagged as degenerate.  ``normal`` is
     ``_normal_equations(y, x)`` when the caller computed it once for a
-    whole path of solves on ``(y, x)``, or None.
+    whole path of solves on ``(y, x)``, or None to form it here, once for
+    every solve of this call.
     """
     if not np.isfinite(lam) or lam < 0:
         raise ConfigurationError(f"penalty parameter must be finite and >= 0, got {lam}")
+    if normal is None:
+        normal = _normal_equations(y, x)
     lin = 0.5 * lam * inner.sq_dist
 
     def _fit(eq_rows: tuple[int, ...], start, donor, degenerate=False) -> ScFit:
@@ -693,8 +732,7 @@ def _outer_solve(
     warm = prev is not None and prev.cov_eq_rows == rows
     fit = _fit(rows, prev.beta if warm else inner.cold_start, prev)
     if warm:
-        xty = x.T @ y if normal is None else normal[1]
-        if not _is_unique_optimum(fit, xty - lin):
+        if not _is_unique_optimum(fit, normal[1] - lin):
             fit = _fit(rows, inner.cold_start, fit)
     if rows and _covariate_rows_idle(fit):
         fit = _fit((), None, fit, degenerate=True)
@@ -729,18 +767,21 @@ def solve_matching(y: np.ndarray, x: np.ndarray, m: int) -> ScFit:
     return _build_fit(MATCHING, y, x, cert, m=int(m))
 
 
-def solve_masc(y: np.ndarray, x: np.ndarray, lam: float, m: int) -> ScFit:
+def solve_masc(
+    y: np.ndarray, x: np.ndarray, lam: float, m: int, *, _prev: ScFit | None = None
+) -> ScFit:
     """Model-averaged estimator: lam * matching + (1 - lam) * synthetic control.
 
     The weight vector, the fitted values and hence the whole fit are the
     same convex combination of the two component solutions.  The stored
     index sets are those of the synthetic-control component, which is the
-    only piece with a nonzero derivative in the outcome.
+    only piece with a nonzero derivative in the outcome.  ``_prev`` is
+    passed to the synthetic-control component's ``solve_sc``.
     """
     _check_averaging_weight(lam)
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
-    return masc_average(y, solve_sc(y, x), solve_matching(y, x, m), lam)
+    return masc_average(y, solve_sc(y, x, _prev=_prev), solve_matching(y, x, m), lam)
 
 
 def _check_averaging_weight(lam: float) -> None:
@@ -790,6 +831,7 @@ def solve_sc_cov_inner(
     v: np.ndarray,
     *,
     lam: float = 0.0,
+    _prev: ScFit | None = None,
 ) -> ScFit:
     """Covariate-constrained synthetic control at a fixed diagonal weighting.
 
@@ -809,6 +851,8 @@ def solve_sc_cov_inner(
     weighting needs it once (see ``selection.select_v_ic``).  ``lam`` must
     be finite and ``>= 0``, with or without covariate rows; otherwise
     ``ConfigurationError`` is raised, as by ``solve_penalized_sc``.
+    ``_prev`` is the outer solve's ``prev``, internal to the package as in
+    ``solve_sc``.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
@@ -818,9 +862,12 @@ def solve_sc_cov_inner(
     if d.shape[0] == 0:
         # any lam but zero, negative and non-finite ones included, goes to
         # the penalized solver, which rejects the invalid ones
-        base = solve_sc(y, x) if lam == 0 else solve_penalized_sc(y, x, lam)
+        if lam == 0:
+            base = solve_sc(y, x, _prev=_prev)
+        else:
+            base = solve_penalized_sc(y, x, lam, _prev=_prev)
         return replace(base, kind=COVARIATE, lam=float(lam), v=v)
-    return _outer_solve(COVARIATE, y, x, _cov_inner(y, x, z, d, v), lam, None)
+    return _outer_solve(COVARIATE, y, x, _cov_inner(y, x, z, d, v), lam, _prev)
 
 
 def _cov_inner(y, x, z, d, v) -> _CovInner:
@@ -837,6 +884,8 @@ def _cov_inner(y, x, z, d, v) -> _CovInner:
         raise ConfigurationError("diagonal weights must be nonnegative")
     if float(np.max(v, initial=0.0)) <= 0.0:
         raise ConfigurationError("diagonal weights must not all be zero")
+    _check_finite("covariate target", z)
+    _check_finite("covariate matrix", d)
 
     w_tol = _scaled_tol(_COV_TOL, v)
     r_tol = _scaled_tol(_COV_TOL, z)

@@ -12,6 +12,7 @@ from synthsel.dof import (
     divergence,
     divergence_fd_oracle,
 )
+from synthsel.errors import ConfigurationError
 from synthsel.solvers import (
     eq_constrained_hat,
     solve_masc,
@@ -198,6 +199,13 @@ class TestFdOracle:
         if fd.active_set_changed:
             pytest.skip("active set flipped at the perturbation points")
         assert np.max(np.abs(divergence(fit, x).matrix - fd.matrix)) <= 1e-5
+
+    @pytest.mark.parametrize("step", [0.0, -1e-5, np.nan, np.inf, -np.inf])
+    def test_step_must_be_finite_and_positive(self, rng, step):
+        solved = []
+        with pytest.raises(ConfigurationError, match="finite and positive"):
+            divergence_fd_oracle(solved.append, rng.normal(size=4), step=step)
+        assert not solved
 
     def test_flip_detection_flags_unstable_columns(self):
         # a fit whose active set depends on the sign of the first coordinate

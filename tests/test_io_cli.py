@@ -4,12 +4,16 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from synthsel import cli
-from synthsel.errors import ConfigurationError, PanelParseError
+from synthsel import cli, simulation, solvers
+from synthsel.dof import divergence_fd_oracle
+from synthsel.errors import ConfigurationError, ConvergenceError, PanelParseError
 from synthsel.io import (
     LoadedPanel,
     load_panel,
@@ -21,6 +25,9 @@ from synthsel.io import (
 )
 from synthsel.panel import PanelDataset
 from synthsel.simulation import BenchmarkReport, MethodResult
+from synthsel.solvers import solve_masc, solve_penalized_sc, solve_sc, solve_sc_cov_inner
+
+from conftest import random_design
 
 
 def _write_panel(path, times, header, rows):
@@ -629,3 +636,105 @@ class TestCli:
         error = json.loads(capsys.readouterr().out)["error"]
         assert error["type"] == "ConfigurationError"
         assert "1:2:3" in error["message"]
+
+
+# ---------------------------------------------------------------------------
+# df --fd-check: each perturbed outcome solved from the fit it checks
+# ---------------------------------------------------------------------------
+
+
+def _factor_panel_csv(path, seed, n_donors=40, n_pre=36, twice=False):
+    """A panel of the factor design with ``n_pre`` periods before the
+    treatment, at the last period ``t{n_pre + 1}``; ``twice`` lists every
+    donor a second time, as an exact duplicate."""
+    n = n_pre + 1
+    spec = simulation.synthetic_factor_spec(n_donors, n, r=1, seed=100, sigma_y=0.5, sigma_x=2.0)
+    draw = simulation.draw_factor_gaussian(spec, n, seed)
+    x = np.hstack([draw.x, draw.x]) if twice else draw.x
+    header = ["time", "treated", *(f"d{j + 1:02d}" for j in range(x.shape[1]))]
+    rows = [[f"t{t + 1}", repr(float(draw.y[t])), *(repr(float(c)) for c in x[t])]
+            for t in range(n)]
+    _write_panel(path, None, header, rows)
+    return ["--input", str(path), "--treated", "treated", "--treatment-period", f"t{n}"]
+
+
+@pytest.fixture
+def fd_check_iterations(monkeypatch, capsys):
+    """Run ``df ... --fd-check`` on a panel and return its report's
+    ``fd_check`` and the working-set iterations of each ``simplex_ls`` call."""
+    simplex_ls = solvers.simplex_ls
+
+    def run(args):
+        iterations = []
+
+        def counted(*a, **kw):
+            cert = simplex_ls(*a, **kw)
+            iterations.append(cert.iterations)
+            return cert
+
+        monkeypatch.setattr(solvers, "simplex_ls", counted)
+        assert cli.main(["df", *args, "--fd-check"]) == 0
+        return json.loads(capsys.readouterr().out)["results"]["fd_check"], iterations
+
+    return run
+
+
+def test_fd_check_solves_each_perturbation_from_the_checked_fit(tmp_path, fd_check_iterations):
+    # solved cold, these 74 solves take 1,110 working-set iterations
+    args = _factor_panel_csv(tmp_path / "panel.csv", seed=2)
+    fd, iterations = fd_check_iterations([*args, "--estimator", "penalized", "--lambda", "0.3"])
+    assert fd["max_abs_deviation"] < 1e-6 and not fd["active_set_changed"]
+    assert len(iterations) == 2 * 36 + 2
+    assert sum(iterations) <= 150
+
+
+@pytest.mark.filterwarnings("ignore:donor columns are exact duplicates")
+@pytest.mark.parametrize(
+    "estimator", [["plain"], ["penalized", "--lambda", "0.3"], ["masc", "--lambda", "0.5", "--m", "2"]]
+)
+def test_fd_check_from_a_fit_that_is_not_unique_costs_no_more_than_cold(
+    tmp_path, monkeypatch, fd_check_iterations, estimator
+):
+    # every donor twice: a warm start from the checked fit, which is not the
+    # unique optimum, would fail the guard and be solved again cold
+    args = [*_factor_panel_csv(tmp_path / "panel.csv", seed=2, twice=True), "--estimator", *estimator]
+    warm_fd, warm = fd_check_iterations(args)
+    monkeypatch.setattr(cli, "_warm_source", lambda fit, y, x: None)
+    cold_fd, cold = fd_check_iterations(args)
+    assert warm_fd == cold_fd
+    assert len(warm) == len(cold) and sum(warm) <= sum(cold)
+
+
+@pytest.mark.filterwarnings("ignore:donor columns are exact duplicates")
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    shape=st.sampled_from(["tall", "wide", "duplicated"]),
+    kind=st.sampled_from(["plain", "penalized", "masc", "covariate"]),
+)
+def test_fd_check_warm_solves_equal_the_cold_ones(seed, shape, kind):
+    gen = np.random.default_rng(seed)
+    y, x = random_design(gen, shape)
+    p = x.shape[1]
+    n_cov = int(gen.integers(1, 4))
+    d = gen.normal(size=(n_cov, p))
+    # half the draws have covariate rows the donors fit exactly, which bind
+    z = d @ gen.dirichlet(np.ones(p)) if gen.random() < 0.5 else gen.normal(size=n_cov)
+    v = gen.dirichlet(np.ones(n_cov))
+    lam, m = float(gen.uniform(0.05, 1.0)), int(gen.integers(1, p + 1))
+    cold = {
+        "plain": lambda yy: solve_sc(yy, x),
+        "penalized": lambda yy: solve_penalized_sc(yy, x, lam),
+        "masc": lambda yy: solve_masc(yy, x, lam, m),
+        "covariate": lambda yy: solve_sc_cov_inner(yy, x, z, d, v, lam=lam),
+    }[kind]
+    try:
+        want = divergence_fd_oracle(cold, y)
+    except ConvergenceError:
+        assume(False)  # wide draws the engine cannot solve cold (ROADMAP item 1)
+    args = SimpleNamespace(estimator=kind, lam=lam, m=m, v=",".join(repr(float(w)) for w in v))
+    solve = cli._estimator(args, PanelDataset(y=y, x=x, z=z, d=d))
+    fit = solve(y, None)
+    got = divergence_fd_oracle(lambda yy: solve(yy, fit), y)
+    np.testing.assert_array_equal(got.matrix, want.matrix)
+    assert got.changed_coordinates == want.changed_coordinates

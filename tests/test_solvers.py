@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from synthsel import solvers
+from synthsel import selection, solvers
 from synthsel.errors import ConfigurationError, ConvergenceError, SingularityError
 from synthsel.panel import PanelDataset
 from synthsel.selection import _fit_grid, _fit_path, ic_for_fit, select_v_ic, tuning_grid
@@ -185,6 +185,72 @@ class TestStart:
         start = np.array([0.5, 0.5 + 1e-12, -1e-12])
         cold, warm = simplex_ls(y, x), simplex_ls(y, x, start=start)
         np.testing.assert_allclose(warm.beta, cold.beta, atol=1e-12)
+
+
+class TestNonFiniteData:
+    """A NaN or infinite entry of the target or the design is named, with
+    its 0-based place, before the engine or numpy sees it."""
+
+    SOLVES = {
+        "simplex_ls": simplex_ls,
+        "solve_sc": solve_sc,
+        "solve_penalized_sc": partial(solve_penalized_sc, lam=0.3),
+        "solve_masc": partial(solve_masc, lam=0.5, m=2),
+        "solve_sc_cov_inner": lambda y, x: solve_sc_cov_inner(
+            y, x, np.ones(1), np.ones((1, x.shape[1])), np.ones(1), lam=0.3
+        ),
+    }
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("solve", SOLVES.values(), ids=SOLVES.keys())
+    def test_first_bad_entry_is_named(self, solve, bad):
+        y, x = make_instance(1, n=10, p=4)
+        y_bad, x_bad = y.copy(), x.copy()
+        y_bad[[3, 7]] = bad
+        x_bad[2, 3] = x_bad[5, 0] = bad
+        with pytest.raises(ConfigurationError, match=r"^target has a non-finite entry \S+ at row 3$"):
+            solve(y_bad, x)
+        with pytest.raises(ConfigurationError, match=r"^design has a non-finite entry \S+ at row 2, column 3$"):
+            solve(y, x_bad)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("search", [False, True], ids=["fixed_v", "v_search"])
+    def test_covariate_data_are_named_apart_from_the_outcome(self, search, bad):
+        y, x = make_instance(1, n=10, p=4)
+        z, d = np.ones(2), np.ones((2, 4))
+        z_bad, d_bad = z.copy(), d.copy()
+        z_bad[1] = d_bad[1, 2] = bad
+
+        def solve(z, d):
+            if search:
+                return solve_sc_cov(y, x, z, d, default_v_grid(2), lam=0.3)
+            return solve_sc_cov_inner(y, x, z, d, np.ones(2), lam=0.3)
+
+        with pytest.raises(ConfigurationError,
+                           match=r"^covariate target has a non-finite entry \S+ at row 1$"):
+            solve(z_bad, d)
+        with pytest.raises(ConfigurationError,
+                           match=r"^covariate matrix has a non-finite entry \S+ at row 1, column 2$"):
+            solve(z, d_bad)
+
+    @pytest.mark.filterwarnings("error")
+    def test_all_nan_target_of_a_penalized_fit(self):
+        y, x = make_instance(2)
+        with pytest.raises(ConfigurationError, match="target has a non-finite entry nan at row 0"):
+            solve_penalized_sc(np.full_like(y, np.nan), x, 0.3)
+
+    def test_a_grid_path_checks_its_data_once(self, monkeypatch):
+        y, x = make_instance(3)
+        formed = []
+        for module in (solvers, selection):
+            monkeypatch.setattr(module, "_normal_equations",
+                                lambda y, x, _f=_normal_equations: formed.append(1) or _f(y, x))
+        _fit_grid(y, x, "penalized", tuning_grid("penalized"))
+        assert len(formed) == 1
+        with pytest.raises(ConfigurationError, match="target"):
+            _fit_grid(np.full_like(y, np.inf), x, "penalized", tuning_grid("penalized"))
 
 
 def _carrying(start, fit):
