@@ -209,10 +209,7 @@ def _cmd_select(args) -> dict:
     m_grid = parse_int_grid(args.m_grid) if args.m_grid else None
     method = args.method
     if method == "sure":
-        if args.estimator == COVARIATE:
-            res = selection.select_v_ic(panel, default_v_grid(panel.n_cov), grid)
-        else:
-            res = selection.select_lambda_ic(panel, args.estimator, grid, m_grid=m_grid)
+        res = selection.select_lambda_ic(panel, args.estimator, grid, m_grid=m_grid)
     elif method == "cv-holdout":
         res = selection.cv_holdout(panel, args.estimator, grid, args.split, m_grid=m_grid)
     elif method == "cv-loo":

@@ -10,13 +10,12 @@ residuals, regardless of which candidate is being scored.  The
 penalized and model-averaged IC selectors read it off their own grid's fit
 at ``lam = 0`` when that fit is the one ``solve_sc`` returns
 (``_plain_sigma2``), so plain synthetic control is solved once for them,
-and solve it separately only otherwise.  All selectors
+and solve it separately only otherwise.  Every selector takes every
+estimator kind: ``tuning_grid`` lists its points, ``(m, lam)`` or
+``(V, lam)``, and one walker, ``_fit_grid``, fits them.  All selectors
 return the grid, the per-point scores and the chosen index; exact score
 ties break toward the largest tuning parameter (the most regularized
-candidate), then toward grid order.  Every penalty grid, penalized or
-covariate (after one inner solve per diagonal weighting), is walked by
-``_fit_path`` through the guarded outer solve ``solvers._outer_solve``.
-"""
+candidate), then toward grid order."""
 
 from __future__ import annotations
 
@@ -40,6 +39,7 @@ from .solvers import (
     _no_cov_rows,
     _normal_equations,
     _outer_solve,
+    default_v_grid,
     masc_average,
     solve_matching,
     solve_sc,
@@ -106,9 +106,9 @@ def _select(grid, scores, sigma2, method) -> SelectionResult:
 
 
 def default_lambda_grid(kind: str) -> np.ndarray:
-    """Penalized: zero plus 39 log-spaced points up to 10.  Model
-    averaging: 21 uniform points on [0, 1]."""
-    if kind == PENALIZED:
+    """Penalized and covariate: zero plus 39 log-spaced points up to 10.
+    Model averaging: 21 uniform points on [0, 1]."""
+    if kind in (PENALIZED, COVARIATE):
         return np.concatenate([[0.0], np.geomspace(0.0125, 10.0, 39)])
     if kind == MASC:
         return np.linspace(0.0, 1.0, 21)
@@ -117,45 +117,62 @@ def default_lambda_grid(kind: str) -> np.ndarray:
     raise ConfigurationError(f"no default grid for estimator kind {kind!r}")
 
 
-def _lambda_grid(kind: str, lambdas) -> np.ndarray:
-    """``lambdas`` as a float array, or the default grid of ``kind`` when None."""
-    return default_lambda_grid(kind) if lambdas is None else np.asarray(lambdas, dtype=float)
-
-
 def tuning_grid(
     kind: str,
     lambdas=None,
     m_grid=None,
+    v_grid=None,
     *,
     n_donors: int | None = None,
+    n_cov: int | None = None,
 ) -> tuple[TuningPoint, ...]:
-    """Materialize the candidate list for one estimator kind."""
-    lams = _lambda_grid(kind, lambdas)
-    if lams.size == 0:
-        raise ConfigurationError("empty tuning grid")
+    """The candidate list for one estimator kind, m-major for model
+    averaging and V-major for the covariate estimator, whose default V grid
+    is ``default_v_grid(n_cov)``."""
+    lams = default_lambda_grid(kind) if lambdas is None else np.asarray(lambdas, dtype=float)
     if kind == MASC:
         if m_grid is None:
             if n_donors is None:
                 raise ConfigurationError("the matching-count grid needs the donor count")
             m_grid = range(1, min(10, n_donors) + 1)
-        return tuple(TuningPoint(float(l), m=int(m)) for m in m_grid for l in lams)
-    return tuple(TuningPoint(float(l)) for l in lams)
+        points = tuple(TuningPoint(float(l), m=int(m)) for m in m_grid for l in lams)
+    elif kind == COVARIATE:
+        if not n_cov:
+            raise ConfigurationError("the covariate estimator needs covariates in the panel")
+        vs = default_v_grid(n_cov) if v_grid is None else v_grid
+        vs = [tuple(np.asarray(v, dtype=float).ravel()) for v in vs]
+        points = tuple(TuningPoint(float(l), v=v) for v in vs for l in lams)
+    else:
+        points = tuple(TuningPoint(float(l)) for l in lams)
+    if not points:
+        raise ConfigurationError("empty tuning grid")
+    return points
 
 
-def _fit_grid(y: np.ndarray, x: np.ndarray, kind: str, points) -> list[ScFit]:
-    """The fits at every grid point, in grid order.
+def _fit_grid(y: np.ndarray, x: np.ndarray, kind: str, points, z=None, d=None) -> list[ScFit]:
+    """The fits at every grid point, in grid order, of ``y`` on ``x`` and,
+    for the covariate kind, of the covariate target ``z`` on the rows ``d``.
 
-    A penalized grid is one ``_fit_path`` on ``X'X`` and ``X'y`` formed once
-    for it, each fit passed the one before it.  A model-averaging grid solves
-    plain synthetic control once and each matching count once and averages
-    them per point.
+    A covariate grid checks each distinct weighting and solves its inner
+    problem before any outer solve.  Each weighting's penalties (a penalized
+    grid's all) are then one ``_fit_path`` on ``X'X`` and ``X'y`` formed once.
+    A model-averaging grid solves plain synthetic control once and each
+    matching count once and averages them per point.
     """
-    if kind == PENALIZED:
+    if kind in (PENALIZED, COVARIATE):
         y = np.asarray(y, dtype=float).ravel()  # contiguous, as solve_penalized_sc makes it
         x = np.asarray(x, dtype=float)  # as simplex_ls sees it, to share its X'X, X'y
-        solve = functools.partial(_outer_solve, PENALIZED, y, x, _no_cov_rows(y, x),
-                                  normal=_normal_equations(y, x))
-        return _fit_path([pt.lam for pt in points], solve)
+        runs: dict = {}  # grid indices by weighting, None for a penalized grid
+        for i, pt in enumerate(points):
+            runs.setdefault(pt.v, []).append(i)
+        inners = [_no_cov_rows(y, x) if v is None else _cov_inner(y, x, z, d, np.asarray(v))
+                  for v in runs]
+        normal = _normal_equations(y, x)
+        fits = {}
+        for inner, idx in zip(inners, runs.values()):
+            solve = functools.partial(_outer_solve, kind, y, x, inner, normal=normal)
+            fits.update(zip(idx, _fit_path([points[i].lam for i in idx], solve)))
+        return [fits[i] for i in range(len(points))]
     if kind == MASC:
         fit_sc = solve_sc(y, x)
         matches = {m: solve_matching(y, x, m) for m in sorted({pt.m for pt in points})}
@@ -229,13 +246,14 @@ def select_lambda_ic(
     grid=None,
     *,
     m_grid=None,
+    v_grid=None,
     sigma2: float | None = None,
 ) -> SelectionResult:
     """Score every grid point by the information criterion and pick the
     minimizer.  The tuning parameter enters both directly and through the
     active-set size of each refit."""
-    points = tuning_grid(estimator_kind, grid, m_grid, n_donors=panel.p)
-    fits = _fit_grid(panel.y, panel.x, estimator_kind, points)
+    points = tuning_grid(estimator_kind, grid, m_grid, v_grid, n_donors=panel.p, n_cov=panel.n_cov)
+    fits = _fit_grid(panel.y, panel.x, estimator_kind, points, panel.z, panel.d)
     s2 = _plain_sigma2(panel.y, panel.x, fits) if sigma2 is None else float(sigma2)
     return _select(points, [ic_for_fit(fit, s2) for fit in fits], s2, METHOD_SURE)
 
@@ -247,33 +265,9 @@ def select_v_ic(
     *,
     sigma2: float | None = None,
 ) -> SelectionResult:
-    """Joint grid argmin of the information criterion over the diagonal
-    covariate weighting and the penalty parameter.
-
-    Every weighting is checked, and its ``lam``-independent inner covariate
-    problem solved, once, before any outer solve.  Each weighting's penalty
-    grid is then one ``_fit_path``, each outer solve warm-started from the
-    previous fit when that fit has the same exactly-fit rows, so every score
-    equals the one ``solve_sc_cov_inner`` gives at that point.  A negative
-    or non-finite ``lam`` raises ``ConfigurationError``.
-    """
-    if not panel.has_covariates:
-        raise ConfigurationError("V selection requires covariates in the panel")
-    lams = _lambda_grid(PENALIZED, lambda_grid)
-    candidates = [np.asarray(v, dtype=float).ravel() for v in v_grid]
-    if not candidates or lams.size == 0:
-        raise ConfigurationError("empty (V, lambda) grid")
-    y, x = panel.y, panel.x
-    inners = [_cov_inner(y, x, panel.z, panel.d, v) for v in candidates]
-    s2 = sigma2_hat(y, x) if sigma2 is None else float(sigma2)
-    normal = _normal_equations(y, x)
-    points = []
-    scores = []
-    for inner in inners:
-        points += [TuningPoint(float(lam), v=tuple(inner.v)) for lam in lams]
-        fits = _fit_path(lams, functools.partial(_outer_solve, COVARIATE, y, x, inner, normal=normal))
-        scores += [ic_for_fit(fit, s2) for fit in fits]
-    return _select(points, np.asarray(scores), s2, METHOD_SURE)
+    """``select_lambda_ic`` of the covariate estimator: the joint grid
+    argmin over the diagonal weighting and the penalty parameter."""
+    return select_lambda_ic(panel, COVARIATE, lambda_grid, v_grid=v_grid, sigma2=sigma2)
 
 
 # ---------------------------------------------------------------------------
@@ -284,10 +278,10 @@ def select_v_ic(
 def _cv_select(kind: str, points, folds, method: str) -> SelectionResult:
     """Fit the grid on each fold's training part, score the mean squared
     forecast error on its test part and average over the folds; a fold is
-    ``(y_train, x_train, y_test, x_test)``."""
+    ``(y_train, x_train, z_train, d_train, y_test, x_test)``."""
     totals = np.zeros(len(points))
-    for y_tr, x_tr, y_te, x_te in folds:
-        fits = _fit_grid(y_tr, x_tr, kind, points)
+    for y_tr, x_tr, z, d, y_te, x_te in folds:
+        fits = _fit_grid(y_tr, x_tr, kind, points, z, d)
         totals += [float(np.mean((y_te - x_te @ fit.beta) ** 2)) for fit in fits]
     return _select(points, totals / len(folds), None, method)
 
@@ -303,14 +297,16 @@ def cv_holdout(
     """Train on the leading fraction of the pre-treatment sample, score the
     mean squared forecast error on the held-out tail."""
     n = panel.n
+    if not math.isfinite(split_fraction):
+        raise ConfigurationError(f"holdout split must be finite, got {split_fraction}")
     n_train = math.ceil(split_fraction * n)
     if n_train < 2 or n_train >= n:
         raise ConfigurationError(
             f"holdout split {split_fraction} leaves train={n_train}, test={n - n_train}"
         )
-    points = tuning_grid(estimator_kind, grid, m_grid, n_donors=panel.p)
+    points = tuning_grid(estimator_kind, grid, m_grid, n_donors=panel.p, n_cov=panel.n_cov)
     y, x = panel.y, panel.x
-    fold = (y[:n_train], x[:n_train], y[n_train:], x[n_train:])
+    fold = (y[:n_train], x[:n_train], panel.z, panel.d, y[n_train:], x[n_train:])
     return _cv_select(estimator_kind, points, [fold], METHOD_CV_HOLDOUT)
 
 
@@ -323,18 +319,20 @@ def cv_loo_untreated(
 ) -> SelectionResult:
     """Treat each donor in turn as a placebo outcome, fit on the remaining
     donors over the pre-period and score its post-period forecast error;
-    average across donors."""
+    average across donors.  The placebo's covariate target is its own
+    covariate column, matched by the remaining donors' columns."""
     if panel.post_x is None:
         raise ConfigurationError("leave-one-out validation needs post-treatment donor data")
     p = panel.p
     if p < 2:
         raise ConfigurationError("leave-one-out validation needs at least two donors")
-    points = tuning_grid(estimator_kind, grid, m_grid, n_donors=p - 1)
-    x, post_x = panel.x, panel.post_x
+    points = tuning_grid(estimator_kind, grid, m_grid, n_donors=p - 1, n_cov=panel.n_cov)
+    x, d, post_x = panel.x, panel.d, panel.post_x
     folds = []
     for j in range(p):
         keep = [k for k in range(p) if k != j]
-        folds.append((x[:, j], x[:, keep], post_x[:, j], post_x[:, keep]))
+        cov = (None, None) if d is None else (d[:, j], d[:, keep])
+        folds.append((x[:, j], x[:, keep], *cov, post_x[:, j], post_x[:, keep]))
     return _cv_select(estimator_kind, points, folds, METHOD_CV_LOO_UNTREATED)
 
 
@@ -356,10 +354,10 @@ def cv_rolling(
         raise ConfigurationError(
             f"rolling scheme infeasible: window={window}, horizon={horizon}, n={n}"
         )
-    points = tuning_grid(estimator_kind, grid, m_grid, n_donors=panel.p)
-    y, x = panel.y, panel.x
+    points = tuning_grid(estimator_kind, grid, m_grid, n_donors=panel.p, n_cov=panel.n_cov)
+    y, x, z, d = panel.y, panel.x, panel.z, panel.d
     folds = [
-        (y[:t], x[:t], y[t + horizon - 1 : t + horizon], x[t + horizon - 1 : t + horizon])
+        (y[:t], x[:t], z, d, y[t + horizon - 1 : t + horizon], x[t + horizon - 1 : t + horizon])
         for t in range(window, n - horizon + 1)
     ]
     return _cv_select(estimator_kind, points, folds, METHOD_CV_ROLLING)

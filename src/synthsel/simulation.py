@@ -29,9 +29,8 @@ from .selection import (
     SelectionResult,
     _argmin_most_regularized,
     _fit_grid,
-    _lambda_grid,
     _plain_sigma2,
-    TuningPoint,
+    tuning_grid,
     cv_holdout,
     cv_loo_untreated,
     cv_rolling,
@@ -542,6 +541,8 @@ def run_selection_benchmark(
     """
     if replications < 1:
         raise ConfigurationError(f"replications must be at least 1, got {replications}")
+    if n_pre < 2:
+        raise ConfigurationError(f"the race needs at least 2 pre-periods, got n_pre={n_pre}")
     if n_post < 1:
         raise ConfigurationError(f"the race needs at least 1 post-period, got n_post={n_post}")
     if design not in DESIGNS:
@@ -554,8 +555,8 @@ def run_selection_benchmark(
         raise ConfigurationError(f"unknown methods {unknown}; expected among {BENCHMARK_METHODS}")
     if spec is None:
         spec = synthetic_factor_spec(n_donors, n_pre + n_post, seed=seed)
-    lams = _lambda_grid(PENALIZED, lambda_grid)
-    points = tuple(TuningPoint(float(l)) for l in lams)
+    points = tuning_grid(PENALIZED, lambda_grid)
+    lams = [pt.lam for pt in points]
     t_total = n_pre + n_post
     has_truth = design in ("gaussian", "empirical")
     sigma2_true = spec.conditional_variance() if has_truth else None

@@ -848,7 +848,7 @@ def solve_sc_cov_inner(
     force at all and the fit reduces to the plain estimator on its active
     set; that reduction is applied and flagged when it fires.  The first
     stage does not depend on ``lam``, so a grid over ``lam`` at one
-    weighting needs it once (see ``selection.select_v_ic``).  ``lam`` must
+    weighting needs it once (see ``selection._fit_grid``).  ``lam`` must
     be finite and ``>= 0``, with or without covariate rows; otherwise
     ``ConfigurationError`` is raised, as by ``solve_penalized_sc``.
     ``_prev`` is the outer solve's ``prev``, internal to the package as in

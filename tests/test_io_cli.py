@@ -282,6 +282,30 @@ class TestCli:
         assert len(set(keys)) == len(keys) == 2 * len({k[1] for k in keys}) > 2
         assert [float(r[3]) for r in rows] == res["scores"]
 
+    @pytest.mark.parametrize(
+        "command, method",
+        [("select", m) for m in ("sure", "cv-holdout", "cv-loo", "cv-rolling")]
+        + [("cv", m) for m in ("holdout", "loo-untreated", "rolling")],
+    )
+    def test_covariate_estimator_takes_every_selection_method(
+        self, panel_csv, cov_csv, capsys, command, method
+    ):
+        flag = "--method" if command == "select" else "--cv-method"
+        argv = [command, *self._fit_args(panel_csv)[1:], flag, method, "--estimator", "covariate",
+                "--grid", "0,0.5"]
+        assert cli.main(argv) == 1
+        self._assert_config_error(capsys, "needs covariates")
+        assert cli.main([*argv, "--covariates", str(cov_csv)]) == 0
+        grid = json.loads(capsys.readouterr().out)["results"]["grid"]
+        v_grid = [list(v) for v in solvers.default_v_grid(2)]
+        assert grid == [{"lambda": lam, "m": None, "v": v} for v in v_grid for lam in (0.0, 0.5)]
+
+    @pytest.mark.parametrize("split", ["inf", "nan"])
+    def test_non_finite_holdout_split_exits_one(self, panel_csv, capsys, split):
+        argv = [*self._select_args(panel_csv, "--estimator", "penalized"), "--method", "cv-holdout"]
+        assert cli.main([*argv, "--split", split]) == 1
+        self._assert_config_error(capsys, "holdout split must be finite", split)
+
     def test_df_command_reports_case_and_trace(self, panel_csv, capsys):
         code = cli.main([
             "df",
@@ -548,7 +572,11 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "extra, fragment",
-        [(["--post", "0"], "post-period"), (["--methods", ""], "no methods")],
+        [
+            (["--post", "0"], "post-period"),
+            (["--methods", ""], "no methods"),
+            (["--pre", "1", "--donors", "3", "--post", "1"], "at least 2 pre-periods"),
+        ],
     )
     def test_benchmark_bad_inputs_exit_one(self, capsys, extra, fragment):
         argv = ["benchmark", "--reps", "1", "--donors", "6", "--pre", "10", "--grid", "0,1"]

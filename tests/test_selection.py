@@ -35,6 +35,7 @@ from synthsel.solvers import (
     solve_masc,
     solve_penalized_sc,
     solve_sc,
+    solve_sc_cov_inner,
 )
 
 from conftest import make_instance, random_design
@@ -291,6 +292,49 @@ class TestSelectVIc:
         assert len(solves) == 1  # the inner solve of the good weighting, nothing after it
 
 
+def _cov_panel(seed, n=10, p=4, post=4):
+    """``_panel`` with two covariate rows: one the donors fit exactly, one
+    shifted off every simplex fit."""
+    panel = _panel(seed, n=n, p=p, post=post)
+    gen = np.random.default_rng(seed + 100)
+    d = gen.normal(size=(2, p))
+    z = d @ gen.dirichlet(np.ones(p)) + np.array([0.0, 1.0])
+    return PanelDataset(y=panel.y, x=panel.x, z=z, d=d, post_y=panel.post_y, post_x=panel.post_x)
+
+
+class TestCovariateKind:
+    @pytest.mark.parametrize("method", ["holdout", "rolling", "loo"])
+    def test_cv_scores_are_fold_means_of_pointwise_fits(self, method):
+        panel = _cov_panel(31)
+        y, x, z, d, post_x = panel.y, panel.x, panel.z, panel.d, panel.post_x
+        grid = [0.0, 0.5]
+        if method == "holdout":
+            res = cv_holdout(panel, "covariate", grid)
+            folds = [(y[:5], x[:5], z, d, y[5:], x[5:])]
+        elif method == "rolling":
+            res = cv_rolling(panel, "covariate", grid)
+            folds = [(y[:t], x[:t], z, d, y[t : t + 1], x[t : t + 1]) for t in range(5, 10)]
+        else:
+            res = cv_loo_untreated(panel, "covariate", grid)
+            keeps = [[k for k in range(4) if k != j] for j in range(4)]
+            folds = [(x[:, j], x[:, keep], d[:, j], d[:, keep], post_x[:, j], post_x[:, keep])
+                     for j, keep in enumerate(keeps)]
+        assert res.grid == tuning_grid("covariate", grid, n_cov=2)
+        by_hand = []
+        for pt in res.grid:
+            errs = []
+            for y_tr, x_tr, z_tr, d_tr, y_te, x_te in folds:
+                fit = solve_sc_cov_inner(y_tr, x_tr, z_tr, d_tr, np.asarray(pt.v), lam=pt.lam)
+                errs.append(float(np.mean((y_te - x_te @ fit.beta) ** 2)))
+            by_hand.append(sum(errs) / len(folds))
+        np.testing.assert_array_equal(res.scores, by_hand)
+
+    @pytest.mark.parametrize("select", [select_lambda_ic, cv_holdout, cv_loo_untreated, cv_rolling])
+    def test_every_selector_requires_covariates(self, select):
+        with pytest.raises(ConfigurationError, match="needs covariates"):
+            select(_panel(9, post=4), "covariate", [0.0])
+
+
 class TestCvHoldout:
     def test_noiseless_representable_scores_zero_and_breaks_to_largest(self, rng):
         x = rng.normal(size=(8, 3))
@@ -388,6 +432,7 @@ def test_default_grids_have_documented_shape():
     assert pen.size == 40 and pen[0] == 0.0 and pen[-1] == pytest.approx(10.0)
     assert pen[1] == pytest.approx(0.0125)
     assert masc.size == 21 and masc[0] == 0.0 and masc[-1] == 1.0
+    np.testing.assert_array_equal(default_lambda_grid("covariate"), pen)
 
 
 def test_tuning_grid_needs_donor_count_for_masc():
