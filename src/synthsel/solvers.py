@@ -7,8 +7,9 @@ Every estimator here reduces to one quadratic program
 
 solved by a primal active-set method: the sum constraint (and any extra
 equality rows) stay in the working set throughout, and each working-set
-subproblem is the equality-constrained least-squares problem solved in
-closed form through its KKT system.  This terminates finitely and returns
+subproblem is the equality-constrained least-squares problem on the free
+columns, solved by the null-space method from one pivoted QR of the free
+design (never its Gram matrix).  This terminates finitely and returns
 exact multipliers, which we expose as a KKT certificate on every fit.
 
 Multiplier convention for the nonnegativity constraints: stationarity is
@@ -51,7 +52,7 @@ def _load_flapack():
 
 
 def _lapack_kernels():
-    """LAPACK ``dgeqp3``, ``dpotrf`` and ``dpotrs``: the routines
+    """LAPACK ``dgeqp3``, ``dormqr`` and ``dtrtrs``: the routines
     ``scipy.linalg.lapack`` exports, without that package's import (about
     0.3 s and 25 MB per process, mostly numpy submodules nothing here uses).
     A module scipy has loaded already is reused; the package import is the
@@ -62,12 +63,14 @@ def _lapack_kernels():
             flapack = _load_flapack()
         except ImportError:
             from scipy.linalg import lapack as flapack
-    return flapack.dgeqp3, flapack.dpotrf, flapack.dpotrs
+    return flapack.dgeqp3, flapack.dormqr, flapack.dtrtrs
 
 
-_geqp3, _potrf, _potrs = _lapack_kernels()
+_geqp3, _ormqr, _trtrs = _lapack_kernels()
 
 KKT_TOL = 1e-8
+#: the package's rank cut, relative to the largest diagonal entry of R
+_RANK_TOL = 1e-10
 #: candidate iterates this far below zero are treated as infeasible
 _FEAS_TOL = 5e-14
 #: a zero-bound multiplier must exceed this to trigger a release
@@ -201,85 +204,91 @@ class ScFit:
 # ---------------------------------------------------------------------------
 
 
-def _eq_ls_solve(gram, g, a_mat, rhs):
-    """Solve ``G b + A' xi = g``, ``A b = rhs`` for (b, xi, consistent),
-    where ``A`` holds the sum row first and any extra equality rows below.
-
-    The fast path factors the Gram block with LAPACK ``potrf``/``potrs``
-    (what ``cho_factor``/``cho_solve`` call, minus their argument
-    checking, which costs more than the solve at working-set sizes) and
-    solves the ``h x h`` Schur complement ``A G^-1 A'`` directly: with the
-    sum row alone (``h = 1``) that is one division, which is what LAPACK's
-    ``1 x 1`` ``gesv`` computes, bit for bit.  It falls back to a
-    minimum-norm solve of the full KKT system.  Either way the candidate is
-    validated by its own KKT residual: ``consistent=False`` means the face
-    problem has no stationary point (a rank-deficient Gram with a descent
-    ray), which the caller must handle directionally.
-    """
-    k = gram.shape[0]
-    h = a_mat.shape[0]
-    scale = 1.0 + _absmax(g) + _absmax(rhs)
-    try:
-        chol, info = _potrf(gram, lower=0, clean=0)
-        if info:
-            raise np.linalg.LinAlgError("Gram block is not positive definite")
-        gi_g = _potrs(chol, g, lower=0)[0]
-        gi_at = _potrs(chol, a_mat.T, lower=0)[0]
-        xi = _schur_solve(a_mat @ gi_at, a_mat @ gi_g - rhs)
-        beta = gi_g - gi_at @ xi
-        if _kkt_residual(gram, g, a_mat, rhs, beta, xi) <= 1e-9 * scale:
-            return beta, xi, True
-    except np.linalg.LinAlgError:
-        pass
-    kkt = np.zeros((k + h, k + h))
-    kkt[:k, :k] = gram
-    kkt[:k, k:] = a_mat.T
-    kkt[k:, :k] = a_mat
-    full_rhs = np.concatenate([g, rhs])
-    sol, *_ = np.linalg.lstsq(kkt, full_rhs, rcond=None)
-    beta, xi = sol[:k], sol[k:]
-    consistent = _kkt_residual(gram, g, a_mat, rhs, beta, xi) <= 1e-8 * scale
-    return beta, xi, consistent
+def _face_solve(x_f, y, lin_f, a_f, rhs, cut):
+    """Minimize ``0.5||y - X_F b||^2 + c'b`` subject to ``A_F b = rhs``
+    (``c`` is ``lin_f`` or zero) by the null-space method of Lawson & Hanson
+    (ch. 20-22): ``b = pinv rhs + N w``, ``(N, pinv)`` from ``_null_basis``,
+    and ``w`` from one pivoted QR of ``X_F N``.  Its rank, the count of R's
+    diagonal entries above ``cut``, decides the outcome ``(b, pinv, ray)``:
+    full rank gives the range solve; rank deficient, a null vector of R
+    along which ``c`` slopes by more than the package's rank cut of
+    ``|N'c|`` is the unit descent ``ray`` (``b``, ``pinv`` None), and else
+    the basic solution (null coordinates zero) is the face's stationary
+    point.  The face's equality multipliers are ``-pinv' grad_F``."""
+    null, pinv = _null_basis(a_f.tobytes(), a_f.shape)
+    b = pinv @ rhs
+    cols = null.shape[1]
+    if not cols:
+        return b, pinv, None
+    qr, piv, tau, _, _ = _geqp3(x_f @ null, lwork=_geqp3_lwork((x_f.shape[0], cols)))
+    null = null.take(piv - 1, 1)
+    # a column-pivoted R has a falling diagonal: its last entry tells
+    full = qr.shape[0] >= cols and abs(qr[cols - 1, cols - 1]) > cut
+    rank = cols if full else np.count_nonzero(abs(qr.diagonal()) > cut)
+    r11, r12 = qr[:rank, :rank], qr[:rank, rank:]
+    qr_y = _ormqr("L", "T", qr[:, : tau.shape[0]], tau, y - x_f @ b, 1)[0][:rank]
+    if lin_f is not None:
+        c_null = lin_f @ null
+        t = _tri_solve(r11, c_null[:rank], trans=1)
+        qr_y -= t
+        if rank < cols:
+            z_top = -_tri_solve(r11, r12)
+            slopes = (c_null[rank:] - r12.T @ t) / np.sqrt(1.0 + (z_top * z_top).sum(0))
+            j = int(abs(slopes).argmax())
+            if abs(slopes[j]) > _RANK_TOL * _absmax(c_null):
+                ray = null[:, :rank] @ z_top[:, j] + null[:, rank + j]
+                return None, None, ray * (-np.sign(slopes[j]) / np.sqrt(ray @ ray))
+    b += null[:, :rank] @ _tri_solve(r11, qr_y)
+    return b, pinv, None
 
 
-def _schur_solve(schur, resid):
-    """``np.linalg.solve(schur, resid)``; a ``1 x 1`` system is the one
-    division LAPACK's ``gesv`` makes, without its call overhead.  A zero
-    pivot raises ``LinAlgError`` either way."""
-    if resid.shape[0] == 1:
-        pivot = schur[0, 0]
-        if pivot == 0.0:
-            raise np.linalg.LinAlgError("Singular matrix")
-        return resid / pivot
-    return np.linalg.solve(schur, resid)
+def _tri_solve(r, rhs, trans=0):
+    """``r^-1 rhs`` (``r'^-1 rhs`` with ``trans=1``), ``r`` upper triangular."""
+    return _trtrs(r, rhs, trans=trans)[0] if r.size else rhs
 
 
-def _kkt_residual(gram, g, a_mat, rhs, beta, xi) -> float:
-    return max(_absmax(gram @ beta - g + a_mat.T @ xi), _absmax(a_mat @ beta - rhs))
-
-
-def _null_descent_direction(design_f, a_f, lin_f):
-    """Direction in ``null(X_F) ∩ null(A_F)`` along which the linear term
-    decreases fastest; None when no such descent exists."""
-    stacked = np.vstack([design_f, a_f])
-    _, svals, vt = np.linalg.svd(stacked)
-    tol = max(stacked.shape) * np.finfo(float).eps * (svals[0] if svals.size else 0.0)
-    null_basis = vt[np.sum(svals > tol) :]
-    if null_basis.shape[0] == 0:
-        return None
-    slopes = null_basis @ lin_f
-    j = int(np.argmax(np.abs(slopes)))
-    if abs(slopes[j]) <= 1e-12 * (1.0 + _absmax(lin_f)):
-        return None
-    direction = null_basis[j]
-    return -direction if slopes[j] > 0 else direction
+@functools.lru_cache(maxsize=256)
+def _null_basis(data: bytes, shape: tuple[int, int]):
+    """``(null, pinv)`` of the matrix ``A`` of ``shape`` whose bytes are
+    ``data``: an orthonormal basis of the null space of the rows kept, and
+    their pseudo-inverse in the kept columns of ``pinv`` (zero in the
+    others).  The first row, which must be nonzero, is kept (its Householder
+    reflector gives its basis); a later one unless its part in the null
+    space of the rows before falls below the package's rank cut of the
+    largest row norm, by a pivoted QR.  Memoized, as faces recur along a
+    path; the arrays are read-only."""
+    h, k = shape
+    a_mat = np.frombuffer(data).reshape(shape)
+    null, pinv = np.eye(k), np.zeros((k, h))
+    if h == 1:
+        norm = np.copysign(np.sqrt(a_mat[0] @ a_mat[0]), a_mat[0, 0])
+        u = a_mat[0].copy()
+        u[0] += norm
+        null -= np.outer(u / (norm * u[0]), u)
+        null, pinv = null[:, 1:], null[:, :1] / -norm
+    elif h > 1:
+        null, first = _null_basis(a_mat[0].tobytes(), (1, k))
+        pinv[:, :1] = first
+        if k > 1:
+            qr, piv, tau, _, _ = _geqp3(null.T @ a_mat[1:].T, lwork=_geqp3_lwork((k - 1, h - 1)))
+            ref = np.sqrt(np.einsum("ij,ij->i", a_mat, a_mat).max())
+            rank = np.count_nonzero(abs(qr.diagonal()) > _RANK_TOL * ref)
+            null = _ormqr("R", "N", qr[:, : tau.shape[0]], tau, null, k)[0]
+            basis = np.column_stack([first / np.sqrt(first[:, 0] @ first[:, 0]), null[:, :rank]])
+            kept = [0, *piv[:rank].tolist()]
+            # A[kept]' = basis @ tri, tri upper triangular but for rounding
+            # below its diagonal, which the triangular solve does not read
+            pinv[:, kept] = _trtrs(basis.T @ a_mat[kept].T, basis.T)[0].T
+            null = null[:, rank:]
+    null.flags.writeable = pinv.flags.writeable = False
+    return null, pinv
 
 
 def eq_constrained_hat(design: np.ndarray, eq_mat: np.ndarray) -> np.ndarray:
     """Hat matrix of equality-constrained least squares: the orthogonal
     projection ``Q Q'`` onto the range of ``X N``, where the columns of
-    ``N`` span ``null(E)`` (the trailing columns of a complete QR of
-    ``E'``) and ``Q`` is an orthonormal basis from the QR of ``X N``.  Its
+    ``N`` span ``null(E)`` (``_null_basis``, as for a working-set face)
+    and ``Q`` is an orthonormal basis from the QR of ``X N``.  Its
     trace is rank(X) minus the number of constraint rows to rounding, and
     as many rows as columns leave an empty basis and an exactly zero
     matrix.  Raises ``SingularityError`` unless ``X`` has full column rank
@@ -291,7 +300,8 @@ def eq_constrained_hat(design: np.ndarray, eq_mat: np.ndarray) -> np.ndarray:
         raise SingularityError("X'X", "design not of full column rank")
     if matrix_rank_qr(eq_mat) < eq_mat.shape[0]:
         raise SingularityError("E (X'X)^-1 E'", "numerically dependent rows")
-    null = np.linalg.qr(eq_mat.T, mode="complete")[0][:, eq_mat.shape[0]:]
+    eq_mat = np.asarray(eq_mat, dtype=float)
+    null = _null_basis(eq_mat.tobytes(), eq_mat.shape)[0]
     q = np.linalg.qr(x @ null)[0]
     return q @ q.T
 
@@ -337,7 +347,8 @@ def simplex_ls(
         raise ValueError("target length does not match design rows")
     gram, g0 = _normal_equations(y, x) if _normal is None else _normal
     if lin is not None:
-        g0 = g0 - np.asarray(lin, dtype=float).ravel()
+        lin = np.asarray(lin, dtype=float).ravel()
+        g0, lin = g0 - lin, lin if lin.any() else None
 
     if eq_mat is None or np.size(eq_mat) == 0:
         a_mat = np.ones((1, p))
@@ -363,6 +374,8 @@ def simplex_ls(
         free[0] = True
 
     max_iter = max(200, 30 * p)
+    # the rank cut of the design's largest column norm (R's largest entry)
+    cut = _RANK_TOL * np.sqrt(gram.diagonal().max())
     scale = 1.0 + _absmax(g0)
     release_tol = min(KKT_TOL, _RELEASE_TOL * scale)
 
@@ -375,29 +388,16 @@ def simplex_ls(
     bland = False
     for iteration in range(1, max_iter + 1):
         f_idx = free.nonzero()[0]
-        cand_f, xi, consistent = _eq_ls_solve(
-            gram.take(f_idx, 0).take(f_idx, 1), g0.take(f_idx), a_mat[:, f_idx], rhs
-        )
-        if not consistent:
-            # the face problem has no stationary point: descend along a
-            # null direction of the free design until a bound blocks
-            ray = _null_descent_direction(x[:, f_idx], a_mat[:, f_idx], -g0[f_idx])
-            if ray is None:
-                raise ConvergenceError(
-                    "inconsistent working-set system without a descent ray",
-                    float("nan"),
-                    0.0,
-                )
+        lin_f = None if lin is None else lin.take(f_idx)
+        cand_f, pinv, ray = _face_solve(x.take(f_idx, 1), y, lin_f, a_mat.take(f_idx, 1), rhs, cut)
+        if ray is not None:
+            # no stationary point on the face: descend along the ray until a
+            # bound blocks.  The unit ray sums to zero (the sum row is always
+            # kept), so some entry falls by at least k^-1.5
             direction = np.zeros(p)
             direction[f_idx] = ray
-            falling = free & (direction < -1e-14)
-            if not falling.any():
-                raise ConvergenceError(
-                    "unbounded descent ray on a compact feasible set",
-                    float("nan"),
-                    0.0,
-                )
-            beta, blocking = _step_to_bound(beta, direction, falling.nonzero()[0])
+            falling = (free & (direction < -1e-14)).nonzero()[0]
+            beta, blocking = _step_to_bound(beta, direction, falling)
             free[blocking] = False
             continue
         cand = np.zeros(p)
@@ -407,6 +407,7 @@ def simplex_ls(
             # cand is zero off the free set, so this zeroes the bound entries
             beta = np.maximum(cand, 0.0)
             grad = gram @ beta - g0
+            xi = pinv.T @ -grad.take(f_idx)
             mu = -(grad + a_mat.T @ xi)
             mu[free] = 0.0
             # mu is zero on the (nonempty) free set, so its max is >= 0
@@ -437,14 +438,10 @@ def simplex_ls(
             beta, blocking = _step_to_bound(beta, cand - beta, neg_idx)
             free[blocking] = False
 
-    grad = gram @ beta - g0
-    mu = -(grad + a_mat.T @ xi)
-    mu[free] = 0.0
-    stat = _absmax((grad + a_mat.T @ xi)[free])
-    comp = _absmax(mu * beta)
-    raise ConvergenceError(
-        f"active-set solver exceeded {max_iter} iterations", stat, comp
-    )
+    # stationarity on the free set; the bound set's multipliers give the gap
+    resid = gram @ beta - g0 + a_mat.T @ xi
+    stat, comp = _absmax(resid[free]), _absmax(resid[~free] * beta[~free])
+    raise ConvergenceError(f"active-set solver exceeded {max_iter} iterations", stat, comp)
 
 
 def _step_to_bound(beta: np.ndarray, direction: np.ndarray, idx: np.ndarray):
@@ -526,7 +523,7 @@ def _qr_rank(mat: np.ndarray) -> tuple[int, np.ndarray]:
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of LAPACK geqp3")
     diag = abs(r.diagonal())
-    rank = 0 if diag[0] == 0.0 else int((diag > 1e-10 * diag[0]).sum())
+    rank = 0 if diag[0] == 0.0 else int((diag > _RANK_TOL * diag[0]).sum())
     return rank, piv - 1
 
 

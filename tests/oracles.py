@@ -6,7 +6,7 @@ constraint-line oracle scans the one-dimensional feasible set of an
 equality-constrained problem, the rank-one-correction divergence
 writes the sum-to-one hat matrix in a form the package never uses, and
 the KKT reference solves the working-set system densely by ``lstsq``
-instead of by Cholesky and Schur complement.
+instead of by the null-space method.
 """
 
 import numpy as np

@@ -300,6 +300,23 @@ class TestCli:
         v_grid = [list(v) for v in solvers.default_v_grid(2)]
         assert grid == [{"lambda": lam, "m": None, "v": v} for v in v_grid for lam in (0.0, 0.5)]
 
+    def test_covariate_loo_with_dependent_rows_at_a_vertex_exits_zero(self, tmp_path, capsys):
+        # placebo donor 1 at V = (0.25, 0, 0.75) fits price and age exactly,
+        # and age alone pins one vertex there: its equality rows are
+        # dependent, and the working-set solve drops the redundant one
+        panel, covs = tmp_path / "p.csv", tmp_path / "c.csv"
+        assert cli.main(["simulate", "--units", "9", "--periods", "20", "--seed", "3",
+                         "--output-panel", str(panel)]) == 0
+        covs.write_text(
+            "cov,treated," + ",".join(f"donor_{j}" for j in range(1, 9)) + "\n"
+            "price,2.5,1,2,3,4,1,2,3,4\nsize,2,4,1,3,0,2,2,1,3\nage,1,0,1,2,1,0,2,1,1\n"
+        )
+        capsys.readouterr()
+        assert cli.main(["select", "--input", str(panel), "--treated", "treated",
+                         "--treatment-period", "t16", "--covariates", str(covs),
+                         "--estimator", "covariate", "--method", "cv-loo"]) == 0
+        assert json.loads(capsys.readouterr().out)["results"]["method"] == "cv_loo_untreated"
+
     @pytest.mark.parametrize("split", ["inf", "nan"])
     def test_non_finite_holdout_split_exits_one(self, panel_csv, capsys, split):
         argv = [*self._select_args(panel_csv, "--estimator", "penalized"), "--method", "cv-holdout"]

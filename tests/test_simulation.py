@@ -285,6 +285,16 @@ class TestBenchmark:
         assert row.mse_risk_raw == 0.0
         assert row.mean_rank_corr == 1.0
 
+    def test_race_runs_in_the_wide_regime(self):
+        # 300 donors on 12 pre-periods: the plain fit behind sure's sigma^2
+        # is rank deficient, and its re-solve used to exceed max_iter here
+        spec = synthetic_factor_spec(300, 24, r=1, seed=100, sigma_y=0.5, sigma_x=2.0)
+        report = run_selection_benchmark(
+            "gaussian", ["risk", "sure", "cv_holdout"], 1, 0,
+            spec=spec, n_donors=300, n_pre=12, n_post=12,
+        )
+        assert np.isfinite(report.method("sure").mse_tau1)
+
     def test_single_replication_reproducible(self):
         kwargs = dict(n_donors=8, n_pre=16, n_post=12, lambda_grid=[0.0, 0.5])
         a = run_selection_benchmark("gaussian", ["sure", "cv_holdout"], 1, 11, **kwargs)

@@ -16,18 +16,18 @@ from synthsel import selection, solvers
 from synthsel.errors import ConfigurationError, ConvergenceError, SingularityError
 from synthsel.panel import PanelDataset
 from synthsel.selection import _fit_grid, _fit_path, ic_for_fit, select_v_ic, tuning_grid
+from synthsel.simulation import draw_factor_gaussian, spawn_rng, synthetic_factor_spec
 from synthsel.solvers import (
     ActiveSets,
     KktCertificate,
     _absmax,
     _active_set,
     _cov_inner,
-    _eq_ls_solve,
+    _face_solve,
     _no_cov_rows,
     _normal_equations,
     _outer_solve,
     _qr_rank,
-    _schur_solve,
     default_active_tol,
     default_v_grid,
     donor_sq_distances,
@@ -52,16 +52,27 @@ from oracles import constraint_line_min, kkt_lstsq_solve, simplex_grid_min
 # ---------------------------------------------------------------------------
 
 
+def _face(x, y, lin, a_mat, rhs):
+    """``_face_solve`` at the rank cut ``simplex_ls`` takes for design ``x``,
+    with the multipliers ``simplex_ls`` reads off its ``pinv`` at the face
+    solution: ``(b, xi, ray)``."""
+    beta, pinv, ray = _face_solve(x, y, lin, a_mat, rhs, 1e-10 * np.sqrt(np.max(np.sum(x * x, axis=0))))
+    if ray is not None:
+        return beta, None, ray
+    grad = x.T @ (x @ beta - y) + (0.0 if lin is None else lin)
+    return beta, pinv.T @ -grad, ray
+
+
 def _eq_ls_beta(y, x, eq_mat, eq_rhs):
     """Minimizer of ``0.5||y - X b||^2`` subject to ``E b = f`` by the
     working-set kernel."""
-    beta, _, consistent = _eq_ls_solve(x.T @ x, x.T @ y, eq_mat, np.asarray(eq_rhs, dtype=float))
-    assert consistent
+    beta, _, ray = _face(x, y, None, eq_mat, np.asarray(eq_rhs, dtype=float))
+    assert ray is None
     return beta
 
 
 class TestConstrainedLs:
-    """Equality-constrained least squares: ``_eq_ls_solve`` for the
+    """Equality-constrained least squares: ``_face_solve`` for the
     solution, ``eq_constrained_hat`` for the guards and the hat matrix."""
 
     def test_single_column_sum_constraint_forces_unit_weight(self, rng):
@@ -123,38 +134,59 @@ def test_hat_is_a_projection_of_rank_k_minus_h(seed):
 
 
 class TestWorkingSetKernel:
-    """``_eq_ls_solve`` against the dense KKT ``lstsq`` reference."""
+    """``_face_solve`` against the dense KKT ``lstsq`` reference."""
 
     @pytest.mark.parametrize("h", [1, 3])
     def test_matches_dense_reference(self, rng, h):
-        x = rng.normal(size=(15, 6))
-        gram, g = x.T @ x, x.T @ rng.normal(size=15)
+        x, y = rng.normal(size=(15, 6)), rng.normal(size=15)
+        lin = rng.normal(size=6)
         a_mat = np.vstack([np.ones((1, 6)), rng.normal(size=(2, 6))])[:h]
         rhs = rng.normal(size=h)
-        beta, xi, consistent = _eq_ls_solve(gram, g, a_mat, rhs)
-        ref_beta, ref_xi, ref_res = kkt_lstsq_solve(gram, g, a_mat, rhs)
-        assert consistent and ref_res <= 1e-10
+        beta, xi, ray = _face(x, y, lin, a_mat, rhs)
+        ref_beta, ref_xi, ref_res = kkt_lstsq_solve(x.T @ x, x.T @ y - lin, a_mat, rhs)
+        assert ray is None and ref_res <= 1e-10
         np.testing.assert_allclose(beta, ref_beta, rtol=0, atol=1e-10)
         np.testing.assert_allclose(xi, ref_xi, rtol=0, atol=1e-10)
+
+    def test_dependent_rows_are_dropped_with_zero_multipliers(self, rng):
+        x, y = rng.normal(size=(15, 6)), rng.normal(size=15)
+        lin = rng.normal(size=6)
+        row = rng.normal(size=6)
+        a_mat = np.vstack([np.ones(6), row, 2.0 * row + 3.0])  # row 2 = 2 row 1 + 3 row 0
+        rhs = a_mat @ rng.dirichlet(np.ones(6))
+        beta, xi, ray = _face(x, y, lin, a_mat, rhs)
+        ref_beta, ref_xi, ref_res = kkt_lstsq_solve(x.T @ x, x.T @ y - lin, a_mat, rhs)
+        assert ray is None and ref_res <= 1e-10
+        np.testing.assert_allclose(beta, ref_beta, rtol=0, atol=1e-10)
+        # the multipliers of dependent rows are not unique; their action is
+        np.testing.assert_allclose(a_mat.T @ xi, a_mat.T @ ref_xi, rtol=0, atol=1e-10)
+        assert xi[0] != 0.0 and np.count_nonzero(xi == 0.0) == 1
 
     def test_singular_gram_without_stationary_point_is_inconsistent(self, rng):
         base = rng.normal(size=(8, 2))
         x = np.column_stack([base, base[:, 0]])  # duplicate donor: singular Gram
-        g = x.T @ rng.normal(size=8) - np.array([0.0, 0.0, 1.0])
+        y, lin = rng.normal(size=8), np.array([0.0, 0.0, 1.0])
         a_mat = np.ones((1, 3))
-        beta, xi, consistent = _eq_ls_solve(x.T @ x, g, a_mat, np.array([1.0]))
-        assert not consistent
-        assert kkt_lstsq_solve(x.T @ x, g, a_mat, np.array([1.0]))[2] > 1e-3
+        beta, xi, ray = _face(x, y, lin, a_mat, np.array([1.0]))
+        assert kkt_lstsq_solve(x.T @ x, x.T @ y - lin, a_mat, np.array([1.0]))[2] > 1e-3
+        assert beta is None and xi is None
+        # a unit descent ray of the linear term along which the fit and the
+        # sum do not move: weight passes from the costly copy to donor 0
+        np.testing.assert_allclose(ray, [2**-0.5, 0.0, -(2**-0.5)], rtol=0, atol=1e-12)
+        assert np.max(np.abs(x @ ray)) <= 1e-12 and abs(ray.sum()) <= 1e-12
 
     def test_singular_gram_with_stationary_points_is_consistent(self, rng):
         base = rng.normal(size=(8, 2))
         x = np.column_stack([base, base[:, 0]])
-        g = x.T @ rng.normal(size=8)
-        beta, xi, consistent = _eq_ls_solve(x.T @ x, g, np.ones((1, 3)), np.array([1.0]))
-        ref_beta, ref_xi, _ = kkt_lstsq_solve(x.T @ x, g, np.ones((1, 3)), np.array([1.0]))
-        assert consistent
-        np.testing.assert_allclose(beta, ref_beta, rtol=0, atol=1e-10)
+        y = rng.normal(size=8)
+        beta, xi, ray = _face(x, y, None, np.ones((1, 3)), np.array([1.0]))
+        ref_beta, ref_xi, ref_res = kkt_lstsq_solve(x.T @ x, x.T @ y, np.ones((1, 3)), np.array([1.0]))
+        assert ray is None and ref_res <= 1e-10
+        # the weights of the two copies are not unique; the fit, the sum
+        # and the multiplier are
+        np.testing.assert_allclose(x @ beta, x @ ref_beta, rtol=0, atol=1e-10)
         np.testing.assert_allclose(xi, ref_xi, rtol=0, atol=1e-10)
+        assert beta.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestStart:
@@ -308,21 +340,6 @@ class TestShortcuts:
     """The engine's cheaper forms of numpy and LAPACK calls give the same
     bits as the calls they replace."""
 
-    def test_scalar_schur_solve_is_lapack_solve(self):
-        gen = np.random.default_rng(0)
-        for _ in range(5000):
-            pivot = np.array([[gen.choice([-1.0, 1.0]) * 10 ** gen.uniform(-3, 3)]])
-            resid = np.array([gen.normal() * 10 ** gen.uniform(-3, 3)])
-            np.testing.assert_array_equal(_schur_solve(pivot, resid), np.linalg.solve(pivot, resid))
-
-    def test_singular_or_larger_schur_systems_go_to_lapack(self, rng):
-        with pytest.raises(np.linalg.LinAlgError):
-            _schur_solve(np.zeros((1, 1)), np.ones(1))
-        with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.solve(np.zeros((1, 1)), np.ones(1))
-        schur, resid = rng.normal(size=(3, 3)) + 3 * np.eye(3), rng.normal(size=3)
-        np.testing.assert_array_equal(_schur_solve(schur, resid), np.linalg.solve(schur, resid))
-
     @pytest.mark.parametrize(
         "v",
         [
@@ -430,10 +447,6 @@ class TestSolveSc:
         np.testing.assert_array_equal(fit.fitted, x @ fit.beta)
         np.testing.assert_array_equal(fit.residuals, y - fit.fitted)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="solve_sc can return an uncertified fit: stationarity 2.11e-8 here (ROADMAP item 1)",
-    )
     def test_certified_or_raises_on_a_wide_probe(self):
         # seed 42 of the ROADMAP probe generator: 46 donors, 8 periods
         g = np.random.default_rng(42)
@@ -453,6 +466,20 @@ class TestSolveSc:
 
 
 class TestPenalized:
+    def test_wide_fold_with_a_singular_face_gram_is_certified_at_any_scale(self):
+        # a 7-period fold of 300 donors, the abstract's regime: a face of 8
+        # donors on 7 rows has a Gram singular to rounding (cond ~4e16),
+        # though [X_F; 1'] has full column rank (cond(X_F) ~11), so the
+        # face problem has one solution
+        spec = synthetic_factor_spec(300, 24, r=1, seed=100, sigma_y=0.5, sigma_x=2.0)
+        draw = draw_factor_gaussian(spec, 24, spawn_rng(0, 28))
+        y, x = draw.y[:7], draw.x[:7]
+        lam = selection.default_lambda_grid("penalized")[5]
+        fit = solve_penalized_sc(y, x, lam)
+        assert fit.kkt.satisfied()
+        for c in (1e-3, 0.1, 10.0):
+            np.testing.assert_allclose(solve_penalized_sc(c * y, c * x, lam).beta, fit.beta, rtol=0, atol=1e-12)
+
     def test_zero_penalty_equals_plain(self):
         y, x = make_instance(5)
         np.testing.assert_allclose(
@@ -663,10 +690,13 @@ class TestCovariate:
         w_true = np.array([0.4, 0.3, 0.2, 0.1])
         y = x @ w_true
         d = rng.normal(size=(2, 4))
-        # row 0 is consistent with the outcome-optimal weights, row 1 is not
-        z = np.array([float(d[0] @ w_true), float(d[1] @ w_true) + 3.0])
+        # row 0 is consistent with the outcome-optimal weights; row 1's
+        # target is donor 3's value, which they miss, so pinning it costs
+        # RSS beyond rounding
+        z = np.array([float(d[0] @ w_true), float(d[1, 3])])
         grid = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
         best = solve_sc_cov(y, x, z, d, grid)
+        assert solve_sc_cov(y, x, z, d, grid[1:]).rss > 1e-3
         np.testing.assert_array_equal(best.v, grid[0])
         assert best.rss == pytest.approx(0.0, abs=1e-16)
 
@@ -889,19 +919,20 @@ def test_qr_rank_matches_scipy_pivoted_qr(mat):
     np.testing.assert_array_equal(pivots, piv)
 
 
-def _kernel_outputs(geqp3, potrf, potrs):
-    """R, pivots, Cholesky factors and solves of a few matrices, through the
-    given LAPACK kernels."""
+def _kernel_outputs(geqp3, ormqr, trtrs):
+    """R, pivots, Q-products and triangular solves of a few matrices,
+    through the given LAPACK kernels."""
     gen = np.random.default_rng(11)
     out = []
     for n, p in [(3, 7), (7, 3), (12, 12), (40, 9)]:
         mat = gen.normal(size=(n, p))
         mat[:, -1] = mat[:, 0] - mat[:, p // 2]
         lwork = int(geqp3(np.zeros(mat.shape), lwork=-1)[3][0])
-        out.extend(geqp3(mat, lwork=lwork)[:2])
-        gram = mat.T @ mat + np.eye(p)
-        chol = potrf(gram, lower=0, clean=0)[0]
-        out.extend([chol, potrs(chol, gen.normal(size=(p, 2)), lower=0)[0]])
+        qr, piv, tau = geqp3(mat, lwork=lwork)[:3]
+        out.extend([qr, piv, ormqr("L", "T", qr[:, : tau.shape[0]], tau, gen.normal(size=n), 1)[0]])
+        tri = np.triu(gen.normal(size=(p, p))) + 3 * np.eye(p)
+        rhs = gen.normal(size=(p, 2))
+        out.extend([trtrs(tri, rhs)[0], trtrs(tri, rhs, trans=1)[0]])
     return out
 
 
@@ -917,8 +948,8 @@ def test_lapack_kernels_are_scipys_when_loaded_first():
         "import scipy.linalg",
         "from scipy.linalg import lapack",
         "assert scipy.linalg._flapack.dgeqp3 is lapack.dgeqp3",
-        "mine = _kernel_outputs(solvers._geqp3, solvers._potrf, solvers._potrs)",
-        "theirs = _kernel_outputs(lapack.dgeqp3, lapack.dpotrf, lapack.dpotrs)",
+        "mine = _kernel_outputs(solvers._geqp3, solvers._ormqr, solvers._trtrs)",
+        "theirs = _kernel_outputs(lapack.dgeqp3, lapack.dormqr, lapack.dtrtrs)",
         "assert all(np.array_equal(a, b) for a, b in zip(mine, theirs, strict=True))",
         "mat = np.random.default_rng(2).normal(size=(9, 14))",
         "_, piv = scipy.linalg.qr(mat, mode='r', pivoting=True)",
@@ -931,7 +962,7 @@ def test_lapack_kernels_are_scipys_when_loaded_first():
 def test_lapack_kernels_reuse_a_loaded_module_or_fall_back(monkeypatch):
     from scipy.linalg import lapack
 
-    public = (lapack.dgeqp3, lapack.dpotrf, lapack.dpotrs)
+    public = (lapack.dgeqp3, lapack.dormqr, lapack.dtrtrs)
     assert solvers._lapack_kernels() == public
     monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
     monkeypatch.setattr(importlib.util, "find_spec", lambda name, package=None: None)
@@ -940,7 +971,7 @@ def test_lapack_kernels_reuse_a_loaded_module_or_fall_back(monkeypatch):
     fallback = solvers._lapack_kernels()
     monkeypatch.undo()
     assert fallback == public
-    mine = _kernel_outputs(solvers._geqp3, solvers._potrf, solvers._potrs)
+    mine = _kernel_outputs(solvers._geqp3, solvers._ormqr, solvers._trtrs)
     for a, b in zip(mine, _kernel_outputs(*fallback), strict=True):
         np.testing.assert_array_equal(a, b)
 
