@@ -19,7 +19,6 @@ candidate), then toward grid order."""
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -37,8 +36,7 @@ from .solvers import (
     _cov_inner,
     _is_degenerate,
     _no_cov_rows,
-    _normal_equations,
-    _outer_solve,
+    _outer_paths,
     default_v_grid,
     masc_average,
     solve_matching,
@@ -155,9 +153,10 @@ def _fit_grid(y: np.ndarray, x: np.ndarray, kind: str, points, z=None, d=None) -
 
     A covariate grid checks each distinct weighting and solves its inner
     problem before any outer solve.  Each weighting's penalties (a penalized
-    grid's all) are then one ``_fit_path`` on ``X'X`` and ``X'y`` formed once.
-    A model-averaging grid solves plain synthetic control once and each
-    matching count once and averages them per point.
+    grid's all) are then one path on ``X'X`` and ``X'y`` formed once, solved
+    once for all the weightings that pose the same outer problem
+    (``_outer_paths``).  A model-averaging grid solves plain synthetic
+    control once and each matching count once and averages them per point.
     """
     if kind in (PENALIZED, COVARIATE):
         y = np.asarray(y, dtype=float).ravel()  # contiguous, as solve_penalized_sc makes it
@@ -165,13 +164,11 @@ def _fit_grid(y: np.ndarray, x: np.ndarray, kind: str, points, z=None, d=None) -
         runs: dict = {}  # grid indices by weighting, None for a penalized grid
         for i, pt in enumerate(points):
             runs.setdefault(pt.v, []).append(i)
-        inners = [_no_cov_rows(y, x) if v is None else _cov_inner(y, x, z, d, np.asarray(v))
-                  for v in runs]
-        normal = _normal_equations(y, x)
+        problems = [(_no_cov_rows(y, x) if v is None else _cov_inner(y, x, z, d, np.asarray(v)),
+                     [points[i].lam for i in idx]) for v, idx in runs.items()]
         fits = {}
-        for inner, idx in zip(inners, runs.values()):
-            solve = functools.partial(_outer_solve, kind, y, x, inner, normal=normal)
-            fits.update(zip(idx, _fit_path([points[i].lam for i in idx], solve)))
+        for idx, path in zip(runs.values(), _outer_paths(kind, y, x, problems)):
+            fits.update(zip(idx, path))
         return [fits[i] for i in range(len(points))]
     if kind == MASC:
         fit_sc = solve_sc(y, x)
@@ -180,20 +177,6 @@ def _fit_grid(y: np.ndarray, x: np.ndarray, kind: str, points, z=None, d=None) -
     if kind == PLAIN:
         return [solve_sc(y, x)] * len(points)
     raise ConfigurationError(f"unknown estimator kind {kind!r}")
-
-
-def _fit_path(lams, solve) -> list[ScFit]:
-    """``solve(lam, prev)`` at every penalty in ``lams``, returned in grid
-    order but solved from the largest penalty down, ``prev`` being the fit
-    solved just before (None for the first).  The solver warm-starts from
-    ``prev``; ``_outer_solve`` keeps a warm fit only where the optimum is
-    unique, so every fit equals its cold solve."""
-    lams = np.asarray(lams, dtype=float)
-    fits: list[ScFit | None] = [None] * lams.size
-    fit = None
-    for i in np.argsort(-lams, kind="stable"):
-        fit = fits[i] = solve(float(lams[i]), fit)
-    return fits
 
 
 # ---------------------------------------------------------------------------

@@ -736,6 +736,51 @@ def _outer_solve(
     return fit
 
 
+def _fit_path(lams, solve) -> list[ScFit]:
+    """``solve(lam, prev)`` at every penalty in ``lams``, returned in grid
+    order but solved from the largest penalty down, ``prev`` being the fit
+    solved just before (None for the first).  The solver warm-starts from
+    ``prev``; ``_outer_solve`` keeps a warm fit only where the optimum is
+    unique, so every fit equals its cold solve."""
+    lams = np.asarray(lams, dtype=float)
+    fits: list[ScFit | None] = [None] * lams.size
+    fit = None
+    for i in np.argsort(-lams, kind="stable"):
+        fit = fits[i] = solve(float(lams[i]), fit)
+    return fits
+
+
+def _outer_paths(kind: str, y: np.ndarray, x: np.ndarray, problems) -> list[list[ScFit]]:
+    """For each ``(inner, lams)`` of ``problems``, the ``_outer_solve``
+    fits of ``(y, x)`` at the penalties ``lams`` for one weighting's
+    ``inner``, in ``lams`` order: one ``_fit_path`` on ``X'X`` and ``X'y``
+    formed once for all of them.
+
+    The outer problem sees a weighting only through its weighted rows and
+    the rows its inner solution fits exactly, ``(inner.e_rows,
+    inner.exact_rows)``: weightings that agree on both pose the same
+    objective, equality rows, ``r_tol`` and ``sq_dist``, and differ only in
+    their cold start.  So a weighting whose rows and penalties were solved
+    before takes those fits, each with its own ``v``, when every one of them
+    is a start ``_warm_source`` keeps (the unique optimum, which no start
+    changes); otherwise it is solved as the first was.
+    """
+    normal = _normal_equations(y, x)
+    keys = [(inner.e_rows, inner.exact_rows, tuple(lams)) for inner, lams in problems]
+    solved: dict = {}
+    paths = []
+    for key, (inner, lams) in zip(keys, problems):
+        if key in solved:
+            paths.append([replace(fit, v=inner.v) for fit in solved[key]])
+            continue
+        fits = _fit_path(lams, functools.partial(_outer_solve, kind, y, x, inner, normal=normal))
+        # only a problem posed again is checked, so a lone path costs no more
+        if keys.count(key) > 1 and all(_warm_source(fit, y, x) is not None for fit in fits):
+            solved[key] = fits
+        paths.append(fits)
+    return paths
+
+
 def matching_weights(y: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
     """Uniform weight 1/m on the m nearest donors (ties by lowest index)."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -837,13 +882,19 @@ def solve_sc_cov_inner(
     unique even when the minimizer is not, so they split those rows into
     exactly-fit rows and rows with nonzero inner residual.  Second, the
     outer loss, with the donor-distance penalty of ``solve_penalized_sc``
-    at ``lam``, is minimized over the inner solution set, which the
-    exactly-fit rows pin down as equality constraints while the nonzero
-    residual rows leave free; this is the one outer solve the penalized
-    estimator also runs.  If the nonzero-residual rows are at least as
-    numerous as the active donors minus one, the equality rows exert no
-    force at all and the fit reduces to the plain estimator on its active
-    set; that reduction is applied and flagged when it fires.  The first
+    at ``lam``, is minimized over the simplex with the exactly-fit rows held
+    at their targets as equality rows; this is the one outer solve the
+    penalized estimator also runs.  The rows with nonzero inner residual
+    are dropped from it, not held at their inner fitted values, so the
+    outer minimum is taken over more than the inner solution set when such
+    rows exist: with no exactly-fit row (every target outside the donors'
+    hull, say) the weights are ``solve_penalized_sc``'s.  So ``v`` enters
+    the fit only through the weighted rows and the exactly-fit rows, and
+    through the outer solve's start, which matters only at a non-unique
+    optimum.  If the nonzero-residual rows are at least as numerous as the
+    active donors minus one, the equality rows exert no force at all and
+    the fit reduces to the plain estimator on its active set; that
+    reduction is applied and flagged when it fires.  The first
     stage does not depend on ``lam``, so a grid over ``lam`` at one
     weighting needs it once (see ``selection._fit_grid``).  ``lam`` must
     be finite and ``>= 0``, with or without covariate rows; otherwise
@@ -955,9 +1006,21 @@ def solve_sc_cov(
 ) -> ScFit:
     """Search the diagonal weighting over a grid, keeping the fit with the
     smallest outer residual sum of squares.  Ties go to the
-    lexicographically smallest weighting."""
+    lexicographically smallest weighting.  Each weighting's fit is
+    ``solve_sc_cov_inner``'s: every inner problem is checked and solved
+    before any outer solve, and weightings that pose the same outer problem
+    share its solve (``_outer_paths``)."""
     candidates = [np.asarray(v, dtype=float).ravel() for v in v_grid]
     if not candidates:
         raise ConfigurationError("empty V grid")
-    fits = [solve_sc_cov_inner(y, x, z, d, v, lam=lam) for v in candidates]
+    if not np.size(d):
+        # no rows: no inner problem, and every fit is the penalized one
+        fits = [solve_sc_cov_inner(y, x, z, d, v, lam=lam) for v in candidates]
+    else:
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        y = np.asarray(y, dtype=float).ravel()
+        z = np.asarray(z, dtype=float).ravel()
+        d = np.atleast_2d(np.asarray(d, dtype=float))
+        inners = [_cov_inner(y, x, z, d, v) for v in candidates]
+        fits = [fit for [fit] in _outer_paths(COVARIATE, y, x, [(inner, [lam]) for inner in inners])]
     return min(fits, key=lambda fit: (fit.rss, tuple(fit.v)))

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from synthsel import selection, solvers
 from synthsel.errors import ConfigurationError, ConvergenceError, SingularityError
 from synthsel.panel import PanelDataset
-from synthsel.selection import _fit_grid, _fit_path, ic_for_fit, select_v_ic, tuning_grid
+from synthsel.selection import _fit_grid, ic_for_fit, select_v_ic, tuning_grid
 from synthsel.simulation import draw_factor_gaussian, spawn_rng, synthetic_factor_spec
 from synthsel.solvers import (
     ActiveSets,
@@ -24,6 +24,7 @@ from synthsel.solvers import (
     _active_set,
     _cov_inner,
     _face_solve,
+    _fit_path,
     _no_cov_rows,
     _normal_equations,
     _outer_solve,
@@ -276,11 +277,14 @@ class TestNonFiniteData:
     def test_a_grid_path_checks_its_data_once(self, monkeypatch):
         y, x = make_instance(3)
         formed = []
-        for module in (solvers, selection):
-            monkeypatch.setattr(module, "_normal_equations",
-                                lambda y, x, _f=_normal_equations: formed.append(1) or _f(y, x))
+        monkeypatch.setattr(solvers, "_normal_equations",
+                            lambda y, x, _f=_normal_equations: formed.append(y.size) or _f(y, x))
         _fit_grid(y, x, "penalized", tuning_grid("penalized"))
-        assert len(formed) == 1
+        assert formed == [y.size]
+        # a covariate grid's inner solves form their own, of the covariate rows
+        d = np.random.default_rng(3).normal(size=(2, x.shape[1]))
+        _fit_grid(y, x, "covariate", tuning_grid("covariate", n_cov=2), d @ np.full(x.shape[1], 0.2), d)
+        assert formed.count(y.size) == 2
         with pytest.raises(ConfigurationError, match="target"):
             _fit_grid(np.full_like(y, np.inf), x, "penalized", tuning_grid("penalized"))
 
@@ -778,6 +782,63 @@ class TestCovariatePath:
             np.testing.assert_array_equal(fit.beta, cold.beta)
             assert fit.cov_eq_rows == cold.cov_eq_rows == (() if fit.kkt.degenerate else (0,))
 
+    @staticmethod
+    def _count_solves(monkeypatch):
+        """Counts, as they run, of inner solves (engine calls without
+        ``_normal``), outer engine calls and outer paths (outer solves with
+        no previous fit)."""
+        counts = {"inner": 0, "outer": 0, "paths": 0}
+        engine, outer = solvers.simplex_ls, solvers._outer_solve
+
+        def counted_engine(*args, **kwargs):
+            counts["outer" if "_normal" in kwargs else "inner"] += 1
+            return engine(*args, **kwargs)
+
+        def counted_outer(kind, y, x, inner, lam, prev, **kwargs):
+            counts["paths"] += prev is None
+            return outer(kind, y, x, inner, lam, prev, **kwargs)
+
+        monkeypatch.setattr(solvers, "simplex_ls", counted_engine)
+        monkeypatch.setattr(solvers, "_outer_solve", counted_outer)
+        return counts
+
+    def test_weightings_with_the_same_rows_solve_one_outer_path(self, monkeypatch):
+        # every target is the donors' value at one simplex weighting, so each
+        # weighting fits all its weighted rows: the 16 weightings of
+        # default_v_grid(3) pose one outer problem per nonempty row set, 7
+        y, x = make_instance(11, n=12, p=8)
+        gen = np.random.default_rng(11)
+        d = gen.normal(size=(3, 8))
+        z = d @ gen.dirichlet(np.ones(8))
+        lams = [0.0, 0.3, 2.0]
+        v_grid = default_v_grid(3)
+        points = tuning_grid("covariate", lams, v_grid=v_grid, n_cov=3)
+        counts = self._count_solves(monkeypatch)
+        fits = _fit_grid(y, x, "covariate", points, z, d)
+        assert counts == {"inner": 16, "outer": 7 * len(lams), "paths": 7}
+        assert len({(fit.sets.e, fit.cov_eq_rows) for fit in fits}) == 7
+        counts.update(inner=0, outer=0, paths=0)
+        solve_sc_cov(y, x, z, d, v_grid, lam=0.3)
+        assert counts == {"inner": 16, "outer": 7, "paths": 7}
+
+    def test_weightings_at_a_non_unique_optimum_share_nothing(self, monkeypatch):
+        y, x, z, d, _ = self._duplicated_instance()
+        lams = [0.0, 0.3, 2.0]
+        v_grid = default_v_grid(2)
+        points = tuning_grid("covariate", lams, v_grid=v_grid, n_cov=2)
+        inners = [_cov_inner(y, x, z, d, v) for v in v_grid]
+        # three of the five weightings pose the same outer problem
+        assert len({(inner.e_rows, inner.exact_rows) for inner in inners}) == 3
+        counts = self._count_solves(monkeypatch)
+        fits = _fit_grid(y, x, "covariate", points, z, d)
+        assert counts["inner"] == counts["paths"] == len(v_grid)
+        counts.update(paths=0)
+        solve_sc_cov(y, x, z, d, v_grid)
+        assert counts["paths"] == len(v_grid)
+        monkeypatch.undo()
+        for pt, fit in zip(points, fits):
+            _assert_same_fit(fit, solve_sc_cov_inner(y, x, z, d, np.asarray(pt.v), lam=pt.lam))
+
 
 @pytest.mark.filterwarnings("ignore:donor columns are exact duplicates")
 @settings(max_examples=30, deadline=None)
@@ -823,6 +884,77 @@ def _assert_same_solve(got, want):
     assert got.rank_xa == want.rank_xa
     for field in dataclasses.fields(KktCertificate):
         np.testing.assert_array_equal(getattr(got.kkt, field.name), getattr(want.kkt, field.name))
+
+
+def _assert_same_fit(got, want):
+    """The same optimum, bit for bit, however many iterations reached it."""
+    np.testing.assert_array_equal(got.beta, want.beta)
+    assert got.sets == want.sets
+    assert got.cov_eq_rows == want.cov_eq_rows
+    assert got.rank_xa == want.rank_xa
+    np.testing.assert_array_equal(got.kkt.mu, want.kkt.mu)
+    assert got.kkt.degenerate == want.kkt.degenerate
+
+
+def _cov_design(gen, shape):
+    """A "tall", "wide" or "duplicated" draw, as ``random_design`` makes
+    them, with 1-3 covariate rows that duplicate with their donors.  Each
+    row's target is the true weights' value, inside the donors' hull, or 1
+    above every donor's value, outside it."""
+    n = int(gen.integers(5, 20))
+    p = int(gen.integers(n + 1, 3 * n)) if shape == "wide" else int(gen.integers(2, n))
+    x = gen.normal(size=(n, p))
+    d = gen.normal(size=(int(gen.integers(1, 4)), p))
+    if shape == "duplicated":
+        copies = gen.integers(0, p, size=2)
+        x = np.column_stack([x, x[:, copies]])
+        d = np.column_stack([d, d[:, copies]])
+    w = gen.dirichlet(np.ones(x.shape[1]))
+    y = x @ w + 0.3 * gen.normal(size=n)
+    z = np.where(gen.random(d.shape[0]) < 0.3, d.max(axis=1) + 1.0, d @ w)
+    return y, x, z, d
+
+
+_COV_LAMS = [0.0, 0.05, 0.3, 2.0]
+
+
+@pytest.mark.filterwarnings("ignore:donor columns are exact duplicates")
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10_000), shape=st.sampled_from(["tall", "wide", "duplicated"]))
+def test_every_weighting_gets_its_own_fit_from_a_shared_path(seed, shape):
+    # weightings with the same weighted and exactly-fit rows share one outer
+    # path; each point's fit is still its own weighting's solve
+    y, x, z, d = _cov_design(np.random.default_rng(seed), shape)
+    v_grid = default_v_grid(d.shape[0])
+    points = tuning_grid("covariate", _COV_LAMS, v_grid=v_grid, n_cov=d.shape[0])
+    for pt, fit in zip(points, _fit_grid(y, x, "covariate", points, z, d)):
+        _assert_same_fit(fit, solve_sc_cov_inner(y, x, z, d, np.asarray(pt.v), lam=pt.lam))
+        np.testing.assert_array_equal(fit.v, pt.v)
+    for lam in _COV_LAMS:
+        got = solve_sc_cov(y, x, z, d, v_grid, lam=lam)
+        want = min((solve_sc_cov_inner(y, x, z, d, v, lam=lam) for v in v_grid),
+                   key=lambda fit: (fit.rss, tuple(fit.v)))
+        _assert_same_fit(got, want)
+        np.testing.assert_array_equal(got.v, want.v)
+
+
+@pytest.mark.filterwarnings("ignore:donor columns are exact duplicates")
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 10_000), shape=st.sampled_from(["tall", "wide", "duplicated"]))
+def test_rows_outside_the_donors_hull_leave_the_penalized_fit(seed, shape):
+    # no simplex weight reaches a target above every donor's value, so the
+    # inner solution fits no row and the outer solve drops every row rather
+    # than holding it at its inner fitted value
+    y, x, _, d = _cov_design(np.random.default_rng(seed), shape)
+    z = d.max(axis=1) + 1.0
+    v_grid = default_v_grid(d.shape[0])
+    points = tuning_grid("covariate", _COV_LAMS, v_grid=v_grid, n_cov=d.shape[0])
+    for pt, on_grid in zip(points, _fit_grid(y, x, "covariate", points, z, d)):
+        penalized = solve_penalized_sc(y, x, pt.lam)
+        alone = solve_sc_cov_inner(y, x, z, d, np.asarray(pt.v), lam=pt.lam)
+        assert alone.cov_eq_rows == on_grid.cov_eq_rows == ()
+        np.testing.assert_array_equal(alone.beta, penalized.beta)
+        np.testing.assert_array_equal(on_grid.beta, penalized.beta)
 
 
 @pytest.mark.filterwarnings("ignore:donor columns are exact duplicates")
