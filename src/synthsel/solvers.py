@@ -11,6 +11,10 @@ subproblem is the equality-constrained least-squares problem on the free
 columns, solved by the null-space method from one pivoted QR of the free
 design (never its Gram matrix).  This terminates finitely and returns
 exact multipliers, which we expose as a KKT certificate on every fit.
+What a path of solves on one design shares is formed once for it: X'X,
+X'y, the rank cut and the factorization of the face the last solve ended
+on, which does not depend on the penalty, so a warm solve at the next
+penalty that starts on that face does not factor it again.
 
 Multiplier convention for the nonnegativity constraints: stationarity is
 ``grad + A' xi + mu = 0`` with ``mu <= 0`` at an optimum.
@@ -214,23 +218,44 @@ def _face_solve(x_f, y, lin_f, a_f, rhs, cut):
     along which ``c`` slopes by more than the package's rank cut of
     ``|N'c|`` is the unit descent ``ray`` (``b``, ``pinv`` None), and else
     the basic solution (null coordinates zero) is the face's stationary
-    point.  The face's equality multipliers are ``-pinv' grad_F``."""
+    point.  The face's equality multipliers are ``-pinv' grad_F``.  It is
+    ``_face_finish`` of ``_face_factor``: a path of solves that meets a face
+    again finishes the factor it kept (see ``simplex_ls``)."""
+    return _face_finish(_face_factor(x_f, y, a_f, rhs, cut), lin_f)
+
+
+def _face_factor(x_f, y, a_f, rhs, cut):
+    """All of ``_face_solve`` that does not read ``c``: ``(N, pinv, b0, R11,
+    R12, Q'(y - X_F b0))``, ``b0 = pinv rhs``, ``N`` in the QR's pivot order
+    and ``R`` cut at the face's rank.  Read-only, so that a path can finish
+    it again at another ``c`` (see ``simplex_ls``)."""
     null, pinv = _null_basis(a_f.tobytes(), a_f.shape)
-    b = pinv @ rhs
+    b0 = pinv @ rhs
+    b0.flags.writeable = False
     cols = null.shape[1]
     if not cols:
-        return b, pinv, None
+        return null, pinv, b0, None, None, None
     qr, piv, tau, _, _ = _geqp3(x_f @ null, lwork=_geqp3_lwork((x_f.shape[0], cols)))
     null = null.take(piv - 1, 1)
     # a column-pivoted R has a falling diagonal: its last entry tells
     full = qr.shape[0] >= cols and abs(qr[cols - 1, cols - 1]) > cut
     rank = cols if full else np.count_nonzero(abs(qr.diagonal()) > cut)
-    r11, r12 = qr[:rank, :rank], qr[:rank, rank:]
-    qr_y = _ormqr("L", "T", qr[:, : tau.shape[0]], tau, y - x_f @ b, 1)[0][:rank]
+    qr_y = _ormqr("L", "T", qr[:, : tau.shape[0]], tau, y - x_f @ b0, 1)[0][:rank]
+    null.flags.writeable = qr.flags.writeable = qr_y.flags.writeable = False
+    return null, pinv, b0, qr[:rank, :rank], qr[:rank, rank:], qr_y
+
+
+def _face_finish(factor, lin_f):
+    """``_face_solve``'s outcome from the face's ``_face_factor`` at the
+    linear term ``lin_f`` (None for zero)."""
+    null, pinv, b0, r11, r12, qr_y = factor
+    if r11 is None:
+        return b0, pinv, None
+    rank, cols = r11.shape[0], null.shape[1]
     if lin_f is not None:
         c_null = lin_f @ null
         t = _tri_solve(r11, c_null[:rank], trans=1)
-        qr_y -= t
+        qr_y = qr_y - t
         if rank < cols:
             z_top = -_tri_solve(r11, r12)
             slopes = (c_null[rank:] - r12.T @ t) / np.sqrt(1.0 + (z_top * z_top).sum(0))
@@ -238,8 +263,7 @@ def _face_solve(x_f, y, lin_f, a_f, rhs, cut):
             if abs(slopes[j]) > _RANK_TOL * _absmax(c_null):
                 ray = null[:, :rank] @ z_top[:, j] + null[:, rank + j]
                 return None, None, ray * (-np.sign(slopes[j]) / np.sqrt(ray @ ray))
-    b += null[:, :rank] @ _tri_solve(r11, qr_y)
-    return b, pinv, None
+    return b0 + null[:, :rank] @ _tri_solve(r11, qr_y), pinv, None
 
 
 def _tri_solve(r, rhs, trans=0):
@@ -255,8 +279,10 @@ def _null_basis(data: bytes, shape: tuple[int, int]):
     others).  The first row, which must be nonzero, is kept (its Householder
     reflector gives its basis); a later one unless its part in the null
     space of the rows before falls below the package's rank cut of the
-    largest row norm, by a pivoted QR.  Memoized, as faces recur along a
-    path; the arrays are read-only."""
+    largest row norm, by a pivoted QR.  Memoized, as the same rows recur on
+    the faces of every path (the sum row alone on each face of ``k``
+    donors); a path keeps only its current face's whole factorization
+    (``simplex_ls``).  The arrays are read-only."""
     h, k = shape
     a_mat = np.frombuffer(data).reshape(shape)
     null, pinv = np.eye(k), np.zeros((k, h))
@@ -320,7 +346,7 @@ def simplex_ls(
     eq_mat: np.ndarray | None = None,
     eq_rhs: np.ndarray | None = None,
     start: np.ndarray | None = None,
-    _normal: tuple[np.ndarray, np.ndarray] | None = None,
+    _normal: _NormalEquations | None = None,
 ) -> KktCertificate:
     """Minimize ``0.5||target - design @ b||^2 + lin'b`` over the scaled
     simplex ``{b >= 0, sum(b) = sum_to}`` intersected with optional extra
@@ -339,13 +365,16 @@ def simplex_ls(
     ``_normal`` is internal to the package: ``_normal_equations(target,
     design)`` when the caller already holds it, as a path of solves on one
     design does (see ``_outer_solve``); the result is the same either way.
+    It keeps the ``_face_factor`` of the face the last solve ended on, which
+    does not depend on ``lin``, for the next solve to finish again.
     """
     x = np.atleast_2d(np.asarray(design, dtype=float))
     y = np.asarray(target, dtype=float).ravel()
     n, p = x.shape
     if y.shape[0] != n:
         raise ValueError("target length does not match design rows")
-    gram, g0 = _normal_equations(y, x) if _normal is None else _normal
+    normal = _normal_equations(y, x) if _normal is None else _normal
+    gram, g0 = normal.gram, normal.xty
     if lin is not None:
         lin = np.asarray(lin, dtype=float).ravel()
         g0, lin = g0 - lin, lin if lin.any() else None
@@ -357,6 +386,7 @@ def simplex_ls(
         extra = np.atleast_2d(np.asarray(eq_mat, dtype=float))
         a_mat = np.vstack([np.ones((1, p)), extra])
         rhs = np.concatenate([[float(sum_to)], np.asarray(eq_rhs, dtype=float).ravel()])
+    rows_key = (a_mat.tobytes(), rhs.tobytes())
 
     if start is None:
         if a_mat.shape[0] > 1:
@@ -374,8 +404,6 @@ def simplex_ls(
         free[0] = True
 
     max_iter = max(200, 30 * p)
-    # the rank cut of the design's largest column norm (R's largest entry)
-    cut = _RANK_TOL * np.sqrt(gram.diagonal().max())
     scale = 1.0 + _absmax(g0)
     release_tol = min(KKT_TOL, _RELEASE_TOL * scale)
 
@@ -383,13 +411,18 @@ def simplex_ls(
         return float(0.5 * b @ (gram @ b) - g0 @ b)
 
     xi = np.zeros(a_mat.shape[0])
-    best_obj = _objective(beta)
+    start_beta = beta
+    best_obj = None  # the start's objective, formed when the stall test first reads it
     stalled = 0
     bland = False
     for iteration in range(1, max_iter + 1):
         f_idx = free.nonzero()[0]
+        key = (f_idx.tobytes(), rows_key)
+        if normal.face[0] != key:
+            factor = _face_factor(x.take(f_idx, 1), y, a_mat.take(f_idx, 1), rhs, normal.cut)
+            normal.face = (key, factor)
         lin_f = None if lin is None else lin.take(f_idx)
-        cand_f, pinv, ray = _face_solve(x.take(f_idx, 1), y, lin_f, a_mat.take(f_idx, 1), rhs, cut)
+        cand_f, pinv, ray = _face_finish(normal.face[1], lin_f)
         if ray is not None:
             # no stationary point on the face: descend along the ray until a
             # bound blocks.  The unit ray sums to zero (the sum row is always
@@ -408,19 +441,23 @@ def simplex_ls(
             beta = np.maximum(cand, 0.0)
             grad = gram @ beta - g0
             xi = pinv.T @ -grad.take(f_idx)
-            mu = -(grad + a_mat.T @ xi)
+            resid = grad + a_mat.T @ xi
+            mu = -resid
             mu[free] = 0.0
             # mu is zero on the (nonempty) free set, so its max is >= 0
             if mu.max() <= release_tol:
                 return KktCertificate(
                     beta=beta,
-                    stationarity_residual=_absmax(grad + a_mat.T @ xi + mu),
+                    # resid + mu: resid on the free set, exactly zero off it
+                    stationarity_residual=_absmax(resid.take(f_idx)),
                     complementarity_gap=_absmax(mu * beta),
                     eq_multipliers=xi,
                     mu=mu,
                     iterations=iteration,
                 )
             obj = _objective(beta)
+            if best_obj is None:
+                best_obj = _objective(start_beta)
             if obj < best_obj - 1e-14 * (1.0 + abs(best_obj)):
                 best_obj = obj
                 stalled = 0
@@ -458,14 +495,30 @@ def _step_to_bound(beta: np.ndarray, direction: np.ndarray, idx: np.ndarray):
     return beta, blocking
 
 
-def _normal_equations(y: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(x'x, x'y)``, which ``simplex_ls`` forms from its target and design.
-    ``ConfigurationError`` names the first NaN or infinite entry of either,
-    so a path of solves on one design checks its data once."""
+class _NormalEquations:
+    """What ``simplex_ls`` keeps of its target ``y`` and design ``x`` across
+    the solves of a path: ``gram = x'x``, ``xty = x'y``, the rank cut ``cut``
+    of the faces (the package's rank cut of the design's largest column
+    norm, R's largest entry) and, in ``face``, the ``(key, factor)`` of the
+    last face solved, ``key`` being its free indices and equality rows."""
+
+    __slots__ = ("gram", "xty", "cut", "face")
+
+    def __init__(self, gram: np.ndarray, xty: np.ndarray):
+        self.gram, self.xty = gram, xty
+        self.cut = _RANK_TOL * np.sqrt(gram.diagonal().max())
+        self.face = (None, None)
+
+
+def _normal_equations(y: np.ndarray, x: np.ndarray) -> _NormalEquations:
+    """The ``_NormalEquations`` of ``(y, x)``, which ``simplex_ls`` forms
+    from its target and design.  ``ConfigurationError`` names the first NaN
+    or infinite entry of either, so a path of solves on one design checks
+    its data once."""
     if not (np.isfinite(y).all() and np.isfinite(x).all()):
         _check_finite("target", y)
         _check_finite("design", x)
-    return x.T @ x, x.T @ y
+    return _NormalEquations(x.T @ x, x.T @ y)
 
 
 def _check_finite(name: str, a: np.ndarray) -> None:
@@ -595,10 +648,9 @@ def _is_unique_optimum(fit: ScFit, g0: np.ndarray) -> bool:
     none moves within it."""
     if _is_degenerate(fit):
         return False
-    inactive = np.ones(fit.beta.shape[0], dtype=bool)
-    inactive[list(fit.sets.a)] = False
+    # mu is exactly zero on the free set of the engine, which holds the active set
     tol = _RELEASE_TOL * (1.0 + _absmax(g0))
-    return bool((fit.kkt.mu[inactive] < -tol).all())
+    return np.count_nonzero(fit.kkt.mu < -tol) == fit.beta.shape[0] - fit.n_active
 
 
 def _warm_source(fit: ScFit, y: np.ndarray, x: np.ndarray) -> ScFit | None:
@@ -717,10 +769,10 @@ def _outer_solve(
 
     def _fit(eq_rows: tuple[int, ...], start, donor, degenerate=False) -> ScFit:
         rows = list(eq_rows)
-        cert = simplex_ls(y, x, lin=lin, eq_mat=inner.d[rows], eq_rhs=inner.z[rows],
-                          start=start, _normal=normal)
-        cov_res = inner.d @ cert.beta - inner.z
-        m_rows = tuple(i for i in range(cov_res.shape[0]) if abs(cov_res[i]) > inner.r_tol)
+        eq = {"eq_mat": inner.d[rows], "eq_rhs": inner.z[rows]} if rows else {}
+        cert = simplex_ls(y, x, lin=lin, start=start, _normal=normal, **eq)
+        cov_res = inner.d @ cert.beta - inner.z if inner.d.shape[0] else ()
+        m_rows = tuple(i for i, r in enumerate(cov_res) if abs(r) > inner.r_tol)
         return _build_fit(kind, y, x, cert, sq_dist=inner.sq_dist, m_rows=m_rows,
                           e_rows=inner.e_rows, degenerate=degenerate, prev=donor,
                           lam=float(lam), v=inner.v, cov_eq_rows=eq_rows)
@@ -729,7 +781,7 @@ def _outer_solve(
     warm = prev is not None and prev.cov_eq_rows == rows
     fit = _fit(rows, prev.beta if warm else inner.cold_start, prev)
     if warm:
-        if not _is_unique_optimum(fit, normal[1] - lin):
+        if not _is_unique_optimum(fit, normal.xty - lin):
             fit = _fit(rows, inner.cold_start, fit)
     if rows and _covariate_rows_idle(fit):
         fit = _fit((), None, fit, degenerate=True)
@@ -898,7 +950,9 @@ def solve_sc_cov_inner(
     stage does not depend on ``lam``, so a grid over ``lam`` at one
     weighting needs it once (see ``selection._fit_grid``).  ``lam`` must
     be finite and ``>= 0``, with or without covariate rows; otherwise
-    ``ConfigurationError`` is raised, as by ``solve_penalized_sc``.
+    ``ConfigurationError`` is raised, as by ``solve_penalized_sc``.  It is
+    raised too unless ``v`` is finite, nonnegative, not all zero and has one
+    entry per covariate row; with no rows only a length-0 ``v`` is valid.
     ``_prev`` is the outer solve's ``prev``, internal to the package as in
     ``solve_sc``.
     """
@@ -908,6 +962,7 @@ def solve_sc_cov_inner(
     z = np.asarray(z, dtype=float).ravel()
     v = np.asarray(v, dtype=float).ravel()
     if d.shape[0] == 0:
+        _check_weighting(v, 0)
         # any lam but zero, negative and non-finite ones included, goes to
         # the penalized solver, which rejects the invalid ones
         if lam == 0:
@@ -918,18 +973,24 @@ def solve_sc_cov_inner(
     return _outer_solve(COVARIATE, y, x, _cov_inner(y, x, z, d, v), lam, _prev)
 
 
-def _cov_inner(y, x, z, d, v) -> _CovInner:
-    """Stage one of ``solve_sc_cov_inner``: check ``v`` against the ``d``
-    rows, then solve the inner weighted problem over the simplex."""
-    n_cov = d.shape[0]
+def _check_weighting(v: np.ndarray, n_cov: int) -> None:
+    """``ConfigurationError`` unless ``v`` is a finite, nonnegative diagonal
+    weighting of ``n_cov`` covariate rows (of none: a length-0 ``v``)."""
     if v.shape[0] != n_cov:
         raise ConfigurationError("diagonal weight length does not match covariate rows")
-    # a NaN passes both checks below and an inf makes the weight tolerance
+    # a NaN passes the sign checks and an inf makes the weight tolerance
     # infinite; either would silently drop every covariate row
     if not np.isfinite(v).all():
         raise ConfigurationError(f"diagonal weights must be finite, got {v.tolist()}")
     if np.any(v < 0):
         raise ConfigurationError("diagonal weights must be nonnegative")
+
+
+def _cov_inner(y, x, z, d, v) -> _CovInner:
+    """Stage one of ``solve_sc_cov_inner``: check ``v`` against the ``d``
+    rows, then solve the inner weighted problem over the simplex."""
+    n_cov = d.shape[0]
+    _check_weighting(v, n_cov)
     if float(np.max(v, initial=0.0)) <= 0.0:
         raise ConfigurationError("diagonal weights must not all be zero")
     _check_finite("covariate target", z)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from synthsel import selection, solvers
 from synthsel.errors import ConfigurationError, ConvergenceError, SingularityError
 from synthsel.panel import PanelDataset
-from synthsel.selection import _fit_grid, ic_for_fit, select_v_ic, tuning_grid
+from synthsel.selection import _fit_grid, ic_for_fit, select_lambda_ic, select_v_ic, tuning_grid
 from synthsel.simulation import draw_factor_gaussian, spawn_rng, synthetic_factor_spec
 from synthsel.solvers import (
     ActiveSets,
@@ -379,36 +379,88 @@ def test_solve_on_shared_normal_equations_is_the_plain_solve(seed, shape, n_rows
     rows = {"eq_mat": d, "eq_rhs": d @ w} if n_rows else {}
     start = w if warm or n_rows else None  # extra rows need a start
     normal = _normal_equations(y, x)
-    kept = [a.copy() for a in normal]
-    for lam in (0.0, 0.3, 3.0):
-        lin = 0.5 * lam * donor_sq_distances(y, x)
-        plain = simplex_ls(y, x, lin=lin, start=start, **rows)
-        shared = simplex_ls(y, x, lin=lin, start=start, _normal=normal, **rows)
+    kept = [normal.gram.copy(), normal.xty.copy()]
+
+    def solve_both(lin, first, **eq):
+        plain = simplex_ls(y, x, lin=lin, start=first, **eq)
+        shared = simplex_ls(y, x, lin=lin, start=first, _normal=normal, **eq)
         for field in dataclasses.fields(KktCertificate):
             np.testing.assert_array_equal(getattr(shared, field.name), getattr(plain, field.name))
-    for a, b in zip(normal, kept):
-        np.testing.assert_array_equal(a, b)  # a path shares them: no solve may write to them
+        return shared
+
+    for lam in (0.0, 0.3, 3.0):
+        lin = 0.5 * lam * donor_sq_distances(y, x)
+        shared = solve_both(lin, start, **rows)
+        if n_rows:
+            # without the rows, from the face that solve ended on, as a
+            # covariate fit whose rows are dropped is solved again
+            solve_both(lin, shared.beta)
+    # a path shares them: no solve may write to them, nor to the face factor it keeps
+    for a, b in zip([normal.gram, normal.xty], kept):
+        np.testing.assert_array_equal(a, b)
+    for a in normal.face[1]:
+        if a is not None and a.size:
+            with pytest.raises(ValueError, match="read-only"):
+                a.flat[0] = 0.0
+
+
+def test_a_warm_path_factors_a_recurring_face_once(monkeypatch):
+    # each penalty's first face is the one the penalty before it ended on;
+    # the path keeps that face's factorization, which does not depend on lam
+    spec = synthetic_factor_spec(40, 48, r=1, seed=100, sigma_y=0.5, sigma_x=2.0)
+    draw = draw_factor_gaussian(spec, 48, spawn_rng(0, 1))
+    panel = PanelDataset(y=draw.y[:36], x=draw.x[:36], post_y=draw.y[36:], post_x=draw.x[36:])
+    counts = {"factored": 0, "solved": 0}
+    factor, finish = solvers._face_factor, solvers._face_finish
+
+    def counted(name, fn):
+        def call(*args):
+            counts[name] += 1
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(solvers, "_face_factor", counted("factored", factor))
+    monkeypatch.setattr(solvers, "_face_finish", counted("solved", finish))
+    select_lambda_ic(panel, "penalized")
+    assert counts["solved"] > 0
+    assert 2 * counts["factored"] <= counts["solved"]
 
 
 @settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 10_000), shape=st.sampled_from(["tall", "wide", "duplicated"]))
-def test_grid_path_is_bitwise_its_warm_solves_made_one_by_one(seed, shape):
-    # the path shares X'X, X'y and the rank of an unchanged active set; each
-    # fit must equal the same warm solve made without either
+@given(
+    seed=st.integers(0, 10_000),
+    shape=st.sampled_from(["tall", "wide", "duplicated"]),
+    n_rows=st.integers(0, 2),
+)
+def test_grid_path_is_bitwise_its_warm_solves_made_one_by_one(seed, shape, n_rows):
+    # the path shares X'X, X'y, the factorization of the face a solve ends
+    # on and the rank of an unchanged active set; each fit must equal the
+    # same warm solve made without any of them.  With rows, a covariate path
+    # at one weighting whose targets the donors fit exactly
     gen = np.random.default_rng(seed)
     y, x = random_design(gen, shape)
     lams = np.concatenate([[0.0], np.geomspace(0.0125, 10.0, int(gen.integers(3, 12)))])
-    inner = _no_cov_rows(y, x)
+    if n_rows:
+        kind, d = "covariate", gen.normal(size=(n_rows, x.shape[1]))
+        z, v = d @ gen.dirichlet(np.ones(x.shape[1])), gen.dirichlet(np.ones(n_rows))
+        inner = _cov_inner(y, x, z, d, v)
+        fits = _fit_grid(y, x, kind, tuning_grid(kind, lams, v_grid=[v], n_cov=n_rows), z, d)
+    else:
+        kind, inner = "penalized", _no_cov_rows(y, x)
+        fits = _fit_grid(y, x, kind, tuning_grid(kind, lams))
     prev = None
-    for lam, fit in sorted(zip(lams, _fit_grid(y, x, "penalized", tuning_grid("penalized", lams))),
-                           key=lambda pair: -pair[0]):
-        alone = _outer_solve("penalized", y, x, inner, lam, None if prev is None else _carrying(prev.beta, prev))
+    for lam, fit in sorted(zip(lams, fits), key=lambda pair: -pair[0]):
+        alone = _outer_solve(kind, y, x, inner, lam, None if prev is None else _carrying(prev.beta, prev))
         for got, want in [
             (fit.beta, alone.beta),
             (fit.kkt.mu, alone.kkt.mu),
             (fit.kkt.eq_multipliers, alone.kkt.eq_multipliers),
+            (fit.kkt.stationarity_residual, alone.kkt.stationarity_residual),
+            (fit.kkt.complementarity_gap, alone.kkt.complementarity_gap),
             (fit.kkt.iterations, alone.kkt.iterations),
+            (fit.kkt.degenerate, alone.kkt.degenerate),
             (fit.sets, alone.sets),
+            (fit.cov_eq_rows, alone.cov_eq_rows),
             (fit.rank_xa, alone.rank_xa),
         ]:
             np.testing.assert_array_equal(got, want)
@@ -653,6 +705,14 @@ class TestCovariate:
         )
         assert np.all(ref > 0)
         np.testing.assert_allclose(fit.beta, ref, rtol=0, atol=1e-10)
+
+    def test_weighting_is_checked_without_covariate_rows(self):
+        y, x = make_instance(20)
+        no_rows = (np.zeros(0), np.zeros((0, x.shape[1])))
+        with pytest.raises(ConfigurationError, match="length does not match"):
+            solve_sc_cov_inner(y, x, *no_rows, np.array([np.nan, -3.0]))
+        with pytest.raises(ConfigurationError, match="length does not match"):
+            solve_sc_cov(y, x, *no_rows, [np.zeros(0), np.array([0.5])])
 
     def test_all_weights_zero_rejected(self, rng):
         x = rng.normal(size=(6, 3))
