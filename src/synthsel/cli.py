@@ -128,7 +128,7 @@ def _fit_report(fit: ScFit, loaded: pio.LoadedPanel, panel: PanelDataset) -> dic
         "sigma2_hat": s2,
         "df_hat": report.df_hat,
         "df_case": report.case,
-        "rank_xa": report.rank_xa,
+        "face_dim": report.face_dim,
         "ic": selection.ic_value(fit.rss, s2, report.df_hat),
         "penalty_distance": diagnostics.penalty_distance(fit),
         "kkt": {
@@ -244,7 +244,7 @@ def _cmd_df(args) -> dict:
         "lambda": fit.lam,
         "df_hat": report.df_hat,
         "case": report.case,
-        "rank_xa": report.rank_xa,
+        "face_dim": report.face_dim,
         "n_active": report.n_active,
         "n_m_and_e": report.n_me,
         "n_e_minus_m": report.n_em,

@@ -1,16 +1,18 @@
 """Analytic divergence matrices and degrees-of-freedom sample analogs.
 
 The divergence of a fit is the matrix of derivatives of the fitted values
-in the outcome.  Locally every estimator here is an equality-constrained
-least squares on its active donors, so the divergence is a scale times the
-closed-form hat matrix of that local problem, and the degrees of freedom
-are its trace, ``scale * (rank(X_A) - 1 - binding rows)``.  One rule,
-``_df_rule``, gives the scale, case and binding rows of every fit but a
-matching one, and both ``divergence`` and ``df_hat`` read it:
+in the outcome.  Locally every estimator here projects the outcome onto a
+face of ``{X b : b on the simplex, E b = f}``, so the divergence is a
+scale times the projection onto the span of ``X_A N`` (``N`` a basis of
+the null space of the binding rows on the active donors), and the degrees
+of freedom are its trace, ``scale * face_dim`` (``ScFit.face_dim``):
+``scale * (|A| - 1 - binding covariate rows)`` unless ``X_A N`` is rank
+deficient, as with a donor active beside its copy.  ``_df_rule``:
 
 * binding rows: the sum-to-one row, plus, for a covariate fit, the
-  exactly-fit positively-weighted covariate rows unless they are
-  outnumbered (the ``cov_many`` case);
+  exactly-fit positively-weighted covariate rows the outer solve holds as
+  equality rows (``ScFit.cov_eq_rows``), none when they are outnumbered
+  (the ``cov_many`` case);
 * scale: ``1 + lam`` for the donor-distance penalty of penalized and
   covariate fits (its trailing outcome dependence is annihilated by the
   constraint correction, leaving a pure rescaling), ``1 - lam`` for
@@ -37,6 +39,8 @@ from .solvers import (
     ActiveSets,
     ScFit,
     _covariate_rows_idle,
+    _face_rows,
+    _rank_cut,
     eq_constrained_hat,
 )
 
@@ -74,7 +78,7 @@ class DofReport:
 
     df_hat: float
     case: str
-    rank_xa: int
+    face_dim: int
     n_active: int
     n_me: int
     n_em: int
@@ -85,46 +89,41 @@ class DofReport:
 # ---------------------------------------------------------------------------
 
 
-def _df_rule(fit: ScFit) -> tuple[float, str, tuple[int, ...]]:
-    """The degrees-of-freedom rule of the module docstring for a fit with a
-    local least-squares problem: its scale, its case and the covariate rows
-    that bind on top of the sum-to-one row.  The exactly-fit positively
+def _df_rule(fit: ScFit) -> tuple[float, str]:
+    """The scale and case of the module docstring's rule for a fit with a
+    local least-squares problem.  A covariate fit's exactly-fit positively
     weighted rows bind unless ``solvers._covariate_rows_idle`` holds, in
-    which case the covariate side exerts no force."""
+    which case the covariate side exerts no force and the outer solve
+    drops them."""
     if fit.kind == PLAIN:
-        return 1.0, CASE_PLAIN, ()
+        return 1.0, CASE_PLAIN
     if fit.kind == PENALIZED:
-        return 1.0 + fit.lam, CASE_PENALIZED, ()
+        return 1.0 + fit.lam, CASE_PENALIZED
     if fit.kind == MASC:
-        return 1.0 - fit.lam, CASE_MASC, ()
+        return 1.0 - fit.lam, CASE_MASC
     if fit.kind == COVARIATE:
-        if _covariate_rows_idle(fit):
-            return 1.0 + fit.lam, CASE_COV_MANY, ()
-        return 1.0 + fit.lam, CASE_COV_FEW, fit.sets.e_minus_m
+        return 1.0 + fit.lam, CASE_COV_MANY if _covariate_rows_idle(fit) else CASE_COV_FEW
     raise ConfigurationError(f"unknown fit kind {fit.kind}")
 
 
 def divergence(fit: ScFit, x: np.ndarray, d: np.ndarray | None = None) -> DivergenceMatrix:
-    """Divergence of any fit: ``_df_rule``'s scale times the constrained
-    hat matrix on the active donors; the zero matrix for matching.  ``d``
-    is needed for a covariate fit with binding rows.  Raises
-    ``SingularityError`` unless the active design has full column rank."""
+    """Divergence of any fit: ``_df_rule``'s scale times the projection
+    onto the span of ``X_A N`` at the engine's rank cut of ``x``
+    (``eq_constrained_hat``), whose trace is ``fit.face_dim``; the zero
+    matrix for matching.  ``d`` is needed for a covariate fit with binding
+    rows."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
     if fit.kind == MATCHING:
-        n = np.atleast_2d(np.asarray(x)).shape[0]
-        return DivergenceMatrix(matrix=np.zeros((n, n)))
-    scale, _, rows = _df_rule(fit)
+        return DivergenceMatrix(matrix=np.zeros((x.shape[0], x.shape[0])))
+    scale, _ = _df_rule(fit)
     if not fit.sets.a:
         raise ConfigurationError("fit has an empty active set")
-    xa = np.atleast_2d(np.asarray(x, dtype=float))[:, list(fit.sets.a)]
-    eq_mat = np.ones((1, xa.shape[1]))
-    if rows:
-        if d is None:
-            raise ConfigurationError(
-                "covariate fit with binding rows requires the covariate matrix"
-            )
-        d = np.atleast_2d(np.asarray(d, dtype=float))
-        eq_mat = np.vstack([eq_mat, d[np.ix_(list(rows), list(fit.sets.a))]])
-    return DivergenceMatrix(matrix=scale * eq_constrained_hat(xa, eq_mat))
+    if fit.cov_eq_rows and d is None:
+        raise ConfigurationError("covariate fit with binding rows requires the covariate matrix")
+    d = None if d is None else np.atleast_2d(np.asarray(d, dtype=float))
+    e_a = _face_rows(fit.sets.a, fit.cov_eq_rows, d)
+    hat = eq_constrained_hat(x.take(fit.sets.a, 1), e_a, _rank_cut(x))
+    return DivergenceMatrix(matrix=scale * hat)
 
 
 # ---------------------------------------------------------------------------
@@ -134,14 +133,14 @@ def divergence(fit: ScFit, x: np.ndarray, d: np.ndarray | None = None) -> Diverg
 
 def df_hat(fit: ScFit) -> DofReport:
     """Closed-form degrees-of-freedom sample analog of an estimator fit:
-    ``_df_rule``'s value, or zero for a matching fit, which is locally
-    constant in the outcome."""
+    ``_df_rule``'s scale times the dimension of the fit's face, or zero for
+    a matching fit, which is locally constant in the outcome."""
     sets: ActiveSets = fit.sets
-    counts = (fit.rank_xa, len(sets.a), len(sets.m_and_e), len(sets.e_minus_m))
+    counts = (fit.face_dim, len(sets.a), len(sets.m_and_e), len(sets.e_minus_m))
     if fit.kind == MATCHING:
         return DofReport(0.0, CASE_MATCHING, *counts)
-    scale, case, rows = _df_rule(fit)
-    return DofReport(scale * (fit.rank_xa - len(rows) - 1.0), case, *counts)
+    scale, case = _df_rule(fit)
+    return DofReport(scale * fit.face_dim, case, *counts)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from .errors import ConfigurationError, PanelParseError
 from .panel import PanelDataset
 from .simulation import BenchmarkReport, MethodResult
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)

@@ -60,8 +60,8 @@ class PanelDataset:
         dup = duplicate_donor_columns(self.x)
         if dup:
             warnings.warn(
-                f"donor columns are exact duplicates: {dup}; solutions may be "
-                "non-unique and will be canonicalized",
+                f"donor columns are exact duplicates: {dup}; the weights may be "
+                "non-unique, their fitted values are not",
                 # past __post_init__ and the generated __init__ to the caller
                 stacklevel=3,
             )

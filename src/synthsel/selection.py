@@ -8,9 +8,9 @@ The information criterion is the unbiased-risk estimate
 with ``sigma2_hat`` always taken from the unpenalized synthetic control
 residuals, regardless of which candidate is being scored.  The
 penalized and model-averaged IC selectors read it off their own grid's fit
-at ``lam = 0`` when that fit is the one ``solve_sc`` returns
-(``_plain_sigma2``), so plain synthetic control is solved once for them,
-and solve it separately only otherwise.  Every selector takes every
+at ``lam = 0``, which is the one ``solve_sc`` returns (``_plain_sigma2``),
+so plain synthetic control is solved once for them, and solve it
+separately only when the grid has no zero.  Every selector takes every
 estimator kind: ``tuning_grid`` lists its points, ``(m, lam)`` or
 ``(V, lam)``, and one walker, ``_fit_grid``, fits them.  All selectors
 return the grid, the per-point scores and the chosen index; exact score
@@ -34,7 +34,6 @@ from .solvers import (
     PLAIN,
     ScFit,
     _cov_inner,
-    _is_degenerate,
     _no_cov_rows,
     _outer_paths,
     default_v_grid,
@@ -195,20 +194,12 @@ def _plain_sigma2(y: np.ndarray, x: np.ndarray, fits) -> float:
     runs only when none is.
 
     Those are a plain fit; a model-averaged fit at ``lam = 0``, whose
-    residuals are its plain component's; and a penalized fit at ``lam = 0``
-    whose active design has full column rank.  That last one is
-    ``solve_sc``'s first, cold solve (a path keeps a warm fit only where it
-    equals its cold solve), which ``solve_sc`` keeps because only a
-    rank-deficient one is canonicalized.
+    residuals are its plain component's; and a penalized fit at ``lam = 0``,
+    which is ``solve_sc``'s cold solve (a path keeps a warm fit only where
+    it equals its cold solve).
     """
-    for fit in fits:
-        if fit.kind == PLAIN or fit.lam == 0.0 and (
-            fit.kind == MASC or fit.kind == PENALIZED and not _is_degenerate(fit)
-        ):
-            break
-    else:
-        fit = solve_sc(y, x)
-    return float(np.mean(fit.residuals**2))
+    fit = next((fit for fit in fits if fit.lam == 0.0 and fit.kind in (PLAIN, PENALIZED, MASC)), None)
+    return float(np.mean((solve_sc(y, x) if fit is None else fit).residuals ** 2))
 
 
 def ic_value(rss: float, sigma2: float, df: float) -> float:

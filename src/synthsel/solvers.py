@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, ConvergenceError, SingularityError
+from .errors import ConfigurationError, ConvergenceError
 
 _FLAPACK = "scipy.linalg._flapack"
 
@@ -137,8 +137,8 @@ class KktCertificate:
 
     ``mu`` are the nonnegativity multipliers (``<= 0`` at an optimum),
     ``eq_multipliers`` the equality multipliers with the sum-to-one row
-    first.  ``degenerate`` flags instances where ties between equivalent
-    optima had to be broken by the canonicalization re-solve.
+    first.  ``degenerate`` flags a covariate fit solved again without its
+    equality rows, which exert no force (``_covariate_rows_idle``).
     """
 
     beta: np.ndarray
@@ -166,7 +166,10 @@ class ScFit:
     ``residuals`` is ``y - fitted``.  ``sets`` hold the index sets the
     degrees-of-freedom formulas consume; for the model-averaged estimator
     they are the synthetic-control component's sets, since the matching
-    component is locally constant in ``y``.
+    component is locally constant in ``y``.  ``face_dim`` is the dimension
+    of the fit's face (see ``dof``): the rank of ``X_A N`` at the engine's
+    rank cut, ``N`` a basis, of ``face_cols`` columns, of the null space of
+    the sum row and the equality rows ``cov_eq_rows`` on the active donors.
     """
 
     kind: str
@@ -179,7 +182,8 @@ class ScFit:
     lam: float = 0.0
     m: int | None = None
     v: np.ndarray | None = None
-    rank_xa: int = 0
+    face_dim: int = 0
+    face_cols: int = 0
     cov_eq_rows: tuple[int, ...] = ()
 
     @property
@@ -235,11 +239,9 @@ def _face_factor(x_f, y, a_f, rhs, cut):
     cols = null.shape[1]
     if not cols:
         return null, pinv, b0, None, None, None
-    qr, piv, tau, _, _ = _geqp3(x_f @ null, lwork=_geqp3_lwork((x_f.shape[0], cols)))
+    qr, piv, tau = _pivoted_qr(x_f @ null)
     null = null.take(piv - 1, 1)
-    # a column-pivoted R has a falling diagonal: its last entry tells
-    full = qr.shape[0] >= cols and abs(qr[cols - 1, cols - 1]) > cut
-    rank = cols if full else np.count_nonzero(abs(qr.diagonal()) > cut)
+    rank = _cut_rank(qr, cut)
     qr_y = _ormqr("L", "T", qr[:, : tau.shape[0]], tau, y - x_f @ b0, 1)[0][:rank]
     null.flags.writeable = qr.flags.writeable = qr_y.flags.writeable = False
     return null, pinv, b0, qr[:rank, :rank], qr[:rank, rank:], qr_y
@@ -264,6 +266,32 @@ def _face_finish(factor, lin_f):
                 ray = null[:, :rank] @ z_top[:, j] + null[:, rank + j]
                 return None, None, ray * (-np.sign(slopes[j]) / np.sqrt(ray @ ray))
     return b0 + null[:, :rank] @ _tri_solve(r11, qr_y), pinv, None
+
+
+def _pivoted_qr(mat):
+    """LAPACK ``geqp3`` of ``mat``: ``(qr, piv, tau)``, ``piv`` 1-based."""
+    qr, piv, tau, _, _ = _geqp3(mat, lwork=_geqp3_lwork(mat.shape))
+    return qr, piv, tau
+
+
+def _cut_rank(qr, cut) -> int:
+    """The count of R's diagonal entries above ``cut``; a column-pivoted R
+    has a falling diagonal, so its last entry tells when it is above."""
+    cols = qr.shape[1]
+    if qr.shape[0] >= cols and abs(qr[cols - 1, cols - 1]) > cut:
+        return cols
+    return np.count_nonzero(abs(qr.diagonal()) > cut)
+
+
+def _face_qr(x_a, e_a, cut):
+    """``(rank, cols, qr, tau)``: the pivoted QR of ``X_A N``, ``N`` the
+    ``_null_basis`` of ``e_a`` with ``cols`` columns, and its rank at
+    ``cut``; ``(0, 0, None, None)`` when ``N`` is empty."""
+    null = _null_basis(e_a.tobytes(), e_a.shape)[0]
+    if not null.shape[1]:
+        return 0, 0, None, None
+    qr, _, tau = _pivoted_qr(x_a @ null)
+    return _cut_rank(qr, cut), null.shape[1], qr, tau
 
 
 def _tri_solve(r, rhs, trans=0):
@@ -310,25 +338,21 @@ def _null_basis(data: bytes, shape: tuple[int, int]):
     return null, pinv
 
 
-def eq_constrained_hat(design: np.ndarray, eq_mat: np.ndarray) -> np.ndarray:
+def eq_constrained_hat(design: np.ndarray, eq_mat: np.ndarray, cut: float | None = None) -> np.ndarray:
     """Hat matrix of equality-constrained least squares: the orthogonal
-    projection ``Q Q'`` onto the range of ``X N``, where the columns of
-    ``N`` span ``null(E)`` (``_null_basis``, as for a working-set face)
-    and ``Q`` is an orthonormal basis from the QR of ``X N``.  Its
-    trace is rank(X) minus the number of constraint rows to rounding, and
-    as many rows as columns leave an empty basis and an exactly zero
-    matrix.  Raises ``SingularityError`` unless ``X`` has full column rank
-    and ``E`` full row rank, that is unless ``X'X`` and ``E (X'X)^-1 E'``
-    are invertible.
+    projection ``Q_r Q_r'`` onto the range of ``X N``, where the columns of
+    ``N`` span ``null(E)`` (``_null_basis``, which drops dependent rows) and
+    ``Q_r`` holds the first ``r`` columns of ``Q`` from the pivoted QR of
+    ``X N`` (``_face_qr``), ``r`` its rank at ``cut`` (by default the
+    engine's for the design ``X``).  Its trace is ``r``, the dimension of
+    the face, to rounding; a zero rank leaves an exactly zero matrix.
     """
     x = np.asarray(design, dtype=float)
-    if matrix_rank_qr(x) < x.shape[1]:
-        raise SingularityError("X'X", "design not of full column rank")
-    if matrix_rank_qr(eq_mat) < eq_mat.shape[0]:
-        raise SingularityError("E (X'X)^-1 E'", "numerically dependent rows")
-    eq_mat = np.asarray(eq_mat, dtype=float)
-    null = _null_basis(eq_mat.tobytes(), eq_mat.shape)[0]
-    q = np.linalg.qr(x @ null)[0]
+    n = x.shape[0]
+    rank, _, qr, tau = _face_qr(x, np.asarray(eq_mat, dtype=float), _rank_cut(x) if cut is None else cut)
+    if not rank:
+        return np.zeros((n, n))
+    q = _ormqr("L", "N", qr[:, : tau.shape[0]], tau, np.eye(n, rank), rank)[0]
     return q @ q.T
 
 
@@ -504,10 +528,15 @@ class _NormalEquations:
 
     __slots__ = ("gram", "xty", "cut", "face")
 
-    def __init__(self, gram: np.ndarray, xty: np.ndarray):
+    def __init__(self, gram: np.ndarray, xty: np.ndarray | None):
         self.gram, self.xty = gram, xty
         self.cut = _RANK_TOL * np.sqrt(gram.diagonal().max())
         self.face = (None, None)
+
+
+def _rank_cut(x: np.ndarray) -> float:
+    """The rank cut ``simplex_ls`` takes for its faces on the design ``x``."""
+    return _NormalEquations(x.T @ x, None).cut
 
 
 def _normal_equations(y: np.ndarray, x: np.ndarray) -> _NormalEquations:
@@ -554,30 +583,21 @@ def _feasible_start(start, p: int, sum_to: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def matrix_rank_qr(mat: np.ndarray) -> int:
-    """Rank via column-pivoted QR, relative tolerance 1e-10 of the largest
-    diagonal element."""
-    return _qr_rank(mat)[0]
-
-
 def _qr_rank(mat: np.ndarray) -> tuple[int, np.ndarray]:
-    """``matrix_rank_qr``'s rank and the column pivots (0-based, the first
-    ``rank`` of them the retained columns).
+    """Rank via column-pivoted QR, relative tolerance 1e-10 of the largest
+    diagonal element, and the column pivots (0-based, the first ``rank`` of
+    them the retained columns).
 
-    Calls LAPACK ``geqp3`` directly, with the workspace size that
-    ``scipy.linalg.qr(mat, mode="r", pivoting=True)`` queries, so R and the
-    pivots are the same; the wrapper's argument handling costs more than
-    the factorization at these sizes.
-    """
+    LAPACK ``geqp3`` with the workspace ``scipy.linalg.qr(mat, mode="r",
+    pivoting=True)`` queries, so R and the pivots are scipy's, without the
+    wrapper's argument handling, which costs more at these sizes."""
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
     if min(mat.shape) == 0:
         return 0, np.arange(mat.shape[1])
     r, piv, _, _, info = _geqp3(mat, lwork=_geqp3_lwork(mat.shape))
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of LAPACK geqp3")
-    diag = abs(r.diagonal())
-    rank = 0 if diag[0] == 0.0 else int((diag > _RANK_TOL * diag[0]).sum())
-    return rank, piv - 1
+    return int(_cut_rank(r, _RANK_TOL * abs(r[0, 0]))), piv - 1
 
 
 @functools.lru_cache(maxsize=1024)
@@ -607,23 +627,28 @@ def _build_fit(
     sq_dist: np.ndarray | None = None,
     m_rows: tuple[int, ...] = (),
     e_rows: tuple[int, ...] = (),
+    cov_eq_rows: tuple[int, ...] = (),
+    d: np.ndarray | None = None,
+    cut: float | None = None,
     degenerate: bool = False,
     prev: ScFit | None = None,
     **fields,
 ) -> ScFit:
     """The fit of engine solution ``cert``, its certificate flagged
-    ``degenerate`` when ties between optima were broken; ``m_rows`` and
-    ``e_rows`` are its covariate sets (see ``ActiveSets``) and ``fields``
-    go to the fit.  ``prev``, a fit of the same ``x`` (None if there is
-    none), lends its ``rank_xa`` when its active set is this fit's: the rank
-    is then one of the same columns."""
+    ``degenerate`` when the covariate rows were dropped as idle; ``m_rows``
+    and ``e_rows`` are its covariate sets (see ``ActiveSets``),
+    ``cov_eq_rows`` its equality rows of ``d``, ``cut`` the engine's rank
+    cut of ``x`` (None: ``_rank_cut(x)``), and ``fields`` go to the fit.
+    ``prev``, a fit of the same ``x`` and ``d`` or None, lends its face
+    dimensions when its active set and equality rows are this fit's."""
     beta = cert.beta
     sets = ActiveSets(a=_active_set(beta), m=m_rows, e=e_rows)
     fitted = x @ beta
-    if prev is not None and prev.sets.a == sets.a:
-        rank_xa = prev.rank_xa
+    if prev is not None and (prev.sets.a, prev.cov_eq_rows) == (sets.a, cov_eq_rows):
+        face = prev.face_dim, prev.face_cols
     else:
-        rank_xa = matrix_rank_qr(x[:, list(sets.a)]) if sets.a else 0
+        e_a = _face_rows(sets.a, cov_eq_rows, d)
+        face = _face_qr(x.take(sets.a, 1), e_a, _rank_cut(x) if cut is None else cut)[:2]
     return ScFit(
         kind=kind,
         beta=beta,
@@ -631,22 +656,25 @@ def _build_fit(
         residuals=y - fitted,
         sets=sets,
         kkt=replace(cert, degenerate=True) if degenerate else cert,
-        rank_xa=rank_xa,
+        face_dim=face[0],
+        face_cols=face[1],
+        cov_eq_rows=cov_eq_rows,
         donor_sq_distances=sq_dist if sq_dist is not None else donor_sq_distances(y, x),
         **fields,
     )
 
 
-def _is_degenerate(fit: ScFit) -> bool:
-    return fit.rank_xa < fit.n_active
+def _face_rows(a: tuple[int, ...], rows: tuple[int, ...], d: np.ndarray | None) -> np.ndarray:
+    """``E_A``: the sum row and the rows ``rows`` of ``d`` on the donors ``a``."""
+    return np.vstack([np.ones((1, len(a))), d[np.ix_(rows, a)]]) if rows else np.ones((1, len(a)))
 
 
 def _is_unique_optimum(fit: ScFit, g0: np.ndarray) -> bool:
-    """Sufficient condition for a unique minimizer: ``X_A`` has full column
-    rank and every inactive multiplier is strictly negative (beyond the
-    release tolerance), so no optimal direction leaves the active face and
-    none moves within it."""
-    if _is_degenerate(fit):
+    """Sufficient condition for a unique minimizer: ``X_A N`` has full
+    column rank (``face_dim == face_cols``) and every inactive multiplier is
+    strictly negative (beyond the release tolerance), so no optimal
+    direction leaves the active face and none moves within it."""
+    if fit.face_dim < fit.face_cols:
         return False
     # mu is exactly zero on the free set of the engine, which holds the active set
     tol = _RELEASE_TOL * (1.0 + _absmax(g0))
@@ -668,10 +696,9 @@ def _warm_source(fit: ScFit, y: np.ndarray, x: np.ndarray) -> ScFit | None:
 def solve_sc(y: np.ndarray, x: np.ndarray, *, _prev: ScFit | None = None) -> ScFit:
     """Plain synthetic control: least squares over the probability simplex.
 
-    When the active design is rank deficient (duplicate or collinear active
-    donors make the optimum non-unique), the active set is canonicalized by
-    re-solving with a vanishing donor-distance penalty, which picks out one
-    optimum deterministically.
+    When the optimum is not unique (duplicate or collinear active donors,
+    or more active donors than periods), the fit is the one the
+    deterministic engine returns; its fitted values do not depend on which.
 
     ``_prev`` is internal to the package: a fit of the same ``x`` to start
     from, as in ``_outer_solve``, which keeps the warm fit only where it
@@ -679,12 +706,7 @@ def solve_sc(y: np.ndarray, x: np.ndarray, *, _prev: ScFit | None = None) -> ScF
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
-    normal = _normal_equations(y, x)
-    fit = _outer_solve(PLAIN, y, x, _no_cov_rows(y, x), 0.0, _prev, normal=normal)
-    if _is_degenerate(fit):
-        pen = simplex_ls(y, x, lin=0.5e-8 * fit.donor_sq_distances, _normal=normal)
-        fit = _build_fit(PLAIN, y, x, pen, sq_dist=fit.donor_sq_distances, degenerate=True)
-    return fit
+    return _outer_solve(PLAIN, y, x, _no_cov_rows(y, x), 0.0, _prev)
 
 
 def solve_penalized_sc(
@@ -745,10 +767,10 @@ def _outer_solve(
 
     ``lam`` must be finite and ``>= 0``.  ``prev`` is a fit of the same
     ``x`` solved before, such as the fit at a neighbouring ``lam`` on a
-    grid or the fit of a nearby outcome, or None; it lends its rank (see
-    ``_build_fit``).  The solve
-    starts from ``prev.beta`` when ``prev`` has the same equality rows and
-    from ``inner.cold_start`` otherwise (None: the engine's start vertex).
+    grid or the fit of a nearby outcome, or None; it lends its face
+    dimensions (see ``_build_fit``).  The solve starts from ``prev.beta``
+    when ``prev`` has the same equality rows and from ``inner.cold_start``
+    otherwise (None: the engine's start vertex).
     A warm start never changes the answer: the warm fit is kept only where
     ``_is_unique_optimum`` holds, which pins the optimum with equality rows
     as without them, so it equals the cold fit; otherwise the point is
@@ -774,8 +796,8 @@ def _outer_solve(
         cov_res = inner.d @ cert.beta - inner.z if inner.d.shape[0] else ()
         m_rows = tuple(i for i, r in enumerate(cov_res) if abs(r) > inner.r_tol)
         return _build_fit(kind, y, x, cert, sq_dist=inner.sq_dist, m_rows=m_rows,
-                          e_rows=inner.e_rows, degenerate=degenerate, prev=donor,
-                          lam=float(lam), v=inner.v, cov_eq_rows=eq_rows)
+                          e_rows=inner.e_rows, cov_eq_rows=eq_rows, d=inner.d, cut=normal.cut,
+                          degenerate=degenerate, prev=donor, lam=float(lam), v=inner.v)
 
     rows = inner.exact_rows
     warm = prev is not None and prev.cov_eq_rows == rows
@@ -890,18 +912,9 @@ def masc_average(y: np.ndarray, fit_sc: ScFit, fit_ma: ScFit, lam: float) -> ScF
     _check_averaging_weight(lam)
     beta = lam * fit_ma.beta + (1.0 - lam) * fit_sc.beta
     fitted = lam * fit_ma.fitted + (1.0 - lam) * fit_sc.fitted
-    return ScFit(
-        kind=MASC,
-        beta=beta,
-        fitted=fitted,
-        residuals=np.asarray(y, dtype=float).ravel() - fitted,
-        sets=fit_sc.sets,
-        kkt=fit_sc.kkt,
-        lam=float(lam),
-        m=int(fit_ma.m),
-        rank_xa=fit_sc.rank_xa,
-        donor_sq_distances=fit_sc.donor_sq_distances,
-    )
+    residuals = np.asarray(y, dtype=float).ravel() - fitted
+    return replace(fit_sc, kind=MASC, beta=beta, fitted=fitted, residuals=residuals,
+                   lam=float(lam), m=int(fit_ma.m))
 
 
 # ---------------------------------------------------------------------------
@@ -963,12 +976,7 @@ def solve_sc_cov_inner(
     v = np.asarray(v, dtype=float).ravel()
     if d.shape[0] == 0:
         _check_weighting(v, 0)
-        # any lam but zero, negative and non-finite ones included, goes to
-        # the penalized solver, which rejects the invalid ones
-        if lam == 0:
-            base = solve_sc(y, x, _prev=_prev)
-        else:
-            base = solve_penalized_sc(y, x, lam, _prev=_prev)
+        base = solve_penalized_sc(y, x, lam, _prev=_prev)
         return replace(base, kind=COVARIATE, lam=float(lam), v=v)
     return _outer_solve(COVARIATE, y, x, _cov_inner(y, x, z, d, v), lam, _prev)
 

@@ -4,9 +4,10 @@ These deliberately share no code with the solvers they check: the simplex
 oracle enumerates a dense grid of weight vectors and refines locally, the
 constraint-line oracle scans the one-dimensional feasible set of an
 equality-constrained problem, the rank-one-correction divergence
-writes the sum-to-one hat matrix in a form the package never uses, and
-the KKT reference solves the working-set system densely by ``lstsq``
-instead of by the null-space method.
+writes the sum-to-one hat matrix in a form the package never uses, the
+face dimension is a rank read off singular values instead of a pivoted
+QR, and the KKT reference solves the working-set system densely by
+``lstsq`` instead of by the null-space method.
 """
 
 import numpy as np
@@ -80,6 +81,19 @@ def rank_one_correction_divergence(xa):
     b = xa @ gram_inv @ ones
     proj = xa @ gram_inv @ xa.T
     return proj - np.outer(b, b) / float(ones @ gram_inv @ ones)
+
+
+def _svd_rank(mat, rel=1e-9):
+    sv = np.linalg.svd(mat, compute_uv=False)
+    return int(np.sum(sv > rel * sv[0])) if sv.size and sv[0] > 0 else 0
+
+
+def face_dim(xa, e_a):
+    """``rank(X_A N)``, ``N`` a basis of the null space of the rows ``e_a``,
+    both from singular value decompositions with a relative cut of 1e-9."""
+    vt = np.linalg.svd(e_a)[2]
+    null = vt[_svd_rank(e_a):].T
+    return _svd_rank(xa @ null)
 
 
 def duplicate_pairs_by_loop(x):

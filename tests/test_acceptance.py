@@ -114,16 +114,16 @@ def test_criterion_03_exact_trace_identities():
         alpha = float(gen.uniform(0, 1))
 
         plain = solve_sc(y, x)
-        assert divergence(plain, x).trace == pytest.approx(plain.rank_xa - 1, abs=1e-8)
+        assert divergence(plain, x).trace == pytest.approx(len(plain.sets.a) - 1, abs=1e-8)
         checked["plain"] += 1
         pen = solve_penalized_sc(y, x, lam)
         assert divergence(pen, x).trace == pytest.approx(
-            (1 + lam) * (pen.rank_xa - 1), abs=1e-8
+            (1 + lam) * (len(pen.sets.a) - 1), abs=1e-8
         )
         checked["penalized"] += 1
         masc = solve_masc(y, x, alpha, int(gen.integers(1, p + 1)))
         assert divergence(masc, x).trace == pytest.approx(
-            (1 - alpha) * (masc.rank_xa - 1), abs=1e-8
+            (1 - alpha) * (len(masc.sets.a) - 1), abs=1e-8
         )
         checked["masc"] += 1
     assert all(v == 100 for v in checked.values())
@@ -233,7 +233,7 @@ def test_criterion_05_covariate_phase_transition():
         report = df_hat(fit)
         if report.case == CASE_COV_FEW and report.n_em > 0:
             assert report.n_me < report.n_active - 1
-            assert report.df_hat == report.rank_xa - report.n_em - 1
+            assert report.df_hat == report.n_active - report.n_em - 1
             saw_few += 1
     for i in range(10):
         gen = np.random.default_rng(5_400 + i)
@@ -245,7 +245,7 @@ def test_criterion_05_covariate_phase_transition():
         report = df_hat(fit)
         if report.case == CASE_COV_MANY:
             assert report.n_me >= report.n_active - 1
-            assert report.df_hat == report.rank_xa - 1
+            assert report.df_hat == report.n_active - 1
             saw_many += 1
     assert saw_few >= 8 and saw_many >= 8, (saw_few, saw_many)
 

@@ -73,7 +73,7 @@ class TestDivergenceSc:
             y, x = make_instance(seed, n=12, p=6)
             fit = solve_sc(y, x)
             div = divergence(fit, x)
-            assert div.trace == pytest.approx(fit.rank_xa - 1, abs=1e-10)
+            assert div.trace == pytest.approx(len(fit.sets.a) - 1, abs=1e-10)
 
     def test_matrix_is_symmetric(self):
         y, x = make_instance(3, n=10, p=5)
@@ -148,7 +148,7 @@ class TestDfHat:
     def test_plain_rank_four(self):
         y, x = _all_active_instance(13, p=4)
         report = df_hat(solve_sc(y, x))
-        assert report.rank_xa == 4
+        assert (report.n_active, report.face_dim) == (4, 3)
         assert report.df_hat == 3.0
         assert report.case == "plain"
 
@@ -157,14 +157,14 @@ class TestDfHat:
         fit = solve_sc_cov_inner(y, x, z, d, v)
         report = df_hat(fit)
         assert report.case == CASE_COV_FEW
-        assert report.df_hat == report.rank_xa - report.n_em - 1
+        assert report.df_hat == report.n_active - report.n_em - 1
 
     def test_covariate_many_branch_keeps_plain_value(self):
         y, x, z, d, v = _cov_many_instance(15)
         fit = solve_sc_cov_inner(y, x, z, d, v)
         report = df_hat(fit)
         assert report.case == CASE_COV_MANY
-        assert report.df_hat == report.rank_xa - 1
+        assert report.df_hat == report.n_active - 1
 
     def test_masc_pure_matching_spends_nothing(self):
         y, x = make_instance(16)
@@ -236,11 +236,11 @@ def test_trace_identities_random_instances(seed):
     alpha = float(gen.uniform(0, 1))
 
     plain = solve_sc(y, x)
-    assert divergence(plain, x).trace == pytest.approx(plain.rank_xa - 1, abs=1e-8)
+    assert divergence(plain, x).trace == pytest.approx(len(plain.sets.a) - 1, abs=1e-8)
     pen = solve_penalized_sc(y, x, lam)
-    assert divergence(pen, x).trace == pytest.approx((1 + lam) * (pen.rank_xa - 1), abs=1e-8)
+    assert divergence(pen, x).trace == pytest.approx((1 + lam) * (len(pen.sets.a) - 1), abs=1e-8)
     masc = solve_masc(y, x, alpha, 2)
-    assert divergence(masc, x).trace == pytest.approx((1 - alpha) * (masc.rank_xa - 1), abs=1e-8)
+    assert divergence(masc, x).trace == pytest.approx((1 - alpha) * (len(masc.sets.a) - 1), abs=1e-8)
 
 
 @settings(max_examples=25, deadline=None)
@@ -317,3 +317,47 @@ def test_covariate_phase_transition_profile():
     assert CASE_COV_FEW in cases[1:5]
     diffs = np.diff(profile)
     assert np.any(diffs < 0) and np.any(diffs > 0)
+
+
+def _face_design(gen, design):
+    """A draw of the property below: ``(y, x, z, d)``, ``z`` and ``d`` None
+    without covariates.  "wide": up to 25 donors a period, whose plain fits
+    often interpolate.  "copied_outcome": 24 periods and 10 donors, columns 8
+    and 9 copying 1 and 3 in the outcome only, two rows the true weights
+    fit.  "copied_donor": the same with the copies' covariates copied too."""
+    if design == "wide":
+        n = int(gen.integers(4, 13))
+        x = gen.normal(size=(n, int(gen.integers(n + 1, 25 * n + 1))))
+        return x @ gen.dirichlet(np.ones(x.shape[1])) + 0.3 * gen.normal(size=n), x, None, None
+    x = gen.normal(size=(24, 10))
+    x[:, 8], x[:, 9] = x[:, 1], x[:, 3]
+    w = gen.dirichlet(np.ones(10))
+    y = x @ w + 0.3 * gen.normal(size=24)
+    d = gen.normal(size=(2, 10))
+    if design == "copied_donor":
+        d[:, 8], d[:, 9] = d[:, 1], d[:, 3]
+    return y, x, d @ w, d
+
+
+# 8 draws per design, each a fit and its 2n finite-difference re-solves:
+# about 3 s for the three designs
+@pytest.mark.filterwarnings("ignore:donor columns are exact duplicates")
+@pytest.mark.parametrize("design", ["wide", "copied_outcome", "copied_donor"])
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 10_000), lam=st.sampled_from([0.0, 0.3]))
+def test_df_hat_is_the_trace_of_a_stable_finite_difference_divergence(design, seed, lam):
+    # df_hat is the dimension of the fit's face, also where X_A is rank
+    # deficient: an interpolating wide fit, or a donor active with its copy
+    y, x, z, d = _face_design(np.random.default_rng(seed), design)
+    if d is not None:
+        solve = lambda yy: solve_sc_cov_inner(yy, x, z, d, np.array([0.5, 0.5]), lam=lam)
+    elif lam:
+        solve = lambda yy: solve_penalized_sc(yy, x, lam)
+    else:
+        solve = lambda yy: solve_sc(yy, x)
+    fit = solve(y)
+    df = df_hat(fit).df_hat
+    assert abs(df - divergence(fit, x, d).trace) <= 1e-6
+    fd = divergence_fd_oracle(solve, y)
+    if not fd.active_set_changed:
+        assert abs(df - fd.trace) <= 1e-6

@@ -226,7 +226,7 @@ class TestCli:
         code = cli.main(self._fit_args(panel_csv, "--estimator", "penalized", "--lambda", "0.3", "--output", str(out)))
         assert code == 0
         payload = json.loads(out.read_text())
-        assert payload["schema_version"] == 1
+        assert payload["schema_version"] == 2
         assert payload["command"] == "fit"
         res = payload["results"]
         assert res["estimator"] == "penalized"
@@ -748,6 +748,40 @@ def test_fd_check_from_a_fit_that_is_not_unique_costs_no_more_than_cold(
     cold_fd, cold = fd_check_iterations(args)
     assert warm_fd == cold_fd
     assert len(warm) == len(cold) and sum(warm) <= sum(cold)
+
+
+def _duplicated_donor_csvs(tmp_path, seed):
+    """24 periods before the treatment at ``t25`` and 10 donors, of which
+    columns 8 and 9 copy columns 1 and 3, with two covariate rows the true
+    weights fit exactly; the copies' covariates are not copied."""
+    gen = np.random.default_rng(seed)
+    x = gen.normal(size=(25, 10))
+    x[:, 8], x[:, 9] = x[:, 1], x[:, 3]
+    w = gen.dirichlet(np.ones(10))
+    y = x @ w + 0.3 * gen.normal(size=25)
+    d = gen.normal(size=(2, 10))
+    names = [f"d{j}" for j in range(10)]
+    _write_panel(tmp_path / "panel.csv", None, ["time", "treated", *names],
+                 [[f"t{t + 1}", repr(float(y[t])), *map(repr, x[t].tolist())] for t in range(25)])
+    _write_panel(tmp_path / "cov.csv", None, ["cov", "treated", *names],
+                 [[f"c{i}", repr(float(d[i] @ w)), *map(repr, d[i].tolist())] for i in range(2)])
+    return ["--input", str(tmp_path / "panel.csv"), "--treated", "treated",
+            "--treatment-period", "t25", "--covariates", str(tmp_path / "cov.csv")]
+
+
+@pytest.mark.filterwarnings("ignore:donor columns are exact duplicates")
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("lam", ["0", "0.3"])
+def test_df_of_a_covariate_fit_on_duplicated_donors(tmp_path, capsys, seed, lam):
+    # the fit keeps a donor and its copy active together: X_A is rank
+    # deficient, and df_hat is the dimension of the fit's face
+    args = _duplicated_donor_csvs(tmp_path, seed)
+    argv = ["df", *args, "--estimator", "covariate", "--v", "0.5,0.5", "--lambda", lam, "--fd-check"]
+    assert cli.main(argv) == 0
+    res = json.loads(capsys.readouterr().out)["results"]
+    assert res["df_hat"] == pytest.approx(res["divergence_trace"], abs=1e-9)
+    if not res["fd_check"]["active_set_changed"]:
+        assert res["fd_check"]["max_abs_deviation"] < 1e-6
 
 
 @pytest.mark.filterwarnings("ignore:donor columns are exact duplicates")

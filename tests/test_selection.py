@@ -30,7 +30,6 @@ from synthsel.simulation import (
     synthetic_factor_spec,
 )
 from synthsel.solvers import (
-    _is_degenerate,
     default_v_grid,
     solve_masc,
     solve_penalized_sc,
@@ -72,8 +71,8 @@ class TestSigma2:
 
 
 def _outcome(f, *args):
-    """``f(*args)``, or the error it raises: ``solve_sc`` can still fail to
-    canonicalize a wide draw, and the rule must then fail as it does."""
+    """``f(*args)``, or the message of the ``ConvergenceError`` it raises:
+    where ``solve_sc`` fails on a wide draw, the rule must fail as it does."""
     try:
         return f(*args)
     except ConvergenceError as exc:
@@ -99,7 +98,7 @@ def test_sigma2_read_off_the_default_grid_is_sigma2_hat(seed, shape, kind):
 
 class TestPlainSigma2Fallback:
     """``_plain_sigma2`` solves plain synthetic control itself exactly when
-    no fit it is given is ``solve_sc``'s fit."""
+    no fit it is given is ``solve_sc``'s fit: when none is at ``lam = 0``."""
 
     @pytest.fixture
     def solves(self, monkeypatch):
@@ -107,8 +106,10 @@ class TestPlainSigma2Fallback:
         monkeypatch.setattr(selection, "solve_sc", lambda y, x: calls.append(1) or solve_sc(y, x))
         return calls
 
-    def test_solves_only_when_the_zero_penalty_fit_is_degenerate(self, solves):
-        degenerate = 0
+    def test_never_solves_when_the_grid_has_a_zero_penalty_fit(self, solves):
+        # wide draws: many zero-penalty fits interpolate, with more active
+        # donors than periods, and are still solve_sc's own fit
+        interpolating = 0
         for seed in range(30):
             y, x = random_design(np.random.default_rng(seed), "wide")
             points = tuning_grid("penalized", [0.0, 0.1, 1.0])
@@ -116,9 +117,9 @@ class TestPlainSigma2Fallback:
             want = _outcome(sigma2_hat, y, x)
             solves.clear()
             assert _outcome(_plain_sigma2, y, x, fits) == want
-            assert len(solves) == _is_degenerate(fits[0])
-            degenerate += _is_degenerate(fits[0])
-        assert degenerate > 0
+            assert not solves
+            interpolating += fits[0].n_active > x.shape[0]
+        assert interpolating > 0
 
     @pytest.mark.parametrize("kind", ["penalized", "masc"])
     def test_solves_when_the_grid_has_no_zero(self, solves, kind):
@@ -162,7 +163,7 @@ class TestIcValue:
         fit = solve_penalized_sc(y, x, lam)
         s2 = sigma2_hat(y, x)
         expected = fit.rss + 2 * s2 * (1 + lam) * (len(fit.sets.a) - 1)
-        assert fit.rank_xa == len(fit.sets.a)
+        assert fit.face_dim == len(fit.sets.a) - 1
         assert ic_for_fit(fit, s2) == pytest.approx(expected, rel=1e-12)
 
     def test_negative_inputs_rejected(self):
@@ -367,7 +368,8 @@ class TestCvHoldout:
         panel = PanelDataset(y=draw.y[:36], x=draw.x[:36], post_y=draw.y[36:], post_x=draw.x[36:])
         grid = np.concatenate([[0.0], np.geomspace(0.0125, 10.0, 19)])
         cold = solve_penalized_sc(panel.y[:18], panel.x[:18], 0.0)
-        assert (cold.n_active, cold.rank_xa) == (19, 18)
+        # X_A N is 18 x 18 of full rank, but every multiplier is zero
+        assert (cold.n_active, cold.face_dim, cold.face_cols) == (19, 18, 18)
         res = cv_holdout(panel, "penalized", grid=grid, split_fraction=0.5)
         assert res.chosen == 1
         err = panel.y[18:] - panel.x[18:] @ cold.beta

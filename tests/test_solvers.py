@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from synthsel import selection, solvers
-from synthsel.errors import ConfigurationError, ConvergenceError, SingularityError
+from synthsel.errors import ConfigurationError, ConvergenceError
 from synthsel.panel import PanelDataset
 from synthsel.selection import _fit_grid, ic_for_fit, select_lambda_ic, select_v_ic, tuning_grid
 from synthsel.simulation import draw_factor_gaussian, spawn_rng, synthetic_factor_spec
@@ -23,6 +23,7 @@ from synthsel.solvers import (
     _absmax,
     _active_set,
     _cov_inner,
+    _face_rows,
     _face_solve,
     _fit_path,
     _no_cov_rows,
@@ -34,7 +35,6 @@ from synthsel.solvers import (
     donor_sq_distances,
     eq_constrained_hat,
     matching_weights,
-    matrix_rank_qr,
     simplex_ls,
     solve_masc,
     solve_matching,
@@ -45,7 +45,7 @@ from synthsel.solvers import (
 )
 
 from conftest import make_instance, near_common_rows, random_design
-from oracles import constraint_line_min, kkt_lstsq_solve, simplex_grid_min
+from oracles import constraint_line_min, face_dim, kkt_lstsq_solve, simplex_grid_min
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +74,7 @@ def _eq_ls_beta(y, x, eq_mat, eq_rhs):
 
 class TestConstrainedLs:
     """Equality-constrained least squares: ``_face_solve`` for the
-    solution, ``eq_constrained_hat`` for the guards and the hat matrix."""
+    solution, ``eq_constrained_hat`` for the hat matrix."""
 
     def test_single_column_sum_constraint_forces_unit_weight(self, rng):
         y = rng.normal(size=5)
@@ -98,17 +98,23 @@ class TestConstrainedLs:
         oracle = constraint_line_min(y, x, d_row, 0.7)
         np.testing.assert_allclose(beta, oracle, atol=1e-6)
 
-    def test_rank_deficient_design_raises(self, rng):
+    def test_rank_deficient_design_projects_onto_the_face(self, rng):
         x = rng.normal(size=(6, 2))
         x = np.column_stack([x, x[:, 0]])
-        with pytest.raises(SingularityError, match="X'X"):
-            eq_constrained_hat(x, np.zeros((0, 3)))
+        hat = eq_constrained_hat(x, np.zeros((0, 3)))
+        assert np.trace(hat) == pytest.approx(2.0, abs=1e-12)
+        np.testing.assert_allclose(hat @ x, x, atol=1e-12)
+        # under the sum row the face is the line of x_1 - x_0: dimension 1
+        diff = x[:, 1] - x[:, 0]
+        hat = eq_constrained_hat(x, np.ones((1, 3)))
+        np.testing.assert_allclose(hat, np.outer(diff, diff) / (diff @ diff), atol=1e-12)
 
-    def test_dependent_constraint_rows_raise(self, rng):
+    def test_dependent_constraint_rows_are_dropped(self, rng):
         x = rng.normal(size=(6, 3))
         rows = np.array([[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]])
-        with pytest.raises(SingularityError, match="E"):
-            eq_constrained_hat(x, rows)
+        hat = eq_constrained_hat(x, rows)
+        assert np.trace(hat) == pytest.approx(2.0, abs=1e-12)
+        np.testing.assert_allclose(hat, eq_constrained_hat(x, rows[:1]), atol=1e-12)
 
     def test_hat_matrix_trace_is_rank_minus_constraints(self, rng):
         x = rng.normal(size=(12, 5))
@@ -461,10 +467,11 @@ def test_grid_path_is_bitwise_its_warm_solves_made_one_by_one(seed, shape, n_row
             (fit.kkt.degenerate, alone.kkt.degenerate),
             (fit.sets, alone.sets),
             (fit.cov_eq_rows, alone.cov_eq_rows),
-            (fit.rank_xa, alone.rank_xa),
+            ((fit.face_dim, fit.face_cols), (alone.face_dim, alone.face_cols)),
         ]:
             np.testing.assert_array_equal(got, want)
-        assert fit.rank_xa == matrix_rank_qr(x[:, list(fit.sets.a)])
+        e_a = _face_rows(fit.sets.a, fit.cov_eq_rows, d if n_rows else None)
+        assert fit.face_dim == face_dim(x[:, list(fit.sets.a)], e_a)
         prev = fit
 
 
@@ -941,7 +948,7 @@ def test_v_path_equals_pointwise_cold_solves(seed, shape):
 def _assert_same_solve(got, want):
     np.testing.assert_array_equal(got.beta, want.beta)
     assert got.sets == want.sets
-    assert got.rank_xa == want.rank_xa
+    assert (got.face_dim, got.face_cols) == (want.face_dim, want.face_cols)
     for field in dataclasses.fields(KktCertificate):
         np.testing.assert_array_equal(getattr(got.kkt, field.name), getattr(want.kkt, field.name))
 
@@ -951,7 +958,7 @@ def _assert_same_fit(got, want):
     np.testing.assert_array_equal(got.beta, want.beta)
     assert got.sets == want.sets
     assert got.cov_eq_rows == want.cov_eq_rows
-    assert got.rank_xa == want.rank_xa
+    assert (got.face_dim, got.face_cols) == (want.face_dim, want.face_cols)
     np.testing.assert_array_equal(got.kkt.mu, want.kkt.mu)
     assert got.kkt.degenerate == want.kkt.degenerate
 
@@ -1107,7 +1114,7 @@ def test_qr_rank_matches_scipy_pivoted_qr(mat):
     diag = np.abs(np.diag(r_mat))
     expected = int(np.sum(diag > 1e-10 * diag[0])) if diag[0] > 0 else 0
     rank, pivots = _qr_rank(mat)
-    assert rank == expected == matrix_rank_qr(mat)
+    assert rank == expected
     np.testing.assert_array_equal(pivots, piv)
 
 
