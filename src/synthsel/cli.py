@@ -26,7 +26,6 @@ from .solvers import (
     PENALIZED,
     PLAIN,
     ScFit,
-    _warm_source,
     default_v_grid,
     solve_masc,
     solve_penalized_sc,
@@ -252,8 +251,9 @@ def _cmd_df(args) -> dict:
     }
     if args.fd_check:
         # each perturbed outcome is solved from the fit it perturbs, when
-        # that fit is the unique optimum
-        prev = _warm_source(fit, panel.y, panel.x)
+        # that fit is the unique optimum: from one that is not, each warm
+        # solve would fail the uniqueness guard and be solved again cold
+        prev = fit if fit.kkt.unique else None
         fd = divergence_fd_oracle(lambda y: solve(y, prev), panel.y)
         results["fd_check"] = {
             "max_abs_deviation": float(np.max(np.abs(div.matrix - fd.matrix))),

@@ -5,7 +5,8 @@ in the outcome.  Locally every estimator here projects the outcome onto a
 face of ``{X b : b on the simplex, E b = f}``, so the divergence is a
 scale times the projection onto the span of ``X_A N`` (``N`` a basis of
 the null space of the binding rows on the active donors), and the degrees
-of freedom are its trace, ``scale * face_dim`` (``ScFit.face_dim``):
+of freedom are its trace, ``scale * face_dim``, the face's dimension
+the solve's certificate records (``KktCertificate.face_dim``):
 ``scale * (|A| - 1 - binding covariate rows)`` unless ``X_A N`` is rank
 deficient, as with a donor active beside its copy.  ``_df_rule``:
 
@@ -109,7 +110,7 @@ def _df_rule(fit: ScFit) -> tuple[float, str]:
 def divergence(fit: ScFit, x: np.ndarray, d: np.ndarray | None = None) -> DivergenceMatrix:
     """Divergence of any fit: ``_df_rule``'s scale times the projection
     onto the span of ``X_A N`` at the engine's rank cut of ``x``
-    (``eq_constrained_hat``), whose trace is ``fit.face_dim``; the zero
+    (``eq_constrained_hat``), whose trace is ``fit.kkt.face_dim``; the zero
     matrix for matching.  ``d`` is needed for a covariate fit with binding
     rows."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -134,13 +135,15 @@ def divergence(fit: ScFit, x: np.ndarray, d: np.ndarray | None = None) -> Diverg
 def df_hat(fit: ScFit) -> DofReport:
     """Closed-form degrees-of-freedom sample analog of an estimator fit:
     ``_df_rule``'s scale times the dimension of the fit's face, or zero for
-    a matching fit, which is locally constant in the outcome."""
+    a matching fit, which is locally constant in the outcome (its face is
+    empty)."""
     sets: ActiveSets = fit.sets
-    counts = (fit.face_dim, len(sets.a), len(sets.m_and_e), len(sets.e_minus_m))
+    face_dim = fit.kkt.face_dim
+    counts = (face_dim, len(sets.a), len(sets.m_and_e), len(sets.e_minus_m))
     if fit.kind == MATCHING:
         return DofReport(0.0, CASE_MATCHING, *counts)
     scale, case = _df_rule(fit)
-    return DofReport(scale * fit.face_dim, case, *counts)
+    return DofReport(scale * face_dim, case, *counts)
 
 
 # ---------------------------------------------------------------------------

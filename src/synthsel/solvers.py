@@ -11,10 +11,14 @@ subproblem is the equality-constrained least-squares problem on the free
 columns, solved by the null-space method from one pivoted QR of the free
 design (never its Gram matrix).  This terminates finitely and returns
 exact multipliers, which we expose as a KKT certificate on every fit.
-What a path of solves on one design shares is formed once for it: X'X,
-X'y, the rank cut and the factorization of the face the last solve ended
-on, which does not depend on the penalty, so a warm solve at the next
-penalty that starts on that face does not factor it again.
+The certificate also records the face the solve ended on, read off the
+factorization that certified it: its dimension, which the degrees of
+freedom count (see ``dof``), and whether it pins the optimum, which
+decides where a warm start is kept.  What a path of solves on one design
+shares is formed once for it: X'X, X'y, the rank cut and the
+factorization of the face the last solve ended on, which does not depend
+on the penalty, so a warm solve at the next penalty that starts on that
+face does not factor it again.
 
 Multiplier convention for the nonnegativity constraints: stationarity is
 ``grad + A' xi + mu = 0`` with ``mu <= 0`` at an optimum.
@@ -139,6 +143,16 @@ class KktCertificate:
     ``eq_multipliers`` the equality multipliers with the sum-to-one row
     first.  ``degenerate`` flags a covariate fit solved again without its
     equality rows, which exert no force (``_covariate_rows_idle``).
+
+    ``face_dim`` is the dimension of the solution's face (see ``dof``): the
+    rank of ``X_A N`` at the engine's rank cut, ``A`` the support of
+    ``beta`` and ``N`` a basis, of ``face_cols`` columns, of the null space
+    of the equality rows on ``A``.  ``unique`` is a sufficient condition for
+    a unique minimizer: ``X_A N`` has full column rank and every multiplier
+    off ``A`` is strictly negative (beyond the release tolerance), so no
+    optimal direction leaves the face and none moves within it.  It is
+    False for a degenerate fit.  A certificate that is not the engine's
+    (a matching fit's) holds an empty face, ``(0, 0)``.
     """
 
     beta: np.ndarray
@@ -148,6 +162,9 @@ class KktCertificate:
     mu: np.ndarray
     iterations: int = 0
     degenerate: bool = False
+    face_dim: int = 0
+    face_cols: int = 0
+    unique: bool = False
 
     def satisfied(self, tol: float = KKT_TOL) -> bool:
         return (
@@ -166,10 +183,9 @@ class ScFit:
     ``residuals`` is ``y - fitted``.  ``sets`` hold the index sets the
     degrees-of-freedom formulas consume; for the model-averaged estimator
     they are the synthetic-control component's sets, since the matching
-    component is locally constant in ``y``.  ``face_dim`` is the dimension
-    of the fit's face (see ``dof``): the rank of ``X_A N`` at the engine's
-    rank cut, ``N`` a basis, of ``face_cols`` columns, of the null space of
-    the sum row and the equality rows ``cov_eq_rows`` on the active donors.
+    component is locally constant in ``y``.  The certificate ``kkt``
+    records the fit's face, on the sum row and the equality rows
+    ``cov_eq_rows``.
     """
 
     kind: str
@@ -182,8 +198,6 @@ class ScFit:
     lam: float = 0.0
     m: int | None = None
     v: np.ndarray | None = None
-    face_dim: int = 0
-    face_cols: int = 0
     cov_eq_rows: tuple[int, ...] = ()
 
     @property
@@ -324,9 +338,8 @@ def _null_basis(data: bytes, shape: tuple[int, int]):
         null, first = _null_basis(a_mat[0].tobytes(), (1, k))
         pinv[:, :1] = first
         if k > 1:
-            qr, piv, tau, _, _ = _geqp3(null.T @ a_mat[1:].T, lwork=_geqp3_lwork((k - 1, h - 1)))
-            ref = np.sqrt(np.einsum("ij,ij->i", a_mat, a_mat).max())
-            rank = np.count_nonzero(abs(qr.diagonal()) > _RANK_TOL * ref)
+            qr, piv, tau = _pivoted_qr(null.T @ a_mat[1:].T)
+            rank = _cut_rank(qr, _RANK_TOL * np.sqrt(np.einsum("ij,ij->i", a_mat, a_mat).max()))
             null = _ormqr("R", "N", qr[:, : tau.shape[0]], tau, null, k)[0]
             basis = np.column_stack([first / np.sqrt(first[:, 0] @ first[:, 0]), null[:, :rank]])
             kept = [0, *piv[:rank].tolist()]
@@ -391,6 +404,11 @@ def simplex_ls(
     design does (see ``_outer_solve``); the result is the same either way.
     It keeps the ``_face_factor`` of the face the last solve ended on, which
     does not depend on ``lin``, for the next solve to finish again.
+
+    The certificate's face is read off that factor: its rank and null-space
+    columns.  When a free donor ends at zero weight, the face of the
+    support is ranked on its own (``_face_qr``), unless the free face has
+    no null columns, in which case neither has.
     """
     x = np.atleast_2d(np.asarray(design, dtype=float))
     y = np.asarray(target, dtype=float).ravel()
@@ -470,6 +488,14 @@ def simplex_ls(
             mu[free] = 0.0
             # mu is zero on the (nonempty) free set, so its max is >= 0
             if mu.max() <= release_tol:
+                support = _active_set(beta)
+                null, r11 = normal.face[1][0], normal.face[1][3]
+                face = (0 if r11 is None else r11.shape[0], null.shape[1])
+                if face[1] and len(support) < f_idx.size:
+                    e_a = a_mat.take(support, 1)
+                    face = _face_qr(x.take(support, 1), e_a, normal.cut)[:2] if support else (0, 0)
+                # mu is exactly zero on the free set, which holds the support
+                pinned = np.count_nonzero(mu < -_RELEASE_TOL * scale) == p - len(support)
                 return KktCertificate(
                     beta=beta,
                     # resid + mu: resid on the free set, exactly zero off it
@@ -478,6 +504,9 @@ def simplex_ls(
                     eq_multipliers=xi,
                     mu=mu,
                     iterations=iteration,
+                    face_dim=face[0],
+                    face_cols=face[1],
+                    unique=bool(face[0] == face[1] and pinned),
                 )
             obj = _objective(beta)
             if best_obj is None:
@@ -628,36 +657,23 @@ def _build_fit(
     m_rows: tuple[int, ...] = (),
     e_rows: tuple[int, ...] = (),
     cov_eq_rows: tuple[int, ...] = (),
-    d: np.ndarray | None = None,
-    cut: float | None = None,
     degenerate: bool = False,
-    prev: ScFit | None = None,
     **fields,
 ) -> ScFit:
     """The fit of engine solution ``cert``, its certificate flagged
-    ``degenerate`` when the covariate rows were dropped as idle; ``m_rows``
-    and ``e_rows`` are its covariate sets (see ``ActiveSets``),
-    ``cov_eq_rows`` its equality rows of ``d``, ``cut`` the engine's rank
-    cut of ``x`` (None: ``_rank_cut(x)``), and ``fields`` go to the fit.
-    ``prev``, a fit of the same ``x`` and ``d`` or None, lends its face
-    dimensions when its active set and equality rows are this fit's."""
+    ``degenerate`` (and so not ``unique``) when the covariate rows were
+    dropped as idle; ``m_rows`` and ``e_rows`` are its covariate sets (see
+    ``ActiveSets``), ``cov_eq_rows`` its equality rows, and ``fields`` go to
+    the fit."""
     beta = cert.beta
-    sets = ActiveSets(a=_active_set(beta), m=m_rows, e=e_rows)
     fitted = x @ beta
-    if prev is not None and (prev.sets.a, prev.cov_eq_rows) == (sets.a, cov_eq_rows):
-        face = prev.face_dim, prev.face_cols
-    else:
-        e_a = _face_rows(sets.a, cov_eq_rows, d)
-        face = _face_qr(x.take(sets.a, 1), e_a, _rank_cut(x) if cut is None else cut)[:2]
     return ScFit(
         kind=kind,
         beta=beta,
         fitted=fitted,
         residuals=y - fitted,
-        sets=sets,
-        kkt=replace(cert, degenerate=True) if degenerate else cert,
-        face_dim=face[0],
-        face_cols=face[1],
+        sets=ActiveSets(a=_active_set(beta), m=m_rows, e=e_rows),
+        kkt=replace(cert, degenerate=True, unique=False) if degenerate else cert,
         cov_eq_rows=cov_eq_rows,
         donor_sq_distances=sq_dist if sq_dist is not None else donor_sq_distances(y, x),
         **fields,
@@ -667,30 +683,6 @@ def _build_fit(
 def _face_rows(a: tuple[int, ...], rows: tuple[int, ...], d: np.ndarray | None) -> np.ndarray:
     """``E_A``: the sum row and the rows ``rows`` of ``d`` on the donors ``a``."""
     return np.vstack([np.ones((1, len(a))), d[np.ix_(rows, a)]]) if rows else np.ones((1, len(a)))
-
-
-def _is_unique_optimum(fit: ScFit, g0: np.ndarray) -> bool:
-    """Sufficient condition for a unique minimizer: ``X_A N`` has full
-    column rank (``face_dim == face_cols``) and every inactive multiplier is
-    strictly negative (beyond the release tolerance), so no optimal
-    direction leaves the active face and none moves within it."""
-    if fit.face_dim < fit.face_cols:
-        return False
-    # mu is exactly zero on the free set of the engine, which holds the active set
-    tol = _RELEASE_TOL * (1.0 + _absmax(g0))
-    return np.count_nonzero(fit.kkt.mu < -tol) == fit.beta.shape[0] - fit.n_active
-
-
-def _warm_source(fit: ScFit, y: np.ndarray, x: np.ndarray) -> ScFit | None:
-    """``fit``, a fit of ``(y, x)``, when it is the unique optimum of its
-    outer problem, else None.  Solves of nearby outcomes are started from a
-    unique fit only: from one that is not, each warm solve would fail the
-    uniqueness guard and be solved again cold.  A MASC fit is judged by its
-    synthetic-control part, whose certificate it carries."""
-    if fit.kkt.degenerate:
-        return None
-    lam = 0.0 if fit.kind == MASC else fit.lam
-    return fit if _is_unique_optimum(fit, x.T @ y - 0.5 * lam * fit.donor_sq_distances) else None
 
 
 def solve_sc(y: np.ndarray, x: np.ndarray, *, _prev: ScFit | None = None) -> ScFit:
@@ -767,13 +759,12 @@ def _outer_solve(
 
     ``lam`` must be finite and ``>= 0``.  ``prev`` is a fit of the same
     ``x`` solved before, such as the fit at a neighbouring ``lam`` on a
-    grid or the fit of a nearby outcome, or None; it lends its face
-    dimensions (see ``_build_fit``).  The solve starts from ``prev.beta``
-    when ``prev`` has the same equality rows and from ``inner.cold_start``
-    otherwise (None: the engine's start vertex).
+    grid or the fit of a nearby outcome, or None.  The solve starts from
+    ``prev.beta`` when ``prev`` has the same equality rows and from
+    ``inner.cold_start`` otherwise (None: the engine's start vertex).
     A warm start never changes the answer: the warm fit is kept only where
-    ``_is_unique_optimum`` holds, which pins the optimum with equality rows
-    as without them, so it equals the cold fit; otherwise the point is
+    its certificate is ``unique``, which pins the optimum with equality
+    rows as without them, so it equals the cold fit; otherwise the point is
     solved again from the cold start.  If the weighted rows left unfit are
     at least as numerous as the active donors minus one, the equality rows
     exert no force and the fit reduces to the plain estimator on its active
@@ -789,24 +780,23 @@ def _outer_solve(
         normal = _normal_equations(y, x)
     lin = 0.5 * lam * inner.sq_dist
 
-    def _fit(eq_rows: tuple[int, ...], start, donor, degenerate=False) -> ScFit:
+    def _fit(eq_rows: tuple[int, ...], start, degenerate=False) -> ScFit:
         rows = list(eq_rows)
         eq = {"eq_mat": inner.d[rows], "eq_rhs": inner.z[rows]} if rows else {}
         cert = simplex_ls(y, x, lin=lin, start=start, _normal=normal, **eq)
         cov_res = inner.d @ cert.beta - inner.z if inner.d.shape[0] else ()
         m_rows = tuple(i for i, r in enumerate(cov_res) if abs(r) > inner.r_tol)
         return _build_fit(kind, y, x, cert, sq_dist=inner.sq_dist, m_rows=m_rows,
-                          e_rows=inner.e_rows, cov_eq_rows=eq_rows, d=inner.d, cut=normal.cut,
-                          degenerate=degenerate, prev=donor, lam=float(lam), v=inner.v)
+                          e_rows=inner.e_rows, cov_eq_rows=eq_rows, degenerate=degenerate,
+                          lam=float(lam), v=inner.v)
 
     rows = inner.exact_rows
     warm = prev is not None and prev.cov_eq_rows == rows
-    fit = _fit(rows, prev.beta if warm else inner.cold_start, prev)
-    if warm:
-        if not _is_unique_optimum(fit, normal.xty - lin):
-            fit = _fit(rows, inner.cold_start, fit)
+    fit = _fit(rows, prev.beta if warm else inner.cold_start)
+    if warm and not fit.kkt.unique:
+        fit = _fit(rows, inner.cold_start)
     if rows and _covariate_rows_idle(fit):
-        fit = _fit((), None, fit, degenerate=True)
+        fit = _fit((), None, degenerate=True)
     return fit
 
 
@@ -836,20 +826,19 @@ def _outer_paths(kind: str, y: np.ndarray, x: np.ndarray, problems) -> list[list
     objective, equality rows, ``r_tol`` and ``sq_dist``, and differ only in
     their cold start.  So a weighting whose rows and penalties were solved
     before takes those fits, each with its own ``v``, when every one of them
-    is a start ``_warm_source`` keeps (the unique optimum, which no start
-    changes); otherwise it is solved as the first was.
+    is ``unique`` (the optimum, which no start changes); otherwise it is
+    solved as the first was.
     """
     normal = _normal_equations(y, x)
-    keys = [(inner.e_rows, inner.exact_rows, tuple(lams)) for inner, lams in problems]
     solved: dict = {}
     paths = []
-    for key, (inner, lams) in zip(keys, problems):
+    for inner, lams in problems:
+        key = (inner.e_rows, inner.exact_rows, tuple(lams))
         if key in solved:
             paths.append([replace(fit, v=inner.v) for fit in solved[key]])
             continue
         fits = _fit_path(lams, functools.partial(_outer_solve, kind, y, x, inner, normal=normal))
-        # only a problem posed again is checked, so a lone path costs no more
-        if keys.count(key) > 1 and all(_warm_source(fit, y, x) is not None for fit in fits):
+        if all(fit.kkt.unique for fit in fits):
             solved[key] = fits
         paths.append(fits)
     return paths
@@ -872,7 +861,8 @@ def solve_matching(y: np.ndarray, x: np.ndarray, m: int) -> ScFit:
     """Matching estimator wrapped as a fit (locally constant in y)."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
-    # the weights are not an engine solution: an all-zero certificate
+    # the weights are not an engine solution: an all-zero certificate, its
+    # face empty
     cert = KktCertificate(
         beta=matching_weights(y, x, m),
         stationarity_residual=0.0,

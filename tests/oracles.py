@@ -6,8 +6,9 @@ constraint-line oracle scans the one-dimensional feasible set of an
 equality-constrained problem, the rank-one-correction divergence
 writes the sum-to-one hat matrix in a form the package never uses, the
 face dimension is a rank read off singular values instead of a pivoted
-QR, and the KKT reference solves the working-set system densely by
-``lstsq`` instead of by the null-space method.
+QR (and so is the uniqueness condition built on it), and the KKT
+reference solves the working-set system densely by ``lstsq`` instead of by
+the null-space method.
 """
 
 import numpy as np
@@ -94,6 +95,17 @@ def face_dim(xa, e_a):
     vt = np.linalg.svd(e_a)[2]
     null = vt[_svd_rank(e_a):].T
     return _svd_rank(xa @ null)
+
+
+def unique_optimum(xa, e_a, mu, g0):
+    """Sufficient condition for a unique minimizer at a solution with
+    support ``A`` (the columns ``xa``), equality rows ``e_a`` on ``A`` and
+    nonnegativity multipliers ``mu``: ``X_A N`` has full column rank and
+    every multiplier off ``A`` is below ``-1e-10 (1 + |g0|_inf)``, ``g0``
+    being ``X'y`` less the linear term."""
+    cols = e_a.shape[1] - _svd_rank(e_a)
+    tol = 1e-10 * (1.0 + np.abs(g0).max())
+    return face_dim(xa, e_a) == cols and np.count_nonzero(mu < -tol) == mu.size - xa.shape[1]
 
 
 def duplicate_pairs_by_loop(x):

@@ -172,7 +172,9 @@ class TestDfHat:
 
     def test_matching_fit_spends_nothing(self):
         y, x = make_instance(17)
-        assert df_hat(solve_matching(y, x, 3)).df_hat == 0.0
+        report = df_hat(solve_matching(y, x, 3))
+        # the weights are not an engine solution: their face is empty
+        assert (report.df_hat, report.face_dim) == (0.0, 0)
 
 
 class TestFdOracle:

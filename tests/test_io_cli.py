@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import warnings
+from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -12,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from synthsel import cli, simulation, solvers
-from synthsel.dof import divergence_fd_oracle
+from synthsel.dof import df_hat, divergence, divergence_fd_oracle
 from synthsel.errors import ConfigurationError, ConvergenceError, PanelParseError
 from synthsel.io import (
     LoadedPanel,
@@ -24,10 +25,12 @@ from synthsel.io import (
     write_panel_csv,
 )
 from synthsel.panel import PanelDataset
+from synthsel.selection import default_lambda_grid
 from synthsel.simulation import BenchmarkReport, MethodResult
 from synthsel.solvers import solve_masc, solve_penalized_sc, solve_sc, solve_sc_cov_inner
 
 from conftest import random_design
+from oracles import face_dim
 
 
 def _write_panel(path, times, header, rows):
@@ -743,8 +746,17 @@ def test_fd_check_from_a_fit_that_is_not_unique_costs_no_more_than_cold(
     # every donor twice: a warm start from the checked fit, which is not the
     # unique optimum, would fail the guard and be solved again cold
     args = [*_factor_panel_csv(tmp_path / "panel.csv", seed=2, twice=True), "--estimator", *estimator]
+    checked = []
+    monkeypatch.setattr(cli, "df_hat", lambda fit: checked.append(fit) or df_hat(fit))
     warm_fd, warm = fd_check_iterations(args)
-    monkeypatch.setattr(cli, "_warm_source", lambda fit, y, x: None)
+    assert not checked[0].kkt.unique
+    estimator_of = cli._estimator
+
+    def cold_estimator(args, panel):
+        solve = estimator_of(args, panel)
+        return lambda y, prev: solve(y, None)
+
+    monkeypatch.setattr(cli, "_estimator", cold_estimator)
     cold_fd, cold = fd_check_iterations(args)
     assert warm_fd == cold_fd
     assert len(warm) == len(cold) and sum(warm) <= sum(cold)
@@ -782,6 +794,38 @@ def test_df_of_a_covariate_fit_on_duplicated_donors(tmp_path, capsys, seed, lam)
     assert res["df_hat"] == pytest.approx(res["divergence_trace"], abs=1e-9)
     if not res["fd_check"]["active_set_changed"]:
         assert res["fd_check"]["max_abs_deviation"] < 1e-6
+
+
+def test_a_donor_free_at_zero_weight_leaves_the_face_of_the_support(tmp_path, monkeypatch, capsys):
+    # placebo donor_2's leave-one-out fold of the covariate panel the CI
+    # runs, at V = (0, 0, 1) on the default grid: some solves end with a
+    # free donor at zero weight, so the engine ranks the face of the
+    # support on its own, not the free face it factored
+    panel, covs = tmp_path / "p.csv", tmp_path / "c.csv"
+    assert cli.main(["simulate", "--units", "9", "--periods", "20", "--seed", "3",
+                     "--output-panel", str(panel)]) == 0
+    capsys.readouterr()
+    covs.write_text(
+        "cov,treated," + ",".join(f"donor_{j}" for j in range(1, 9)) + "\n"
+        "price,2.5,1,2,3,4,1,2,3,4\nsize,2,4,1,3,0,2,2,1,3\nage,1,0,1,2,1,0,2,1,1\n"
+    )
+    data = load_panel(str(panel), "treated", "t16", covariates_path=str(covs)).dataset
+    keep = [k for k in range(data.p) if k != 1]
+    y, x, z, d = data.x[:, 1], data.x[:, keep], data.d[:, 1], data.d[:, keep]
+    ranked = []
+    face_qr = solvers._face_qr
+    monkeypatch.setattr(solvers, "_face_qr", lambda *a: ranked.append(a) or face_qr(*a))
+    inner = solvers._cov_inner(y, x, z, d, np.array([0.0, 0.0, 1.0]))
+    fits = solvers._fit_path(default_lambda_grid("covariate"),
+                             partial(solvers._outer_solve, "covariate", y, x, inner))
+    assert ranked
+    monkeypatch.undo()
+    for fit in fits:
+        a = list(fit.sets.a)
+        e_a = solvers._face_rows(fit.sets.a, fit.cov_eq_rows, d)
+        null_cols = len(a) - np.linalg.matrix_rank(e_a)
+        assert (fit.kkt.face_dim, fit.kkt.face_cols) == (face_dim(x[:, a], e_a), null_cols)
+        assert df_hat(fit).df_hat == pytest.approx(divergence(fit, x, d).trace, abs=1e-9)
 
 
 @pytest.mark.filterwarnings("ignore:donor columns are exact duplicates")

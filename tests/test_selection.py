@@ -163,7 +163,7 @@ class TestIcValue:
         fit = solve_penalized_sc(y, x, lam)
         s2 = sigma2_hat(y, x)
         expected = fit.rss + 2 * s2 * (1 + lam) * (len(fit.sets.a) - 1)
-        assert fit.face_dim == len(fit.sets.a) - 1
+        assert fit.kkt.face_dim == len(fit.sets.a) - 1
         assert ic_for_fit(fit, s2) == pytest.approx(expected, rel=1e-12)
 
     def test_negative_inputs_rejected(self):
@@ -369,7 +369,8 @@ class TestCvHoldout:
         grid = np.concatenate([[0.0], np.geomspace(0.0125, 10.0, 19)])
         cold = solve_penalized_sc(panel.y[:18], panel.x[:18], 0.0)
         # X_A N is 18 x 18 of full rank, but every multiplier is zero
-        assert (cold.n_active, cold.face_dim, cold.face_cols) == (19, 18, 18)
+        assert (cold.n_active, cold.kkt.face_dim, cold.kkt.face_cols) == (19, 18, 18)
+        assert not cold.kkt.unique
         res = cv_holdout(panel, "penalized", grid=grid, split_fraction=0.5)
         assert res.chosen == 1
         err = panel.y[18:] - panel.x[18:] @ cold.beta

@@ -45,7 +45,7 @@ from synthsel.solvers import (
 )
 
 from conftest import make_instance, near_common_rows, random_design
-from oracles import constraint_line_min, face_dim, kkt_lstsq_solve, simplex_grid_min
+from oracles import constraint_line_min, face_dim, kkt_lstsq_solve, simplex_grid_min, unique_optimum
 
 
 # ---------------------------------------------------------------------------
@@ -439,10 +439,10 @@ def test_a_warm_path_factors_a_recurring_face_once(monkeypatch):
     n_rows=st.integers(0, 2),
 )
 def test_grid_path_is_bitwise_its_warm_solves_made_one_by_one(seed, shape, n_rows):
-    # the path shares X'X, X'y, the factorization of the face a solve ends
-    # on and the rank of an unchanged active set; each fit must equal the
-    # same warm solve made without any of them.  With rows, a covariate path
-    # at one weighting whose targets the donors fit exactly
+    # the path shares X'X, X'y and the factorization of the face a solve
+    # ends on; each fit must equal the same warm solve made without any of
+    # them.  With rows, a covariate path at one weighting whose targets the
+    # donors fit exactly
     gen = np.random.default_rng(seed)
     y, x = random_design(gen, shape)
     lams = np.concatenate([[0.0], np.geomspace(0.0125, 10.0, int(gen.integers(3, 12)))])
@@ -465,13 +465,18 @@ def test_grid_path_is_bitwise_its_warm_solves_made_one_by_one(seed, shape, n_row
             (fit.kkt.complementarity_gap, alone.kkt.complementarity_gap),
             (fit.kkt.iterations, alone.kkt.iterations),
             (fit.kkt.degenerate, alone.kkt.degenerate),
+            (fit.kkt.face_dim, alone.kkt.face_dim),
+            (fit.kkt.face_cols, alone.kkt.face_cols),
+            (fit.kkt.unique, alone.kkt.unique),
             (fit.sets, alone.sets),
             (fit.cov_eq_rows, alone.cov_eq_rows),
-            ((fit.face_dim, fit.face_cols), (alone.face_dim, alone.face_cols)),
         ]:
             np.testing.assert_array_equal(got, want)
+        x_a = x[:, list(fit.sets.a)]
         e_a = _face_rows(fit.sets.a, fit.cov_eq_rows, d if n_rows else None)
-        assert fit.face_dim == face_dim(x[:, list(fit.sets.a)], e_a)
+        assert fit.kkt.face_dim == face_dim(x_a, e_a)
+        g0 = x.T @ y - 0.5 * lam * inner.sq_dist
+        assert fit.kkt.unique == (not fit.kkt.degenerate and unique_optimum(x_a, e_a, fit.kkt.mu, g0))
         prev = fit
 
 
@@ -848,6 +853,10 @@ class TestCovariatePath:
             cold = solve_sc_cov_inner(y, x, z, d, v, lam=lam)
             np.testing.assert_array_equal(fit.beta, cold.beta)
             assert fit.cov_eq_rows == cold.cov_eq_rows == (() if fit.kkt.degenerate else (0,))
+            if fit.kkt.degenerate:
+                # the penalized solve it repeats pins its optimum, but a fit
+                # whose rows were dropped is never a start to keep or share
+                assert solve_penalized_sc(y, x, lam).kkt.unique and not fit.kkt.unique
 
     @staticmethod
     def _count_solves(monkeypatch):
@@ -948,7 +957,6 @@ def test_v_path_equals_pointwise_cold_solves(seed, shape):
 def _assert_same_solve(got, want):
     np.testing.assert_array_equal(got.beta, want.beta)
     assert got.sets == want.sets
-    assert (got.face_dim, got.face_cols) == (want.face_dim, want.face_cols)
     for field in dataclasses.fields(KktCertificate):
         np.testing.assert_array_equal(getattr(got.kkt, field.name), getattr(want.kkt, field.name))
 
@@ -958,7 +966,7 @@ def _assert_same_fit(got, want):
     np.testing.assert_array_equal(got.beta, want.beta)
     assert got.sets == want.sets
     assert got.cov_eq_rows == want.cov_eq_rows
-    assert (got.face_dim, got.face_cols) == (want.face_dim, want.face_cols)
+    assert (got.kkt.face_dim, got.kkt.face_cols) == (want.kkt.face_dim, want.kkt.face_cols)
     np.testing.assert_array_equal(got.kkt.mu, want.kkt.mu)
     assert got.kkt.degenerate == want.kkt.degenerate
 
@@ -1232,6 +1240,16 @@ def test_sum_constraint_target_is_respected():
         res = simplex_ls(y, x, sum_to=target)
         assert res.beta.sum() == pytest.approx(target, abs=1e-10)
         assert res.beta.min() >= -1e-12
+
+
+def test_weights_all_below_the_support_threshold_leave_an_empty_face():
+    # at a tiny sum several donors end free, at weights under the support
+    # threshold: the support, and so the face the certificate records, is
+    # empty
+    x = np.random.default_rng(4).normal(size=(12, 6))
+    res = simplex_ls(np.zeros(12), x, sum_to=1e-9)
+    assert np.count_nonzero(res.beta) > 1 and _active_set(res.beta) == ()
+    assert (res.face_dim, res.face_cols, res.unique) == (0, 0, False)
 
 
 @pytest.mark.parametrize("kind", ["plain", "penalized", "masc"])
