@@ -75,26 +75,19 @@ class SelectionResult:
         return float(self.scores[self.chosen])
 
 
-def _argmin_most_regularized(grid: tuple[TuningPoint, ...], scores: np.ndarray) -> int:
+def _select(grid, scores, sigma2, method) -> SelectionResult:
+    """The grid point of least finite score ``best``; scores within
+    ``1e-12 * (1 + |best|)`` of it tie, and a tie goes to the largest
+    ``lam``, then to the earliest point."""
+    grid = tuple(grid)
+    scores = np.asarray(scores, dtype=float)
     finite = np.isfinite(scores)
     if not np.any(finite):
         raise ConfigurationError("every grid point failed to produce a score")
     best = float(np.min(scores[finite]))
     tol = 1e-12 * (1.0 + abs(best))
     tied = [i for i in range(len(grid)) if finite[i] and scores[i] <= best + tol]
-    return max(tied, key=lambda i: (grid[i].lam, -i))
-
-
-def _select(grid, scores, sigma2, method) -> SelectionResult:
-    grid = tuple(grid)
-    scores = np.asarray(scores, dtype=float)
-    return SelectionResult(
-        grid=grid,
-        scores=scores,
-        sigma2_hat=sigma2,
-        chosen=_argmin_most_regularized(grid, scores),
-        method=method,
-    )
+    return SelectionResult(grid, scores, sigma2, max(tied, key=lambda i: (grid[i].lam, -i)), method)
 
 
 # ---------------------------------------------------------------------------
@@ -210,8 +203,15 @@ def ic_value(rss: float, sigma2: float, df: float) -> float:
     return float(rss + 2.0 * sigma2 * df)
 
 
-def ic_for_fit(fit: ScFit, sigma2: float) -> float:
-    return ic_value(fit.rss, sigma2, df_hat(fit).df_hat)
+def _ic_select(
+    points, fits, y: np.ndarray, x: np.ndarray, sigma2: float | None = None
+) -> SelectionResult:
+    """The information-criterion selection over ``fits``, the fits of ``y``
+    on ``x`` at the grid ``points``: each scored by ``ic_value`` of its
+    ``rss`` and ``df_hat``, with the noise variance ``sigma2`` or, when it
+    is None, ``sigma2_hat`` read off the fits (``_plain_sigma2``)."""
+    s2 = _plain_sigma2(y, x, fits) if sigma2 is None else float(sigma2)
+    return _select(points, [ic_value(fit.rss, s2, df_hat(fit).df_hat) for fit in fits], s2, METHOD_SURE)
 
 
 def select_lambda_ic(
@@ -228,8 +228,7 @@ def select_lambda_ic(
     active-set size of each refit."""
     points = tuning_grid(estimator_kind, grid, m_grid, v_grid, n_donors=panel.p, n_cov=panel.n_cov)
     fits = _fit_grid(panel.y, panel.x, estimator_kind, points, panel.z, panel.d)
-    s2 = _plain_sigma2(panel.y, panel.x, fits) if sigma2 is None else float(sigma2)
-    return _select(points, [ic_for_fit(fit, s2) for fit in fits], s2, METHOD_SURE)
+    return _ic_select(points, fits, panel.y, panel.x, sigma2)
 
 
 def select_v_ic(

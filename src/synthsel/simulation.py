@@ -27,15 +27,14 @@ from .selection import (
     METHOD_CV_ROLLING,
     METHOD_SURE,
     SelectionResult,
-    _argmin_most_regularized,
     _fit_grid,
-    _plain_sigma2,
+    _ic_select,
+    _select,
     tuning_grid,
     cv_holdout,
     cv_loo_untreated,
     cv_rolling,
 )
-from .dof import df_hat
 from .solvers import PENALIZED, solve_sc
 
 METHOD_RISK = "risk"
@@ -511,9 +510,35 @@ class BenchmarkReport:
         raise KeyError(name)
 
 
-def _mean_or_none(values: list[float]) -> float | None:
+def _mean_or_none(values) -> float | None:
     vals = [v for v in values if v is not None]
     return float(np.mean(vals)) if vals else None
+
+
+def _race_row(sel: SelectionResult | None, fits, y_post, x_post, n_pre: int, truth) -> tuple:
+    """One replication's ``MethodResult`` fields for the selection ``sel``
+    over the grid ``fits`` (Nones where the design does not identify the
+    method), given ``truth``: ``(oracle selection, pre-period risk curve,
+    forecast-risk curve)`` or None.  An information criterion's risk
+    estimate is its score less ``n_pre`` times its noise variance."""
+    if sel is None:
+        return (None,) * 6
+    idx = sel.chosen
+    tau_path = y_post - x_post @ fits[idx].beta
+    taus = (float(tau_path[0]) ** 2, float(np.mean(tau_path[: min(12, len(y_post))])) ** 2)
+    if truth is None:
+        return (*taus, None, None, None, None)
+    star, risk_curve, cv_truth_curve = truth
+    lam_err = (sel.grid[idx].lam - star.chosen_point.lam) ** 2
+    if sel is star:
+        return (*taus, lam_err, 0.0, 0.0, 1.0)
+    if sel.sigma2_hat is None:
+        err = float(sel.scores[idx]) - cv_truth_curve[idx]
+        risk_raw = risk_per_n = err**2
+    else:
+        err = sel.scores[idx] - n_pre * sel.sigma2_hat - risk_curve[idx]
+        risk_raw, risk_per_n = err**2, (err / n_pre) ** 2
+    return (*taus, lam_err, risk_raw, risk_per_n, _spearman(sel.scores, risk_curve))
 
 
 def run_selection_benchmark(
@@ -531,13 +556,18 @@ def run_selection_benchmark(
     """Race the selection methods on a known design.
 
     Per replication the penalized estimator is fit along the grid, walked
-    as one warm-started path (see ``selection``); each method picks a grid
-    point; accuracy is scored on the one-period and twelve-period
-    treatment-effect errors (the true effect is zero by
-    construction), the squared distance of the chosen point from the
-    per-draw true-risk minimizer, and the error of each method's own risk
-    estimate.  Under the block-bootstrap design the truth is unavailable,
-    so the oracle rows and the risk/tuning columns are reported absent.
+    as one warm-started path (see ``selection``).  Each method picks a grid
+    point as a ``SelectionResult``: the oracle minimizes the true risk
+    curve, ``sure`` and ``sure_star`` are ``selection``'s information
+    criterion on those fits (with ``sigma2_hat`` and with the true noise
+    variance), and the cross-validation methods are ``selection``'s
+    selectors, which fit their own folds.  Accuracy is scored on the
+    one-period and twelve-period treatment-effect errors (the true effect
+    is zero by construction), the squared distance of the chosen point
+    from the per-draw true-risk minimizer, and the error of each method's
+    own risk estimate (``_race_row``).  Under the block-bootstrap design
+    the truth is unavailable, so the oracle rows and the risk/tuning
+    columns are reported absent.  A method may be raced once.
     """
     if replications < 1:
         raise ConfigurationError(f"replications must be at least 1, got {replications}")
@@ -553,9 +583,13 @@ def run_selection_benchmark(
     unknown = [m for m in methods if m not in BENCHMARK_METHODS]
     if unknown:
         raise ConfigurationError(f"unknown methods {unknown}; expected among {BENCHMARK_METHODS}")
+    repeated = sorted({m for m in methods if methods.count(m) > 1})
+    if repeated:
+        raise ConfigurationError(f"methods raced more than once: {repeated}")
     if spec is None:
         spec = synthetic_factor_spec(n_donors, n_pre + n_post, seed=seed)
-    points = tuning_grid(PENALIZED, lambda_grid)
+    kind = PENALIZED  # the estimator whose tuning parameter is raced
+    points = tuning_grid(kind, lambda_grid)
     lams = [pt.lam for pt in points]
     t_total = n_pre + n_post
     has_truth = design in ("gaussian", "empirical")
@@ -571,102 +605,48 @@ def run_selection_benchmark(
     if design == "block_bootstrap":
         base = draw_factor_gaussian(spec, t_total, spawn_rng(seed, 3, 3))
         base_panel = np.column_stack([base.y, base.x])
-
-    acc: dict[str, dict[str, list]] = {
-        m: {"tau1": [], "tau12": [], "lam": [], "risk_raw": [], "risk_per_n": [], "corr": []}
-        for m in methods
-    }
+    # looked up per race, so a selector rebound on this module is the one raced
+    cv_selectors = {METHOD_CV_HOLDOUT: cv_holdout, METHOD_CV_LOO_UNTREATED: cv_loo_untreated,
+                    METHOD_CV_ROLLING: cv_rolling}
+    rows: dict[str, list[tuple]] = {m: [] for m in methods}
 
     for rep in range(replications):
         rng = spawn_rng(seed, rep)
-        if design == "gaussian":
-            draw = draw_factor_gaussian(spec, t_total, rng)
-            y_all, x_all = draw.y, draw.x
-        elif design == "empirical":
-            draw = draw_factor_empirical(spec, residual_pool, t_total, rng)
-            y_all, x_all = draw.y, draw.x
+        if design == "block_bootstrap":
+            data = stationary_bootstrap(base_panel, _BLOCK_PROB, t_total, rng).data
+            draw, y_all, x_all = None, data[:, 0], data[:, 1:]
         else:
-            boot = stationary_bootstrap(base_panel, _BLOCK_PROB, t_total, rng)
-            draw = None
-            y_all, x_all = boot.data[:, 0], boot.data[:, 1:]
-
+            draw = (draw_factor_gaussian(spec, t_total, rng) if design == "gaussian"
+                    else draw_factor_empirical(spec, residual_pool, t_total, rng))
+            y_all, x_all = draw.y, draw.x
         y_pre, x_pre = y_all[:n_pre], x_all[:n_pre]
         y_post, x_post = y_all[n_pre:], x_all[n_pre:]
         panel = PanelDataset(y=y_pre, x=x_pre, post_y=y_post, post_x=x_post)
+        fits = _fit_grid(y_pre, x_pre, kind, points)
 
-        fits = _fit_grid(y_pre, x_pre, PENALIZED, points)
-        dfs = np.array([df_hat(f).df_hat for f in fits])
-        rsss = np.array([f.rss for f in fits])
-
+        truth = None
         if has_truth:
             means = conditional_mean_path(spec, draw)
             means_pre, means_post = means[:n_pre], means[n_pre:]
-            risk_curve = np.array(
-                [float(np.sum((f.fitted - means_pre) ** 2)) for f in fits]
-            )
-            star_idx = _argmin_most_regularized(points, risk_curve)
+            risk_curve = np.array([float(np.sum((f.fitted - means_pre) ** 2)) for f in fits])
             cv_truth_curve = np.array(
-                [
-                    float(np.mean((x_post @ f.beta - means_post) ** 2)) + sigma2_true
-                    for f in fits
-                ]
+                [float(np.mean((x_post @ f.beta - means_post) ** 2)) + sigma2_true for f in fits]
             )
-        else:
-            risk_curve = None
-            star_idx = None
-            cv_truth_curve = None
-
-        # only sure reads it, and it may need a solve of its own
-        sigma2_plain = _plain_sigma2(y_pre, x_pre, fits) if METHOD_SURE in methods else None
+            truth = (_select(points, risk_curve, None, METHOD_RISK), risk_curve, cv_truth_curve)
 
         for method in methods:
-            idx = None
-            risk_raw = risk_per_n = corr = None
-            if method == METHOD_RISK:
-                if not has_truth:
-                    continue
-                idx = star_idx
-                risk_raw, risk_per_n, corr = 0.0, 0.0, 1.0
-            elif method in (METHOD_SURE, METHOD_SURE_STAR):
-                if method == METHOD_SURE_STAR and not has_truth:
-                    continue
-                s2 = sigma2_true if method == METHOD_SURE_STAR else sigma2_plain
-                scores = rsss + 2.0 * s2 * dfs
-                idx = _argmin_most_regularized(points, scores)
-                if has_truth:
-                    est = scores[idx] - n_pre * s2
-                    err = est - risk_curve[idx]
-                    risk_raw, risk_per_n = err**2, (err / n_pre) ** 2
-                    corr = _spearman(scores, risk_curve)
+            if truth is None and method in (METHOD_RISK, METHOD_SURE_STAR):
+                sel = None  # both need the true risk curve or noise variance
+            elif method == METHOD_RISK:
+                sel = truth[0]
+            elif method == METHOD_SURE:
+                sel = _ic_select(points, fits, y_pre, x_pre)
+            elif method == METHOD_SURE_STAR:
+                sel = _ic_select(points, fits, y_pre, x_pre, sigma2_true)
             else:
-                sel = _run_cv(method, panel, lams)
-                idx = sel.chosen
-                if has_truth:
-                    err = float(sel.scores[idx]) - cv_truth_curve[idx]
-                    risk_raw = risk_per_n = err**2
-                    corr = _spearman(sel.scores, risk_curve)
+                sel = cv_selectors[method](panel, kind, grid=lams)
+            rows[method].append(_race_row(sel, fits, y_post, x_post, n_pre, truth))
 
-            tau_path = y_post - x_post @ fits[idx].beta
-            acc[method]["tau1"].append(float(tau_path[0]) ** 2)
-            acc[method]["tau12"].append(float(np.mean(tau_path[: min(12, n_post)])) ** 2)
-            if has_truth:
-                acc[method]["lam"].append((points[idx].lam - points[star_idx].lam) ** 2)
-                acc[method]["risk_raw"].append(risk_raw)
-                acc[method]["risk_per_n"].append(risk_per_n)
-                acc[method]["corr"].append(corr)
-
-    rows = tuple(
-        MethodResult(
-            method=m,
-            mse_tau1=_mean_or_none(acc[m]["tau1"]),
-            mse_tau12=_mean_or_none(acc[m]["tau12"]),
-            mse_lambda=_mean_or_none(acc[m]["lam"]),
-            mse_risk_raw=_mean_or_none(acc[m]["risk_raw"]),
-            mse_risk_per_n=_mean_or_none(acc[m]["risk_per_n"]),
-            mean_rank_corr=_mean_or_none(acc[m]["corr"]),
-        )
-        for m in methods
-    )
     return BenchmarkReport(
         design=design,
         replications=replications,
@@ -674,7 +654,7 @@ def run_selection_benchmark(
         n_pre=n_pre,
         n_post=n_post,
         lambda_grid=tuple(float(l) for l in lams),
-        methods=rows,
+        methods=tuple(MethodResult(m, *map(_mean_or_none, zip(*rows[m]))) for m in methods),
     )
 
 
@@ -695,13 +675,3 @@ def _average_ranks(values: np.ndarray) -> np.ndarray:
     _, group, counts = np.unique(values, return_inverse=True, return_counts=True)
     last = np.cumsum(counts)
     return (last - 0.5 * (counts - 1))[group]
-
-
-def _run_cv(method: str, panel: PanelDataset, lams) -> SelectionResult:
-    if method == METHOD_CV_HOLDOUT:
-        return cv_holdout(panel, PENALIZED, grid=lams)
-    if method == METHOD_CV_LOO_UNTREATED:
-        return cv_loo_untreated(panel, PENALIZED, grid=lams)
-    if method == METHOD_CV_ROLLING:
-        return cv_rolling(panel, PENALIZED, grid=lams)
-    raise ConfigurationError(f"unknown cross-validation method {method!r}")

@@ -760,7 +760,8 @@ def _outer_solve(
     ``lam`` must be finite and ``>= 0``.  ``prev`` is a fit of the same
     ``x`` solved before, such as the fit at a neighbouring ``lam`` on a
     grid or the fit of a nearby outcome, or None.  The solve starts from
-    ``prev.beta`` when ``prev`` has the same equality rows and from
+    ``prev.kkt.beta`` (of a model-averaged fit, its synthetic-control
+    component) when ``prev`` has the same equality rows and from
     ``inner.cold_start`` otherwise (None: the engine's start vertex).
     A warm start never changes the answer: the warm fit is kept only where
     its certificate is ``unique``, which pins the optimum with equality
@@ -792,7 +793,7 @@ def _outer_solve(
 
     rows = inner.exact_rows
     warm = prev is not None and prev.cov_eq_rows == rows
-    fit = _fit(rows, prev.beta if warm else inner.cold_start)
+    fit = _fit(rows, prev.kkt.beta if warm else inner.cold_start)
     if warm and not fit.kkt.unique:
         fit = _fit(rows, inner.cold_start)
     if rows and _covariate_rows_idle(fit):

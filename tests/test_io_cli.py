@@ -596,6 +596,7 @@ class TestCli:
             (["--post", "0"], "post-period"),
             (["--methods", ""], "no methods"),
             (["--pre", "1", "--donors", "3", "--post", "1"], "at least 2 pre-periods"),
+            (["--methods", "sure,sure,cv_holdout,cv_holdout"], "methods raced more than once"),
         ],
     )
     def test_benchmark_bad_inputs_exit_one(self, capsys, extra, fragment):
@@ -734,6 +735,29 @@ def test_fd_check_solves_each_perturbation_from_the_checked_fit(tmp_path, fd_che
     assert fd["max_abs_deviation"] < 1e-6 and not fd["active_set_changed"]
     assert len(iterations) == 2 * 36 + 2
     assert sum(iterations) <= 150
+
+
+def test_fd_check_of_a_masc_fit_starts_from_its_synthetic_control_component(
+    tmp_path, monkeypatch, capsys
+):
+    # the averaged weights are not the optimum the fit's certificate holds;
+    # its synthetic-control component is, and each re-solve starts there
+    args = _factor_panel_csv(tmp_path / "panel.csv", seed=2)
+    checked, starts = [], []
+    monkeypatch.setattr(cli, "df_hat", lambda fit: checked.append(fit) or df_hat(fit))
+    simplex_ls = solvers.simplex_ls
+    monkeypatch.setattr(
+        solvers, "simplex_ls", lambda *a, **kw: starts.append(kw.get("start")) or simplex_ls(*a, **kw)
+    )
+    argv = ["df", *args, "--estimator", "masc", "--lambda", "0.5", "--m", "2", "--fd-check"]
+    assert cli.main(argv) == 0
+    fd = json.loads(capsys.readouterr().out)["results"]["fd_check"]
+    assert fd["max_abs_deviation"] < 1e-6 and not fd["active_set_changed"]
+    (fit,) = checked
+    assert fit.kkt.unique and not np.array_equal(fit.beta, fit.kkt.beta)
+    warm = [start for start in starts if start is not None]
+    assert len(warm) == 2 * 36 + 1  # the base outcome's re-solve and each perturbation's
+    assert all(np.array_equal(start, fit.kkt.beta) for start in warm)
 
 
 @pytest.mark.filterwarnings("ignore:donor columns are exact duplicates")

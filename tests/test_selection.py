@@ -16,7 +16,6 @@ from synthsel.selection import (
     cv_loo_untreated,
     cv_rolling,
     default_lambda_grid,
-    ic_for_fit,
     ic_value,
     select_lambda_ic,
     select_v_ic,
@@ -164,7 +163,7 @@ class TestIcValue:
         s2 = sigma2_hat(y, x)
         expected = fit.rss + 2 * s2 * (1 + lam) * (len(fit.sets.a) - 1)
         assert fit.kkt.face_dim == len(fit.sets.a) - 1
-        assert ic_for_fit(fit, s2) == pytest.approx(expected, rel=1e-12)
+        assert ic_value(fit.rss, s2, df_hat(fit).df_hat) == pytest.approx(expected, rel=1e-12)
 
     def test_negative_inputs_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -227,7 +226,8 @@ class TestSelectLambdaIc:
         res = select_lambda_ic(panel, "masc", grid=[0.0, 0.3, 1.0], m_grid=[1, 4])
         s2 = sigma2_hat(panel.y, panel.x)
         for pt, score in zip(res.grid, res.scores):
-            assert score == ic_for_fit(solve_masc(panel.y, panel.x, pt.lam, pt.m), s2)
+            fit = solve_masc(panel.y, panel.x, pt.lam, pt.m)
+            assert score == ic_value(fit.rss, s2, df_hat(fit).df_hat)
 
 
 class TestSelectVIc:
@@ -258,7 +258,7 @@ class TestSelectVIc:
         for v in vs:
             for lam in lams:
                 fit = solve_sc_cov_inner(panel.y, panel.x, z, d, v, lam=lam)
-                by_hand.append(ic_for_fit(fit, s2))
+                by_hand.append(ic_value(fit.rss, s2, df_hat(fit).df_hat))
         assert res.scores == pytest.approx(by_hand)
         assert res.chosen == int(np.argmin(by_hand)) or res.scores[res.chosen] == pytest.approx(min(by_hand))
 

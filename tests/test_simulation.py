@@ -4,7 +4,9 @@ import scipy.stats
 
 from synthsel.errors import ConfigurationError
 from synthsel.panel import PanelDataset
+from synthsel.selection import cv_holdout, cv_loo_untreated, cv_rolling, select_lambda_ic
 from synthsel.simulation import (
+    BENCHMARK_METHODS,
     FactorModelSpec,
     FactorPanelDraw,
     _spearman,
@@ -22,6 +24,7 @@ from synthsel.simulation import (
     synthetic_factor_spec,
     yule_walker,
 )
+from synthsel.solvers import solve_penalized_sc
 
 
 def _seeded(seed: int) -> np.random.Generator:
@@ -327,6 +330,46 @@ class TestBenchmark:
         assert report.method("cv_holdout").mse_tau1 is not None
         with pytest.raises(AssertionError, match="plain fit"):
             run_selection_benchmark("gaussian", ["sure"], 1, 3, **kwargs)
+
+    @pytest.mark.parametrize("seed", [0, 10])
+    def test_each_row_is_the_choice_of_the_methods_public_selector(self, seed):
+        # one replication of every method: each row's errors are those of the
+        # grid point its public selector chooses on the race's own draw
+        grid, n_donors, n_pre, n_post = [0.0, 0.2, 1.0], 8, 16, 12
+        report = run_selection_benchmark(
+            "gaussian", BENCHMARK_METHODS, 1, seed, n_donors=n_donors, n_pre=n_pre,
+            n_post=n_post, lambda_grid=grid,
+        )
+        spec = synthetic_factor_spec(n_donors, n_pre + n_post, seed=seed)
+        draw = draw_factor_gaussian(spec, n_pre + n_post, spawn_rng(seed, 0))
+        y, x = draw.y[:n_pre], draw.x[:n_pre]
+        panel = PanelDataset(y=y, x=x, post_y=draw.y[n_pre:], post_x=draw.x[n_pre:])
+        fits = [solve_penalized_sc(y, x, lam) for lam in grid]
+        means = conditional_mean_path(spec, draw)[:n_pre]
+        star = int(np.argmin([np.sum((fit.fitted - means) ** 2) for fit in fits]))
+        chosen = {
+            "risk": star,
+            "sure_star": select_lambda_ic(
+                panel, "penalized", grid, sigma2=spec.conditional_variance()
+            ).chosen,
+            "sure": select_lambda_ic(panel, "penalized", grid).chosen,
+            "cv_holdout": cv_holdout(panel, "penalized", grid).chosen,
+            "cv_loo_untreated": cv_loo_untreated(panel, "penalized", grid).chosen,
+            "cv_rolling": cv_rolling(panel, "penalized", grid).chosen,
+        }
+        assert tuple(chosen) == BENCHMARK_METHODS
+        for method, idx in chosen.items():
+            row = report.method(method)
+            tau = panel.post_y - panel.post_x @ fits[idx].beta
+            assert row.mse_tau1 == pytest.approx(float(tau[0]) ** 2, rel=1e-9, abs=1e-15)
+            assert row.mse_lambda == (grid[idx] - grid[star]) ** 2
+
+    def test_repeated_methods_rejected(self):
+        with pytest.raises(ConfigurationError, match=r"more than once: \['cv_holdout', 'sure'\]"):
+            run_selection_benchmark(
+                "gaussian", ["sure", "sure", "cv_holdout", "cv_holdout"], 1, 1,
+                n_donors=6, n_pre=10, n_post=3,
+            )
 
     def test_unknown_design_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -13,9 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from synthsel import selection, solvers
+from synthsel.dof import df_hat
 from synthsel.errors import ConfigurationError, ConvergenceError
 from synthsel.panel import PanelDataset
-from synthsel.selection import _fit_grid, ic_for_fit, select_lambda_ic, select_v_ic, tuning_grid
+from synthsel.selection import _fit_grid, ic_value, select_lambda_ic, select_v_ic, tuning_grid
 from synthsel.simulation import draw_factor_gaussian, spawn_rng, synthetic_factor_spec
 from synthsel.solvers import (
     ActiveSets,
@@ -950,7 +951,7 @@ def test_v_path_equals_pointwise_cold_solves(seed, shape):
             assert fit.cov_eq_rows == cold.cov_eq_rows
             assert fit.kkt.degenerate == cold.kkt.degenerate
             assert fit.kkt.satisfied()
-            cold_scores.append(ic_for_fit(cold, 1.0))
+            cold_scores.append(ic_value(cold.rss, 1.0, df_hat(cold).df_hat))
     np.testing.assert_array_equal(scores, cold_scores)
 
 
