@@ -142,8 +142,6 @@ def moving_average(series: np.ndarray, window: int) -> np.ndarray:
     if window < 1:
         raise ConfigurationError("moving-average window must be >= 1")
     series = np.asarray(series, dtype=float)
-    if window == 1:
-        return series.copy()
     kernel = np.full(window, 1.0 / window)
     out = np.convolve(series, kernel, mode="full")[window - 1 : series.shape[0]]
     return out

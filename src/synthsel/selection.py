@@ -33,8 +33,6 @@ from .solvers import (
     PENALIZED,
     PLAIN,
     ScFit,
-    _cov_inner,
-    _no_cov_rows,
     _outer_paths,
     default_v_grid,
     masc_average,
@@ -151,15 +149,12 @@ def _fit_grid(y: np.ndarray, x: np.ndarray, kind: str, points, z=None, d=None) -
     control once and each matching count once and averages them per point.
     """
     if kind in (PENALIZED, COVARIATE):
-        y = np.asarray(y, dtype=float).ravel()  # contiguous, as solve_penalized_sc makes it
-        x = np.asarray(x, dtype=float)  # as simplex_ls sees it, to share its X'X, X'y
         runs: dict = {}  # grid indices by weighting, None for a penalized grid
         for i, pt in enumerate(points):
             runs.setdefault(pt.v, []).append(i)
-        problems = [(_no_cov_rows(y, x) if v is None else _cov_inner(y, x, z, d, np.asarray(v)),
-                     [points[i].lam for i in idx]) for v, idx in runs.items()]
+        problems = [(v, [points[i].lam for i in idx]) for v, idx in runs.items()]
         fits = {}
-        for idx, path in zip(runs.values(), _outer_paths(kind, y, x, problems)):
+        for idx, path in zip(runs.values(), _outer_paths(kind, y, x, z, d, problems)):
             fits.update(zip(idx, path))
         return [fits[i] for i in range(len(points))]
     if kind == MASC:

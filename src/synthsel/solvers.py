@@ -226,27 +226,15 @@ class ScFit:
 # ---------------------------------------------------------------------------
 
 
-def _face_solve(x_f, y, lin_f, a_f, rhs, cut):
-    """Minimize ``0.5||y - X_F b||^2 + c'b`` subject to ``A_F b = rhs``
-    (``c`` is ``lin_f`` or zero) by the null-space method of Lawson & Hanson
-    (ch. 20-22): ``b = pinv rhs + N w``, ``(N, pinv)`` from ``_null_basis``,
-    and ``w`` from one pivoted QR of ``X_F N``.  Its rank, the count of R's
-    diagonal entries above ``cut``, decides the outcome ``(b, pinv, ray)``:
-    full rank gives the range solve; rank deficient, a null vector of R
-    along which ``c`` slopes by more than the package's rank cut of
-    ``|N'c|`` is the unit descent ``ray`` (``b``, ``pinv`` None), and else
-    the basic solution (null coordinates zero) is the face's stationary
-    point.  The face's equality multipliers are ``-pinv' grad_F``.  It is
-    ``_face_finish`` of ``_face_factor``: a path of solves that meets a face
-    again finishes the factor it kept (see ``simplex_ls``)."""
-    return _face_finish(_face_factor(x_f, y, a_f, rhs, cut), lin_f)
-
-
 def _face_factor(x_f, y, a_f, rhs, cut):
-    """All of ``_face_solve`` that does not read ``c``: ``(N, pinv, b0, R11,
-    R12, Q'(y - X_F b0))``, ``b0 = pinv rhs``, ``N`` in the QR's pivot order
-    and ``R`` cut at the face's rank.  Read-only, so that a path can finish
-    it again at another ``c`` (see ``simplex_ls``)."""
+    """The face problem ``min 0.5||y - X_F b||^2 + c'b`` subject to ``A_F b
+    = rhs``, as far as it does not read ``c``.  It is solved by the
+    null-space method of Lawson & Hanson (ch. 20-22): ``b = pinv rhs + N w``,
+    ``(N, pinv)`` from ``_null_basis``, and ``w`` from one pivoted QR of
+    ``X_F N``, cut at its rank, the count of R's diagonal entries above
+    ``cut``.  Returns ``(N, pinv, b0, R11, R12, Q'(y - X_F b0))``, ``b0 =
+    pinv rhs`` and ``N`` in the QR's pivot order.  Read-only, so that a path
+    can finish it again at another ``c`` (see ``simplex_ls``)."""
     null, pinv = _null_basis(a_f.tobytes(), a_f.shape)
     b0 = pinv @ rhs
     b0.flags.writeable = False
@@ -262,8 +250,13 @@ def _face_factor(x_f, y, a_f, rhs, cut):
 
 
 def _face_finish(factor, lin_f):
-    """``_face_solve``'s outcome from the face's ``_face_factor`` at the
-    linear term ``lin_f`` (None for zero)."""
+    """The outcome ``(b, pinv, ray)`` of a face's ``_face_factor`` at ``c =
+    lin_f`` (None for zero).  Full rank gives the range solve; rank
+    deficient, a null vector of R along which ``c`` slopes by more than the
+    package's rank cut of ``|N'c|`` is the unit descent ``ray`` (``b``,
+    ``pinv`` None), and else the basic solution (null coordinates zero) is
+    the face's stationary point.  The face's equality multipliers are
+    ``-pinv' grad_F``."""
     null, pinv, b0, r11, r12, qr_y = factor
     if r11 is None:
         return b0, pinv, None
@@ -284,7 +277,9 @@ def _face_finish(factor, lin_f):
 
 def _pivoted_qr(mat):
     """LAPACK ``geqp3`` of ``mat``: ``(qr, piv, tau)``, ``piv`` 1-based."""
-    qr, piv, tau, _, _ = _geqp3(mat, lwork=_geqp3_lwork(mat.shape))
+    qr, piv, tau, _, info = _geqp3(mat, lwork=_geqp3_lwork(mat.shape))
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK geqp3")
     return qr, piv, tau
 
 
@@ -387,7 +382,9 @@ def simplex_ls(
 ) -> KktCertificate:
     """Minimize ``0.5||target - design @ b||^2 + lin'b`` over the scaled
     simplex ``{b >= 0, sum(b) = sum_to}`` intersected with optional extra
-    equality rows; returns the minimizer with its certificate.
+    equality rows; returns the minimizer with its certificate.  An argument
+    of the wrong shape raises ``ValueError``, one with a non-finite entry
+    ``ConfigurationError`` naming it.
 
     Deterministic: the start vertex, release rule (largest violating
     multiplier, lowest index on ties) and blocking rule (smallest step,
@@ -410,11 +407,10 @@ def simplex_ls(
     support is ranked on its own (``_face_qr``), unless the free face has
     no null columns, in which case neither has.
     """
-    x = np.atleast_2d(np.asarray(design, dtype=float))
-    y = np.asarray(target, dtype=float).ravel()
-    n, p = x.shape
-    if y.shape[0] != n:
-        raise ValueError("target length does not match design rows")
+    y, x = _data(target, design)
+    p = x.shape[1]
+    if _normal is None:
+        _check_args(p, lin, sum_to, eq_mat, eq_rhs)
     normal = _normal_equations(y, x) if _normal is None else _normal
     gram, g0 = normal.gram, normal.xty
     if lin is not None:
@@ -563,6 +559,32 @@ class _NormalEquations:
         self.face = (None, None)
 
 
+def _data(y, x) -> tuple[np.ndarray, np.ndarray]:
+    """The outcome ``y`` as a float vector and the donors ``x`` as a float
+    matrix; ``ValueError`` unless ``y`` has one entry per row of ``x``."""
+    y, x = np.asarray(y, dtype=float).ravel(), np.atleast_2d(np.asarray(x, dtype=float))
+    if y.shape[0] != x.shape[0]:
+        raise ValueError(f"target length {y.shape[0]} does not match the {x.shape[0]} design rows")
+    return y, x
+
+
+def _check_args(p: int, lin, sum_to, eq_mat, eq_rhs) -> None:
+    """``simplex_ls``'s arguments besides its data and start, on ``p`` donors:
+    ``ValueError`` at a wrong shape, ``ConfigurationError`` at a non-finite entry."""
+    lin = np.zeros(p) if lin is None else np.asarray(lin, dtype=float).ravel()
+    if lin.shape[0] != p:
+        raise ValueError(f"lin has length {lin.shape[0]}, expected {p}")
+    rows = eq_mat is not None and np.size(eq_mat)
+    eq_mat = np.atleast_2d(np.asarray(eq_mat, dtype=float)) if rows else np.zeros((0, p))
+    eq_rhs = np.asarray(eq_rhs if rows and eq_rhs is not None else (), dtype=float).ravel()
+    if eq_mat.shape != (eq_rhs.shape[0], p):
+        raise ValueError(f"eq_mat shape {eq_mat.shape} does not match "
+                         f"{eq_rhs.shape[0]} eq_rhs entries and {p} donors")
+    for name, a in [("sum_to", np.asarray(sum_to, dtype=float)), ("lin", lin),
+                    ("eq_mat", eq_mat), ("eq_rhs", eq_rhs)]:
+        _check_finite(name, a)
+
+
 def _rank_cut(x: np.ndarray) -> float:
     """The rank cut ``simplex_ls`` takes for its faces on the design ``x``."""
     return _NormalEquations(x.T @ x, None).cut
@@ -581,12 +603,12 @@ def _normal_equations(y: np.ndarray, x: np.ndarray) -> _NormalEquations:
 
 def _check_finite(name: str, a: np.ndarray) -> None:
     """``ConfigurationError`` at the first non-finite entry of ``a``, named
-    by its 0-based row (and column)."""
+    by its 0-based row (and column) unless ``a`` is a scalar."""
     bad = np.argwhere(~np.isfinite(a))
-    if bad.size:
+    if len(bad):
         at = tuple(int(i) for i in bad[0])
         where = ", ".join(f"{axis} {i}" for axis, i in zip(("row", "column"), at))
-        raise ConfigurationError(f"{name} has a non-finite entry {a[at]} at {where}")
+        raise ConfigurationError(f"{name} has a non-finite entry {a[at]}" + (f" at {where}" if at else ""))
 
 
 def _feasible_start(start, p: int, sum_to: float) -> np.ndarray:
@@ -617,15 +639,13 @@ def _qr_rank(mat: np.ndarray) -> tuple[int, np.ndarray]:
     diagonal element, and the column pivots (0-based, the first ``rank`` of
     them the retained columns).
 
-    LAPACK ``geqp3`` with the workspace ``scipy.linalg.qr(mat, mode="r",
+    ``_pivoted_qr`` takes the workspace ``scipy.linalg.qr(mat, mode="r",
     pivoting=True)`` queries, so R and the pivots are scipy's, without the
     wrapper's argument handling, which costs more at these sizes."""
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
     if min(mat.shape) == 0:
         return 0, np.arange(mat.shape[1])
-    r, piv, _, _, info = _geqp3(mat, lwork=_geqp3_lwork(mat.shape))
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of LAPACK geqp3")
+    r, piv, _ = _pivoted_qr(mat)
     return int(_cut_rank(r, _RANK_TOL * abs(r[0, 0]))), piv - 1
 
 
@@ -696,8 +716,7 @@ def solve_sc(y: np.ndarray, x: np.ndarray, *, _prev: ScFit | None = None) -> ScF
     from, as in ``_outer_solve``, which keeps the warm fit only where it
     equals the cold one; the result is the same either way.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.asarray(y, dtype=float).ravel()
+    y, x = _data(y, x)
     return _outer_solve(PLAIN, y, x, _no_cov_rows(y, x), 0.0, _prev)
 
 
@@ -711,8 +730,7 @@ def solve_penalized_sc(
     This is the covariate estimator's outer solve with no covariate rows;
     ``_prev`` is its ``prev``, internal to the package as in ``solve_sc``.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.asarray(y, dtype=float).ravel()
+    y, x = _data(y, x)
     return _outer_solve(PENALIZED, y, x, _no_cov_rows(y, x), lam, _prev)
 
 
@@ -815,11 +833,13 @@ def _fit_path(lams, solve) -> list[ScFit]:
     return fits
 
 
-def _outer_paths(kind: str, y: np.ndarray, x: np.ndarray, problems) -> list[list[ScFit]]:
-    """For each ``(inner, lams)`` of ``problems``, the ``_outer_solve``
-    fits of ``(y, x)`` at the penalties ``lams`` for one weighting's
-    ``inner``, in ``lams`` order: one ``_fit_path`` on ``X'X`` and ``X'y``
-    formed once for all of them.
+def _outer_paths(kind: str, y, x, z, d, problems) -> list[list[ScFit]]:
+    """For each ``(v, lams)`` of ``problems``, the ``_outer_solve`` fits of
+    ``(y, x)`` at the penalties ``lams`` for the weighting ``v`` of the
+    covariate rows ``d`` with targets ``z`` (``v`` None: no rows, the
+    penalized estimator), in ``lams`` order.  Every weighting is checked and
+    its inner problem solved (``_cov_inner``) before any outer solve; then
+    each is one ``_fit_path`` on ``X'X`` and ``X'y`` formed once for all.
 
     The outer problem sees a weighting only through its weighted rows and
     the rows its inner solution fits exactly, ``(inner.e_rows,
@@ -830,10 +850,12 @@ def _outer_paths(kind: str, y: np.ndarray, x: np.ndarray, problems) -> list[list
     is ``unique`` (the optimum, which no start changes); otherwise it is
     solved as the first was.
     """
+    y, x = _data(y, x)
+    inners = [_no_cov_rows(y, x) if v is None else _cov_inner(y, x, z, d, v) for v, _ in problems]
     normal = _normal_equations(y, x)
     solved: dict = {}
     paths = []
-    for inner, lams in problems:
+    for inner, (_, lams) in zip(inners, problems):
         key = (inner.e_rows, inner.exact_rows, tuple(lams))
         if key in solved:
             paths.append([replace(fit, v=inner.v) for fit in solved[key]])
@@ -847,7 +869,7 @@ def _outer_paths(kind: str, y: np.ndarray, x: np.ndarray, problems) -> list[list
 
 def matching_weights(y: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
     """Uniform weight 1/m on the m nearest donors (ties by lowest index)."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    y, x = _data(y, x)
     p = x.shape[1]
     if not 1 <= m <= p:
         raise ConfigurationError(f"matching count m={m} outside 1..{p}")
@@ -860,8 +882,7 @@ def matching_weights(y: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
 
 def solve_matching(y: np.ndarray, x: np.ndarray, m: int) -> ScFit:
     """Matching estimator wrapped as a fit (locally constant in y)."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.asarray(y, dtype=float).ravel()
+    y, x = _data(y, x)
     # the weights are not an engine solution: an all-zero certificate, its
     # face empty
     cert = KktCertificate(
@@ -886,8 +907,7 @@ def solve_masc(
     passed to the synthetic-control component's ``solve_sc``.
     """
     _check_averaging_weight(lam)
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.asarray(y, dtype=float).ravel()
+    y, x = _data(y, x)
     return masc_average(y, solve_sc(y, x, _prev=_prev), solve_matching(y, x, m), lam)
 
 
@@ -915,10 +935,6 @@ def masc_average(y: np.ndarray, fit_sc: ScFit, fit_ma: ScFit, lam: float) -> ScF
 #: relative tolerance of an exactly-fit covariate row (of ``max|z|``) and of
 #: a positive diagonal weight (of ``max v``)
 _COV_TOL = 1e-8
-
-
-def _scaled_tol(base: float, values: np.ndarray) -> float:
-    return base * (1.0 + _absmax(values))
 
 
 def solve_sc_cov_inner(
@@ -956,25 +972,27 @@ def solve_sc_cov_inner(
     be finite and ``>= 0``, with or without covariate rows; otherwise
     ``ConfigurationError`` is raised, as by ``solve_penalized_sc``.  It is
     raised too unless ``v`` is finite, nonnegative, not all zero and has one
-    entry per covariate row; with no rows only a length-0 ``v`` is valid.
-    ``_prev`` is the outer solve's ``prev``, internal to the package as in
-    ``solve_sc``.
+    entry per covariate row.  An empty ``d`` has no rows: the fit is then
+    the penalized one on the same path, and only a length-0 ``v`` is valid.
+    ``ValueError`` is raised unless ``d`` has one row per entry of ``z`` and
+    one column per donor.  ``_prev`` is the outer solve's ``prev``, internal
+    to the package as in ``solve_sc``.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.asarray(y, dtype=float).ravel()
-    d = np.atleast_2d(np.asarray(d, dtype=float)) if np.size(d) else np.zeros((0, x.shape[1]))
-    z = np.asarray(z, dtype=float).ravel()
-    v = np.asarray(v, dtype=float).ravel()
-    if d.shape[0] == 0:
-        _check_weighting(v, 0)
-        base = solve_penalized_sc(y, x, lam, _prev=_prev)
-        return replace(base, kind=COVARIATE, lam=float(lam), v=v)
+    y, x = _data(y, x)
     return _outer_solve(COVARIATE, y, x, _cov_inner(y, x, z, d, v), lam, _prev)
 
 
-def _check_weighting(v: np.ndarray, n_cov: int) -> None:
-    """``ConfigurationError`` unless ``v`` is a finite, nonnegative diagonal
-    weighting of ``n_cov`` covariate rows (of none: a length-0 ``v``)."""
+def _cov_inner(y, x, z, d, v) -> _CovInner:
+    """Stage one of ``solve_sc_cov_inner`` on its ``_data``: coerce and check
+    ``z``, ``d`` (empty: no rows) and ``v``, a finite, nonnegative diagonal
+    weighting of the rows, then solve the inner weighted problem over the
+    simplex."""
+    z, v = np.asarray(z, dtype=float).ravel(), np.asarray(v, dtype=float).ravel()
+    d = np.atleast_2d(np.asarray(d, dtype=float)) if np.size(d) else np.zeros((0, x.shape[1]))
+    if d.shape != (z.shape[0], x.shape[1]):
+        raise ValueError(f"covariate matrix shape {d.shape} incompatible with "
+                         f"{z.shape[0]} covariates and {x.shape[1]} donors")
+    n_cov = d.shape[0]
     if v.shape[0] != n_cov:
         raise ConfigurationError("diagonal weight length does not match covariate rows")
     # a NaN passes the sign checks and an inf makes the weight tolerance
@@ -983,20 +1001,12 @@ def _check_weighting(v: np.ndarray, n_cov: int) -> None:
         raise ConfigurationError(f"diagonal weights must be finite, got {v.tolist()}")
     if np.any(v < 0):
         raise ConfigurationError("diagonal weights must be nonnegative")
-
-
-def _cov_inner(y, x, z, d, v) -> _CovInner:
-    """Stage one of ``solve_sc_cov_inner``: check ``v`` against the ``d``
-    rows, then solve the inner weighted problem over the simplex."""
-    n_cov = d.shape[0]
-    _check_weighting(v, n_cov)
-    if float(np.max(v, initial=0.0)) <= 0.0:
+    if n_cov and float(np.max(v)) <= 0.0:
         raise ConfigurationError("diagonal weights must not all be zero")
     _check_finite("covariate target", z)
     _check_finite("covariate matrix", d)
 
-    w_tol = _scaled_tol(_COV_TOL, v)
-    r_tol = _scaled_tol(_COV_TOL, z)
+    w_tol, r_tol = _COV_TOL * (1.0 + _absmax(v)), _COV_TOL * (1.0 + _absmax(z))
     weighted = [i for i in range(n_cov) if v[i] > w_tol]
     # all-zero rows with zero targets are vacuous: they cannot constrain b,
     # so they are excluded from the recorded sets as well
@@ -1073,14 +1083,5 @@ def solve_sc_cov(
     candidates = [np.asarray(v, dtype=float).ravel() for v in v_grid]
     if not candidates:
         raise ConfigurationError("empty V grid")
-    if not np.size(d):
-        # no rows: no inner problem, and every fit is the penalized one
-        fits = [solve_sc_cov_inner(y, x, z, d, v, lam=lam) for v in candidates]
-    else:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        y = np.asarray(y, dtype=float).ravel()
-        z = np.asarray(z, dtype=float).ravel()
-        d = np.atleast_2d(np.asarray(d, dtype=float))
-        inners = [_cov_inner(y, x, z, d, v) for v in candidates]
-        fits = [fit for [fit] in _outer_paths(COVARIATE, y, x, [(inner, [lam]) for inner in inners])]
+    fits = [fit for [fit] in _outer_paths(COVARIATE, y, x, z, d, [(v, [lam]) for v in candidates])]
     return min(fits, key=lambda fit: (fit.rss, tuple(fit.v)))

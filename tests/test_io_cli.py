@@ -192,6 +192,16 @@ class TestPreprocess:
         np.testing.assert_allclose(out.post_y, [8.0])
         np.testing.assert_allclose(out.post_x, [[7.0]])
 
+    def test_window_one_moving_average_is_the_series(self):
+        series = np.random.default_rng(4).normal(size=7)
+        np.testing.assert_array_equal(moving_average(series, 1), series)
+
+    @pytest.mark.parametrize("window", [0, -2])
+    def test_window_below_one_rejected(self, window):
+        panel = PanelDataset(y=np.ones(3), x=np.ones((3, 1)))
+        with pytest.raises(ConfigurationError, match="moving-average window must be >= 1"):
+            preprocess(panel, ma_window=window)
+
     def test_window_exceeding_sample_rejected(self):
         panel = PanelDataset(y=np.ones(3), x=np.ones((3, 1)))
         with pytest.raises(ConfigurationError):

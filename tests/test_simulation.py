@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from synthsel.errors import ConfigurationError
+from synthsel import simulation
+from synthsel.errors import ConfigurationError, SingularityError
 from synthsel.panel import PanelDataset
 from synthsel.selection import cv_holdout, cv_loo_untreated, cv_rolling, select_lambda_ic
 from synthsel.simulation import (
@@ -120,6 +121,21 @@ class TestFactorModel:
         draw = draw_factor_gaussian(spec, 20, 1)
         np.testing.assert_array_equal(draw.y, spec.delta[:20])
         np.testing.assert_array_equal(draw.x, np.tile(spec.delta[:20, None], (1, 5)))
+
+    def test_noiseless_zero_factor_spec_has_a_singular_donor_covariance(self):
+        spec = synthetic_factor_spec(5, 30, r=0, seed=2, sigma_y=0.0, sigma_x=0.0)
+        with pytest.raises(SingularityError, match="donor covariance") as err:
+            spec.conditional_variance()
+        assert err.value.block == "donor covariance"
+
+    def test_zero_factor_fit_draws_panels_of_the_panel_shape(self):
+        gen = np.random.default_rng(12)
+        panel = PanelDataset(y=gen.normal(size=14), x=gen.normal(size=(14, 4)))
+        fitted = fit_factor_model(panel, r=0)
+        assert fitted.n_factors == 0
+        draw = draw_factor_gaussian(fitted, panel.n, 3)
+        assert draw.y.shape == (panel.n,)
+        assert draw.x.shape == (panel.n, panel.p)
 
     def test_draw_determinism(self):
         spec = synthetic_factor_spec(8, 40, seed=6)
@@ -287,6 +303,15 @@ class TestBenchmark:
         assert row.mse_lambda == 0.0
         assert row.mse_risk_raw == 0.0
         assert row.mean_rank_corr == 1.0
+
+    def test_singular_design_fails_before_any_replication(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the race drew a replication")
+
+        monkeypatch.setattr(simulation, "draw_factor_gaussian", refuse)
+        spec = synthetic_factor_spec(5, 30, r=0, seed=2, sigma_y=0.0, sigma_x=0.0)
+        with pytest.raises(SingularityError, match="donor covariance"):
+            run_selection_benchmark("gaussian", ["sure"], 1, 0, spec=spec, n_donors=5, n_pre=18, n_post=12)
 
     def test_race_runs_in_the_wide_regime(self):
         # 300 donors on 12 pre-periods: the plain fit behind sure's sigma^2

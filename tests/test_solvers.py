@@ -24,8 +24,9 @@ from synthsel.solvers import (
     _absmax,
     _active_set,
     _cov_inner,
+    _face_factor,
+    _face_finish,
     _face_rows,
-    _face_solve,
     _fit_path,
     _no_cov_rows,
     _normal_equations,
@@ -55,10 +56,11 @@ from oracles import constraint_line_min, face_dim, kkt_lstsq_solve, simplex_grid
 
 
 def _face(x, y, lin, a_mat, rhs):
-    """``_face_solve`` at the rank cut ``simplex_ls`` takes for design ``x``,
-    with the multipliers ``simplex_ls`` reads off its ``pinv`` at the face
-    solution: ``(b, xi, ray)``."""
-    beta, pinv, ray = _face_solve(x, y, lin, a_mat, rhs, 1e-10 * np.sqrt(np.max(np.sum(x * x, axis=0))))
+    """``_face_finish`` of ``_face_factor`` at the rank cut ``simplex_ls``
+    takes for design ``x``, with the multipliers ``simplex_ls`` reads off its
+    ``pinv`` at the face solution: ``(b, xi, ray)``."""
+    cut = 1e-10 * np.sqrt(np.max(np.sum(x * x, axis=0)))
+    beta, pinv, ray = _face_finish(_face_factor(x, y, a_mat, rhs, cut), lin)
     if ray is not None:
         return beta, None, ray
     grad = x.T @ (x @ beta - y) + (0.0 if lin is None else lin)
@@ -74,8 +76,8 @@ def _eq_ls_beta(y, x, eq_mat, eq_rhs):
 
 
 class TestConstrainedLs:
-    """Equality-constrained least squares: ``_face_solve`` for the
-    solution, ``eq_constrained_hat`` for the hat matrix."""
+    """Equality-constrained least squares: ``_face`` for the solution,
+    ``eq_constrained_hat`` for the hat matrix."""
 
     def test_single_column_sum_constraint_forces_unit_weight(self, rng):
         y = rng.normal(size=5)
@@ -142,7 +144,7 @@ def test_hat_is_a_projection_of_rank_k_minus_h(seed):
 
 
 class TestWorkingSetKernel:
-    """``_face_solve`` against the dense KKT ``lstsq`` reference."""
+    """``_face`` against the dense KKT ``lstsq`` reference."""
 
     @pytest.mark.parametrize("h", [1, 3])
     def test_matches_dense_reference(self, rng, h):
@@ -294,6 +296,85 @@ class TestNonFiniteData:
         assert formed.count(y.size) == 2
         with pytest.raises(ConfigurationError, match="target"):
             _fit_grid(np.full_like(y, np.inf), x, "penalized", tuning_grid("penalized"))
+
+
+class TestShapes:
+    """Mis-shaped data fail at the solvers' door with ``ValueError`` naming
+    the sizes, and so do the engine's other arguments; a non-finite one is
+    named with ``ConfigurationError``."""
+
+    ESTIMATORS = {
+        "solve_sc": solve_sc,
+        "solve_penalized_sc": partial(solve_penalized_sc, lam=0.3),
+        "solve_matching": partial(solve_matching, m=2),
+        "solve_masc": partial(solve_masc, lam=0.5, m=2),
+        "solve_sc_cov_inner": lambda y, x: solve_sc_cov_inner(
+            y, x, np.ones(1), np.ones((1, x.shape[1])), np.ones(1), lam=0.3
+        ),
+        "solve_sc_cov": lambda y, x: solve_sc_cov(
+            y, x, np.ones(1), np.ones((1, x.shape[1])), [np.ones(1)], lam=0.3
+        ),
+    }
+
+    @pytest.mark.parametrize("solve", ESTIMATORS.values(), ids=ESTIMATORS.keys())
+    def test_outcome_one_period_short(self, solve):
+        y, x = make_instance(1, n=10, p=4)
+        with pytest.raises(ValueError, match=r"^target length 9 does not match the 10 design rows$"):
+            solve(y[:9], x)
+
+    @pytest.mark.parametrize("case", ["one_target", "three_targets", "one_donor_short"])
+    @pytest.mark.parametrize("search", [False, True], ids=["fixed_v", "v_search"])
+    def test_covariate_rows_must_match_their_targets_and_the_donors(self, search, case):
+        y, x = make_instance(1, n=10, p=4)
+        d = np.random.default_rng(1).normal(size=(2, 4))
+        z = d @ np.full(4, 0.25)
+        if case == "one_target":
+            z = z[:1]
+        elif case == "three_targets":
+            z = np.append(z, 1.0)
+        else:
+            d = d[:, :3]
+        v = np.full(2, 0.5)
+        with pytest.raises(ValueError, match=rf"^covariate matrix shape \(2, {d.shape[1]}\) incompatible "
+                                             rf"with {z.size} covariates and 4 donors$"):
+            if search:
+                solve_sc_cov(y, x, z, d, [v], lam=0.3)
+            else:
+                solve_sc_cov_inner(y, x, z, d, v, lam=0.3)
+
+    @staticmethod
+    def _engine(**kwargs):
+        y, x = make_instance(2, n=10, p=4)
+        args = {"eq_mat": np.ones((1, 4)), "eq_rhs": np.array([1.0]), "start": np.full(4, 0.25)}
+        return simplex_ls(y, x, **{**args, **kwargs})
+
+    def test_lin_of_the_wrong_length(self):
+        with pytest.raises(ValueError, match=r"^lin has length 3, expected 4$"):
+            self._engine(lin=np.ones(3))
+
+    @pytest.mark.parametrize(
+        "eq_mat, eq_rhs, n_rhs",
+        [(np.ones((1, 3)), [1.0], 1), (np.ones((1, 4)), [1.0, 2.0], 2), (np.ones((1, 4)), None, 0)],
+        ids=["eq_mat_too_narrow", "eq_rhs_too_long", "eq_rhs_missing"],
+    )
+    def test_extra_rows_of_the_wrong_shape(self, eq_mat, eq_rhs, n_rhs):
+        with pytest.raises(ValueError, match=rf"^eq_mat shape \(1, {eq_mat.shape[1]}\) does not match "
+                                             rf"{n_rhs} eq_rhs entries and 4 donors$"):
+            self._engine(eq_mat=eq_mat, eq_rhs=eq_rhs)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "arg, value, where",
+        [
+            ("lin", np.array([0.0, 0.1, np.nan, 0.3]), " at row 2"),
+            ("sum_to", np.nan, ""),
+            ("eq_mat", np.array([[1.0, np.inf, 1.0, 1.0]]), " at row 0, column 1"),
+            ("eq_rhs", np.array([np.nan]), " at row 0"),
+        ],
+    )
+    def test_non_finite_argument_is_named(self, arg, value, where):
+        with pytest.raises(ConfigurationError, match=rf"^{arg} has a non-finite entry \S+{where}$"):
+            self._engine(**{arg: value})
 
 
 def _carrying(start, fit):
