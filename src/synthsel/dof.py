@@ -37,7 +37,6 @@ from .solvers import (
     MATCHING,
     PENALIZED,
     PLAIN,
-    ActiveSets,
     ScFit,
     _covariate_rows_idle,
     _face_rows,
@@ -132,18 +131,20 @@ def divergence(fit: ScFit, x: np.ndarray, d: np.ndarray | None = None) -> Diverg
 # ---------------------------------------------------------------------------
 
 
-def df_hat(fit: ScFit) -> DofReport:
-    """Closed-form degrees-of-freedom sample analog of an estimator fit:
-    ``_df_rule``'s scale times the dimension of the fit's face, or zero for
-    a matching fit, which is locally constant in the outcome (its face is
-    empty)."""
-    sets: ActiveSets = fit.sets
-    face_dim = fit.kkt.face_dim
-    counts = (face_dim, len(sets.a), len(sets.m_and_e), len(sets.e_minus_m))
+def _dof(fit: ScFit) -> tuple[float, str]:
+    """``df_hat``'s number and case, without its report: ``_df_rule``'s
+    scale times the dimension of the fit's face, or zero for a matching
+    fit, which is locally constant in the outcome (its face is empty)."""
     if fit.kind == MATCHING:
-        return DofReport(0.0, CASE_MATCHING, *counts)
+        return 0.0, CASE_MATCHING
     scale, case = _df_rule(fit)
-    return DofReport(scale * face_dim, case, *counts)
+    return scale * fit.kkt.face_dim, case
+
+
+def df_hat(fit: ScFit) -> DofReport:
+    """Closed-form degrees-of-freedom sample analog of a fit (``_dof``)."""
+    sets = fit.sets
+    return DofReport(*_dof(fit), fit.kkt.face_dim, len(sets.a), len(sets.m_and_e), len(sets.e_minus_m))
 
 
 # ---------------------------------------------------------------------------

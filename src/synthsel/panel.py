@@ -103,13 +103,9 @@ def duplicate_donor_columns(x: np.ndarray) -> list[tuple[int, int]]:
     """Pairs of exactly identical donor columns (lowest-index first), in
     lexicographic order.  ``0.0`` equals ``-0.0`` and a column holding NaN
     duplicates nothing, as under ``np.array_equal``."""
-    candidates = np.flatnonzero(~np.isnan(x).any(axis=0))
     # adding 0.0 turns -0.0 into 0.0, so equal values have equal bytes
-    _, group = np.unique(x[:, candidates].T + 0.0, axis=0, return_inverse=True)
-    group = group.ravel()
-    pairs = [
-        (int(candidates[i]), int(candidates[j]))
-        for g in np.flatnonzero(np.bincount(group) > 1)
-        for i, j in itertools.combinations(np.flatnonzero(group == g), 2)
-    ]
-    return sorted(pairs)
+    cols = np.ascontiguousarray(x.T) + 0.0
+    groups: dict[bytes, list[int]] = {}
+    for j in np.flatnonzero(~np.isnan(cols).any(axis=1)).tolist():
+        groups.setdefault(cols[j].tobytes(), []).append(j)
+    return sorted(pair for group in groups.values() for pair in itertools.combinations(group, 2))

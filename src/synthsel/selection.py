@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .panel import PanelDataset
-from .dof import df_hat
+from .dof import _dof
 from .solvers import (
     COVARIATE,
     MASC,
@@ -206,7 +206,7 @@ def _ic_select(
     ``rss`` and ``df_hat``, with the noise variance ``sigma2`` or, when it
     is None, ``sigma2_hat`` read off the fits (``_plain_sigma2``)."""
     s2 = _plain_sigma2(y, x, fits) if sigma2 is None else float(sigma2)
-    return _select(points, [ic_value(fit.rss, s2, df_hat(fit).df_hat) for fit in fits], s2, METHOD_SURE)
+    return _select(points, [ic_value(fit.rss, s2, _dof(fit)[0]) for fit in fits], s2, METHOD_SURE)
 
 
 def select_lambda_ic(

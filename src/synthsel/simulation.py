@@ -261,8 +261,12 @@ class FactorModelSpec:
             raise SingularityError("donor covariance", "cannot form conditional mean")
 
     def conditional_variance(self) -> float:
-        cov = self.covariance()
-        return float(cov[0, 0] - cov[0, 1:] @ self.blp_weights())
+        return self._blp()[1]
+
+    def _blp(self) -> tuple[np.ndarray, float]:
+        """``blp_weights()`` and ``conditional_variance()``, from one solve."""
+        w, cov = self.blp_weights(), self.covariance()
+        return w, float(cov[0, 0] - cov[0, 1:] @ w)
 
 
 @dataclass(frozen=True)
@@ -277,7 +281,11 @@ class FactorPanelDraw:
 
 def conditional_mean_path(spec: FactorModelSpec, draw: FactorPanelDraw) -> np.ndarray:
     """Per-period conditional expectations along a draw."""
-    w = spec.blp_weights()
+    return _conditional_mean(draw, spec.blp_weights())
+
+
+def _conditional_mean(draw: FactorPanelDraw, w: np.ndarray) -> np.ndarray:
+    """``conditional_mean_path`` given the spec's ``blp_weights`` ``w``."""
     return draw.delta + (draw.x - draw.delta[:, None]) @ w
 
 
@@ -593,7 +601,7 @@ def run_selection_benchmark(
     lams = [pt.lam for pt in points]
     t_total = n_pre + n_post
     has_truth = design in ("gaussian", "empirical")
-    sigma2_true = spec.conditional_variance() if has_truth else None
+    blp, sigma2_true = spec._blp() if has_truth else (None, None)
 
     if design == "empirical":
         # standardized heavy-tailed pool scaled to the true conditional
@@ -626,7 +634,7 @@ def run_selection_benchmark(
 
         truth = None
         if has_truth:
-            means = conditional_mean_path(spec, draw)
+            means = _conditional_mean(draw, blp)
             means_pre, means_post = means[:n_pre], means[n_pre:]
             risk_curve = np.array([float(np.sum((f.fitted - means_pre) ** 2)) for f in fits])
             cv_truth_curve = np.array(

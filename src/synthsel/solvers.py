@@ -29,6 +29,7 @@ from __future__ import annotations
 import functools
 import importlib.machinery
 import importlib.util
+import itertools
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -145,14 +146,15 @@ class KktCertificate:
     equality rows, which exert no force (``_covariate_rows_idle``).
 
     ``face_dim`` is the dimension of the solution's face (see ``dof``): the
-    rank of ``X_A N`` at the engine's rank cut, ``A`` the support of
-    ``beta`` and ``N`` a basis, of ``face_cols`` columns, of the null space
-    of the equality rows on ``A``.  ``unique`` is a sufficient condition for
-    a unique minimizer: ``X_A N`` has full column rank and every multiplier
-    off ``A`` is strictly negative (beyond the release tolerance), so no
-    optimal direction leaves the face and none moves within it.  It is
-    False for a degenerate fit.  A certificate that is not the engine's
-    (a matching fit's) holds an empty face, ``(0, 0)``.
+    rank of ``X_A N`` at the engine's rank cut, ``A`` the ``support`` of
+    ``beta`` (its entries above ``default_active_tol``) and ``N`` a basis,
+    of ``face_cols`` columns, of the null space of the equality rows on
+    ``A``.  ``unique`` is a sufficient condition for a unique minimizer:
+    ``X_A N`` has full column rank and every multiplier off ``A`` is
+    strictly negative (beyond the release tolerance), so no optimal
+    direction leaves the face and none moves within it.  It is False for
+    a degenerate fit.  A certificate that is not the engine's (a matching
+    fit's) holds an empty face, ``(0, 0)``.
     """
 
     beta: np.ndarray
@@ -165,6 +167,7 @@ class KktCertificate:
     face_dim: int = 0
     face_cols: int = 0
     unique: bool = False
+    support: tuple[int, ...] = ()
 
     def satisfied(self, tol: float = KKT_TOL) -> bool:
         return (
@@ -417,14 +420,14 @@ def simplex_ls(
         lin = np.asarray(lin, dtype=float).ravel()
         g0, lin = g0 - lin, lin if lin.any() else None
 
-    if eq_mat is None or np.size(eq_mat) == 0:
-        a_mat = np.ones((1, p))
-        rhs = np.array([float(sum_to)])
-    else:
-        extra = np.atleast_2d(np.asarray(eq_mat, dtype=float))
-        a_mat = np.vstack([np.ones((1, p)), extra])
+    a_mat, rhs, rows_key = normal.sum_row
+    if eq_mat is not None and np.size(eq_mat):
+        a_mat = np.vstack([a_mat, np.atleast_2d(np.asarray(eq_mat, dtype=float))])
         rhs = np.concatenate([[float(sum_to)], np.asarray(eq_rhs, dtype=float).ravel()])
-    rows_key = (a_mat.tobytes(), rhs.tobytes())
+        rows_key = (a_mat.tobytes(), rhs.tobytes())
+    elif sum_to != 1.0:
+        rhs = np.array([float(sum_to)])
+        rows_key = (rows_key[0], rhs.tobytes())
 
     if start is None:
         if a_mat.shape[0] > 1:
@@ -503,6 +506,7 @@ def simplex_ls(
                     face_dim=face[0],
                     face_cols=face[1],
                     unique=bool(face[0] == face[1] and pinned),
+                    support=support,
                 )
             obj = _objective(beta)
             if best_obj is None:
@@ -548,14 +552,19 @@ class _NormalEquations:
     """What ``simplex_ls`` keeps of its target ``y`` and design ``x`` across
     the solves of a path: ``gram = x'x``, ``xty = x'y``, the rank cut ``cut``
     of the faces (the package's rank cut of the design's largest column
-    norm, R's largest entry) and, in ``face``, the ``(key, factor)`` of the
-    last face solved, ``key`` being its free indices and equality rows."""
+    norm, R's largest entry), the sum row ``1'b = 1`` as ``(row, right
+    side, their face key)`` in ``sum_row``, read-only, and, in ``face``,
+    the ``(key, factor)`` of the last face solved, ``key`` being its free
+    indices and equality rows."""
 
-    __slots__ = ("gram", "xty", "cut", "face")
+    __slots__ = ("gram", "xty", "cut", "sum_row", "face")
 
     def __init__(self, gram: np.ndarray, xty: np.ndarray | None):
         self.gram, self.xty = gram, xty
         self.cut = _RANK_TOL * np.sqrt(gram.diagonal().max())
+        ones, rhs = np.ones((1, gram.shape[0])), np.ones(1)
+        ones.flags.writeable = rhs.flags.writeable = False
+        self.sum_row = (ones, rhs, (ones.tobytes(), rhs.tobytes()))
         self.face = (None, None)
 
 
@@ -617,13 +626,13 @@ def _feasible_start(start, p: int, sum_to: float) -> np.ndarray:
     beta = np.asarray(start, dtype=float).ravel()
     if beta.shape[0] != p:
         raise ConfigurationError(f"start has length {beta.shape[0]}, expected {p}")
-    if not np.isfinite(beta).all():
+    low, total = float(beta.min()), float(beta.sum())
+    # with no negative entry and a finite sum, every entry is finite and the sum is sum|b|
+    if not (low >= 0.0 and abs(total) < np.inf) and not np.isfinite(beta).all():
         raise ConfigurationError("start has a non-finite entry")
-    tol = _START_TOL * (1.0 + float(abs(beta).sum()) + abs(sum_to))
-    low = float(beta.min())
+    tol = _START_TOL * (1.0 + (total if low >= 0.0 else float(abs(beta).sum())) + abs(sum_to))
     if low < -tol:
         raise ConfigurationError(f"start has a negative entry {low:.3g}")
-    total = float(beta.sum())
     if abs(total - sum_to) > tol:
         raise ConfigurationError(f"start sums to {total:.12g}, expected {sum_to:.12g}")
     return beta
@@ -692,7 +701,7 @@ def _build_fit(
         beta=beta,
         fitted=fitted,
         residuals=y - fitted,
-        sets=ActiveSets(a=_active_set(beta), m=m_rows, e=e_rows),
+        sets=ActiveSets(a=cert.support, m=m_rows, e=e_rows),
         kkt=replace(cert, degenerate=True, unique=False) if degenerate else cert,
         cov_eq_rows=cov_eq_rows,
         donor_sq_distances=sq_dist if sq_dist is not None else donor_sq_distances(y, x),
@@ -868,11 +877,14 @@ def _outer_paths(kind: str, y, x, z, d, problems) -> list[list[ScFit]]:
 
 
 def matching_weights(y: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
-    """Uniform weight 1/m on the m nearest donors (ties by lowest index)."""
+    """Uniform weight 1/m on the m nearest donors (ties by lowest index).
+    ``ConfigurationError`` names a non-finite entry of ``y`` or ``x``."""
     y, x = _data(y, x)
     p = x.shape[1]
     if not 1 <= m <= p:
         raise ConfigurationError(f"matching count m={m} outside 1..{p}")
+    _check_finite("target", y)
+    _check_finite("design", x)
     dist = donor_sq_distances(y, x)
     order = np.argsort(dist, kind="stable")
     beta = np.zeros(p)
@@ -883,14 +895,15 @@ def matching_weights(y: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
 def solve_matching(y: np.ndarray, x: np.ndarray, m: int) -> ScFit:
     """Matching estimator wrapped as a fit (locally constant in y)."""
     y, x = _data(y, x)
-    # the weights are not an engine solution: an all-zero certificate, its
-    # face empty
+    # not an engine solution: an all-zero certificate, its face empty
+    beta = matching_weights(y, x, m)
     cert = KktCertificate(
-        beta=matching_weights(y, x, m),
+        beta=beta,
         stationarity_residual=0.0,
         complementarity_gap=0.0,
         eq_multipliers=np.zeros(1),
         mu=np.zeros(x.shape[1]),
+        support=_active_set(beta),
     )
     return _build_fit(MATCHING, y, x, cert, m=int(m))
 
@@ -924,8 +937,9 @@ def masc_average(y: np.ndarray, fit_sc: ScFit, fit_ma: ScFit, lam: float) -> ScF
     beta = lam * fit_ma.beta + (1.0 - lam) * fit_sc.beta
     fitted = lam * fit_ma.fitted + (1.0 - lam) * fit_sc.fitted
     residuals = np.asarray(y, dtype=float).ravel() - fitted
-    return replace(fit_sc, kind=MASC, beta=beta, fitted=fitted, residuals=residuals,
-                   lam=float(lam), m=int(fit_ma.m))
+    return ScFit(kind=MASC, beta=beta, fitted=fitted, residuals=residuals, sets=fit_sc.sets,
+                 kkt=fit_sc.kkt, donor_sq_distances=fit_sc.donor_sq_distances, lam=float(lam),
+                 m=int(fit_ma.m), v=fit_sc.v, cov_eq_rows=fit_sc.cov_eq_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -1051,17 +1065,11 @@ def default_v_grid(n_cov: int) -> list[np.ndarray]:
         _push(vec)
     _push(np.full(n_cov, 1.0 / n_cov))
 
-    def _compositions(total: int, parts: int):
-        if parts == 1:
-            yield (total,)
-            return
-        for head in range(total + 1):
-            for tail in _compositions(total - head, parts - 1):
-                yield (head,) + tail
-
     if n_cov <= 8:
-        for comp in _compositions(4, n_cov):
-            _push(np.asarray(comp, dtype=float) / 4)
+        # the compositions of 4 into n_cov parts in lexicographic order, as
+        # stars and bars: the bars' positions among n_cov + 3 slots
+        for bars in itertools.combinations(range(n_cov + 3), n_cov - 1):
+            _push((np.diff([-1, *bars, n_cov + 3]) - 1) / 4)
     return grid
 
 

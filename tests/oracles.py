@@ -8,10 +8,14 @@ writes the sum-to-one hat matrix in a form the package never uses, the
 face dimension is a rank read off singular values instead of a pivoted
 QR (and so is the uniqueness condition built on it), and the KKT
 reference solves the working-set system densely by ``lstsq`` instead of by
-the null-space method.
+the null-space method.  The warm-start check is kept in its first form,
+one pass over the start per condition, for the engine's to be compared
+against.
 """
 
 import numpy as np
+
+from synthsel.errors import ConfigurationError
 
 
 def simplex_objective(y, x, betas, lin=None):
@@ -125,3 +129,22 @@ def kkt_lstsq_solve(gram, g, a_mat, rhs):
     full_rhs = np.concatenate([g, rhs])
     sol = np.linalg.lstsq(kkt, full_rhs, rcond=None)[0]
     return sol[:k], sol[k:], float(np.linalg.norm(kkt @ sol - full_rhs))
+
+
+def feasible_start(start, p, sum_to):
+    """The start as a float vector, or ``ConfigurationError`` unless it is
+    finite, of length ``p``, and lies on the simplex scaled to ``sum_to`` up
+    to ``1e-8 (1 + sum|b| + |sum_to|)``: each condition checked in turn."""
+    beta = np.asarray(start, dtype=float).ravel()
+    if beta.shape[0] != p:
+        raise ConfigurationError(f"start has length {beta.shape[0]}, expected {p}")
+    if not np.isfinite(beta).all():
+        raise ConfigurationError("start has a non-finite entry")
+    tol = 1e-8 * (1.0 + float(abs(beta).sum()) + abs(sum_to))
+    low = float(beta.min())
+    if low < -tol:
+        raise ConfigurationError(f"start has a negative entry {low:.3g}")
+    total = float(beta.sum())
+    if abs(total - sum_to) > tol:
+        raise ConfigurationError(f"start sums to {total:.12g}, expected {sum_to:.12g}")
+    return beta

@@ -29,8 +29,10 @@ from synthsel.simulation import (
     synthetic_factor_spec,
 )
 from synthsel.solvers import (
+    _active_set,
     default_v_grid,
     solve_masc,
+    solve_matching,
     solve_penalized_sc,
     solve_sc,
     solve_sc_cov_inner,
@@ -228,6 +230,54 @@ class TestSelectLambdaIc:
         for pt, score in zip(res.grid, res.scores):
             fit = solve_masc(panel.y, panel.x, pt.lam, pt.m)
             assert score == ic_value(fit.rss, s2, df_hat(fit).df_hat)
+
+
+def _select_design_draw(spec, key):
+    """A draw of the select benchmark's design: 36 pre-periods of 40
+    donors, and three covariate rows, the means over three blocks of
+    periods (the outcome's are the targets)."""
+    draw = draw_factor_gaussian(spec, 48, spawn_rng(key, 1))
+    return _with_block_rows(draw.y[:36], draw.x[:36])
+
+
+def _probe_draw(seed):
+    """A probe draw: 5-39 periods, 2-59 donors, an outcome in the donors'
+    hull plus noise, and block-mean covariate rows."""
+    g = np.random.default_rng(seed)
+    n, p = int(g.integers(5, 40)), int(g.integers(2, 60))
+    x = g.normal(size=(n, p))
+    return _with_block_rows(x @ g.dirichlet(np.ones(p)) + 0.3 * g.normal(size=n), x)
+
+
+def _with_block_rows(y, x):
+    blocks = np.array_split(np.arange(y.size), 3)
+    return y, x, np.array([y[b].mean() for b in blocks]), np.vstack([x[b].mean(axis=0) for b in blocks])
+
+
+@pytest.mark.parametrize("kind", ["penalized", "masc", "covariate"])
+@pytest.mark.parametrize("design", ["select", "probe"])
+def test_grid_fits_read_their_support_and_df_off_the_certificate(kind, design):
+    """Every grid fit's active set is the support its certificate records,
+    which is ``_active_set`` of the engine's solution (for model averaging,
+    of the plain component; a matching fit's of its weights), and every IC
+    score is ``ic_value`` of the fit's RSS and ``df_hat``, to the bit."""
+    if design == "select":
+        spec = synthetic_factor_spec(40, 48, r=1, seed=100, sigma_y=0.5, sigma_x=2.0)
+        draws = [_select_design_draw(spec, key) for key in range(12)]
+    else:
+        draws = [_probe_draw(seed) for seed in range(50)]
+    lams = np.concatenate([[0.0], np.geomspace(0.0125, 10.0, 19)])
+    for y, x, z, d in draws:
+        points = tuning_grid(kind, None if kind == "masc" else lams, n_donors=x.shape[1], n_cov=3)
+        fits = _fit_grid(y, x, kind, points, z, d)
+        res = selection._ic_select(points, fits, y, x)
+        for fit, score in zip(fits, res.scores):
+            assert fit.sets.a == fit.kkt.support == _active_set(fit.kkt.beta)
+            assert kind == "masc" or fit.kkt.beta is fit.beta
+            assert score == ic_value(fit.rss, res.sigma2_hat, df_hat(fit).df_hat)
+        for m in sorted({pt.m for pt in points} - {None}):
+            fit = solve_matching(y, x, m)
+            assert fit.sets.a == fit.kkt.support == _active_set(fit.beta)
 
 
 class TestSelectVIc:

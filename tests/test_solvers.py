@@ -1,6 +1,7 @@
 import dataclasses
 import importlib.util
 import inspect
+import itertools
 import os
 import subprocess
 import sys
@@ -27,6 +28,7 @@ from synthsel.solvers import (
     _face_factor,
     _face_finish,
     _face_rows,
+    _feasible_start,
     _fit_path,
     _no_cov_rows,
     _normal_equations,
@@ -47,7 +49,14 @@ from synthsel.solvers import (
 )
 
 from conftest import make_instance, near_common_rows, random_design
-from oracles import constraint_line_min, face_dim, kkt_lstsq_solve, simplex_grid_min, unique_optimum
+from oracles import (
+    constraint_line_min,
+    face_dim,
+    feasible_start,
+    kkt_lstsq_solve,
+    simplex_grid_min,
+    unique_optimum,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +238,41 @@ class TestStart:
         np.testing.assert_allclose(warm.beta, cold.beta, atol=1e-12)
 
 
+#: entries of a start: mostly on [0, 1], some slightly negative, and odd
+#: values (non-finite, signed zero, rounding-level negative, near 1e308)
+_START_ENTRY = st.one_of(
+    *[st.floats(0.0, 1.0)] * 3,
+    st.floats(-1e-3, 0.0),
+    st.sampled_from([np.nan, np.inf, -np.inf, -0.0, -1e-12, -1e-3, 1e308, 1.7e308, -1e308]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    entries=st.lists(_START_ENTRY, min_size=1, max_size=8),
+    sum_to=st.sampled_from([1.0, 2.5, 1e308]),
+    on_simplex=st.booleans(),
+    short=st.sampled_from([0, 0, 0, 1]),
+)
+def test_start_check_matches_its_first_form(entries, sum_to, on_simplex, short):
+    """The engine's start check, which passes over the entries again only
+    when one is negative or the sum is not finite, raises what the check
+    made one pass per condition raises, and returns the same start."""
+    start = np.array(entries)
+    with np.errstate(all="ignore"):
+        total = start.sum()
+        if on_simplex and np.isfinite(total) and total > 0:
+            start = start / total * sum_to
+
+        def outcome(check):
+            try:
+                return check(start, start.size + short, sum_to).tobytes()
+            except Exception as exc:  # the type is compared too
+                return type(exc), str(exc)
+
+        assert outcome(_feasible_start) == outcome(feasible_start)
+
+
 class TestNonFiniteData:
     """A NaN or infinite entry of the target or the design is named, with
     its 0-based place, before the engine or numpy sees it."""
@@ -241,6 +285,8 @@ class TestNonFiniteData:
         "solve_sc_cov_inner": lambda y, x: solve_sc_cov_inner(
             y, x, np.ones(1), np.ones((1, x.shape[1])), np.ones(1), lam=0.3
         ),
+        "solve_matching": partial(solve_matching, m=2),
+        "matching_weights": partial(matching_weights, m=2),
     }
 
     @pytest.mark.filterwarnings("error")
@@ -735,6 +781,20 @@ class TestMatchingAndMasc:
 # ---------------------------------------------------------------------------
 # covariate estimator
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n_cov", [1, 2, 3, 4, 8, 9])
+def test_default_v_grid_is_vertices_barycenter_then_quarter_lattice(n_cov):
+    """The vertices, the barycenter and, up to eight rows, every diagonal of
+    quarters summing to one in lexicographic order, each weighting once."""
+    want = [*np.eye(n_cov), np.full(n_cov, 1.0 / n_cov)]
+    if n_cov <= 8:
+        want += [np.array(c) / 4 for c in itertools.product(range(5), repeat=n_cov) if sum(c) == 4]
+    keys = [tuple(np.round(v, 12)) for v in want]
+    want = [v for i, v in enumerate(want) if keys[i] not in keys[:i]]
+    got = default_v_grid(n_cov)
+    assert len(got) == len(want)
+    assert all(g.dtype == np.float64 and np.array_equal(g, v) for g, v in zip(got, want))
 
 
 class TestCovariate:
