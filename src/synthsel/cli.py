@@ -27,11 +27,7 @@ from .solvers import (
     PLAIN,
     ScFit,
     default_v_grid,
-    solve_masc,
-    solve_penalized_sc,
-    solve_sc,
     solve_sc_cov,
-    solve_sc_cov_inner,
 )
 
 
@@ -74,40 +70,29 @@ def _load(args) -> pio.LoadedPanel:
     return pio.preprocess_loaded(loaded, ma_window=args.ma_window, demean=args.demean)
 
 
-def _estimator(args, panel: PanelDataset):
-    """The chosen estimator as ``solve(y, prev)``: the fit of the outcome
-    ``y`` against the panel's already-validated donors and covariates,
-    started from ``prev``, a fit of the same estimator to a nearby outcome,
-    or cold when it is None.  A solve keeps a warm fit only where it equals
-    the cold one, so ``prev`` changes the work and never the fit; the
-    covariate search over V ignores it."""
+def _fit_one(args, panel: PanelDataset, y=None, prev=None) -> ScFit:
+    """The chosen estimator's fit of the outcome ``y`` (None: the panel's
+    own) against the panel's already-validated donors and covariates: a
+    one-point grid on ``selection._fit_grid``, started from ``prev``, a fit
+    of the same estimator to a nearby outcome, or cold when it is None.  A
+    solve keeps a warm fit only where it equals the cold one, so ``prev``
+    changes the work and never the fit.  The covariate estimator without
+    ``--v`` searches V in sample (``solve_sc_cov``), which ignores ``prev``."""
     kind = args.estimator
-    lam = args.lam
-    x = panel.x
-    if kind == PLAIN:
-        return lambda y, prev: solve_sc(y, x, _prev=prev)
-    if kind == PENALIZED:
-        return lambda y, prev: solve_penalized_sc(y, x, lam, _prev=prev)
-    if kind == MASC:
-        return lambda y, prev: solve_masc(y, x, lam, args.m, _prev=prev)
+    y = panel.y if y is None else y
+    v = None
     if kind == COVARIATE:
         if not panel.has_covariates:
             raise ConfigurationError("covariate estimator requires --covariates")
-        if args.v:
-            try:
-                v = np.asarray([float(tok) for tok in args.v.split(",")])
-            except ValueError as exc:
-                raise ConfigurationError(f"cannot parse --v {args.v!r}: {exc}")
-            z, d = panel.z, panel.d
-            return lambda y, prev: solve_sc_cov_inner(y, x, z, d, v, lam=lam, _prev=prev)
-        v_grid = default_v_grid(panel.n_cov)
-        return lambda y, prev: solve_sc_cov(y, x, panel.z, panel.d, v_grid, lam=lam)
-    raise ConfigurationError(f"unknown estimator {kind!r}")
-
-
-def _fit_one(args, panel: PanelDataset) -> ScFit:
-    """Fit the chosen estimator to ``panel``."""
-    return _estimator(args, panel)(panel.y, None)
+        if not args.v:
+            v_grid = default_v_grid(panel.n_cov)
+            return solve_sc_cov(y, panel.x, panel.z, panel.d, v_grid, lam=args.lam)
+        try:
+            v = tuple(float(tok) for tok in args.v.split(","))
+        except ValueError as exc:
+            raise ConfigurationError(f"cannot parse --v {args.v!r}: {exc}")
+    point = selection.TuningPoint(args.lam, m=args.m, v=v)
+    return selection._fit_grid(y, panel.x, kind, [point], panel.z, panel.d, prev=prev)[0]
 
 
 def _fit_report(fit: ScFit, loaded: pio.LoadedPanel, panel: PanelDataset) -> dict:
@@ -234,8 +219,7 @@ def _cmd_cv(args) -> dict:
 def _cmd_df(args) -> dict:
     loaded = _load(args)
     panel = loaded.dataset
-    solve = _estimator(args, panel)
-    fit = solve(panel.y, None)
+    fit = _fit_one(args, panel)
     report = df_hat(fit)
     div = divergence(fit, panel.x, panel.d)
     results = {
@@ -254,7 +238,7 @@ def _cmd_df(args) -> dict:
         # that fit is the unique optimum: from one that is not, each warm
         # solve would fail the uniqueness guard and be solved again cold
         prev = fit if fit.kkt.unique else None
-        fd = divergence_fd_oracle(lambda y: solve(y, prev), panel.y)
+        fd = divergence_fd_oracle(lambda y: _fit_one(args, panel, y, prev), panel.y)
         results["fd_check"] = {
             "max_abs_deviation": float(np.max(np.abs(div.matrix - fd.matrix))),
             "active_set_changed": fd.active_set_changed,

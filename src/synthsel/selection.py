@@ -33,6 +33,7 @@ from .solvers import (
     PENALIZED,
     PLAIN,
     ScFit,
+    _check_averaging_weight,
     _outer_paths,
     default_v_grid,
     masc_average,
@@ -137,7 +138,8 @@ def tuning_grid(
     return points
 
 
-def _fit_grid(y: np.ndarray, x: np.ndarray, kind: str, points, z=None, d=None) -> list[ScFit]:
+def _fit_grid(y: np.ndarray, x: np.ndarray, kind: str, points, z=None, d=None,
+              prev: ScFit | None = None) -> list[ScFit]:
     """The fits at every grid point, in grid order, of ``y`` on ``x`` and,
     for the covariate kind, of the covariate target ``z`` on the rows ``d``.
 
@@ -147,6 +149,8 @@ def _fit_grid(y: np.ndarray, x: np.ndarray, kind: str, points, z=None, d=None) -
     once for all the weightings that pose the same outer problem
     (``_outer_paths``).  A model-averaging grid solves plain synthetic
     control once and each matching count once and averages them per point.
+    ``prev`` is a fit of the same kind and ``x`` to a nearby outcome, which
+    each outer path's first solve starts from (``_outer_paths``), or None.
     """
     if kind in (PENALIZED, COVARIATE):
         runs: dict = {}  # grid indices by weighting, None for a penalized grid
@@ -154,16 +158,19 @@ def _fit_grid(y: np.ndarray, x: np.ndarray, kind: str, points, z=None, d=None) -
             runs.setdefault(pt.v, []).append(i)
         problems = [(v, [points[i].lam for i in idx]) for v, idx in runs.items()]
         fits = {}
-        for idx, path in zip(runs.values(), _outer_paths(kind, y, x, z, d, problems)):
+        for idx, path in zip(runs.values(), _outer_paths(kind, y, x, z, d, problems, prev)):
             fits.update(zip(idx, path))
         return [fits[i] for i in range(len(points))]
     if kind == MASC:
-        fit_sc = solve_sc(y, x)
-        matches = {m: solve_matching(y, x, m) for m in sorted({pt.m for pt in points})}
-        return [masc_average(y, fit_sc, matches[pt.m], pt.lam) for pt in points]
+        for pt in points:  # before any solve, as solve_masc checks it
+            _check_averaging_weight(pt.lam)
+    elif kind != PLAIN:
+        raise ConfigurationError(f"unknown estimator kind {kind!r}")
+    [[fit_sc]] = _outer_paths(PLAIN, y, x, None, None, [(None, [0.0])], prev)
     if kind == PLAIN:
-        return [solve_sc(y, x)] * len(points)
-    raise ConfigurationError(f"unknown estimator kind {kind!r}")
+        return [fit_sc] * len(points)
+    matches = {m: solve_matching(y, x, m) for m in sorted({pt.m for pt in points})}
+    return [masc_average(y, fit_sc, matches[pt.m], pt.lam) for pt in points]
 
 
 # ---------------------------------------------------------------------------

@@ -327,10 +327,15 @@ def draw_factor_empirical(
     if residual_pool.size == 0:
         raise ConfigurationError("empirical design needs a nonempty residual pool")
     rng = seed if isinstance(seed, np.random.Generator) else spawn_rng(int(seed))
+    return _draw_empirical(spec, residual_pool, t_len, rng, spec.blp_weights())
+
+
+def _draw_empirical(spec, residual_pool, t_len, rng, w) -> FactorPanelDraw:
+    """``draw_factor_empirical`` from a checked pool and a generator, given
+    the spec's ``blp_weights`` ``w``."""
     draw = draw_factor_gaussian(spec, t_len, rng)
-    means = conditional_mean_path(spec, draw)
     boot = stationary_bootstrap(residual_pool[:, None], _BLOCK_PROB, t_len, rng)
-    return replace(draw, y=means + boot.data[:, 0])
+    return replace(draw, y=_conditional_mean(draw, w) + boot.data[:, 0])
 
 
 def fit_factor_model(panel: PanelDataset, r: int) -> FactorModelSpec:
@@ -625,7 +630,7 @@ def run_selection_benchmark(
             draw, y_all, x_all = None, data[:, 0], data[:, 1:]
         else:
             draw = (draw_factor_gaussian(spec, t_total, rng) if design == "gaussian"
-                    else draw_factor_empirical(spec, residual_pool, t_total, rng))
+                    else _draw_empirical(spec, residual_pool, t_total, rng, blp))
             y_all, x_all = draw.y, draw.x
         y_pre, x_pre = y_all[:n_pre], x_all[:n_pre]
         y_post, x_post = y_all[n_pre:], x_all[n_pre:]

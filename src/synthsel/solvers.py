@@ -714,33 +714,26 @@ def _face_rows(a: tuple[int, ...], rows: tuple[int, ...], d: np.ndarray | None) 
     return np.vstack([np.ones((1, len(a))), d[np.ix_(rows, a)]]) if rows else np.ones((1, len(a)))
 
 
-def solve_sc(y: np.ndarray, x: np.ndarray, *, _prev: ScFit | None = None) -> ScFit:
+def solve_sc(y: np.ndarray, x: np.ndarray) -> ScFit:
     """Plain synthetic control: least squares over the probability simplex.
 
     When the optimum is not unique (duplicate or collinear active donors,
     or more active donors than periods), the fit is the one the
     deterministic engine returns; its fitted values do not depend on which.
-
-    ``_prev`` is internal to the package: a fit of the same ``x`` to start
-    from, as in ``_outer_solve``, which keeps the warm fit only where it
-    equals the cold one; the result is the same either way.
     """
     y, x = _data(y, x)
-    return _outer_solve(PLAIN, y, x, _no_cov_rows(y, x), 0.0, _prev)
+    return _outer_solve(PLAIN, y, x, _no_cov_rows(y, x), 0.0, None)
 
 
-def solve_penalized_sc(
-    y: np.ndarray, x: np.ndarray, lam: float, *, _prev: ScFit | None = None
-) -> ScFit:
+def solve_penalized_sc(y: np.ndarray, x: np.ndarray, lam: float) -> ScFit:
     """Penalized synthetic control: adds ``lam * sum_i b_i ||y - x_i||^2``.
 
     The penalty is linear in ``b``, so the same engine runs with a shifted
     linear coefficient; ``lam = 0`` coincides with the plain estimator.
-    This is the covariate estimator's outer solve with no covariate rows;
-    ``_prev`` is its ``prev``, internal to the package as in ``solve_sc``.
+    This is the covariate estimator's outer solve with no covariate rows.
     """
     y, x = _data(y, x)
-    return _outer_solve(PENALIZED, y, x, _no_cov_rows(y, x), lam, _prev)
+    return _outer_solve(PENALIZED, y, x, _no_cov_rows(y, x), lam, None)
 
 
 @dataclass(frozen=True)
@@ -785,11 +778,14 @@ def _outer_solve(
     ``inner.exact_rows`` as equality rows (a penalized fit has none).
 
     ``lam`` must be finite and ``>= 0``.  ``prev`` is a fit of the same
-    ``x`` solved before, such as the fit at a neighbouring ``lam`` on a
-    grid or the fit of a nearby outcome, or None.  The solve starts from
-    ``prev.kkt.beta`` (of a model-averaged fit, its synthetic-control
-    component) when ``prev`` has the same equality rows and from
-    ``inner.cold_start`` otherwise (None: the engine's start vertex).
+    ``x`` solved before, or None: ``_fit_path`` passes the fit at the
+    neighbouring ``lam`` on its path and, to its first solve, the fit of a
+    nearby outcome that ``selection._fit_grid`` was given (``df --fd-check``
+    passes the checked fit), and the public solvers pass None.  The solve
+    starts from ``prev.kkt.beta`` (of a model-averaged fit, its
+    synthetic-control component) when ``prev`` has the same equality rows
+    and from ``inner.cold_start`` otherwise (None: the engine's start
+    vertex).
     A warm start never changes the answer: the warm fit is kept only where
     its certificate is ``unique``, which pins the optimum with equality
     rows as without them, so it equals the cold fit; otherwise the point is
@@ -828,21 +824,24 @@ def _outer_solve(
     return fit
 
 
-def _fit_path(lams, solve) -> list[ScFit]:
+def _fit_path(lams, solve, prev: ScFit | None = None) -> list[ScFit]:
     """``solve(lam, prev)`` at every penalty in ``lams``, returned in grid
     order but solved from the largest penalty down, ``prev`` being the fit
-    solved just before (None for the first).  The solver warm-starts from
+    solved just before; the first solve's is the ``prev`` given, the one
+    ``_outer_paths`` passes on, or None.  The solver warm-starts from
     ``prev``; ``_outer_solve`` keeps a warm fit only where the optimum is
     unique, so every fit equals its cold solve."""
     lams = np.asarray(lams, dtype=float)
     fits: list[ScFit | None] = [None] * lams.size
-    fit = None
+    fit = prev
     for i in np.argsort(-lams, kind="stable"):
         fit = fits[i] = solve(float(lams[i]), fit)
     return fits
 
 
-def _outer_paths(kind: str, y, x, z, d, problems) -> list[list[ScFit]]:
+def _outer_paths(
+    kind: str, y, x, z, d, problems, prev: ScFit | None = None
+) -> list[list[ScFit]]:
     """For each ``(v, lams)`` of ``problems``, the ``_outer_solve`` fits of
     ``(y, x)`` at the penalties ``lams`` for the weighting ``v`` of the
     covariate rows ``d`` with targets ``z`` (``v`` None: no rows, the
@@ -857,7 +856,8 @@ def _outer_paths(kind: str, y, x, z, d, problems) -> list[list[ScFit]]:
     their cold start.  So a weighting whose rows and penalties were solved
     before takes those fits, each with its own ``v``, when every one of them
     is ``unique`` (the optimum, which no start changes); otherwise it is
-    solved as the first was.
+    solved as the first was.  ``prev`` is ``selection._fit_grid``'s, the fit
+    of a nearby outcome each path's first solve starts from, or None.
     """
     y, x = _data(y, x)
     inners = [_no_cov_rows(y, x) if v is None else _cov_inner(y, x, z, d, v) for v, _ in problems]
@@ -869,7 +869,8 @@ def _outer_paths(kind: str, y, x, z, d, problems) -> list[list[ScFit]]:
         if key in solved:
             paths.append([replace(fit, v=inner.v) for fit in solved[key]])
             continue
-        fits = _fit_path(lams, functools.partial(_outer_solve, kind, y, x, inner, normal=normal))
+        solve = functools.partial(_outer_solve, kind, y, x, inner, normal=normal)
+        fits = _fit_path(lams, solve, prev)
         if all(fit.kkt.unique for fit in fits):
             solved[key] = fits
         paths.append(fits)
@@ -908,20 +909,17 @@ def solve_matching(y: np.ndarray, x: np.ndarray, m: int) -> ScFit:
     return _build_fit(MATCHING, y, x, cert, m=int(m))
 
 
-def solve_masc(
-    y: np.ndarray, x: np.ndarray, lam: float, m: int, *, _prev: ScFit | None = None
-) -> ScFit:
+def solve_masc(y: np.ndarray, x: np.ndarray, lam: float, m: int) -> ScFit:
     """Model-averaged estimator: lam * matching + (1 - lam) * synthetic control.
 
     The weight vector, the fitted values and hence the whole fit are the
     same convex combination of the two component solutions.  The stored
     index sets are those of the synthetic-control component, which is the
-    only piece with a nonzero derivative in the outcome.  ``_prev`` is
-    passed to the synthetic-control component's ``solve_sc``.
+    only piece with a nonzero derivative in the outcome.
     """
     _check_averaging_weight(lam)
     y, x = _data(y, x)
-    return masc_average(y, solve_sc(y, x, _prev=_prev), solve_matching(y, x, m), lam)
+    return masc_average(y, solve_sc(y, x), solve_matching(y, x, m), lam)
 
 
 def _check_averaging_weight(lam: float) -> None:
@@ -959,7 +957,6 @@ def solve_sc_cov_inner(
     v: np.ndarray,
     *,
     lam: float = 0.0,
-    _prev: ScFit | None = None,
 ) -> ScFit:
     """Covariate-constrained synthetic control at a fixed diagonal weighting.
 
@@ -989,11 +986,10 @@ def solve_sc_cov_inner(
     entry per covariate row.  An empty ``d`` has no rows: the fit is then
     the penalized one on the same path, and only a length-0 ``v`` is valid.
     ``ValueError`` is raised unless ``d`` has one row per entry of ``z`` and
-    one column per donor.  ``_prev`` is the outer solve's ``prev``, internal
-    to the package as in ``solve_sc``.
+    one column per donor.
     """
     y, x = _data(y, x)
-    return _outer_solve(COVARIATE, y, x, _cov_inner(y, x, z, d, v), lam, _prev)
+    return _outer_solve(COVARIATE, y, x, _cov_inner(y, x, z, d, v), lam, None)
 
 
 def _cov_inner(y, x, z, d, v) -> _CovInner:

@@ -25,7 +25,7 @@ from synthsel.io import (
     write_panel_csv,
 )
 from synthsel.panel import PanelDataset
-from synthsel.selection import default_lambda_grid
+from synthsel.selection import _fit_grid, default_lambda_grid, select_lambda_ic, tuning_grid
 from synthsel.simulation import BenchmarkReport, MethodResult
 from synthsel.solvers import solve_masc, solve_penalized_sc, solve_sc, solve_sc_cov_inner
 
@@ -556,6 +556,21 @@ class TestCli:
         assert error["type"] == "ConfigurationError"
         assert "--v '0.5,x'" in error["message"] and "'x'" in error["message"]
 
+    @pytest.mark.parametrize("extra, message", [
+        (["--estimator", "covariate"], "covariate estimator requires --covariates"),
+        (["--estimator", "covariate", "--v", "0.5,0.5"], "covariate estimator requires --covariates"),
+        (["--estimator", "masc", "--lambda", "2", "--m", "9"], "averaging weight must lie in [0, 1]"),
+    ])
+    def test_bad_estimator_options_exit_one_before_any_solve(
+        self, panel_csv, monkeypatch, capsys, extra, message
+    ):
+        solves = []
+        simplex_ls = solvers.simplex_ls
+        monkeypatch.setattr(solvers, "simplex_ls", lambda *a, **kw: solves.append(a) or simplex_ls(*a, **kw))
+        assert cli.main(self._fit_args(panel_csv, *extra)) == 1
+        self._assert_config_error(capsys, message)
+        assert not solves
+
     def test_non_finite_covariate_weights_exit_one(self, panel_csv, cov_csv, capsys):
         argv = self._fit_args(
             panel_csv, "--covariates", str(cov_csv), "--estimator", "covariate", "--v", "nan,1"
@@ -784,16 +799,47 @@ def test_fd_check_from_a_fit_that_is_not_unique_costs_no_more_than_cold(
     monkeypatch.setattr(cli, "df_hat", lambda fit: checked.append(fit) or df_hat(fit))
     warm_fd, warm = fd_check_iterations(args)
     assert not checked[0].kkt.unique
-    estimator_of = cli._estimator
-
-    def cold_estimator(args, panel):
-        solve = estimator_of(args, panel)
-        return lambda y, prev: solve(y, None)
-
-    monkeypatch.setattr(cli, "_estimator", cold_estimator)
+    fit_one = cli._fit_one
+    monkeypatch.setattr(cli, "_fit_one", lambda args, panel, y=None, prev=None: fit_one(args, panel, y))
     cold_fd, cold = fd_check_iterations(args)
     assert warm_fd == cold_fd
     assert len(warm) == len(cold) and sum(warm) <= sum(cold)
+
+
+@pytest.mark.parametrize("estimator", ["penalized", "masc", "covariate"])
+def test_fit_at_the_selected_point_is_the_selections_own_fit(tmp_path, capsys, estimator):
+    # the CI's 12-period panel, and its covariate rows for the covariate estimator
+    panel_csv, cov_csv = tmp_path / "p.csv", tmp_path / "c.csv"
+    assert cli.main(["simulate", "--units", "5", "--periods", "12", "--seed", "1",
+                     "--output-panel", str(panel_csv)]) == 0
+    cov_csv.write_text("cov,treated,donor_1,donor_2,donor_3,donor_4\nprice,2.5,1,2,3,4\nsize,2,4,1,3,0\n")
+    args = ["--input", str(panel_csv), "--treated", "treated", "--treatment-period", "t10",
+            "--estimator", estimator]
+    if estimator == "covariate":
+        args += ["--covariates", str(cov_csv)]
+    capsys.readouterr()
+    assert cli.main(["select", *args, "--method", "sure"]) == 0
+    chosen = json.loads(capsys.readouterr().out)["results"]["chosen"]
+    point = ["--lambda", repr(chosen["lambda"])]
+    if estimator == "masc":
+        point += ["--m", str(chosen["m"])]
+    if estimator == "covariate":
+        point += ["--v", ",".join(repr(w) for w in chosen["v"])]
+    assert cli.main(["fit", *args, *point]) == 0
+    got = json.loads(capsys.readouterr().out)["results"]
+
+    loaded = load_panel(str(panel_csv), "treated", "t10", covariates_path=str(cov_csv))
+    panel = preprocess_loaded(loaded, ma_window=1, demean=False).dataset
+    points = tuning_grid(estimator, n_donors=panel.p, n_cov=panel.n_cov)
+    res = select_lambda_ic(panel, estimator)
+    want = _fit_grid(panel.y, panel.x, estimator, points, panel.z, panel.d)[res.chosen]
+    names = loaded.donor_names
+    assert got["active_set"] == [names[i] for i in want.sets.a]
+    want_weights = {names[i]: w for i, w in enumerate(want.beta) if w > want.active_tol}
+    assert got["weights"].keys() == want_weights.keys()
+    for name, w in want_weights.items():
+        assert got["weights"][name] == pytest.approx(w, rel=0, abs=1e-12)
+    assert got["rss"] == pytest.approx(want.rss, rel=0, abs=1e-12)
 
 
 def _duplicated_donor_csvs(tmp_path, seed):
@@ -890,8 +936,8 @@ def test_fd_check_warm_solves_equal_the_cold_ones(seed, shape, kind):
     except ConvergenceError:
         assume(False)  # wide draws the engine cannot solve cold (ROADMAP item 1)
     args = SimpleNamespace(estimator=kind, lam=lam, m=m, v=",".join(repr(float(w)) for w in v))
-    solve = cli._estimator(args, PanelDataset(y=y, x=x, z=z, d=d))
-    fit = solve(y, None)
-    got = divergence_fd_oracle(lambda yy: solve(yy, fit), y)
+    panel = PanelDataset(y=y, x=x, z=z, d=d)
+    fit = cli._fit_one(args, panel)
+    got = divergence_fd_oracle(lambda yy: cli._fit_one(args, panel, yy, fit), y)
     np.testing.assert_array_equal(got.matrix, want.matrix)
     assert got.changed_coordinates == want.changed_coordinates

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from synthsel import selection
+from synthsel import selection, solvers
 from synthsel.dof import df_hat
 from synthsel.errors import ConfigurationError, ConvergenceError
 from synthsel.panel import PanelDataset
@@ -91,7 +91,7 @@ def test_sigma2_read_off_the_default_grid_is_sigma2_hat(seed, shape, kind):
     points = tuning_grid(kind, n_donors=x.shape[1])
     want = _outcome(sigma2_hat, y, x)
     if kind == "masc" and isinstance(want, str):
-        with pytest.raises(ConvergenceError, match=re.escape(want)):  # the grid's own solve_sc fails
+        with pytest.raises(ConvergenceError, match=re.escape(want)):  # the grid's own plain solve fails
             _fit_grid(y, x, kind, points)
         return
     assert _outcome(_plain_sigma2, y, x, _fit_grid(y, x, kind, points)) == want
@@ -103,8 +103,16 @@ class TestPlainSigma2Fallback:
 
     @pytest.fixture
     def solves(self, monkeypatch):
+        # every plain synthetic-control solve, by solve_sc or by a grid's walker
         calls = []
-        monkeypatch.setattr(selection, "solve_sc", lambda y, x: calls.append(1) or solve_sc(y, x))
+        outer_solve = solvers._outer_solve
+
+        def counted(kind, *a, **kw):
+            if kind == "plain":
+                calls.append(kind)
+            return outer_solve(kind, *a, **kw)
+
+        monkeypatch.setattr(solvers, "_outer_solve", counted)
         return calls
 
     def test_never_solves_when_the_grid_has_a_zero_penalty_fit(self, solves):

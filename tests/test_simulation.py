@@ -446,6 +446,27 @@ class TestBenchmark:
     def test_rank_correlation_is_none_on_constant_or_nan_input(self, a, b):
         assert _spearman(np.array(a), np.array(b)) is None
 
+    def test_empirical_race_solves_the_predictor_weights_once(self, monkeypatch):
+        # the outcome is drawn from the weights the race holds; drawn from
+        # weights solved again per replication, as draw_factor_empirical
+        # solves them, the report is the same to the bit
+        solves = []
+        blp_weights = FactorModelSpec.blp_weights
+        monkeypatch.setattr(FactorModelSpec, "blp_weights",
+                            lambda spec: solves.append(1) or blp_weights(spec))
+
+        def race():
+            return run_selection_benchmark("empirical", ["risk", "sure", "cv_holdout"], 3, 9,
+                                           n_donors=8, n_pre=16, n_post=12, lambda_grid=[0.0, 0.3])
+
+        report = race()
+        assert len(solves) == 1
+        draw = simulation._draw_empirical
+        monkeypatch.setattr(simulation, "_draw_empirical",
+                            lambda spec, pool, t_len, rng, w: draw(spec, pool, t_len, rng, spec.blp_weights()))
+        assert race() == report
+        assert len(solves) == 1 + 1 + 3
+
     def test_empirical_design_runs_with_default_pool(self):
         report = run_selection_benchmark(
             "empirical", ["risk", "sure"], 3, 9, n_donors=8, n_pre=16, n_post=12,
