@@ -26,8 +26,8 @@ from .solvers import (
     PENALIZED,
     PLAIN,
     ScFit,
-    default_v_grid,
-    solve_sc_cov,
+    _fit_grid,
+    _least_rss,
 )
 
 
@@ -72,27 +72,27 @@ def _load(args) -> pio.LoadedPanel:
 
 def _fit_one(args, panel: PanelDataset, y=None, prev=None) -> ScFit:
     """The chosen estimator's fit of the outcome ``y`` (None: the panel's
-    own) against the panel's already-validated donors and covariates: a
-    one-point grid on ``selection._fit_grid``, started from ``prev``, a fit
-    of the same estimator to a nearby outcome, or cold when it is None.  A
-    solve keeps a warm fit only where it equals the cold one, so ``prev``
-    changes the work and never the fit.  The covariate estimator without
-    ``--v`` searches V in sample (``solve_sc_cov``), which ignores ``prev``."""
+    own) against the panel's already-validated donors and covariates, on
+    the package's one fit door, ``solvers._fit_grid``, started from
+    ``prev``, a fit of the same estimator to a nearby outcome, or cold when
+    it is None.  A solve keeps a warm fit only where it equals the cold one,
+    so ``prev`` changes the work and never the fit.  The grid is the one
+    point of ``--lambda``, ``--m`` and ``--v``; the covariate estimator
+    without ``--v`` searches V in sample, over the default V grid at
+    ``--lambda``, and keeps ``solve_sc_cov``'s choice (``_least_rss``)."""
     kind = args.estimator
     y = panel.y if y is None else y
-    v = None
-    if kind == COVARIATE:
-        if not panel.has_covariates:
-            raise ConfigurationError("covariate estimator requires --covariates")
-        if not args.v:
-            v_grid = default_v_grid(panel.n_cov)
-            return solve_sc_cov(y, panel.x, panel.z, panel.d, v_grid, lam=args.lam)
+    if kind == COVARIATE and not panel.has_covariates:
+        raise ConfigurationError("covariate estimator requires --covariates")
+    v_grid = None
+    if kind == COVARIATE and args.v:
         try:
-            v = tuple(float(tok) for tok in args.v.split(","))
+            v_grid = [[float(tok) for tok in args.v.split(",")]]
         except ValueError as exc:
             raise ConfigurationError(f"cannot parse --v {args.v!r}: {exc}")
-    point = selection.TuningPoint(args.lam, m=args.m, v=v)
-    return selection._fit_grid(y, panel.x, kind, [point], panel.z, panel.d, prev=prev)[0]
+    points = selection.tuning_grid(kind, [args.lam], [args.m], v_grid, n_cov=panel.n_cov)
+    fits = _fit_grid(y, panel.x, kind, points, panel.z, panel.d, prev=prev)
+    return _least_rss(fits) if kind == COVARIATE else fits[0]
 
 
 def _fit_report(fit: ScFit, loaded: pio.LoadedPanel, panel: PanelDataset) -> dict:

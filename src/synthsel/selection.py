@@ -12,10 +12,10 @@ at ``lam = 0``, which is the one ``solve_sc`` returns (``_plain_sigma2``),
 so plain synthetic control is solved once for them, and solve it
 separately only when the grid has no zero.  Every selector takes every
 estimator kind: ``tuning_grid`` lists its points, ``(m, lam)`` or
-``(V, lam)``, and one walker, ``_fit_grid``, fits them.  All selectors
-return the grid, the per-point scores and the chosen index; exact score
-ties break toward the largest tuning parameter (the most regularized
-candidate), then toward grid order."""
+``(V, lam)``, and the package's one fit door, ``solvers._fit_grid``,
+fits them.  All selectors return the grid, the per-point scores and the
+chosen index; exact score ties break toward the largest tuning parameter
+(the most regularized candidate), then toward grid order."""
 
 from __future__ import annotations
 
@@ -32,12 +32,9 @@ from .solvers import (
     MASC,
     PENALIZED,
     PLAIN,
-    ScFit,
-    _check_averaging_weight,
-    _outer_paths,
+    TuningPoint,
+    _fit_grid,
     default_v_grid,
-    masc_average,
-    solve_matching,
     solve_sc,
 )
 
@@ -45,16 +42,6 @@ METHOD_SURE = "sure"
 METHOD_CV_HOLDOUT = "cv_holdout"
 METHOD_CV_LOO_UNTREATED = "cv_loo_untreated"
 METHOD_CV_ROLLING = "cv_rolling"
-
-
-@dataclass(frozen=True)
-class TuningPoint:
-    """One candidate: an averaging/penalty weight, optionally a matching
-    count and/or a diagonal covariate weighting."""
-
-    lam: float
-    m: int | None = None
-    v: tuple[float, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -138,41 +125,6 @@ def tuning_grid(
     return points
 
 
-def _fit_grid(y: np.ndarray, x: np.ndarray, kind: str, points, z=None, d=None,
-              prev: ScFit | None = None) -> list[ScFit]:
-    """The fits at every grid point, in grid order, of ``y`` on ``x`` and,
-    for the covariate kind, of the covariate target ``z`` on the rows ``d``.
-
-    A covariate grid checks each distinct weighting and solves its inner
-    problem before any outer solve.  Each weighting's penalties (a penalized
-    grid's all) are then one path on ``X'X`` and ``X'y`` formed once, solved
-    once for all the weightings that pose the same outer problem
-    (``_outer_paths``).  A model-averaging grid solves plain synthetic
-    control once and each matching count once and averages them per point.
-    ``prev`` is a fit of the same kind and ``x`` to a nearby outcome, which
-    each outer path's first solve starts from (``_outer_paths``), or None.
-    """
-    if kind in (PENALIZED, COVARIATE):
-        runs: dict = {}  # grid indices by weighting, None for a penalized grid
-        for i, pt in enumerate(points):
-            runs.setdefault(pt.v, []).append(i)
-        problems = [(v, [points[i].lam for i in idx]) for v, idx in runs.items()]
-        fits = {}
-        for idx, path in zip(runs.values(), _outer_paths(kind, y, x, z, d, problems, prev)):
-            fits.update(zip(idx, path))
-        return [fits[i] for i in range(len(points))]
-    if kind == MASC:
-        for pt in points:  # before any solve, as solve_masc checks it
-            _check_averaging_weight(pt.lam)
-    elif kind != PLAIN:
-        raise ConfigurationError(f"unknown estimator kind {kind!r}")
-    [[fit_sc]] = _outer_paths(PLAIN, y, x, None, None, [(None, [0.0])], prev)
-    if kind == PLAIN:
-        return [fit_sc] * len(points)
-    matches = {m: solve_matching(y, x, m) for m in sorted({pt.m for pt in points})}
-    return [masc_average(y, fit_sc, matches[pt.m], pt.lam) for pt in points]
-
-
 # ---------------------------------------------------------------------------
 # information criterion
 # ---------------------------------------------------------------------------
@@ -190,8 +142,9 @@ def _plain_sigma2(y: np.ndarray, x: np.ndarray, fits) -> float:
 
     Those are a plain fit; a model-averaged fit at ``lam = 0``, whose
     residuals are its plain component's; and a penalized fit at ``lam = 0``,
-    which is ``solve_sc``'s cold solve (a path keeps a warm fit only where
-    it equals its cold solve).
+    which is ``solve_sc``'s cold solve: ``solve_sc`` is a one-point plain
+    grid on the same door, ``solvers._fit_grid``, and a path keeps a warm
+    fit only where it equals its cold solve.
     """
     fit = next((fit for fit in fits if fit.lam == 0.0 and fit.kind in (PLAIN, PENALIZED, MASC)), None)
     return float(np.mean((solve_sc(y, x) if fit is None else fit).residuals ** 2))

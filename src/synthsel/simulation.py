@@ -27,7 +27,6 @@ from .selection import (
     METHOD_CV_ROLLING,
     METHOD_SURE,
     SelectionResult,
-    _fit_grid,
     _ic_select,
     _select,
     tuning_grid,
@@ -35,7 +34,7 @@ from .selection import (
     cv_loo_untreated,
     cv_rolling,
 )
-from .solvers import PENALIZED, solve_sc
+from .solvers import PENALIZED, _fit_grid, solve_sc
 
 METHOD_RISK = "risk"
 METHOD_SURE_STAR = "sure_star"

@@ -401,7 +401,7 @@ def simplex_ls(
 
     ``_normal`` is internal to the package: ``_normal_equations(target,
     design)`` when the caller already holds it, as a path of solves on one
-    design does (see ``_outer_solve``); the result is the same either way.
+    design does (see ``_fit_grid``); the result is the same either way.
     It keeps the ``_face_factor`` of the face the last solve ended on, which
     does not depend on ``lin``, for the next solve to finish again.
 
@@ -721,8 +721,7 @@ def solve_sc(y: np.ndarray, x: np.ndarray) -> ScFit:
     or more active donors than periods), the fit is the one the
     deterministic engine returns; its fitted values do not depend on which.
     """
-    y, x = _data(y, x)
-    return _outer_solve(PLAIN, y, x, _no_cov_rows(y, x), 0.0, None)
+    return _fit_grid(y, x, PLAIN, [TuningPoint(0.0)])[0]
 
 
 def solve_penalized_sc(y: np.ndarray, x: np.ndarray, lam: float) -> ScFit:
@@ -732,8 +731,7 @@ def solve_penalized_sc(y: np.ndarray, x: np.ndarray, lam: float) -> ScFit:
     linear coefficient; ``lam = 0`` coincides with the plain estimator.
     This is the covariate estimator's outer solve with no covariate rows.
     """
-    y, x = _data(y, x)
-    return _outer_solve(PENALIZED, y, x, _no_cov_rows(y, x), lam, None)
+    return _fit_grid(y, x, PENALIZED, [TuningPoint(lam)])[0]
 
 
 @dataclass(frozen=True)
@@ -770,22 +768,22 @@ def _outer_solve(
     lam: float,
     prev: ScFit | None,
     *,
-    normal=None,
+    normal: _NormalEquations,
 ) -> ScFit:
     """The outer solve of the penalized and covariate estimators:
     ``0.5||y - X b||^2 + 0.5 lam q'b`` over the simplex, ``q`` being
     ``inner.sq_dist``, with the exactly-fit covariate rows
-    ``inner.exact_rows`` as equality rows (a penalized fit has none).
+    ``inner.exact_rows`` as equality rows (a penalized fit has none), on
+    ``normal``, the ``_normal_equations(y, x)`` that its one caller,
+    ``_fit_grid``, forms once for a whole grid.
 
-    ``lam`` must be finite and ``>= 0``.  ``prev`` is a fit of the same
-    ``x`` solved before, or None: ``_fit_path`` passes the fit at the
-    neighbouring ``lam`` on its path and, to its first solve, the fit of a
-    nearby outcome that ``selection._fit_grid`` was given (``df --fd-check``
-    passes the checked fit), and the public solvers pass None.  The solve
-    starts from ``prev.kkt.beta`` (of a model-averaged fit, its
-    synthetic-control component) when ``prev`` has the same equality rows
-    and from ``inner.cold_start`` otherwise (None: the engine's start
-    vertex).
+    ``prev`` is a fit of the same ``x`` solved before, or None:
+    ``_fit_grid`` passes the fit at the neighbouring ``lam`` on its path
+    and, to a path's first solve, the fit of a nearby outcome it was given
+    (``df --fd-check`` passes the checked fit).  The solve starts from
+    ``prev.kkt.beta`` (of a model-averaged fit, its synthetic-control
+    component) when ``prev`` has the same equality rows and from
+    ``inner.cold_start`` otherwise (None: the engine's start vertex).
     A warm start never changes the answer: the warm fit is kept only where
     its certificate is ``unique``, which pins the optimum with equality
     rows as without them, so it equals the cold fit; otherwise the point is
@@ -793,15 +791,8 @@ def _outer_solve(
     at least as numerous as the active donors minus one, the equality rows
     exert no force and the fit reduces to the plain estimator on its active
     set: the rows are dropped, the point is solved again from the start
-    vertex, and the switch is flagged as degenerate.  ``normal`` is
-    ``_normal_equations(y, x)`` when the caller computed it once for a
-    whole path of solves on ``(y, x)``, or None to form it here, once for
-    every solve of this call.
+    vertex, and the switch is flagged as degenerate.
     """
-    if not np.isfinite(lam) or lam < 0:
-        raise ConfigurationError(f"penalty parameter must be finite and >= 0, got {lam}")
-    if normal is None:
-        normal = _normal_equations(y, x)
     lin = 0.5 * lam * inner.sq_dist
 
     def _fit(eq_rows: tuple[int, ...], start, degenerate=False) -> ScFit:
@@ -824,30 +815,34 @@ def _outer_solve(
     return fit
 
 
-def _fit_path(lams, solve, prev: ScFit | None = None) -> list[ScFit]:
-    """``solve(lam, prev)`` at every penalty in ``lams``, returned in grid
-    order but solved from the largest penalty down, ``prev`` being the fit
-    solved just before; the first solve's is the ``prev`` given, the one
-    ``_outer_paths`` passes on, or None.  The solver warm-starts from
-    ``prev``; ``_outer_solve`` keeps a warm fit only where the optimum is
-    unique, so every fit equals its cold solve."""
-    lams = np.asarray(lams, dtype=float)
-    fits: list[ScFit | None] = [None] * lams.size
-    fit = prev
-    for i in np.argsort(-lams, kind="stable"):
-        fit = fits[i] = solve(float(lams[i]), fit)
-    return fits
+@dataclass(frozen=True)
+class TuningPoint:
+    """One candidate: an averaging/penalty weight, optionally a matching
+    count and/or a diagonal covariate weighting."""
+
+    lam: float
+    m: int | None = None
+    v: tuple[float, ...] | None = None
 
 
-def _outer_paths(
-    kind: str, y, x, z, d, problems, prev: ScFit | None = None
-) -> list[list[ScFit]]:
-    """For each ``(v, lams)`` of ``problems``, the ``_outer_solve`` fits of
-    ``(y, x)`` at the penalties ``lams`` for the weighting ``v`` of the
-    covariate rows ``d`` with targets ``z`` (``v`` None: no rows, the
-    penalized estimator), in ``lams`` order.  Every weighting is checked and
-    its inner problem solved (``_cov_inner``) before any outer solve; then
-    each is one ``_fit_path`` on ``X'X`` and ``X'y`` formed once for all.
+def _fit_grid(y: np.ndarray, x: np.ndarray, kind: str, points, z=None, d=None,
+              prev: ScFit | None = None) -> list[ScFit]:
+    """The fits of estimator ``kind`` at every ``TuningPoint`` of
+    ``points``, in grid order, of ``y`` on ``x`` and, for the covariate
+    kind, of the covariate target ``z`` on the rows ``d``: the package's one
+    fit door, which every public estimator, selector, the race and the CLI
+    go through.
+
+    Every tuning value is checked, and every weighting of the covariate
+    rows checked and its inner problem solved (``_cov_inner``), before any
+    outer solve.  A penalized or covariate grid's penalties are grouped by
+    weighting (a penalized grid's all in one group without rows); a plain
+    or model-averaging grid is one group without rows at ``lam = 0``.  Each
+    group is one path on ``X'X`` and ``X'y``, formed once for all: solved
+    from the largest penalty down, each solve starting from the fit solved
+    just before it and the first from ``prev``, a fit of the same kind and
+    ``x`` to a nearby outcome, or None.  ``_outer_solve`` keeps a warm fit
+    only where the optimum is unique, so every fit equals its cold solve.
 
     The outer problem sees a weighting only through its weighted rows and
     the rows its inner solution fits exactly, ``(inner.e_rows,
@@ -856,10 +851,21 @@ def _outer_paths(
     their cold start.  So a weighting whose rows and penalties were solved
     before takes those fits, each with its own ``v``, when every one of them
     is ``unique`` (the optimum, which no start changes); otherwise it is
-    solved as the first was.  ``prev`` is ``selection._fit_grid``'s, the fit
-    of a nearby outcome each path's first solve starts from, or None.
+    solved as the first was.  A model-averaging grid averages the plain fit
+    with each matching count's fit, solved once per count.
     """
     y, x = _data(y, x)
+    outer = kind in (PENALIZED, COVARIATE)
+    if not outer and kind not in (PLAIN, MASC):
+        raise ConfigurationError(f"unknown estimator kind {kind!r}")
+    runs: dict = {}  # grid indices by weighting, None for no covariate rows
+    for i, pt in enumerate(points):
+        if kind == MASC and not 0.0 <= pt.lam <= 1.0:
+            raise ConfigurationError(f"averaging weight must lie in [0, 1], got {pt.lam}")
+        if outer and not 0.0 <= pt.lam < np.inf:
+            raise ConfigurationError(f"penalty parameter must be finite and >= 0, got {pt.lam}")
+        runs.setdefault(pt.v, []).append(i)
+    problems = [(v, [points[i].lam for i in idx]) for v, idx in runs.items()] if outer else [(None, [0.0])]
     inners = [_no_cov_rows(y, x) if v is None else _cov_inner(y, x, z, d, v) for v, _ in problems]
     normal = _normal_equations(y, x)
     solved: dict = {}
@@ -869,12 +875,23 @@ def _outer_paths(
         if key in solved:
             paths.append([replace(fit, v=inner.v) for fit in solved[key]])
             continue
-        solve = functools.partial(_outer_solve, kind, y, x, inner, normal=normal)
-        fits = _fit_path(lams, solve, prev)
-        if all(fit.kkt.unique for fit in fits):
-            solved[key] = fits
-        paths.append(fits)
-    return paths
+        path, fit = [None] * len(lams), prev
+        for j in np.argsort(-np.asarray(lams, dtype=float), kind="stable"):
+            fit = path[j] = _outer_solve(kind if outer else PLAIN, y, x, inner, float(lams[j]), fit,
+                                         normal=normal)
+        if all(fit.kkt.unique for fit in path):
+            solved[key] = path
+        paths.append(path)
+    if outer:
+        fits = {}
+        for idx, path in zip(runs.values(), paths):
+            fits.update(zip(idx, path))
+        return [fits[i] for i in range(len(points))]
+    [[fit_sc]] = paths
+    if kind == PLAIN:
+        return [fit_sc] * len(points)
+    matches = {m: solve_matching(y, x, m) for m in sorted({pt.m for pt in points})}
+    return [masc_average(y, fit_sc, matches[pt.m], pt.lam) for pt in points]
 
 
 def matching_weights(y: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
@@ -917,21 +934,13 @@ def solve_masc(y: np.ndarray, x: np.ndarray, lam: float, m: int) -> ScFit:
     index sets are those of the synthetic-control component, which is the
     only piece with a nonzero derivative in the outcome.
     """
-    _check_averaging_weight(lam)
-    y, x = _data(y, x)
-    return masc_average(y, solve_sc(y, x), solve_matching(y, x, m), lam)
-
-
-def _check_averaging_weight(lam: float) -> None:
-    if not 0.0 <= lam <= 1.0:
-        raise ConfigurationError(f"averaging weight must lie in [0, 1], got {lam}")
+    return _fit_grid(y, x, MASC, [TuningPoint(lam, m=m)])[0]
 
 
 def masc_average(y: np.ndarray, fit_sc: ScFit, fit_ma: ScFit, lam: float) -> ScFit:
     """The model-averaged fit ``lam * fit_ma + (1 - lam) * fit_sc`` from a
     plain synthetic-control fit and a matching fit of the outcome ``y``, so
     a grid over ``(lam, m)`` needs one solve of each component."""
-    _check_averaging_weight(lam)
     beta = lam * fit_ma.beta + (1.0 - lam) * fit_sc.beta
     fitted = lam * fit_ma.fitted + (1.0 - lam) * fit_sc.fitted
     residuals = np.asarray(y, dtype=float).ravel() - fitted
@@ -977,19 +986,20 @@ def solve_sc_cov_inner(
     optimum.  If the nonzero-residual rows are at least as numerous as the
     active donors minus one, the equality rows exert no force at all and
     the fit reduces to the plain estimator on its active set; that
-    reduction is applied and flagged when it fires.  The first
+    reduction is applied and flagged when it fires.  The fit is a
+    one-point grid on the package's one fit door, ``_fit_grid``; the first
     stage does not depend on ``lam``, so a grid over ``lam`` at one
-    weighting needs it once (see ``selection._fit_grid``).  ``lam`` must
-    be finite and ``>= 0``, with or without covariate rows; otherwise
-    ``ConfigurationError`` is raised, as by ``solve_penalized_sc``.  It is
+    weighting needs it once there.  ``lam`` must be finite and ``>= 0``,
+    with or without covariate rows; otherwise ``ConfigurationError`` is
+    raised before any solve, as by ``solve_penalized_sc``.  It is
     raised too unless ``v`` is finite, nonnegative, not all zero and has one
     entry per covariate row.  An empty ``d`` has no rows: the fit is then
     the penalized one on the same path, and only a length-0 ``v`` is valid.
     ``ValueError`` is raised unless ``d`` has one row per entry of ``z`` and
     one column per donor.
     """
-    y, x = _data(y, x)
-    return _outer_solve(COVARIATE, y, x, _cov_inner(y, x, z, d, v), lam, None)
+    v = tuple(np.asarray(v, dtype=float).ravel())
+    return _fit_grid(y, x, COVARIATE, [TuningPoint(lam, v=v)], z, d)[0]
 
 
 def _cov_inner(y, x, z, d, v) -> _CovInner:
@@ -1081,11 +1091,16 @@ def solve_sc_cov(
     """Search the diagonal weighting over a grid, keeping the fit with the
     smallest outer residual sum of squares.  Ties go to the
     lexicographically smallest weighting.  Each weighting's fit is
-    ``solve_sc_cov_inner``'s: every inner problem is checked and solved
-    before any outer solve, and weightings that pose the same outer problem
-    share its solve (``_outer_paths``)."""
-    candidates = [np.asarray(v, dtype=float).ravel() for v in v_grid]
+    ``solve_sc_cov_inner``'s, from one ``_fit_grid`` over the weightings at
+    ``lam``, and the choice is ``_least_rss``."""
+    candidates = [tuple(np.asarray(v, dtype=float).ravel()) for v in v_grid]
     if not candidates:
         raise ConfigurationError("empty V grid")
-    fits = [fit for [fit] in _outer_paths(COVARIATE, y, x, z, d, [(v, [lam]) for v in candidates])]
+    return _least_rss(_fit_grid(y, x, COVARIATE, [TuningPoint(lam, v=v) for v in candidates], z, d))
+
+
+def _least_rss(fits) -> ScFit:
+    """The in-sample V search's choice among covariate fits at one penalty:
+    the least outer residual sum of squares, ties to the lexicographically
+    smallest weighting."""
     return min(fits, key=lambda fit: (fit.rss, tuple(fit.v)))

@@ -3,7 +3,6 @@ import os
 import subprocess
 import sys
 import warnings
-from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -25,9 +24,9 @@ from synthsel.io import (
     write_panel_csv,
 )
 from synthsel.panel import PanelDataset
-from synthsel.selection import _fit_grid, default_lambda_grid, select_lambda_ic, tuning_grid
+from synthsel.selection import default_lambda_grid, select_lambda_ic, tuning_grid
 from synthsel.simulation import BenchmarkReport, MethodResult
-from synthsel.solvers import solve_masc, solve_penalized_sc, solve_sc, solve_sc_cov_inner
+from synthsel.solvers import _fit_grid, solve_masc, solve_penalized_sc, solve_sc, solve_sc_cov_inner
 
 from conftest import random_design
 from oracles import face_dim
@@ -806,6 +805,50 @@ def test_fd_check_from_a_fit_that_is_not_unique_costs_no_more_than_cold(
     assert len(warm) == len(cold) and sum(warm) <= sum(cold)
 
 
+def test_fd_check_warm_starts_the_in_sample_v_search(tmp_path, monkeypatch, capsys):
+    # without --v the covariate fit searches the default V grid in sample;
+    # each perturbed outcome's search starts from the checked fit, which
+    # changes the work and never the finite-difference matrix
+    args = _factor_panel_csv(tmp_path / "panel.csv", seed=2)
+    gen = np.random.default_rng(2)
+    d = gen.normal(size=(3, 40))
+    z = d @ gen.dirichlet(np.ones(40)) + np.array([0.0, 0.0, 2.0])
+    cov = tmp_path / "cov.csv"
+    _write_panel(cov, None, ["cov", "treated", *(f"d{j + 1:02d}" for j in range(40))],
+                 [[f"c{i}", repr(float(z[i])), *(repr(float(c)) for c in d[i])] for i in range(3)])
+    args += ["--covariates", str(cov), "--estimator", "covariate", "--lambda", "0.3", "--fd-check"]
+    engine, oracle, fit_one = solvers.simplex_ls, cli.divergence_fd_oracle, cli._fit_one
+
+    def run(warm):
+        checked, starts, iterations, fds = [], [], [], []
+
+        def counted(*a, **kw):
+            cert = engine(*a, **kw)
+            starts.append(kw.get("start"))
+            iterations.append(cert.iterations)
+            return cert
+
+        def fd_oracle(*a, **kw):
+            fds.append(oracle(*a, **kw))
+            return fds[-1]
+
+        monkeypatch.setattr(solvers, "simplex_ls", counted)
+        monkeypatch.setattr(cli, "divergence_fd_oracle", fd_oracle)
+        monkeypatch.setattr(cli, "df_hat", lambda fit: checked.append(fit) or df_hat(fit))
+        monkeypatch.setattr(cli, "_fit_one", fit_one if warm else
+                            lambda args, panel, y=None, prev=None: fit_one(args, panel, y))
+        assert cli.main(["df", *args]) == 0
+        capsys.readouterr()
+        return checked[0], starts, iterations, fds[0].matrix
+
+    fit, starts, warm, warm_fd = run(warm=True)
+    assert fit.kkt.unique
+    assert any(start is not None and np.array_equal(start, fit.kkt.beta) for start in starts)
+    _, _, cold, cold_fd = run(warm=False)
+    assert np.array_equal(warm_fd, cold_fd)
+    assert len(warm) == len(cold) and sum(warm) <= sum(cold)
+
+
 @pytest.mark.parametrize("estimator", ["penalized", "masc", "covariate"])
 def test_fit_at_the_selected_point_is_the_selections_own_fit(tmp_path, capsys, estimator):
     # the CI's 12-period panel, and its covariate rows for the covariate estimator
@@ -895,9 +938,8 @@ def test_a_donor_free_at_zero_weight_leaves_the_face_of_the_support(tmp_path, mo
     ranked = []
     face_qr = solvers._face_qr
     monkeypatch.setattr(solvers, "_face_qr", lambda *a: ranked.append(a) or face_qr(*a))
-    inner = solvers._cov_inner(y, x, z, d, np.array([0.0, 0.0, 1.0]))
-    fits = solvers._fit_path(default_lambda_grid("covariate"),
-                             partial(solvers._outer_solve, "covariate", y, x, inner))
+    points = tuning_grid("covariate", default_lambda_grid("covariate"), v_grid=[[0.0, 0.0, 1.0]], n_cov=3)
+    fits = solvers._fit_grid(y, x, "covariate", points, z, d)
     assert ranked
     monkeypatch.undo()
     for fit in fits:

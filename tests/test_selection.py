@@ -10,7 +10,6 @@ from synthsel.dof import df_hat
 from synthsel.errors import ConfigurationError, ConvergenceError
 from synthsel.panel import PanelDataset
 from synthsel.selection import (
-    _fit_grid,
     _plain_sigma2,
     cv_holdout,
     cv_loo_untreated,
@@ -30,6 +29,7 @@ from synthsel.simulation import (
 )
 from synthsel.solvers import (
     _active_set,
+    _fit_grid,
     default_v_grid,
     solve_masc,
     solve_matching,
@@ -359,6 +359,22 @@ def _cov_panel(seed, n=10, p=4, post=4):
     d = gen.normal(size=(2, p))
     z = d @ gen.dirichlet(np.ones(p)) + np.array([0.0, 1.0])
     return PanelDataset(y=panel.y, x=panel.x, z=z, d=d, post_y=panel.post_y, post_x=panel.post_x)
+
+
+@pytest.mark.parametrize("select", [
+    lambda panel: select_lambda_ic(panel, "penalized", [-0.5, 0.0, 1.0]),
+    lambda panel: select_v_ic(panel, default_v_grid(2), [0.0, np.nan]),
+    lambda panel: cv_rolling(panel, "penalized", [1.0, -1.0]),
+], ids=["ic_penalized", "ic_v", "cv_rolling"])
+def test_bad_penalty_fails_before_any_solve(monkeypatch, select):
+    # every tuning value of a grid is checked before the engine runs, inner
+    # solves included, as a model-averaging grid's weights are
+    solves = []
+    engine = solvers.simplex_ls
+    monkeypatch.setattr(solvers, "simplex_ls", lambda *a, **k: solves.append(1) or engine(*a, **k))
+    with pytest.raises(ConfigurationError, match=r"^penalty parameter must be finite and >= 0, got "):
+        select(_cov_panel(7))
+    assert not solves
 
 
 class TestCovariateKind:

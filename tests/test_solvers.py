@@ -17,7 +17,7 @@ from synthsel import selection, solvers
 from synthsel.dof import df_hat
 from synthsel.errors import ConfigurationError, ConvergenceError
 from synthsel.panel import PanelDataset
-from synthsel.selection import _fit_grid, ic_value, select_lambda_ic, select_v_ic, tuning_grid
+from synthsel.selection import ic_value, select_lambda_ic, select_v_ic, tuning_grid
 from synthsel.simulation import draw_factor_gaussian, spawn_rng, synthetic_factor_spec
 from synthsel.solvers import (
     ActiveSets,
@@ -29,7 +29,7 @@ from synthsel.solvers import (
     _face_finish,
     _face_rows,
     _feasible_start,
-    _fit_path,
+    _fit_grid,
     _no_cov_rows,
     _normal_equations,
     _outer_solve,
@@ -437,7 +437,8 @@ class TestPenalizedPath:
         cold = solve_penalized_sc(y, x, 0.05)
         for seed in range(5):
             start = np.random.default_rng(seed).dirichlet(np.ones(12))
-            warm = _outer_solve("penalized", y, x, _no_cov_rows(y, x), 0.05, _carrying(start, cold))
+            warm = _outer_solve("penalized", y, x, _no_cov_rows(y, x), 0.05, _carrying(start, cold),
+                               normal=_normal_equations(y, x))
             np.testing.assert_allclose(warm.beta, cold.beta, rtol=0, atol=1e-12)
             assert warm.sets == cold.sets
 
@@ -455,7 +456,8 @@ class TestPenalizedPath:
         x = np.column_stack([base, base[:, 1]])
         y = base @ np.array([0.2, 0.5, 0.3])
         cold = solve_penalized_sc(y, x, 0.0)
-        warm = _outer_solve("penalized", y, x, _no_cov_rows(y, x), 0.0, _carrying(start, cold))
+        warm = _outer_solve("penalized", y, x, _no_cov_rows(y, x), 0.0, _carrying(start, cold),
+                           normal=_normal_equations(y, x))
         np.testing.assert_array_equal(warm.beta, cold.beta)
         assert warm.sets == cold.sets
 
@@ -584,7 +586,8 @@ def test_grid_path_is_bitwise_its_warm_solves_made_one_by_one(seed, shape, n_row
         fits = _fit_grid(y, x, kind, tuning_grid(kind, lams))
     prev = None
     for lam, fit in sorted(zip(lams, fits), key=lambda pair: -pair[0]):
-        alone = _outer_solve(kind, y, x, inner, lam, None if prev is None else _carrying(prev.beta, prev))
+        alone = _outer_solve(kind, y, x, inner, lam, None if prev is None else _carrying(prev.beta, prev),
+                             normal=_normal_equations(y, x))
         for got, want in [
             (fit.beta, alone.beta),
             (fit.kkt.mu, alone.kkt.mu),
@@ -969,7 +972,8 @@ class TestCovariatePath:
         inner = _cov_inner(y, x, z, d, v)
         assert inner.exact_rows == (0,)
         cold = solve_sc_cov_inner(y, x, z, d, v)
-        warm = _outer_solve("covariate", y, x, inner, 0.0, _carrying(start, cold))
+        warm = _outer_solve("covariate", y, x, inner, 0.0, _carrying(start, cold),
+                            normal=_normal_equations(y, x))
         np.testing.assert_array_equal(warm.beta, cold.beta)
         assert warm.sets == cold.sets
         assert warm.cov_eq_rows == cold.cov_eq_rows == (0,)
@@ -987,7 +991,7 @@ class TestCovariatePath:
         v = np.array([0.5, 0.25, 0.25])
         lams = np.concatenate([[0.0], np.geomspace(0.0125, 10.0, 9)])
         inner = _cov_inner(y, x, z, d, v)
-        fits = _fit_path(lams, partial(_outer_solve, "covariate", y, x, inner))
+        fits = _fit_grid(y, x, "covariate", tuning_grid("covariate", lams, v_grid=[v], n_cov=3), z, d)
         reduced = [fit.kkt.degenerate for fit in fits]
         assert inner.exact_rows == (0,)
         assert reduced[-1] and not reduced[0]
@@ -1084,7 +1088,7 @@ def test_v_path_equals_pointwise_cold_solves(seed, shape):
     scores = select_v_ic(PanelDataset(y=y, x=x, z=z, d=d), v_grid, lams, sigma2=1.0).scores
     cold_scores = []
     for v in v_grid:
-        path = _fit_path(lams, partial(_outer_solve, "covariate", y, x, _cov_inner(y, x, z, d, v)))
+        path = _fit_grid(y, x, "covariate", tuning_grid("covariate", lams, v_grid=[v], n_cov=n_cov), z, d)
         for lam, fit in zip(lams, path):
             cold = solve_sc_cov_inner(y, x, z, d, v, lam=lam)
             np.testing.assert_allclose(fit.beta, cold.beta, rtol=0, atol=1e-12)
@@ -1185,7 +1189,7 @@ def test_covariate_fit_with_only_vacuous_rows_is_the_penalized_fit(seed, shape):
     n_cov = int(gen.integers(1, 4))
     z, d, v = np.zeros(n_cov), np.zeros((n_cov, x.shape[1])), gen.dirichlet(np.ones(n_cov))
     lams = gen.permutation(np.concatenate([[0.0], np.geomspace(0.0125, 10.0, int(gen.integers(3, 9)))]))
-    path = _fit_path(lams, partial(_outer_solve, "covariate", y, x, _cov_inner(y, x, z, d, v)))
+    path = _fit_grid(y, x, "covariate", tuning_grid("covariate", lams, v_grid=[v], n_cov=n_cov), z, d)
     grid = _fit_grid(y, x, "penalized", tuning_grid("penalized", lams))
     for lam, fit, on_grid in zip(lams, path, grid):
         alone = solve_sc_cov_inner(y, x, z, d, v, lam=lam)
