@@ -34,6 +34,7 @@ from .solvers import (
     PLAIN,
     TuningPoint,
     _fit_grid,
+    _MascGrid,
     default_v_grid,
     solve_sc,
 )
@@ -104,14 +105,14 @@ def tuning_grid(
 ) -> tuple[TuningPoint, ...]:
     """The candidate list for one estimator kind, m-major for model
     averaging and V-major for the covariate estimator, whose default V grid
-    is ``default_v_grid(n_cov)``."""
+    is ``default_v_grid(n_cov)``.  Matching counts are kept as given."""
     lams = default_lambda_grid(kind) if lambdas is None else np.asarray(lambdas, dtype=float)
     if kind == MASC:
         if m_grid is None:
             if n_donors is None:
                 raise ConfigurationError("the matching-count grid needs the donor count")
             m_grid = range(1, min(10, n_donors) + 1)
-        points = tuple(TuningPoint(float(l), m=int(m)) for m in m_grid for l in lams)
+        points = tuple(TuningPoint(float(l), m=m) for m in m_grid for l in lams)
     elif kind == COVARIATE:
         if not n_cov:
             raise ConfigurationError("the covariate estimator needs covariates in the panel")
@@ -162,11 +163,14 @@ def _ic_select(
     points, fits, y: np.ndarray, x: np.ndarray, sigma2: float | None = None
 ) -> SelectionResult:
     """The information-criterion selection over ``fits``, the fits of ``y``
-    on ``x`` at the grid ``points``: each scored by ``ic_value`` of its
-    ``rss`` and ``df_hat``, with the noise variance ``sigma2`` or, when it
-    is None, ``sigma2_hat`` read off the fits (``_plain_sigma2``)."""
+    on ``x`` at the grid ``points``: ``ic_value``'s arithmetic on their RSS
+    and ``df_hat`` vectors (a model-averaging grid's own, ``_MascGrid``),
+    with the noise variance ``sigma2`` or, when it is None, ``sigma2_hat``
+    read off the fits (``_plain_sigma2``)."""
     s2 = _plain_sigma2(y, x, fits) if sigma2 is None else float(sigma2)
-    return _select(points, [ic_value(fit.rss, s2, _dof(fit)[0]) for fit in fits], s2, METHOD_SURE)
+    rss, df = ((fits.rss, _dof(fits)[0]) if isinstance(fits, _MascGrid)
+               else np.array([(fit.rss, _dof(fit)[0]) for fit in fits]).T)
+    return _select(points, rss + 2.0 * s2 * df, s2, METHOD_SURE)
 
 
 def select_lambda_ic(
@@ -180,7 +184,9 @@ def select_lambda_ic(
 ) -> SelectionResult:
     """Score every grid point by the information criterion and pick the
     minimizer.  The tuning parameter enters both directly and through the
-    active-set size of each refit."""
+    active-set size of each refit.  ``sigma2`` must be finite and >= 0."""
+    if sigma2 is not None and not 0.0 <= sigma2 < math.inf:
+        raise ConfigurationError(f"noise variance sigma2 must be finite and >= 0, got {sigma2}")
     points = tuning_grid(estimator_kind, grid, m_grid, v_grid, n_donors=panel.p, n_cov=panel.n_cov)
     fits = _fit_grid(panel.y, panel.x, estimator_kind, points, panel.z, panel.d)
     return _ic_select(points, fits, panel.y, panel.x, sigma2)

@@ -32,6 +32,7 @@ import importlib.util
 import itertools
 import os
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -826,7 +827,7 @@ class TuningPoint:
 
 
 def _fit_grid(y: np.ndarray, x: np.ndarray, kind: str, points, z=None, d=None,
-              prev: ScFit | None = None) -> list[ScFit]:
+              prev: ScFit | None = None) -> Sequence[ScFit]:
     """The fits of estimator ``kind`` at every ``TuningPoint`` of
     ``points``, in grid order, of ``y`` on ``x`` and, for the covariate
     kind, of the covariate target ``z`` on the rows ``d``: the package's one
@@ -851,8 +852,8 @@ def _fit_grid(y: np.ndarray, x: np.ndarray, kind: str, points, z=None, d=None,
     their cold start.  So a weighting whose rows and penalties were solved
     before takes those fits, each with its own ``v``, when every one of them
     is ``unique`` (the optimum, which no start changes); otherwise it is
-    solved as the first was.  A model-averaging grid averages the plain fit
-    with each matching count's fit, solved once per count.
+    solved as the first was.  A model-averaging grid is the plain fit's
+    ``_MascGrid``, which averages it with each matching count's fit.
     """
     y, x = _data(y, x)
     outer = kind in (PENALIZED, COVARIATE)
@@ -865,6 +866,8 @@ def _fit_grid(y: np.ndarray, x: np.ndarray, kind: str, points, z=None, d=None,
         if outer and not 0.0 <= pt.lam < np.inf:
             raise ConfigurationError(f"penalty parameter must be finite and >= 0, got {pt.lam}")
         runs.setdefault(pt.v, []).append(i)
+    for m in dict.fromkeys(pt.m for pt in points) if kind == MASC else ():
+        _matching_count(m, x.shape[1])
     problems = [(v, [points[i].lam for i in idx]) for v, idx in runs.items()] if outer else [(None, [0.0])]
     inners = [_no_cov_rows(y, x) if v is None else _cov_inner(y, x, z, d, v) for v, _ in problems]
     normal = _normal_equations(y, x)
@@ -888,26 +891,29 @@ def _fit_grid(y: np.ndarray, x: np.ndarray, kind: str, points, z=None, d=None,
             fits.update(zip(idx, path))
         return [fits[i] for i in range(len(points))]
     [[fit_sc]] = paths
-    if kind == PLAIN:
-        return [fit_sc] * len(points)
-    matches = {m: solve_matching(y, x, m) for m in sorted({pt.m for pt in points})}
-    return [masc_average(y, fit_sc, matches[pt.m], pt.lam) for pt in points]
+    return [fit_sc] * len(points) if kind == PLAIN else _MascGrid(y, x, fit_sc, points)
 
 
 def matching_weights(y: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
     """Uniform weight 1/m on the m nearest donors (ties by lowest index).
-    ``ConfigurationError`` names a non-finite entry of ``y`` or ``x``."""
+    ``ConfigurationError`` names a bad ``m`` or non-finite ``y`` or ``x``."""
     y, x = _data(y, x)
-    p = x.shape[1]
-    if not 1 <= m <= p:
-        raise ConfigurationError(f"matching count m={m} outside 1..{p}")
+    m = _matching_count(m, x.shape[1])
     _check_finite("target", y)
     _check_finite("design", x)
-    dist = donor_sq_distances(y, x)
-    order = np.argsort(dist, kind="stable")
-    beta = np.zeros(p)
-    beta[order[:m]] = 1.0 / m
-    return beta
+    return _nearest(np.argsort(donor_sq_distances(y, x), kind="stable"), m)
+
+
+def _matching_count(m, p: int) -> int:
+    """``m`` as an int; ``ConfigurationError`` unless it is integral in 1..p."""
+    if m not in range(1, p + 1):
+        raise ConfigurationError(f"matching count m={m} is not an integer in 1..{p}")
+    return int(m)
+
+
+def _nearest(order: np.ndarray, m: int) -> np.ndarray:
+    """Uniform weight 1/m on the first m donors of ``order``."""
+    return np.bincount(order[:m], minlength=order.shape[0]) / m
 
 
 def solve_matching(y: np.ndarray, x: np.ndarray, m: int) -> ScFit:
@@ -937,16 +943,34 @@ def solve_masc(y: np.ndarray, x: np.ndarray, lam: float, m: int) -> ScFit:
     return _fit_grid(y, x, MASC, [TuningPoint(lam, m=m)])[0]
 
 
-def masc_average(y: np.ndarray, fit_sc: ScFit, fit_ma: ScFit, lam: float) -> ScFit:
-    """The model-averaged fit ``lam * fit_ma + (1 - lam) * fit_sc`` from a
-    plain synthetic-control fit and a matching fit of the outcome ``y``, so
-    a grid over ``(lam, m)`` needs one solve of each component."""
-    beta = lam * fit_ma.beta + (1.0 - lam) * fit_sc.beta
-    fitted = lam * fit_ma.fitted + (1.0 - lam) * fit_sc.fitted
-    residuals = np.asarray(y, dtype=float).ravel() - fitted
-    return ScFit(kind=MASC, beta=beta, fitted=fitted, residuals=residuals, sets=fit_sc.sets,
-                 kkt=fit_sc.kkt, donor_sq_distances=fit_sc.donor_sq_distances, lam=float(lam),
-                 m=int(fit_ma.m), v=fit_sc.v, cov_eq_rows=fit_sc.cov_eq_rows)
+class _MascGrid(Sequence):
+    """The model-averaging fits ``lam * (x @ w_m) + (1 - lam) * fit_sc`` at
+    ``points``, ``w_m`` from one stable sort of the plain fit's donor
+    distances: ``fitted`` and ``residuals`` are (points x n) arrays, ``rss``
+    their rows' dot products, and a point's ``ScFit`` is built when indexed.
+    With its ``kind``, ``kkt`` and vector ``lam``, ``dof._dof`` reads it as
+    one fit and gives the df vector."""
+
+    kind = MASC
+
+    def __init__(self, y: np.ndarray, x: np.ndarray, fit_sc: ScFit, points):
+        order = np.argsort(fit_sc.donor_sq_distances, kind="stable")
+        self.matching = {m: _nearest(order, m) for m in {int(pt.m) for pt in points}}
+        matched = {m: x @ w for m, w in self.matching.items()}
+        self.plain, self.kkt, self.points = fit_sc, fit_sc.kkt, tuple(points)
+        self.lam = np.array([pt.lam for pt in self.points], dtype=float)
+        lam = self.lam[:, None]
+        self.fitted = lam * np.array([matched[int(pt.m)] for pt in self.points]) + (1.0 - lam) * fit_sc.fitted
+        self.residuals = y - self.fitted
+        self.rss = np.array([r.dot(r) for r in self.residuals])
+
+    def __len__(self) -> int:
+        return len(self.points)
+
+    def __getitem__(self, i: int) -> ScFit:
+        pt, sc = self.points[i], self.plain
+        return replace(sc, kind=MASC, beta=pt.lam * self.matching[int(pt.m)] + (1.0 - pt.lam) * sc.beta,
+                       fitted=self.fitted[i], residuals=self.residuals[i], lam=float(pt.lam), m=int(pt.m))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ QR (and so is the uniqueness condition built on it), and the KKT
 reference solves the working-set system densely by ``lstsq`` instead of by
 the null-space method.  The warm-start check is kept in its first form,
 one pass over the start per condition, for the engine's to be compared
-against.
+against.  The model-averaged fit is its first form, one average of two
+component fits per grid point.
 """
 
 import numpy as np
@@ -148,3 +149,25 @@ def feasible_start(start, p, sum_to):
     if abs(total - sum_to) > tol:
         raise ConfigurationError(f"start sums to {total:.12g}, expected {sum_to:.12g}")
     return beta
+
+
+def masc_average(y, fit_sc, fit_ma, lam):
+    """The fields of the model-averaged fit ``lam * fit_ma + (1 - lam) *
+    fit_sc``, from a plain synthetic-control fit and a matching fit of the
+    outcome ``y``: weights and fitted values averaged elementwise, residuals
+    ``y - fitted``, and the rest the plain component's, the only piece with
+    a nonzero derivative in ``y``."""
+    fitted = lam * fit_ma.fitted + (1.0 - lam) * fit_sc.fitted
+    return {
+        "kind": "masc",
+        "beta": lam * fit_ma.beta + (1.0 - lam) * fit_sc.beta,
+        "fitted": fitted,
+        "residuals": np.asarray(y, dtype=float).ravel() - fitted,
+        "sets": fit_sc.sets,
+        "kkt": fit_sc.kkt,
+        "donor_sq_distances": fit_sc.donor_sq_distances,
+        "lam": float(lam),
+        "m": int(fit_ma.m),
+        "v": fit_sc.v,
+        "cov_eq_rows": fit_sc.cov_eq_rows,
+    }

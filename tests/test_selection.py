@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -39,6 +40,7 @@ from synthsel.solvers import (
 )
 
 from conftest import make_instance, random_design
+from oracles import masc_average
 
 
 def _panel(seed=0, n=12, p=6, noise=0.4, post=0):
@@ -375,6 +377,108 @@ def test_bad_penalty_fails_before_any_solve(monkeypatch, select):
     with pytest.raises(ConfigurationError, match=r"^penalty parameter must be finite and >= 0, got "):
         select(_cov_panel(7))
     assert not solves
+
+
+@pytest.mark.parametrize("m_grid, shown", [
+    ([1, 0], "m=0"), ([7], "m=7"), ([2.5], "m=2.5"), ([None], "m=None"), ([np.nan], "m=nan"),
+])
+def test_bad_matching_count_fails_before_any_solve(monkeypatch, m_grid, shown):
+    # a count that is not an integral value in 1..p is refused by name, as a
+    # bad averaging weight is, before the plain component is solved
+    panel = _panel(7, p=6, post=4)
+    assert tuning_grid("masc", [0.5], m_grid)[-1].m is m_grid[-1]  # kept as given, not truncated
+    solves = []
+    engine = solvers.simplex_ls
+    monkeypatch.setattr(solvers, "simplex_ls", lambda *a, **k: solves.append(1) or engine(*a, **k))
+    match = rf"^matching count {re.escape(shown)} is not an integer in 1\.\.6$"
+    with pytest.raises(ConfigurationError, match=match):
+        select_lambda_ic(panel, "masc", [0.0, 0.5], m_grid=m_grid)
+    with pytest.raises(ConfigurationError, match=match):
+        cv_rolling(panel, "masc", [0.0, 0.5], m_grid=m_grid)
+    with pytest.raises(ConfigurationError, match=match):
+        solve_masc(panel.y, panel.x, 0.5, m_grid[-1])
+    with pytest.raises(ConfigurationError, match=match):
+        solvers.matching_weights(panel.y, panel.x, m_grid[-1])
+    assert not solves
+
+
+@pytest.mark.parametrize("sigma2", [np.nan, np.inf, -1.0])
+@pytest.mark.parametrize("select", [
+    lambda panel, s2: select_lambda_ic(panel, "penalized", sigma2=s2),
+    lambda panel, s2: select_lambda_ic(panel, "masc", sigma2=s2),
+    lambda panel, s2: select_v_ic(panel, default_v_grid(2), [0.0, 1.0], sigma2=s2),
+], ids=["ic_penalized", "ic_masc", "ic_v"])
+def test_bad_noise_variance_fails_before_any_solve(monkeypatch, select, sigma2):
+    solves = []
+    engine = solvers.simplex_ls
+    monkeypatch.setattr(solvers, "simplex_ls", lambda *a, **k: solves.append(1) or engine(*a, **k))
+    match = rf"^noise variance sigma2 must be finite and >= 0, got {re.escape(str(sigma2))}$"
+    with pytest.raises(ConfigurationError, match=match):
+        select(_cov_panel(7), sigma2)
+    assert not solves
+
+
+def _recorded(f, name, calls):
+    """``f``, appending ``name`` to ``calls`` at each call."""
+    def recorded(*args, **kwargs):
+        calls.append(name)
+        return f(*args, **kwargs)
+    return recorded
+
+
+def _assert_same_bits(got, want, name):
+    """``got`` equals ``want`` bit for bit: arrays by shape, dtype and bytes,
+    dataclasses field by field, anything else by ``==`` and type."""
+    if dataclasses.is_dataclass(want):
+        assert type(got) is type(want), name
+        for f in dataclasses.fields(want):
+            _assert_same_bits(getattr(got, f.name), getattr(want, f.name), f"{name}.{f.name}")
+    elif isinstance(want, np.ndarray):
+        assert (got.shape, got.dtype, got.tobytes()) == (want.shape, want.dtype, want.tobytes()), name
+    else:
+        assert type(got) is type(want) and got == want, name
+
+
+@pytest.mark.filterwarnings("ignore:donor columns are exact duplicates")
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    shape=st.sampled_from(["tall", "wide", "duplicated"]),
+    m_draws=st.lists(st.integers(0, 1000), min_size=1, max_size=5),
+    inner=st.lists(st.floats(0.0, 1.0), max_size=4),
+)
+def test_masc_grid_equals_the_average_of_its_component_fits(seed, shape, m_draws, inner):
+    """Every field of every point of a model-averaging grid, unsorted and
+    repeated counts included, and every IC score equal the average of the
+    separately solved plain and matching fits (``oracles.masc_average``) bit
+    for bit, and the IC solves plain synthetic control once and runs no
+    matching estimator."""
+    y, x = random_design(np.random.default_rng(seed), shape)
+    m_grid = [1 + k % x.shape[1] for k in m_draws]
+    lams = [1.0, *inner, 0.0]
+    panel = PanelDataset(y=y, x=x)
+    try:
+        fit_sc = solve_sc(y, x)
+    except ConvergenceError as exc:  # the grid's own plain solve fails as solve_sc does
+        with pytest.raises(ConvergenceError, match=re.escape(str(exc))):
+            select_lambda_ic(panel, "masc", lams, m_grid=m_grid)
+        return
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("simplex_ls", "solve_matching"):
+            mp.setattr(solvers, name, _recorded(getattr(solvers, name), name, calls))
+        res = select_lambda_ic(panel, "masc", lams, m_grid=m_grid)
+    assert calls == ["simplex_ls"]
+    s2 = sigma2_hat(y, x)
+    assert res.sigma2_hat == s2
+    fits = _fit_grid(y, x, "masc", res.grid)
+    assert len(fits) == len(res.grid) == len(list(fits))
+    for pt, fit, score in zip(res.grid, fits, res.scores):
+        want = masc_average(y, fit_sc, solve_matching(y, x, pt.m), pt.lam)
+        for name, value in want.items():
+            _assert_same_bits(getattr(fit, name), value, name)
+        resid = want["residuals"]
+        assert score == ic_value(float(resid @ resid), s2, (1.0 - pt.lam) * want["kkt"].face_dim)
 
 
 class TestCovariateKind:
