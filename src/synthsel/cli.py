@@ -26,6 +26,7 @@ from .solvers import (
     PENALIZED,
     PLAIN,
     ScFit,
+    _FitGrid,
     _fit_grid,
     _least_rss,
 )
@@ -70,10 +71,11 @@ def _load(args) -> pio.LoadedPanel:
     return pio.preprocess_loaded(loaded, ma_window=args.ma_window, demean=args.demean)
 
 
-def _fit_one(args, panel: PanelDataset, y=None, prev=None) -> ScFit:
-    """The chosen estimator's fit of the outcome ``y`` (None: the panel's
-    own) against the panel's already-validated donors and covariates, on
-    the package's one fit door, ``solvers._fit_grid``, started from
+def _fit_point(args, panel: PanelDataset, y=None, prev=None) -> tuple[_FitGrid, int]:
+    """The grid and the index of the chosen estimator's fit of the outcome
+    ``y`` (None: the panel's own) against the panel's already-validated
+    donors and covariates, on the package's one fit door,
+    ``solvers._fit_grid``, started from
     ``prev``, a fit of the same estimator to a nearby outcome, or cold when
     it is None.  A solve keeps a warm fit only where it equals the cold one,
     so ``prev`` changes the work and never the fit.  The grid is the one
@@ -92,11 +94,18 @@ def _fit_one(args, panel: PanelDataset, y=None, prev=None) -> ScFit:
             raise ConfigurationError(f"cannot parse --v {args.v!r}: {exc}")
     points = selection.tuning_grid(kind, [args.lam], [args.m], v_grid, n_cov=panel.n_cov)
     fits = _fit_grid(y, panel.x, kind, points, panel.z, panel.d, prev=prev)
-    return _least_rss(fits) if kind == COVARIATE else fits[0]
+    return fits, _least_rss(fits) if kind == COVARIATE else 0
 
 
-def _fit_report(fit: ScFit, loaded: pio.LoadedPanel, panel: PanelDataset) -> dict:
-    s2 = selection._plain_sigma2(panel.y, panel.x, [fit])
+def _fit_one(args, panel: PanelDataset, y=None, prev=None) -> ScFit:
+    """The fit ``_fit_point`` chooses."""
+    fits, i = _fit_point(args, panel, y, prev)
+    return fits[i]
+
+
+def _fit_report(fit: ScFit, plain_residuals, loaded: pio.LoadedPanel, panel: PanelDataset) -> dict:
+    """``fit``'s report; ``plain_residuals`` are its grid's (``_FitGrid``)."""
+    s2 = selection._plain_sigma2(panel.y, panel.x, plain_residuals)
     report = df_hat(fit)
     results = {
         "estimator": fit.kind,
@@ -172,8 +181,9 @@ def _curve_csv(path: str, res: selection.SelectionResult) -> None:
 def _cmd_fit(args) -> dict:
     loaded = _load(args)
     panel = loaded.dataset
-    fit = _fit_one(args, panel)
-    results = _fit_report(fit, loaded, panel)
+    fits, chosen = _fit_point(args, panel)
+    fit = fits[chosen]
+    results = _fit_report(fit, fits.plain_residuals, loaded, panel)
     if args.fitted_csv:
         pio.write_csv(
             args.fitted_csv,

@@ -89,21 +89,28 @@ class DofReport:
 # ---------------------------------------------------------------------------
 
 
+def _df_scale(kind: str, lam):
+    """The module docstring's scale of a fit of ``kind`` at ``lam``: a
+    number, or a vector for a grid's vector of ``lam``."""
+    if kind == PLAIN:
+        return 1.0
+    if kind in (PENALIZED, COVARIATE):
+        return 1.0 + lam
+    if kind == MASC:
+        return 1.0 - lam
+    raise ConfigurationError(f"unknown fit kind {kind}")
+
+
 def _df_rule(fit: ScFit) -> tuple[float, str]:
-    """The scale and case of the module docstring's rule for a fit with a
-    local least-squares problem.  A covariate fit's exactly-fit positively
-    weighted rows bind unless ``solvers._covariate_rows_idle`` holds, in
-    which case the covariate side exerts no force and the outer solve
-    drops them."""
-    if fit.kind == PLAIN:
-        return 1.0, CASE_PLAIN
-    if fit.kind == PENALIZED:
-        return 1.0 + fit.lam, CASE_PENALIZED
-    if fit.kind == MASC:
-        return 1.0 - fit.lam, CASE_MASC
+    """The scale (``_df_scale``) and case of the module docstring's rule
+    for a fit with a local least-squares problem.  A covariate fit's
+    exactly-fit positively weighted rows bind unless
+    ``solvers._covariate_rows_idle`` holds, in which case the covariate
+    side exerts no force and the outer solve drops them."""
+    scale = _df_scale(fit.kind, fit.lam)
     if fit.kind == COVARIATE:
-        return 1.0 + fit.lam, CASE_COV_MANY if _covariate_rows_idle(fit) else CASE_COV_FEW
-    raise ConfigurationError(f"unknown fit kind {fit.kind}")
+        return scale, CASE_COV_MANY if _covariate_rows_idle(fit.sets) else CASE_COV_FEW
+    return scale, {PLAIN: CASE_PLAIN, PENALIZED: CASE_PENALIZED, MASC: CASE_MASC}[fit.kind]
 
 
 def divergence(fit: ScFit, x: np.ndarray, d: np.ndarray | None = None) -> DivergenceMatrix:

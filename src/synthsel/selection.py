@@ -7,10 +7,11 @@ The information criterion is the unbiased-risk estimate
 
 with ``sigma2_hat`` always taken from the unpenalized synthetic control
 residuals, regardless of which candidate is being scored.  The
-penalized and model-averaged IC selectors read it off their own grid's fit
-at ``lam = 0``, which is the one ``solve_sc`` returns (``_plain_sigma2``),
-so plain synthetic control is solved once for them, and solve it
-separately only when the grid has no zero.  Every selector takes every
+IC selectors read it off their own grid (``_plain_sigma2``): a
+model-averaging grid's plain solution, or a penalized grid's fit at ``lam =
+0``, which is the one ``solve_sc`` returns.  So plain synthetic control is
+solved once for them, and separately only for a penalized grid without a
+zero or a covariate grid.  Every selector takes every
 estimator kind: ``tuning_grid`` lists its points, ``(m, lam)`` or
 ``(V, lam)``, and the package's one fit door, ``solvers._fit_grid``,
 fits them.  All selectors return the grid, the per-point scores and the
@@ -26,7 +27,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .panel import PanelDataset
-from .dof import _dof
+from .dof import _df_scale
 from .solvers import (
     COVARIATE,
     MASC,
@@ -34,7 +35,6 @@ from .solvers import (
     PLAIN,
     TuningPoint,
     _fit_grid,
-    _MascGrid,
     default_v_grid,
     solve_sc,
 )
@@ -133,22 +133,20 @@ def tuning_grid(
 
 def sigma2_hat(y: np.ndarray, x: np.ndarray) -> float:
     """Mean squared residual of the unpenalized synthetic control fit."""
-    return _plain_sigma2(y, x, ())
+    return _plain_sigma2(y, x)
 
 
-def _plain_sigma2(y: np.ndarray, x: np.ndarray, fits) -> float:
-    """``sigma2_hat(y, x)``, bit for bit, read off the first of ``fits``
-    (fits of ``y`` on ``x``) that is ``solve_sc``'s own fit; ``solve_sc``
-    runs only when none is.
-
-    Those are a plain fit; a model-averaged fit at ``lam = 0``, whose
-    residuals are its plain component's; and a penalized fit at ``lam = 0``,
-    which is ``solve_sc``'s cold solve: ``solve_sc`` is a one-point plain
-    grid on the same door, ``solvers._fit_grid``, and a path keeps a warm
-    fit only where it equals its cold solve.
+def _plain_sigma2(y: np.ndarray, x: np.ndarray, resid: np.ndarray | None = None) -> float:
+    """``sigma2_hat(y, x)``, bit for bit: the mean square of ``resid``, the
+    residuals of ``solve_sc``'s own fit of ``y`` on ``x`` where the caller
+    holds them (a grid's ``plain_residuals``), and ``solve_sc`` runs only
+    when it is None.  ``solve_sc`` is a one-point plain grid on the same
+    door, ``solvers._fit_grid``, so its residuals are a plain grid's, a
+    model-averaging grid's plain solution's and a penalized grid's at
+    ``lam = 0``, which is the same cold solve: a path keeps a warm fit only
+    where it equals its cold solve.
     """
-    fit = next((fit for fit in fits if fit.lam == 0.0 and fit.kind in (PLAIN, PENALIZED, MASC)), None)
-    return float(np.mean((solve_sc(y, x) if fit is None else fit).residuals ** 2))
+    return float(np.mean((solve_sc(y, x).residuals if resid is None else resid) ** 2))
 
 
 def ic_value(rss: float, sigma2: float, df: float) -> float:
@@ -162,15 +160,14 @@ def ic_value(rss: float, sigma2: float, df: float) -> float:
 def _ic_select(
     points, fits, y: np.ndarray, x: np.ndarray, sigma2: float | None = None
 ) -> SelectionResult:
-    """The information-criterion selection over ``fits``, the fits of ``y``
-    on ``x`` at the grid ``points``: ``ic_value``'s arithmetic on their RSS
-    and ``df_hat`` vectors (a model-averaging grid's own, ``_MascGrid``),
-    with the noise variance ``sigma2`` or, when it is None, ``sigma2_hat``
-    read off the fits (``_plain_sigma2``)."""
-    s2 = _plain_sigma2(y, x, fits) if sigma2 is None else float(sigma2)
-    rss, df = ((fits.rss, _dof(fits)[0]) if isinstance(fits, _MascGrid)
-               else np.array([(fit.rss, _dof(fit)[0]) for fit in fits]).T)
-    return _select(points, rss + 2.0 * s2 * df, s2, METHOD_SURE)
+    """The information-criterion selection over ``fits``, the grid record
+    of ``y`` on ``x`` at ``points`` (``solvers._FitGrid``): ``ic_value``'s
+    arithmetic on its RSS and ``df_hat`` vectors, with the noise variance
+    ``sigma2`` or, when it is None, ``sigma2_hat`` read off the grid
+    (``_plain_sigma2``)."""
+    s2 = _plain_sigma2(y, x, fits.plain_residuals) if sigma2 is None else float(sigma2)
+    df = _df_scale(fits.kind, fits.lam) * fits.face_dim
+    return _select(points, fits.rss + 2.0 * s2 * df, s2, METHOD_SURE)
 
 
 def select_lambda_ic(
@@ -212,11 +209,12 @@ def select_v_ic(
 def _cv_select(kind: str, points, folds, method: str) -> SelectionResult:
     """Fit the grid on each fold's training part, score the mean squared
     forecast error on its test part and average over the folds; a fold is
-    ``(y_train, x_train, z_train, d_train, y_test, x_test)``."""
+    ``(y_train, x_train, z_train, d_train, y_test, x_test)``.  Each
+    point's forecast is ``x_test @ beta`` of its row of the grid record."""
     totals = np.zeros(len(points))
     for y_tr, x_tr, z, d, y_te, x_te in folds:
-        fits = _fit_grid(y_tr, x_tr, kind, points, z, d)
-        totals += [float(np.mean((y_te - x_te @ fit.beta) ** 2)) for fit in fits]
+        forecasts = np.array([x_te @ beta for beta in _fit_grid(y_tr, x_tr, kind, points, z, d).beta])
+        totals += np.mean((y_te - forecasts) ** 2, axis=1)
     return _select(points, totals / len(folds), None, method)
 
 

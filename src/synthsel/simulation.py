@@ -536,7 +536,7 @@ def _race_row(sel: SelectionResult | None, fits, y_post, x_post, n_pre: int, tru
     if sel is None:
         return (None,) * 6
     idx = sel.chosen
-    tau_path = y_post - x_post @ fits[idx].beta
+    tau_path = y_post - x_post @ fits.beta[idx]
     taus = (float(tau_path[0]) ** 2, float(np.mean(tau_path[: min(12, len(y_post))])) ** 2)
     if truth is None:
         return (*taus, None, None, None, None)
@@ -640,10 +640,9 @@ def run_selection_benchmark(
         if has_truth:
             means = _conditional_mean(draw, blp)
             means_pre, means_post = means[:n_pre], means[n_pre:]
-            risk_curve = np.array([float(np.sum((f.fitted - means_pre) ** 2)) for f in fits])
-            cv_truth_curve = np.array(
-                [float(np.mean((x_post @ f.beta - means_post) ** 2)) + sigma2_true for f in fits]
-            )
+            risk_curve = np.sum((fits.fitted - means_pre) ** 2, axis=1)
+            forecasts = np.array([x_post @ beta for beta in fits.beta])
+            cv_truth_curve = np.mean((forecasts - means_post) ** 2, axis=1) + sigma2_true
             truth = (_select(points, risk_curve, None, METHOD_RISK), risk_curve, cv_truth_curve)
 
         for method in methods:

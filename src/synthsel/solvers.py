@@ -114,8 +114,9 @@ def default_active_tol(beta: np.ndarray) -> float:
 
 
 def _active_set(beta: np.ndarray) -> tuple[int, ...]:
-    """Indices of the entries of ``beta`` above ``default_active_tol``."""
-    return tuple((beta > default_active_tol(beta)).nonzero()[0].tolist())
+    """Indices of the entries of ``beta``, nonnegative and not empty, above
+    ``default_active_tol``, which is then ``1e-8 * (1 + max b)``."""
+    return tuple((beta > 1e-8 * (1.0 + float(beta.max()))).nonzero()[0].tolist())
 
 
 @dataclass(frozen=True)
@@ -403,6 +404,8 @@ def simplex_ls(
     ``_normal`` is internal to the package: ``_normal_equations(target,
     design)`` when the caller already holds it, as a path of solves on one
     design does (see ``_fit_grid``); the result is the same either way.
+    Such a caller has coerced and checked ``target``, ``design`` and
+    ``lin`` (a float vector or None) itself, so they are taken as given.
     It keeps the ``_face_factor`` of the face the last solve ended on, which
     does not depend on ``lin``, for the next solve to finish again.
 
@@ -411,14 +414,15 @@ def simplex_ls(
     support is ranked on its own (``_face_qr``), unless the free face has
     no null columns, in which case neither has.
     """
-    y, x = _data(target, design)
+    y, x, normal = target, design, _normal
+    if normal is None:
+        y, x = _data(target, design)
+        _check_args(x.shape[1], lin, sum_to, eq_mat, eq_rhs)
+        normal = _normal_equations(y, x)
+        lin = None if lin is None else np.asarray(lin, dtype=float).ravel()
     p = x.shape[1]
-    if _normal is None:
-        _check_args(p, lin, sum_to, eq_mat, eq_rhs)
-    normal = _normal_equations(y, x) if _normal is None else _normal
     gram, g0 = normal.gram, normal.xty
     if lin is not None:
-        lin = np.asarray(lin, dtype=float).ravel()
         g0, lin = g0 - lin, lin if lin.any() else None
 
     a_mat, rhs, rows_key = normal.sum_row
@@ -475,12 +479,10 @@ def simplex_ls(
             beta, blocking = _step_to_bound(beta, direction, falling)
             free[blocking] = False
             continue
-        cand = np.zeros(p)
-        cand[f_idx] = cand_f
         feas_tol = _FEAS_TOL * max(1.0, _absmax(cand_f))
         if cand_f.min() >= -feas_tol:
-            # cand is zero off the free set, so this zeroes the bound entries
-            beta = np.maximum(cand, 0.0)
+            beta = np.zeros(p)
+            beta[f_idx] = np.maximum(cand_f, 0.0)
             grad = gram @ beta - g0
             xi = pinv.T @ -grad.take(f_idx)
             resid = grad + a_mat.T @ xi
@@ -525,8 +527,9 @@ def simplex_ls(
                 release = int(mu.argmax())
             free[release] = True
         else:
-            neg_idx = (free & (cand < 0.0)).nonzero()[0]
-            beta, blocking = _step_to_bound(beta, cand - beta, neg_idx)
+            cand = np.zeros(p)
+            cand[f_idx] = cand_f
+            beta, blocking = _step_to_bound(beta, cand - beta, f_idx[cand_f < 0.0])
             free[blocking] = False
 
     # stationarity on the free set; the bound set's multipliers give the gap
@@ -677,39 +680,6 @@ def donor_sq_distances(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->j", diff, diff)
 
 
-def _build_fit(
-    kind: str,
-    y: np.ndarray,
-    x: np.ndarray,
-    cert: KktCertificate,
-    *,
-    sq_dist: np.ndarray | None = None,
-    m_rows: tuple[int, ...] = (),
-    e_rows: tuple[int, ...] = (),
-    cov_eq_rows: tuple[int, ...] = (),
-    degenerate: bool = False,
-    **fields,
-) -> ScFit:
-    """The fit of engine solution ``cert``, its certificate flagged
-    ``degenerate`` (and so not ``unique``) when the covariate rows were
-    dropped as idle; ``m_rows`` and ``e_rows`` are its covariate sets (see
-    ``ActiveSets``), ``cov_eq_rows`` its equality rows, and ``fields`` go to
-    the fit."""
-    beta = cert.beta
-    fitted = x @ beta
-    return ScFit(
-        kind=kind,
-        beta=beta,
-        fitted=fitted,
-        residuals=y - fitted,
-        sets=ActiveSets(a=cert.support, m=m_rows, e=e_rows),
-        kkt=replace(cert, degenerate=True, unique=False) if degenerate else cert,
-        cov_eq_rows=cov_eq_rows,
-        donor_sq_distances=sq_dist if sq_dist is not None else donor_sq_distances(y, x),
-        **fields,
-    )
-
-
 def _face_rows(a: tuple[int, ...], rows: tuple[int, ...], d: np.ndarray | None) -> np.ndarray:
     """``E_A``: the sum row and the rows ``rows`` of ``d`` on the donors ``a``."""
     return np.vstack([np.ones((1, len(a))), d[np.ix_(rows, a)]]) if rows else np.ones((1, len(a)))
@@ -762,58 +732,56 @@ def _no_cov_rows(y: np.ndarray, x: np.ndarray) -> _CovInner:
 
 
 def _outer_solve(
-    kind: str,
     y: np.ndarray,
     x: np.ndarray,
     inner: _CovInner,
     lam: float,
-    prev: ScFit | None,
+    prev: tuple[np.ndarray, tuple[int, ...]] | None,
     *,
     normal: _NormalEquations,
-) -> ScFit:
+) -> tuple[KktCertificate, tuple[int, ...], tuple[int, ...]]:
     """The outer solve of the penalized and covariate estimators:
     ``0.5||y - X b||^2 + 0.5 lam q'b`` over the simplex, ``q`` being
     ``inner.sq_dist``, with the exactly-fit covariate rows
     ``inner.exact_rows`` as equality rows (a penalized fit has none), on
     ``normal``, the ``_normal_equations(y, x)`` that its one caller,
-    ``_fit_grid``, forms once for a whole grid.
+    ``_fit_grid``, forms once for a whole grid from the ``y`` and ``x`` it
+    coerced.  Returns the solution's certificate, the covariate rows it
+    leaves unfit (``_unfit_rows``) and its equality rows.
 
-    ``prev`` is a fit of the same ``x`` solved before, or None:
-    ``_fit_grid`` passes the fit at the neighbouring ``lam`` on its path
-    and, to a path's first solve, the fit of a nearby outcome it was given
-    (``df --fd-check`` passes the checked fit).  The solve starts from
-    ``prev.kkt.beta`` (of a model-averaged fit, its synthetic-control
-    component) when ``prev`` has the same equality rows and from
-    ``inner.cold_start`` otherwise (None: the engine's start vertex).
-    A warm start never changes the answer: the warm fit is kept only where
-    its certificate is ``unique``, which pins the optimum with equality
-    rows as without them, so it equals the cold fit; otherwise the point is
-    solved again from the cold start.  If the weighted rows left unfit are
-    at least as numerous as the active donors minus one, the equality rows
-    exert no force and the fit reduces to the plain estimator on its active
-    set: the rows are dropped, the point is solved again from the start
-    vertex, and the switch is flagged as degenerate.
+    ``prev`` is the weights and equality rows of a fit of the same ``x``
+    solved before, or None: ``_fit_grid`` passes the fit at the
+    neighbouring ``lam`` on its path and, to a path's first solve, the fit
+    of a nearby outcome it was given (``df --fd-check`` passes the checked
+    fit).  The solve starts from those weights when the rows are the
+    solve's and from ``inner.cold_start`` otherwise (None: the engine's
+    start vertex).  A warm start never changes the answer: the warm fit is
+    kept only where its certificate is ``unique``, which pins the optimum
+    with equality rows as without them, so it equals the cold fit;
+    otherwise the point is solved again from the cold start.  If the
+    weighted rows left unfit are at least as numerous as the active donors
+    minus one, the equality rows exert no force and the fit reduces to the
+    plain estimator on its active set: the rows are dropped, the point is
+    solved again from the start vertex, and its certificate is flagged
+    ``degenerate`` (and so not ``unique``).
     """
-    lin = 0.5 * lam * inner.sq_dist
+    lin, rows = 0.5 * lam * inner.sq_dist, inner.exact_rows
+    eq = {"eq_mat": inner.d[list(rows)], "eq_rhs": inner.z[list(rows)]} if rows else {}
+    warm = prev is not None and prev[1] == rows
+    cert = simplex_ls(y, x, lin=lin, start=prev[0] if warm else inner.cold_start, _normal=normal, **eq)
+    if warm and not cert.unique:
+        cert = simplex_ls(y, x, lin=lin, start=inner.cold_start, _normal=normal, **eq)
+    if rows and _covariate_rows_idle(ActiveSets(cert.support, _unfit_rows(inner, cert.beta), inner.e_rows)):
+        cert, rows = replace(simplex_ls(y, x, lin=lin, _normal=normal), degenerate=True, unique=False), ()
+    return cert, _unfit_rows(inner, cert.beta), rows
 
-    def _fit(eq_rows: tuple[int, ...], start, degenerate=False) -> ScFit:
-        rows = list(eq_rows)
-        eq = {"eq_mat": inner.d[rows], "eq_rhs": inner.z[rows]} if rows else {}
-        cert = simplex_ls(y, x, lin=lin, start=start, _normal=normal, **eq)
-        cov_res = inner.d @ cert.beta - inner.z if inner.d.shape[0] else ()
-        m_rows = tuple(i for i, r in enumerate(cov_res) if abs(r) > inner.r_tol)
-        return _build_fit(kind, y, x, cert, sq_dist=inner.sq_dist, m_rows=m_rows,
-                          e_rows=inner.e_rows, cov_eq_rows=eq_rows, degenerate=degenerate,
-                          lam=float(lam), v=inner.v)
 
-    rows = inner.exact_rows
-    warm = prev is not None and prev.cov_eq_rows == rows
-    fit = _fit(rows, prev.kkt.beta if warm else inner.cold_start)
-    if warm and not fit.kkt.unique:
-        fit = _fit(rows, inner.cold_start)
-    if rows and _covariate_rows_idle(fit):
-        fit = _fit((), None, degenerate=True)
-    return fit
+def _unfit_rows(inner: _CovInner, beta: np.ndarray) -> tuple[int, ...]:
+    """The covariate rows of ``inner`` whose residual at ``beta`` exceeds
+    ``inner.r_tol``: the ``m`` set of ``ActiveSets``."""
+    if not inner.d.shape[0]:
+        return ()
+    return tuple(i for i, r in enumerate(inner.d @ beta - inner.z) if abs(r) > inner.r_tol)
 
 
 @dataclass(frozen=True)
@@ -827,12 +795,12 @@ class TuningPoint:
 
 
 def _fit_grid(y: np.ndarray, x: np.ndarray, kind: str, points, z=None, d=None,
-              prev: ScFit | None = None) -> Sequence[ScFit]:
+              prev: ScFit | None = None) -> _FitGrid:
     """The fits of estimator ``kind`` at every ``TuningPoint`` of
     ``points``, in grid order, of ``y`` on ``x`` and, for the covariate
-    kind, of the covariate target ``z`` on the rows ``d``: the package's one
-    fit door, which every public estimator, selector, the race and the CLI
-    go through.
+    kind, of the covariate target ``z`` on the rows ``d``, as one
+    ``_FitGrid``: the package's one fit door, which every public estimator,
+    selector, the race and the CLI go through.
 
     Every tuning value is checked, and every weighting of the covariate
     rows checked and its inner problem solved (``_cov_inner``), before any
@@ -850,10 +818,13 @@ def _fit_grid(y: np.ndarray, x: np.ndarray, kind: str, points, z=None, d=None,
     inner.exact_rows)``: weightings that agree on both pose the same
     objective, equality rows, ``r_tol`` and ``sq_dist``, and differ only in
     their cold start.  So a weighting whose rows and penalties were solved
-    before takes those fits, each with its own ``v``, when every one of them
-    is ``unique`` (the optimum, which no start changes); otherwise it is
-    solved as the first was.  A model-averaging grid is the plain fit's
-    ``_MascGrid``, which averages it with each matching count's fit.
+    before takes those solutions, each with its own ``v``, when every one of
+    them is ``unique`` (the optimum, which no start changes); otherwise it
+    is solved as the first was.  A model-averaging point is
+    ``lam * w_m + (1 - lam) * b`` of the plain solution ``b`` and the
+    matching weights ``w_m``, every ``m``'s from one stable sort of the
+    donor distances, and its fitted values the same average of ``x @ w_m``
+    and ``x @ b``.
     """
     y, x = _data(y, x)
     outer = kind in (PENALIZED, COVARIATE)
@@ -865,33 +836,80 @@ def _fit_grid(y: np.ndarray, x: np.ndarray, kind: str, points, z=None, d=None,
             raise ConfigurationError(f"averaging weight must lie in [0, 1], got {pt.lam}")
         if outer and not 0.0 <= pt.lam < np.inf:
             raise ConfigurationError(f"penalty parameter must be finite and >= 0, got {pt.lam}")
-        runs.setdefault(pt.v, []).append(i)
+        runs.setdefault(pt.v if outer else None, []).append(i)
     for m in dict.fromkeys(pt.m for pt in points) if kind == MASC else ():
         _matching_count(m, x.shape[1])
     problems = [(v, [points[i].lam for i in idx]) for v, idx in runs.items()] if outer else [(None, [0.0])]
     inners = [_no_cov_rows(y, x) if v is None else _cov_inner(y, x, z, d, v) for v, _ in problems]
     normal = _normal_equations(y, x)
+    kkt, cov = [None] * len(points), [None] * len(points)
     solved: dict = {}
-    paths = []
-    for inner, (_, lams) in zip(inners, problems):
+    for inner, (_, lams), idx in zip(inners, problems, runs.values()):
         key = (inner.e_rows, inner.exact_rows, tuple(lams))
-        if key in solved:
-            paths.append([replace(fit, v=inner.v) for fit in solved[key]])
-            continue
-        path, fit = [None] * len(lams), prev
-        for j in np.argsort(-np.asarray(lams, dtype=float), kind="stable"):
-            fit = path[j] = _outer_solve(kind if outer else PLAIN, y, x, inner, float(lams[j]), fit,
-                                         normal=normal)
-        if all(fit.kkt.unique for fit in path):
-            solved[key] = path
-        paths.append(path)
-    if outer:
-        fits = {}
-        for idx, path in zip(runs.values(), paths):
-            fits.update(zip(idx, path))
-        return [fits[i] for i in range(len(points))]
-    [[fit_sc]] = paths
-    return [fit_sc] * len(points) if kind == PLAIN else _MascGrid(y, x, fit_sc, points)
+        path = solved.get(key)
+        if path is None:
+            path, last = [None] * len(lams), None if prev is None else (prev.kkt.beta, prev.cov_eq_rows)
+            for j in np.argsort(-np.asarray(lams, dtype=float), kind="stable"):
+                path[j] = _outer_solve(y, x, inner, float(lams[j]), last, normal=normal)
+                last = (path[j][0].beta, path[j][2])
+            if all(cert.unique for cert, _, _ in path):
+                solved[key] = path
+        for i, (cert, m_rows, rows) in zip(idx, path):
+            kkt[i], cov[i] = cert, (m_rows, inner.e_rows, rows, inner.v)
+    if not outer:  # the one plain solve is every point's
+        kkt, cov = kkt[:1] * len(points), cov[:1] * len(points)
+    sq_dist = inners[0].sq_dist
+    lam = np.array([0.0 if kind == PLAIN else pt.lam for pt in points], dtype=float)
+    if kind != MASC:
+        return _FitGrid(kind, points, lam, y, np.array([cert.beta for cert in kkt]),
+                        np.array([x @ cert.beta for cert in kkt]), kkt, cov, sq_dist)
+    ms, at = np.unique([pt.m for pt in points], return_inverse=True)
+    order = np.argsort(sq_dist, kind="stable")
+    matching = np.array([_nearest(order, m) for m in ms.astype(int).tolist()])
+    sc, fitted_sc, col = kkt[0].beta, x @ kkt[0].beta, lam[:, None]
+    beta, fitted = matching[at], np.array([x @ w for w in matching])[at]
+    # lam * w_m + (1 - lam) * b and its fitted values, elementwise, in place
+    beta *= col
+    beta += (1.0 - col) * sc
+    fitted *= col
+    fitted += (1.0 - col) * fitted_sc
+    return _FitGrid(kind, points, lam, y, beta, fitted, kkt, cov, sq_dist, y - fitted_sc)
+
+
+class _FitGrid(Sequence):
+    """The fits of estimator ``kind`` at the grid ``points``, as
+    ``_fit_grid`` forms them: rows of weights ``beta``, ``fitted`` values
+    (each ``x @ beta`` but for model averaging, see ``_fit_grid``) and
+    ``residuals``, their rows' dot products ``rss``, and the ``lam`` and
+    ``face_dim`` vectors that ``df_hat`` reads; each point's certificate in
+    ``kkt`` and its covariate sets ``(m, e, equality rows, v)`` in ``cov``.
+    A point's ``ScFit`` is built only when indexed; its ``beta`` is its
+    certificate's but for model averaging.  ``plain_residuals`` are
+    ``solve_sc``'s residuals where the grid holds its fit: a plain or
+    model-averaging grid's plain solution, or a penalized grid's first
+    point at ``lam = 0`` (its path keeps a warm fit only where that equals
+    the cold solve, which ``solve_sc`` is); otherwise None."""
+
+    def __init__(self, kind, points, lam, y, beta, fitted, kkt, cov, sq_dist, plain_residuals=None):
+        self.kind, self.points, self.lam, self.kkt, self.cov = kind, tuple(points), lam, kkt, cov
+        self.beta, self.fitted, self.residuals, self.sq_dist = beta, fitted, y - fitted, sq_dist
+        self.rss = np.array([r.dot(r) for r in self.residuals])
+        self.face_dim = np.array([cert.face_dim for cert in kkt])
+        zero = (lam == 0.0).nonzero()[0]
+        if kind in (PLAIN, PENALIZED) and zero.size:
+            plain_residuals = self.residuals[zero[0]]
+        self.plain_residuals = plain_residuals
+
+    def __len__(self) -> int:
+        return len(self.points)
+
+    def __getitem__(self, i: int) -> ScFit:
+        cert, (m_rows, e_rows, rows, v) = self.kkt[i], self.cov[i]
+        return ScFit(kind=self.kind, beta=self.beta[i] if self.kind == MASC else cert.beta,
+                     fitted=self.fitted[i], residuals=self.residuals[i],
+                     sets=ActiveSets(a=cert.support, m=m_rows, e=e_rows), kkt=cert,
+                     donor_sq_distances=self.sq_dist, lam=float(self.lam[i]),
+                     m=int(self.points[i].m) if self.kind == MASC else None, v=v, cov_eq_rows=rows)
 
 
 def matching_weights(y: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
@@ -929,7 +947,9 @@ def solve_matching(y: np.ndarray, x: np.ndarray, m: int) -> ScFit:
         mu=np.zeros(x.shape[1]),
         support=_active_set(beta),
     )
-    return _build_fit(MATCHING, y, x, cert, m=int(m))
+    fitted = x @ beta
+    return ScFit(MATCHING, beta, fitted, y - fitted, ActiveSets(a=cert.support), cert,
+                 donor_sq_distances(y, x), m=int(m))
 
 
 def solve_masc(y: np.ndarray, x: np.ndarray, lam: float, m: int) -> ScFit:
@@ -941,36 +961,6 @@ def solve_masc(y: np.ndarray, x: np.ndarray, lam: float, m: int) -> ScFit:
     only piece with a nonzero derivative in the outcome.
     """
     return _fit_grid(y, x, MASC, [TuningPoint(lam, m=m)])[0]
-
-
-class _MascGrid(Sequence):
-    """The model-averaging fits ``lam * (x @ w_m) + (1 - lam) * fit_sc`` at
-    ``points``, ``w_m`` from one stable sort of the plain fit's donor
-    distances: ``fitted`` and ``residuals`` are (points x n) arrays, ``rss``
-    their rows' dot products, and a point's ``ScFit`` is built when indexed.
-    With its ``kind``, ``kkt`` and vector ``lam``, ``dof._dof`` reads it as
-    one fit and gives the df vector."""
-
-    kind = MASC
-
-    def __init__(self, y: np.ndarray, x: np.ndarray, fit_sc: ScFit, points):
-        order = np.argsort(fit_sc.donor_sq_distances, kind="stable")
-        self.matching = {m: _nearest(order, m) for m in {int(pt.m) for pt in points}}
-        matched = {m: x @ w for m, w in self.matching.items()}
-        self.plain, self.kkt, self.points = fit_sc, fit_sc.kkt, tuple(points)
-        self.lam = np.array([pt.lam for pt in self.points], dtype=float)
-        lam = self.lam[:, None]
-        self.fitted = lam * np.array([matched[int(pt.m)] for pt in self.points]) + (1.0 - lam) * fit_sc.fitted
-        self.residuals = y - self.fitted
-        self.rss = np.array([r.dot(r) for r in self.residuals])
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def __getitem__(self, i: int) -> ScFit:
-        pt, sc = self.points[i], self.plain
-        return replace(sc, kind=MASC, beta=pt.lam * self.matching[int(pt.m)] + (1.0 - pt.lam) * sc.beta,
-                       fitted=self.fitted[i], residuals=self.residuals[i], lam=float(pt.lam), m=int(pt.m))
 
 
 # ---------------------------------------------------------------------------
@@ -1067,11 +1057,11 @@ def _cov_inner(y, x, z, d, v) -> _CovInner:
     return _CovInner(z, d, v, e_rows, exact_rows, cold_start, r_tol, donor_sq_distances(y, x))
 
 
-def _covariate_rows_idle(fit: ScFit) -> bool:
-    """True when the weighted rows left unfit are at least as numerous as
-    the active donors minus one: the exactly-fit rows then exert no force,
-    and the fit is the plain estimator's on its active set."""
-    return len(fit.sets.m_and_e) >= fit.n_active - 1
+def _covariate_rows_idle(sets: ActiveSets) -> bool:
+    """True when a covariate fit's weighted rows left unfit are at least as
+    numerous as its active donors minus one: the exactly-fit rows then
+    exert no force, and the fit is the plain estimator's on its active set."""
+    return len(sets.m_and_e) >= len(sets.a) - 1
 
 
 def default_v_grid(n_cov: int) -> list[np.ndarray]:
@@ -1120,11 +1110,12 @@ def solve_sc_cov(
     candidates = [tuple(np.asarray(v, dtype=float).ravel()) for v in v_grid]
     if not candidates:
         raise ConfigurationError("empty V grid")
-    return _least_rss(_fit_grid(y, x, COVARIATE, [TuningPoint(lam, v=v) for v in candidates], z, d))
+    fits = _fit_grid(y, x, COVARIATE, [TuningPoint(lam, v=v) for v in candidates], z, d)
+    return fits[_least_rss(fits)]
 
 
-def _least_rss(fits) -> ScFit:
-    """The in-sample V search's choice among covariate fits at one penalty:
-    the least outer residual sum of squares, ties to the lexicographically
-    smallest weighting."""
-    return min(fits, key=lambda fit: (fit.rss, tuple(fit.v)))
+def _least_rss(fits: _FitGrid) -> int:
+    """The in-sample V search's choice in a covariate grid at one penalty,
+    as its index: the least outer residual sum of squares, ties to the
+    lexicographically smallest weighting."""
+    return min(range(len(fits)), key=lambda i: (fits.rss[i], fits.points[i].v))

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from synthsel import selection, solvers
-from synthsel.dof import df_hat
+from synthsel import selection, simulation, solvers
+from synthsel.dof import _df_scale, df_hat
 from synthsel.errors import ConfigurationError, ConvergenceError
 from synthsel.panel import PanelDataset
 from synthsel.selection import (
@@ -29,6 +29,7 @@ from synthsel.simulation import (
     synthetic_factor_spec,
 )
 from synthsel.solvers import (
+    TuningPoint,
     _active_set,
     _fit_grid,
     default_v_grid,
@@ -96,25 +97,27 @@ def test_sigma2_read_off_the_default_grid_is_sigma2_hat(seed, shape, kind):
         with pytest.raises(ConvergenceError, match=re.escape(want)):  # the grid's own plain solve fails
             _fit_grid(y, x, kind, points)
         return
-    assert _outcome(_plain_sigma2, y, x, _fit_grid(y, x, kind, points)) == want
+    assert _outcome(_plain_sigma2, y, x, _fit_grid(y, x, kind, points).plain_residuals) == want
 
 
 class TestPlainSigma2Fallback:
     """``_plain_sigma2`` solves plain synthetic control itself exactly when
-    no fit it is given is ``solve_sc``'s fit: when none is at ``lam = 0``."""
+    the grid it reads holds no ``solve_sc`` fit: a penalized grid without a
+    point at ``lam = 0``.  A model-averaging grid holds its plain solution."""
 
     @pytest.fixture
     def solves(self, monkeypatch):
-        # every plain synthetic-control solve, by solve_sc or by a grid's walker
+        # every plain synthetic-control solve: each plain or model-averaging
+        # grid, solve_sc's one-point grid or a selector's, solves it once
         calls = []
-        outer_solve = solvers._outer_solve
+        for module in (solvers, selection, simulation):
 
-        def counted(kind, *a, **kw):
-            if kind == "plain":
-                calls.append(kind)
-            return outer_solve(kind, *a, **kw)
+            def counted(y, x, kind, *a, _fit_grid=module._fit_grid, **kw):
+                if kind in ("plain", "masc"):
+                    calls.append(kind)
+                return _fit_grid(y, x, kind, *a, **kw)
 
-        monkeypatch.setattr(solvers, "_outer_solve", counted)
+            monkeypatch.setattr(module, "_fit_grid", counted)
         return calls
 
     def test_never_solves_when_the_grid_has_a_zero_penalty_fit(self, solves):
@@ -127,7 +130,7 @@ class TestPlainSigma2Fallback:
             fits = _fit_grid(y, x, "penalized", points)
             want = _outcome(sigma2_hat, y, x)
             solves.clear()
-            assert _outcome(_plain_sigma2, y, x, fits) == want
+            assert _outcome(_plain_sigma2, y, x, fits.plain_residuals) == want
             assert not solves
             interpolating += fits[0].n_active > x.shape[0]
         assert interpolating > 0
@@ -138,8 +141,9 @@ class TestPlainSigma2Fallback:
         fits = _fit_grid(y, x, kind, tuning_grid(kind, [0.2, 0.7], [1, 2]))
         want = sigma2_hat(y, x)
         solves.clear()
-        assert _plain_sigma2(y, x, fits) == want
-        assert len(solves) == 1
+        assert _plain_sigma2(y, x, fits.plain_residuals) == want
+        # a model-averaging grid holds its plain solution, a penalized one only its penalized fits
+        assert len(solves) == (0 if kind == "masc" else 1)
 
     @pytest.mark.parametrize("kind", ["plain", "masc"])
     def test_reads_a_plain_or_averaged_zero_fit(self, solves, kind):
@@ -147,7 +151,7 @@ class TestPlainSigma2Fallback:
         fits = _fit_grid(y, x, kind, tuning_grid(kind, [0.0], [2]))
         want = sigma2_hat(y, x)
         solves.clear()
-        assert _plain_sigma2(y, x, fits) == want
+        assert _plain_sigma2(y, x, fits.plain_residuals) == want
         assert not solves
 
     def test_ic_selection_and_race_solve_plain_sc_only_for_their_grid(self, solves):
@@ -479,6 +483,101 @@ def test_masc_grid_equals_the_average_of_its_component_fits(seed, shape, m_draws
             _assert_same_bits(getattr(fit, name), value, name)
         resid = want["residuals"]
         assert score == ic_value(float(resid @ resid), s2, (1.0 - pt.lam) * want["kkt"].face_dim)
+
+
+def _count_fits(monkeypatch):
+    """The ``lam`` of every ``ScFit`` the solvers build, as they build it."""
+    built, fit_class = [], solvers.ScFit
+
+    def counted(*args, **kwargs):
+        built.append(kwargs.get("lam"))
+        return fit_class(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "ScFit", counted)
+    return built
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    shape=st.sampled_from(["tall", "wide", "duplicated"]),
+    kind=st.sampled_from(["plain", "penalized", "covariate", "masc"]),
+    n_rows=st.integers(0, 2),
+)
+def test_the_grid_record_is_its_points(seed, shape, kind, n_rows):
+    """Every row of a grid record's weights, fitted values, residuals, RSS
+    and df_hat (as the IC forms it) is its indexed fit's field, bit for bit:
+    plain; penalties with zero; covariate grids of 0-2 rows, each fit
+    exactly or idle, under several weightings, some sharing their weighted
+    and exactly-fit rows; model averaging at unsorted, repeated counts and
+    weights, 0 and 1 among them."""
+    gen = np.random.default_rng(seed)
+    y, x = random_design(gen, shape)
+    p = x.shape[1]
+    lams = gen.permutation(np.concatenate([[0.0], np.geomspace(0.0125, 10.0, int(gen.integers(2, 8)))]))
+    z = d = None
+    if kind == "masc":
+        weights = gen.choice([0.0, 1.0, *gen.uniform(size=3)], size=8)
+        points = [TuningPoint(float(l), m=int(m)) for m, l in zip(gen.integers(1, p + 1, size=8), weights)]
+    elif kind == "covariate":
+        # a row the donors fit at one weighting, or an idle one: equal for
+        # every donor and off its target
+        d = np.array([gen.normal(size=p) if gen.random() < 0.5 else np.ones(p) for _ in range(n_rows)])
+        d = d.reshape(n_rows, p)
+        z = d @ gen.dirichlet(np.ones(p)) + (np.ptp(d, axis=1) == 0)
+        vs = [tuple(v) for v in default_v_grid(n_rows)] if n_rows else [()]
+        points = [TuningPoint(float(l), v=v) for v in [*vs, vs[-1]] for l in lams]
+    else:
+        points = [TuningPoint(float(l)) for l in lams]
+    grid = _outcome(_fit_grid, y, x, kind, points, z, d)
+    if isinstance(grid, str):  # a wide draw the engine fails on
+        return
+    df = _df_scale(grid.kind, grid.lam) * grid.face_dim
+    assert len(grid) == len(points)
+    for i, fit in enumerate(grid):
+        for got, want in [(grid.beta[i], fit.beta), (grid.fitted[i], fit.fitted),
+                          (grid.residuals[i], fit.residuals), (grid.rss[i], fit.rss),
+                          (df[i], df_hat(fit).df_hat), (grid.residuals[i], y - fit.fitted)]:
+            assert np.asarray(got, dtype=float).tobytes() == np.asarray(want, dtype=float).tobytes()
+        if kind != "masc":
+            assert grid.fitted[i].tobytes() == (x @ fit.beta).tobytes()
+
+
+def test_selectors_and_the_race_build_a_fit_only_where_indexed(monkeypatch):
+    panel = _panel(seed=4, n=14, p=6, post=4)
+    built = _count_fits(monkeypatch)
+    select_lambda_ic(panel, "penalized")
+    cv_loo_untreated(panel, "penalized")
+    run_selection_benchmark("gaussian", ["risk", "sure", "sure_star", "cv_holdout", "cv_loo_untreated",
+                                         "cv_rolling"], 1, 3, n_donors=6, n_pre=14, n_post=4)
+    grid = _fit_grid(panel.y, panel.x, "penalized", tuning_grid("penalized", [0.0, 0.5, 2.0]))
+    assert built == []
+    assert grid[1].lam == 0.5
+    assert built == [0.5]
+
+
+@pytest.mark.parametrize("method", ["rolling", "loo"])
+def test_masc_cv_scores_are_fold_means_of_indexed_fits(monkeypatch, method):
+    """A model-averaging fold reads each point's forecast off its row of the
+    grid record, building no fit: the scores are those of its indexed fits,
+    bit for bit."""
+    panel = _panel(seed=8, n=12, p=6, post=4)
+    y, x, post_x = panel.y, panel.x, panel.post_x
+    built = _count_fits(monkeypatch)
+    if method == "rolling":
+        res = cv_rolling(panel, "masc")
+        folds = [(y[:t], x[:t], y[t : t + 1], x[t : t + 1]) for t in range(6, 12)]
+    else:
+        res = cv_loo_untreated(panel, "masc")
+        keeps = [[k for k in range(6) if k != j] for j in range(6)]
+        folds = [(x[:, j], x[:, keep], post_x[:, j], post_x[:, keep]) for j, keep in enumerate(keeps)]
+    assert built == []
+    monkeypatch.undo()
+    totals = np.zeros(len(res.grid))
+    for y_tr, x_tr, y_te, x_te in folds:
+        fits = _fit_grid(y_tr, x_tr, "masc", res.grid)
+        totals += [float(np.mean((y_te - x_te @ fit.beta) ** 2)) for fit in fits]
+    assert res.scores.tobytes() == (totals / len(folds)).tobytes()
 
 
 class TestCovariateKind:

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -423,12 +424,14 @@ class TestShapes:
             self._engine(**{arg: value})
 
 
-def _carrying(start, fit):
-    """``fit`` with weights ``start``: a previous fit that ``_outer_solve``
-    warm-starts from when its equality rows are the solve's.  Its empty
-    active set matches no fit's, so it lends no rank and the guard computes
-    every rank itself."""
-    return dataclasses.replace(fit, beta=np.asarray(start, dtype=float), sets=ActiveSets(a=()))
+def _outer_fit(y, x, inner, lam, start=None, rows=()):
+    """``_outer_solve`` on normal equations of its own, from a previous fit
+    with weights ``start`` (None: no previous fit) and equality rows
+    ``rows``, with the fields of the ``ScFit`` its grid builds from it."""
+    prev = None if start is None else (np.asarray(start, dtype=float), rows)
+    cert, m_rows, eq_rows = _outer_solve(y, x, inner, lam, prev, normal=_normal_equations(y, x))
+    return SimpleNamespace(beta=cert.beta, kkt=cert, sets=ActiveSets(cert.support, m_rows, inner.e_rows),
+                           cov_eq_rows=eq_rows)
 
 
 class TestPenalizedPath:
@@ -437,8 +440,7 @@ class TestPenalizedPath:
         cold = solve_penalized_sc(y, x, 0.05)
         for seed in range(5):
             start = np.random.default_rng(seed).dirichlet(np.ones(12))
-            warm = _outer_solve("penalized", y, x, _no_cov_rows(y, x), 0.05, _carrying(start, cold),
-                               normal=_normal_equations(y, x))
+            warm = _outer_fit(y, x, _no_cov_rows(y, x), 0.05, start, cold.cov_eq_rows)
             np.testing.assert_allclose(warm.beta, cold.beta, rtol=0, atol=1e-12)
             assert warm.sets == cold.sets
 
@@ -456,8 +458,7 @@ class TestPenalizedPath:
         x = np.column_stack([base, base[:, 1]])
         y = base @ np.array([0.2, 0.5, 0.3])
         cold = solve_penalized_sc(y, x, 0.0)
-        warm = _outer_solve("penalized", y, x, _no_cov_rows(y, x), 0.0, _carrying(start, cold),
-                           normal=_normal_equations(y, x))
+        warm = _outer_fit(y, x, _no_cov_rows(y, x), 0.0, start, cold.cov_eq_rows)
         np.testing.assert_array_equal(warm.beta, cold.beta)
         assert warm.sets == cold.sets
 
@@ -586,8 +587,7 @@ def test_grid_path_is_bitwise_its_warm_solves_made_one_by_one(seed, shape, n_row
         fits = _fit_grid(y, x, kind, tuning_grid(kind, lams))
     prev = None
     for lam, fit in sorted(zip(lams, fits), key=lambda pair: -pair[0]):
-        alone = _outer_solve(kind, y, x, inner, lam, None if prev is None else _carrying(prev.beta, prev),
-                             normal=_normal_equations(y, x))
+        alone = _outer_fit(y, x, inner, lam, *(() if prev is None else (prev.beta, prev.cov_eq_rows)))
         for got, want in [
             (fit.beta, alone.beta),
             (fit.kkt.mu, alone.kkt.mu),
@@ -972,8 +972,7 @@ class TestCovariatePath:
         inner = _cov_inner(y, x, z, d, v)
         assert inner.exact_rows == (0,)
         cold = solve_sc_cov_inner(y, x, z, d, v)
-        warm = _outer_solve("covariate", y, x, inner, 0.0, _carrying(start, cold),
-                            normal=_normal_equations(y, x))
+        warm = _outer_fit(y, x, inner, 0.0, start, cold.cov_eq_rows)
         np.testing.assert_array_equal(warm.beta, cold.beta)
         assert warm.sets == cold.sets
         assert warm.cov_eq_rows == cold.cov_eq_rows == (0,)
@@ -1016,9 +1015,9 @@ class TestCovariatePath:
             counts["outer" if "_normal" in kwargs else "inner"] += 1
             return engine(*args, **kwargs)
 
-        def counted_outer(kind, y, x, inner, lam, prev, **kwargs):
+        def counted_outer(y, x, inner, lam, prev, **kwargs):
             counts["paths"] += prev is None
-            return outer(kind, y, x, inner, lam, prev, **kwargs)
+            return outer(y, x, inner, lam, prev, **kwargs)
 
         monkeypatch.setattr(solvers, "simplex_ls", counted_engine)
         monkeypatch.setattr(solvers, "_outer_solve", counted_outer)
