@@ -386,15 +386,16 @@ def _add_cv_args(sub):
     sub.add_argument("--curve-csv", default=None, dest="curve_csv")
 
 
-def _add_estimator_args(sub):
+def _add_estimator_args(sub, point=True):
     sub.add_argument(
         "--estimator",
         default=PLAIN,
         choices=[PLAIN, PENALIZED, MASC, COVARIATE],
     )
-    sub.add_argument("--lambda", type=float, default=0.0, dest="lam")
-    sub.add_argument("--m", type=int, default=1)
-    sub.add_argument("--v", default=None, help="fixed diagonal weights, comma separated")
+    if point:  # the one point a command fits; select and cv take grids
+        sub.add_argument("--lambda", type=float, default=0.0, dest="lam")
+        sub.add_argument("--m", type=int, default=1)
+        sub.add_argument("--v", default=None, help="fixed diagonal weights, comma separated")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -406,8 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--output", default=None, help="JSON report path (default stdout)")
     subs = parser.add_subparsers(dest="command", required=True, parser_class=argparse.ArgumentParser)
 
-    def add_parser(name, help_text):
-        return subs.add_parser(name, help=help_text, parents=[common])
+    def add_parser(name, help_text, **kwargs):
+        return subs.add_parser(name, help=help_text, parents=[common], **kwargs)
 
     fit = add_parser("fit", "fit one estimator and report weights and df")
     _add_panel_args(fit)
@@ -415,9 +416,10 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--fitted-csv", default=None, dest="fitted_csv")
     fit.set_defaults(run=_cmd_fit)
 
-    sel = add_parser("select", "select tuning parameters")
+    # no abbreviations, or a refused --m would read as --m-grid
+    sel = add_parser("select", "select tuning parameters", allow_abbrev=False)
     _add_panel_args(sel)
-    _add_estimator_args(sel)
+    _add_estimator_args(sel, point=False)
     sel.add_argument("--method", default="sure", choices=["sure", "cv-holdout", "cv-loo", "cv-rolling"])
     _add_cv_args(sel)
     sel.set_defaults(run=_cmd_select)
@@ -428,9 +430,9 @@ def build_parser() -> argparse.ArgumentParser:
     dfp.add_argument("--fd-check", action="store_true", dest="fd_check")
     dfp.set_defaults(run=_cmd_df)
 
-    cvp = add_parser("cv", "cross-validation scoring")
+    cvp = add_parser("cv", "cross-validation scoring", allow_abbrev=False)
     _add_panel_args(cvp)
-    _add_estimator_args(cvp)
+    _add_estimator_args(cvp, point=False)
     cvp.add_argument("--cv-method", default="holdout", dest="cv_method",
                      choices=["holdout", "loo-untreated", "rolling"])
     _add_cv_args(cvp)

@@ -12,11 +12,12 @@ model-averaging grid's plain solution, or a penalized grid's fit at ``lam =
 0``, which is the one ``solve_sc`` returns.  So plain synthetic control is
 solved once for them, and separately only for a penalized grid without a
 zero or a covariate grid.  Every selector takes every
-estimator kind: ``tuning_grid`` lists its points, ``(m, lam)`` or
-``(V, lam)``, and the package's one fit door, ``solvers._fit_grid``,
-fits them.  All selectors return the grid, the per-point scores and the
-chosen index; exact score ties break toward the largest tuning parameter
-(the most regularized candidate), then toward grid order."""
+estimator kind: ``tuning_grid`` forms its grid of ``(m, lam)`` or
+``(V, lam)`` as columns, and the package's one fit door,
+``solvers._fit_grid``, fits it.  All selectors return the grid, the
+per-point scores and the chosen index; exact score ties break toward the
+largest tuning parameter (the most regularized candidate), then toward
+grid order."""
 
 from __future__ import annotations
 
@@ -34,6 +35,7 @@ from .solvers import (
     PENALIZED,
     PLAIN,
     TuningPoint,
+    _TuningGrid,
     _fit_grid,
     default_v_grid,
     solve_sc,
@@ -47,7 +49,7 @@ METHOD_CV_ROLLING = "cv_rolling"
 
 @dataclass(frozen=True)
 class SelectionResult:
-    grid: tuple[TuningPoint, ...]
+    grid: _TuningGrid
     scores: np.ndarray
     sigma2_hat: float | None
     chosen: int
@@ -66,15 +68,14 @@ def _select(grid, scores, sigma2, method) -> SelectionResult:
     """The grid point of least finite score ``best``; scores within
     ``1e-12 * (1 + |best|)`` of it tie, and a tie goes to the largest
     ``lam``, then to the earliest point."""
-    grid = tuple(grid)
     scores = np.asarray(scores, dtype=float)
     finite = np.isfinite(scores)
     if not np.any(finite):
         raise ConfigurationError("every grid point failed to produce a score")
     best = float(np.min(scores[finite]))
     tol = 1e-12 * (1.0 + abs(best))
-    tied = [i for i in range(len(grid)) if finite[i] and scores[i] <= best + tol]
-    return SelectionResult(grid, scores, sigma2, max(tied, key=lambda i: (grid[i].lam, -i)), method)
+    tied = (finite & (scores <= best + tol)).nonzero()[0]
+    return SelectionResult(grid, scores, sigma2, int(tied[grid.lam[tied].argmax()]), method)
 
 
 # ---------------------------------------------------------------------------
@@ -102,28 +103,29 @@ def tuning_grid(
     *,
     n_donors: int | None = None,
     n_cov: int | None = None,
-) -> tuple[TuningPoint, ...]:
-    """The candidate list for one estimator kind, m-major for model
-    averaging and V-major for the covariate estimator, whose default V grid
-    is ``default_v_grid(n_cov)``.  Matching counts are kept as given."""
+) -> _TuningGrid:
+    """The candidates of one estimator kind as one grid of columns whose
+    points are ``TuningPoint``s, m-major for model averaging and V-major for
+    the covariate estimator, whose default V grid is
+    ``default_v_grid(n_cov)``.  Matching counts are kept as given."""
     lams = default_lambda_grid(kind) if lambdas is None else np.asarray(lambdas, dtype=float)
     if kind == MASC:
         if m_grid is None:
             if n_donors is None:
                 raise ConfigurationError("the matching-count grid needs the donor count")
             m_grid = range(1, min(10, n_donors) + 1)
-        points = tuple(TuningPoint(float(l), m=m) for m in m_grid for l in lams)
+        counts = np.fromiter(m_grid, dtype=object)
+        grid = _TuningGrid(np.tile(lams, len(counts)), m=np.repeat(counts, len(lams)))
     elif kind == COVARIATE:
         if not n_cov:
             raise ConfigurationError("the covariate estimator needs covariates in the panel")
-        vs = default_v_grid(n_cov) if v_grid is None else v_grid
-        vs = [tuple(np.asarray(v, dtype=float).ravel()) for v in vs]
-        points = tuple(TuningPoint(float(l), v=v) for v in vs for l in lams)
+        vs = list(default_v_grid(n_cov) if v_grid is None else v_grid)
+        grid = _TuningGrid(np.tile(lams, len(vs)), vs=vs, v_at=np.repeat(np.arange(len(vs)), len(lams)))
     else:
-        points = tuple(TuningPoint(float(l)) for l in lams)
-    if not points:
+        grid = _TuningGrid(lams)
+    if not len(grid):
         raise ConfigurationError("empty tuning grid")
-    return points
+    return grid
 
 
 # ---------------------------------------------------------------------------

@@ -541,7 +541,7 @@ def _race_row(sel: SelectionResult | None, fits, y_post, x_post, n_pre: int, tru
     if truth is None:
         return (*taus, None, None, None, None)
     star, risk_curve, cv_truth_curve = truth
-    lam_err = (sel.grid[idx].lam - star.chosen_point.lam) ** 2
+    lam_err = (sel.chosen_point.lam - star.chosen_point.lam) ** 2
     if sel is star:
         return (*taus, lam_err, 0.0, 0.0, 1.0)
     if sel.sigma2_hat is None:
@@ -601,8 +601,7 @@ def run_selection_benchmark(
     if spec is None:
         spec = synthetic_factor_spec(n_donors, n_pre + n_post, seed=seed)
     kind = PENALIZED  # the estimator whose tuning parameter is raced
-    points = tuning_grid(kind, lambda_grid)
-    lams = [pt.lam for pt in points]
+    grid = tuning_grid(kind, lambda_grid)
     t_total = n_pre + n_post
     has_truth = design in ("gaussian", "empirical")
     blp, sigma2_true = spec._blp() if has_truth else (None, None)
@@ -634,7 +633,7 @@ def run_selection_benchmark(
         y_pre, x_pre = y_all[:n_pre], x_all[:n_pre]
         y_post, x_post = y_all[n_pre:], x_all[n_pre:]
         panel = PanelDataset(y=y_pre, x=x_pre, post_y=y_post, post_x=x_post)
-        fits = _fit_grid(y_pre, x_pre, kind, points)
+        fits = _fit_grid(y_pre, x_pre, kind, grid)
 
         truth = None
         if has_truth:
@@ -643,7 +642,7 @@ def run_selection_benchmark(
             risk_curve = np.sum((fits.fitted - means_pre) ** 2, axis=1)
             forecasts = np.array([x_post @ beta for beta in fits.beta])
             cv_truth_curve = np.mean((forecasts - means_post) ** 2, axis=1) + sigma2_true
-            truth = (_select(points, risk_curve, None, METHOD_RISK), risk_curve, cv_truth_curve)
+            truth = (_select(grid, risk_curve, None, METHOD_RISK), risk_curve, cv_truth_curve)
 
         for method in methods:
             if truth is None and method in (METHOD_RISK, METHOD_SURE_STAR):
@@ -651,11 +650,11 @@ def run_selection_benchmark(
             elif method == METHOD_RISK:
                 sel = truth[0]
             elif method == METHOD_SURE:
-                sel = _ic_select(points, fits, y_pre, x_pre)
+                sel = _ic_select(grid, fits, y_pre, x_pre)
             elif method == METHOD_SURE_STAR:
-                sel = _ic_select(points, fits, y_pre, x_pre, sigma2_true)
+                sel = _ic_select(grid, fits, y_pre, x_pre, sigma2_true)
             else:
-                sel = cv_selectors[method](panel, kind, grid=lams)
+                sel = cv_selectors[method](panel, kind, grid=grid.lam)
             rows[method].append(_race_row(sel, fits, y_post, x_post, n_pre, truth))
 
     return BenchmarkReport(
@@ -664,7 +663,7 @@ def run_selection_benchmark(
         seed=seed,
         n_pre=n_pre,
         n_post=n_post,
-        lambda_grid=tuple(float(l) for l in lams),
+        lambda_grid=tuple(grid.lam.tolist()),
         methods=tuple(MethodResult(m, *map(_mean_or_none, zip(*rows[m]))) for m in methods),
     )
 

@@ -692,7 +692,7 @@ def solve_sc(y: np.ndarray, x: np.ndarray) -> ScFit:
     or more active donors than periods), the fit is the one the
     deterministic engine returns; its fitted values do not depend on which.
     """
-    return _fit_grid(y, x, PLAIN, [TuningPoint(0.0)])[0]
+    return _fit_grid(y, x, PLAIN, _TuningGrid([0.0]))[0]
 
 
 def solve_penalized_sc(y: np.ndarray, x: np.ndarray, lam: float) -> ScFit:
@@ -702,7 +702,7 @@ def solve_penalized_sc(y: np.ndarray, x: np.ndarray, lam: float) -> ScFit:
     linear coefficient; ``lam = 0`` coincides with the plain estimator.
     This is the covariate estimator's outer solve with no covariate rows.
     """
-    return _fit_grid(y, x, PENALIZED, [TuningPoint(lam)])[0]
+    return _fit_grid(y, x, PENALIZED, _TuningGrid([lam]))[0]
 
 
 @dataclass(frozen=True)
@@ -794,15 +794,45 @@ class TuningPoint:
     v: tuple[float, ...] | None = None
 
 
-def _fit_grid(y: np.ndarray, x: np.ndarray, kind: str, points, z=None, d=None,
-              prev: ScFit | None = None) -> _FitGrid:
-    """The fits of estimator ``kind`` at every ``TuningPoint`` of
-    ``points``, in grid order, of ``y`` on ``x`` and, for the covariate
-    kind, of the covariate target ``z`` on the rows ``d``, as one
-    ``_FitGrid``: the package's one fit door, which every public estimator,
-    selector, the race and the CLI go through.
+class _TuningGrid(Sequence):
+    """A tuning grid as columns: the float vector ``lam``; each point's
+    matching count as given, ``m`` (an object vector), or None; and, from
+    diagonal weightings ``vs`` and each point's index into them ``v_at``
+    (by default one point per weighting), the table ``vs`` of the distinct
+    weightings, each once as a float tuple in order of first use, and
+    ``v_at`` indexing it, or both None.  The one place a weighting is
+    coerced; ``_fit_grid`` checks the columns.  Indexing builds a point's
+    ``TuningPoint`` (a slice, a tuple of them)."""
 
-    Every tuning value is checked, and every weighting of the covariate
+    def __init__(self, lam, m=None, vs=None, v_at=slice(None)):
+        self.lam = np.asarray(lam, dtype=float)
+        self.m = None if m is None else np.fromiter(m, dtype=object)
+        self.vs = self.v_at = None
+        if vs is not None:
+            first: dict = {}
+            pos = [first.setdefault(tuple(np.asarray(v, dtype=float).ravel()), len(first)) for v in vs]
+            self.vs, self.v_at = tuple(first), np.array(pos, dtype=int)[v_at]
+
+    def __len__(self) -> int:
+        return len(self.lam)
+
+    def __getitem__(self, i: int) -> TuningPoint:
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(len(self))[i])
+        return TuningPoint(float(self.lam[i]), None if self.m is None else self.m[i],
+                           None if self.vs is None else self.vs[self.v_at[i]])
+
+
+def _fit_grid(y: np.ndarray, x: np.ndarray, kind: str, grid: _TuningGrid, z=None, d=None,
+              prev: ScFit | None = None) -> _FitGrid:
+    """The fits of estimator ``kind`` at every point of ``grid``, in grid
+    order, of ``y`` on ``x`` and, for the covariate kind, of the covariate
+    target ``z`` on the rows ``d``, as one ``_FitGrid``: the package's one
+    fit door, which every public estimator, selector, the race and the CLI
+    go through.
+
+    Every tuning column is checked, the first bad value in grid order named
+    (a plain grid's ``lam`` must be 0), and every weighting of the covariate
     rows checked and its inner problem solved (``_cov_inner``), before any
     outer solve.  A penalized or covariate grid's penalties are grouped by
     weighting (a penalized grid's all in one group without rows); a plain
@@ -830,86 +860,96 @@ def _fit_grid(y: np.ndarray, x: np.ndarray, kind: str, points, z=None, d=None,
     outer = kind in (PENALIZED, COVARIATE)
     if not outer and kind not in (PLAIN, MASC):
         raise ConfigurationError(f"unknown estimator kind {kind!r}")
-    runs: dict = {}  # grid indices by weighting, None for no covariate rows
-    for i, pt in enumerate(points):
-        if kind == MASC and not 0.0 <= pt.lam <= 1.0:
-            raise ConfigurationError(f"averaging weight must lie in [0, 1], got {pt.lam}")
-        if outer and not 0.0 <= pt.lam < np.inf:
-            raise ConfigurationError(f"penalty parameter must be finite and >= 0, got {pt.lam}")
-        runs.setdefault(pt.v if outer else None, []).append(i)
-    for m in dict.fromkeys(pt.m for pt in points) if kind == MASC else ():
+    lam = grid.lam
+    hi, what = {MASC: (1.0, "averaging weight must lie in [0, 1]"),
+                PLAIN: (0.0, "a plain fit has no tuning parameter: lambda must be 0")}.get(
+        kind, (np.inf, "penalty parameter must be finite and >= 0"))
+    ok = (0.0 <= lam) & (lam <= hi) & (lam < np.inf)
+    if not ok.all():
+        raise ConfigurationError(f"{what}, got {lam[ok.argmin()]}")
+    for m in dict.fromkeys(grid.m) if kind == MASC else ():
         _matching_count(m, x.shape[1])
-    problems = [(v, [points[i].lam for i in idx]) for v, idx in runs.items()] if outer else [(None, [0.0])]
-    inners = [_no_cov_rows(y, x) if v is None else _cov_inner(y, x, z, d, v) for v, _ in problems]
+    if kind == COVARIATE:
+        inners = [_cov_inner(y, x, z, d, v) for v in grid.vs]
+        runs = [(grid.v_at == k).nonzero()[0] for k in range(len(grid.vs))]
+    else:
+        inners, runs = [_no_cov_rows(y, x)], [np.arange(len(lam))]
     normal = _normal_equations(y, x)
-    kkt, cov = [None] * len(points), [None] * len(points)
+    kkt, cov = [None] * len(lam), [None] * len(lam)
     solved: dict = {}
-    for inner, (_, lams), idx in zip(inners, problems, runs.values()):
-        key = (inner.e_rows, inner.exact_rows, tuple(lams))
+    for inner, idx in zip(inners, runs):
+        lams = lam[idx] if outer else np.zeros(1)
+        key = (inner.e_rows, inner.exact_rows, tuple(lams.tolist()))
         path = solved.get(key)
         if path is None:
             path, last = [None] * len(lams), None if prev is None else (prev.kkt.beta, prev.cov_eq_rows)
-            for j in np.argsort(-np.asarray(lams, dtype=float), kind="stable"):
+            for j in np.argsort(-lams, kind="stable"):
                 path[j] = _outer_solve(y, x, inner, float(lams[j]), last, normal=normal)
                 last = (path[j][0].beta, path[j][2])
             if all(cert.unique for cert, _, _ in path):
                 solved[key] = path
-        for i, (cert, m_rows, rows) in zip(idx, path):
+        # a plain or model-averaging grid's one plain solve is every point's
+        for i, (cert, m_rows, rows) in zip(idx.tolist(), path if outer else path * len(idx)):
             kkt[i], cov[i] = cert, (m_rows, inner.e_rows, rows, inner.v)
-    if not outer:  # the one plain solve is every point's
-        kkt, cov = kkt[:1] * len(points), cov[:1] * len(points)
     sq_dist = inners[0].sq_dist
-    lam = np.array([0.0 if kind == PLAIN else pt.lam for pt in points], dtype=float)
     if kind != MASC:
-        return _FitGrid(kind, points, lam, y, np.array([cert.beta for cert in kkt]),
+        return _FitGrid(kind, grid, y, np.array([cert.beta for cert in kkt]),
                         np.array([x @ cert.beta for cert in kkt]), kkt, cov, sq_dist)
-    ms, at = np.unique([pt.m for pt in points], return_inverse=True)
+    ms, at = np.unique(grid.m.astype(int), return_inverse=True)
     order = np.argsort(sq_dist, kind="stable")
-    matching = np.array([_nearest(order, m) for m in ms.astype(int).tolist()])
-    sc, fitted_sc, col = kkt[0].beta, x @ kkt[0].beta, lam[:, None]
-    beta, fitted = matching[at], np.array([x @ w for w in matching])[at]
-    # lam * w_m + (1 - lam) * b and its fitted values, elementwise, in place
-    beta *= col
-    beta += (1.0 - col) * sc
-    fitted *= col
-    fitted += (1.0 - col) * fitted_sc
-    return _FitGrid(kind, points, lam, y, beta, fitted, kkt, cov, sq_dist, y - fitted_sc)
+    matching, fitted_sc = np.array([_nearest(order, m) for m in ms.tolist()]), x @ kkt[0].beta
+
+    def average(rows, base, i=slice(None)):  # lam * rows[at] + (1 - lam) * base at the points i
+        out, col = rows[at[i]], lam[i, None]
+        out *= col
+        out += (1.0 - col) * base
+        return out
+
+    fitted = average(np.array([x @ w for w in matching]), fitted_sc)
+    return _FitGrid(kind, grid, y, functools.partial(average, matching, kkt[0].beta), fitted, kkt, cov,
+                    sq_dist, y - fitted_sc)
 
 
 class _FitGrid(Sequence):
-    """The fits of estimator ``kind`` at the grid ``points``, as
+    """The fits of estimator ``kind`` on the tuning ``grid``, as
     ``_fit_grid`` forms them: rows of weights ``beta``, ``fitted`` values
     (each ``x @ beta`` but for model averaging, see ``_fit_grid``) and
     ``residuals``, their rows' dot products ``rss``, and the ``lam`` and
     ``face_dim`` vectors that ``df_hat`` reads; each point's certificate in
     ``kkt`` and its covariate sets ``(m, e, equality rows, v)`` in ``cov``.
     A point's ``ScFit`` is built only when indexed; its ``beta`` is its
-    certificate's but for model averaging.  ``plain_residuals`` are
+    certificate's but for model averaging, whose record holds, in place of
+    the rows, the function of the points that forms them, so a row is formed
+    only when it is read (``beta`` or a point).  ``plain_residuals`` are
     ``solve_sc``'s residuals where the grid holds its fit: a plain or
     model-averaging grid's plain solution, or a penalized grid's first
     point at ``lam = 0`` (its path keeps a warm fit only where that equals
     the cold solve, which ``solve_sc`` is); otherwise None."""
 
-    def __init__(self, kind, points, lam, y, beta, fitted, kkt, cov, sq_dist, plain_residuals=None):
-        self.kind, self.points, self.lam, self.kkt, self.cov = kind, tuple(points), lam, kkt, cov
-        self.beta, self.fitted, self.residuals, self.sq_dist = beta, fitted, y - fitted, sq_dist
+    def __init__(self, kind, grid, y, beta, fitted, kkt, cov, sq_dist, plain_residuals=None):
+        self.kind, self.grid, self.lam, self.kkt, self.cov = kind, grid, grid.lam, kkt, cov
+        self._beta, self.fitted, self.residuals, self.sq_dist = beta, fitted, y - fitted, sq_dist
         self.rss = np.array([r.dot(r) for r in self.residuals])
         self.face_dim = np.array([cert.face_dim for cert in kkt])
-        zero = (lam == 0.0).nonzero()[0]
+        zero = (self.lam == 0.0).nonzero()[0]
         if kind in (PLAIN, PENALIZED) and zero.size:
             plain_residuals = self.residuals[zero[0]]
         self.plain_residuals = plain_residuals
 
+    @property
+    def beta(self) -> np.ndarray:
+        return self._beta() if self.kind == MASC else self._beta
+
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.grid)
 
     def __getitem__(self, i: int) -> ScFit:
         cert, (m_rows, e_rows, rows, v) = self.kkt[i], self.cov[i]
-        return ScFit(kind=self.kind, beta=self.beta[i] if self.kind == MASC else cert.beta,
+        return ScFit(kind=self.kind, beta=self._beta([i])[0] if self.kind == MASC else cert.beta,
                      fitted=self.fitted[i], residuals=self.residuals[i],
                      sets=ActiveSets(a=cert.support, m=m_rows, e=e_rows), kkt=cert,
                      donor_sq_distances=self.sq_dist, lam=float(self.lam[i]),
-                     m=int(self.points[i].m) if self.kind == MASC else None, v=v, cov_eq_rows=rows)
+                     m=int(self.grid.m[i]) if self.kind == MASC else None, v=v, cov_eq_rows=rows)
 
 
 def matching_weights(y: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
@@ -960,7 +1000,7 @@ def solve_masc(y: np.ndarray, x: np.ndarray, lam: float, m: int) -> ScFit:
     index sets are those of the synthetic-control component, which is the
     only piece with a nonzero derivative in the outcome.
     """
-    return _fit_grid(y, x, MASC, [TuningPoint(lam, m=m)])[0]
+    return _fit_grid(y, x, MASC, _TuningGrid([lam], m=[m]))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1012,16 +1052,15 @@ def solve_sc_cov_inner(
     ``ValueError`` is raised unless ``d`` has one row per entry of ``z`` and
     one column per donor.
     """
-    v = tuple(np.asarray(v, dtype=float).ravel())
-    return _fit_grid(y, x, COVARIATE, [TuningPoint(lam, v=v)], z, d)[0]
+    return _fit_grid(y, x, COVARIATE, _TuningGrid([lam], vs=[v]), z, d)[0]
 
 
 def _cov_inner(y, x, z, d, v) -> _CovInner:
     """Stage one of ``solve_sc_cov_inner`` on its ``_data``: coerce and check
-    ``z``, ``d`` (empty: no rows) and ``v``, a finite, nonnegative diagonal
-    weighting of the rows, then solve the inner weighted problem over the
-    simplex."""
-    z, v = np.asarray(z, dtype=float).ravel(), np.asarray(v, dtype=float).ravel()
+    ``z`` and ``d`` (empty: no rows), check ``v``, a finite, nonnegative
+    diagonal weighting of the rows as its grid holds it, then solve the
+    inner weighted problem over the simplex."""
+    z, v = np.asarray(z, dtype=float).ravel(), np.asarray(v)
     d = np.atleast_2d(np.asarray(d, dtype=float)) if np.size(d) else np.zeros((0, x.shape[1]))
     if d.shape != (z.shape[0], x.shape[1]):
         raise ValueError(f"covariate matrix shape {d.shape} incompatible with "
@@ -1067,30 +1106,16 @@ def _covariate_rows_idle(sets: ActiveSets) -> bool:
 def default_v_grid(n_cov: int) -> list[np.ndarray]:
     """Trace-one diagonal weight candidates: vertices, barycenter and a
     lattice of step 1/4 on the simplex of diagonals (the lattice is
-    skipped above eight covariate rows, where it would explode)."""
+    skipped above eight covariate rows, where it would explode), each once."""
     if n_cov <= 0:
         raise ConfigurationError("need at least one covariate row for a V grid")
-    grid: list[np.ndarray] = []
-    seen: set[tuple[float, ...]] = set()
-
-    def _push(vec: np.ndarray):
-        key = tuple(np.round(vec, 12))
-        if key not in seen:
-            seen.add(key)
-            grid.append(vec)
-
-    for i in range(n_cov):
-        vec = np.zeros(n_cov)
-        vec[i] = 1.0
-        _push(vec)
-    _push(np.full(n_cov, 1.0 / n_cov))
-
+    grid = [*np.eye(n_cov), np.full(n_cov, 1.0 / n_cov)]
     if n_cov <= 8:
         # the compositions of 4 into n_cov parts in lexicographic order, as
         # stars and bars: the bars' positions among n_cov + 3 slots
-        for bars in itertools.combinations(range(n_cov + 3), n_cov - 1):
-            _push((np.diff([-1, *bars, n_cov + 3]) - 1) / 4)
-    return grid
+        bars = itertools.combinations(range(n_cov + 3), n_cov - 1)
+        grid += [(np.diff([-1, *b, n_cov + 3]) - 1) / 4 for b in bars]
+    return [np.array(v) for v in dict.fromkeys(map(tuple, grid))]
 
 
 def solve_sc_cov(
@@ -1107,15 +1132,16 @@ def solve_sc_cov(
     lexicographically smallest weighting.  Each weighting's fit is
     ``solve_sc_cov_inner``'s, from one ``_fit_grid`` over the weightings at
     ``lam``, and the choice is ``_least_rss``."""
-    candidates = [tuple(np.asarray(v, dtype=float).ravel()) for v in v_grid]
-    if not candidates:
+    vs = list(v_grid)
+    if not vs:
         raise ConfigurationError("empty V grid")
-    fits = _fit_grid(y, x, COVARIATE, [TuningPoint(lam, v=v) for v in candidates], z, d)
+    fits = _fit_grid(y, x, COVARIATE, _TuningGrid(np.full(len(vs), lam), vs=vs), z, d)
     return fits[_least_rss(fits)]
 
 
 def _least_rss(fits: _FitGrid) -> int:
     """The in-sample V search's choice in a covariate grid at one penalty,
     as its index: the least outer residual sum of squares, ties to the
-    lexicographically smallest weighting."""
-    return min(range(len(fits)), key=lambda i: (fits.rss[i], fits.points[i].v))
+    lexicographically smallest weighting (read off the grid's table of
+    weightings), then the earliest point."""
+    return min(range(len(fits)), key=lambda i: (fits.rss[i], fits.grid.vs[fits.grid.v_at[i]]))

@@ -20,11 +20,12 @@ from synthsel.io import (
     moving_average,
     preprocess,
     preprocess_loaded,
+    to_jsonable,
     write_benchmark_csv,
     write_panel_csv,
 )
 from synthsel.panel import PanelDataset
-from synthsel.selection import default_lambda_grid, select_lambda_ic, tuning_grid
+from synthsel.selection import cv_holdout, default_lambda_grid, select_lambda_ic, tuning_grid
 from synthsel.simulation import BenchmarkReport, MethodResult
 from synthsel.solvers import _fit_grid, solve_masc, solve_penalized_sc, solve_sc, solve_sc_cov_inner
 
@@ -666,6 +667,38 @@ class TestCli:
         assert "ma_window" not in config and "demean" not in config
         assert config["donors"] == 6 and config["grid"] == "0,1"
 
+    @pytest.mark.parametrize("command", ["select", "cv"])
+    @pytest.mark.parametrize("flag", [["--lambda", "0.7"], ["--m", "3"], ["--v", "0,1"]])
+    def test_select_and_cv_refuse_the_options_of_one_fit(self, panel_csv, capsys, command, flag):
+        # a grid command reads no --lambda, --m or --v; --m is not read as --m-grid either
+        argv = [command, *self._fit_args(panel_csv)[1:], "--estimator", "masc"]
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, *flag])
+        assert exc.value.code == 2
+        assert cli.main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert set(payload["config"]) - {"cv_method"} == {
+            "input", "treated", "treatment_period", "ma_window", "demean", "estimator", "method",
+            "split", "horizon",
+        }
+        panel = load_panel(str(panel_csv), "treated", "2013-07").dataset
+        selector = select_lambda_ic if command == "select" else cv_holdout
+        want = cli._selection_results(selector(panel, "masc"))
+        assert payload["results"] == json.loads(json.dumps(to_jsonable(want)))
+
+    @pytest.mark.parametrize("argv", [
+        ["select", "--method", "sure", "--estimator", "plain", "--grid", "0,0.5,3"],
+        ["fit", "--estimator", "plain", "--lambda", "0.5"],
+    ])
+    def test_a_plain_fit_with_a_penalty_exits_one_before_any_solve(self, panel_csv, monkeypatch,
+                                                                   capsys, argv):
+        solves = []
+        engine = solvers.simplex_ls
+        monkeypatch.setattr(solvers, "simplex_ls", lambda *a, **kw: solves.append(a) or engine(*a, **kw))
+        assert cli.main([argv[0], *self._fit_args(panel_csv)[1:], *argv[1:]]) == 1
+        self._assert_config_error(capsys, "a plain fit has no tuning parameter", "got 0.5")
+        assert not solves
+
     def test_benchmark_without_replications_exits_one(self, capsys):
         assert cli.main(["benchmark", "--reps", "0"]) == 1
         error = json.loads(capsys.readouterr().out)["error"]
@@ -967,6 +1000,8 @@ def test_fd_check_warm_solves_equal_the_cold_ones(seed, shape, kind):
     z = d @ gen.dirichlet(np.ones(p)) if gen.random() < 0.5 else gen.normal(size=n_cov)
     v = gen.dirichlet(np.ones(n_cov))
     lam, m = float(gen.uniform(0.05, 1.0)), int(gen.integers(1, p + 1))
+    if kind == "plain":
+        lam = 0.0  # a plain fit has no tuning parameter
     cold = {
         "plain": lambda yy: solve_sc(yy, x),
         "penalized": lambda yy: solve_penalized_sc(yy, x, lam),

@@ -30,6 +30,7 @@ from synthsel.simulation import (
 )
 from synthsel.solvers import (
     TuningPoint,
+    _TuningGrid,
     _active_set,
     _fit_grid,
     default_v_grid,
@@ -233,7 +234,7 @@ class TestSelectLambdaIc:
     def test_masc_grid_joint_in_m(self):
         res = select_lambda_ic(_panel(3, p=5), "masc", grid=[0.0, 0.5], m_grid=[1, 2, 3])
         assert len(res.grid) == 6
-        assert res.grid[res.chosen] is res.chosen_point
+        assert res.grid[res.chosen] == res.chosen_point
 
     def test_masc_grid_scores_equal_pointwise_fits_exactly(self):
         # the grid solves each component once; every score must still be
@@ -507,7 +508,7 @@ def _count_fits(monkeypatch):
 def test_the_grid_record_is_its_points(seed, shape, kind, n_rows):
     """Every row of a grid record's weights, fitted values, residuals, RSS
     and df_hat (as the IC forms it) is its indexed fit's field, bit for bit:
-    plain; penalties with zero; covariate grids of 0-2 rows, each fit
+    plain (at lam = 0); penalties with zero; covariate grids of 0-2 rows, each fit
     exactly or idle, under several weightings, some sharing their weighted
     and exactly-fit rows; model averaging at unsorted, repeated counts and
     weights, 0 and 1 among them."""
@@ -518,7 +519,7 @@ def test_the_grid_record_is_its_points(seed, shape, kind, n_rows):
     z = d = None
     if kind == "masc":
         weights = gen.choice([0.0, 1.0, *gen.uniform(size=3)], size=8)
-        points = [TuningPoint(float(l), m=int(m)) for m, l in zip(gen.integers(1, p + 1, size=8), weights)]
+        tune = _TuningGrid(weights, m=gen.integers(1, p + 1, size=8).tolist())
     elif kind == "covariate":
         # a row the donors fit at one weighting, or an idle one: equal for
         # every donor and off its target
@@ -526,14 +527,15 @@ def test_the_grid_record_is_its_points(seed, shape, kind, n_rows):
         d = d.reshape(n_rows, p)
         z = d @ gen.dirichlet(np.ones(p)) + (np.ptp(d, axis=1) == 0)
         vs = [tuple(v) for v in default_v_grid(n_rows)] if n_rows else [()]
-        points = [TuningPoint(float(l), v=v) for v in [*vs, vs[-1]] for l in lams]
+        tune = _TuningGrid(np.tile(lams, len(vs) + 1), vs=[*vs, vs[-1]],
+                           v_at=np.repeat(np.arange(len(vs) + 1), len(lams)))
     else:
-        points = [TuningPoint(float(l)) for l in lams]
-    grid = _outcome(_fit_grid, y, x, kind, points, z, d)
+        tune = _TuningGrid(lams if kind == "penalized" else np.zeros(len(lams)))
+    grid = _outcome(_fit_grid, y, x, kind, tune, z, d)
     if isinstance(grid, str):  # a wide draw the engine fails on
         return
     df = _df_scale(grid.kind, grid.lam) * grid.face_dim
-    assert len(grid) == len(points)
+    assert len(grid) == len(tune)
     for i, fit in enumerate(grid):
         for got, want in [(grid.beta[i], fit.beta), (grid.fitted[i], fit.fitted),
                           (grid.residuals[i], fit.residuals), (grid.rss[i], fit.rss),
@@ -597,7 +599,7 @@ class TestCovariateKind:
             keeps = [[k for k in range(4) if k != j] for j in range(4)]
             folds = [(x[:, j], x[:, keep], d[:, j], d[:, keep], post_x[:, j], post_x[:, keep])
                      for j, keep in enumerate(keeps)]
-        assert res.grid == tuning_grid("covariate", grid, n_cov=2)
+        assert list(res.grid) == list(tuning_grid("covariate", grid, n_cov=2))
         by_hand = []
         for pt in res.grid:
             errs = []
@@ -739,3 +741,42 @@ def test_selectors_return_grid_members_with_nonnegative_cv_scores(seed):
         assert res.chosen_point.lam in grid
         if res.method != "sure":
             assert np.all(res.scores >= 0.0)
+
+
+@pytest.mark.parametrize("select", [select_lambda_ic, cv_rolling])
+def test_equal_scores_at_equal_lambda_break_to_the_earliest_point(select):
+    # at lam = 0 every count's fit is the plain one: three equal scores and
+    # three equal lams, so the tie rule's second key, grid order, chooses
+    res = select(_panel(5, n=12, p=6), "masc", [0.0], m_grid=[3, 1, 2])
+    assert res.scores[0] == res.scores[1] == res.scores[2]
+    assert res.chosen == 0 and res.chosen_point == TuningPoint(0.0, m=3)
+
+
+def test_tuning_grids_index_to_their_points():
+    # m-major and V-major, counts kept as given, a weighting given twice
+    # indexed twice (its table holds it once), every point built on reading
+    assert list(tuning_grid("plain")) == [TuningPoint(0.0)]
+    assert list(tuning_grid("penalized", [0.5, 0.0])) == [TuningPoint(0.5), TuningPoint(0.0)]
+    two = np.int64(2)
+    masc = tuning_grid("masc", [0.0, 1.0], [3, two])
+    assert list(masc) == [TuningPoint(0.0, m=3), TuningPoint(1.0, m=3),
+                          TuningPoint(0.0, m=2), TuningPoint(1.0, m=2)]
+    assert masc[-1].m is two
+    cov = tuning_grid("covariate", [0.0, 2.0], v_grid=[[1, 0], np.array([0.5, 0.5]), (1.0, 0.0)], n_cov=2)
+    assert list(cov) == [TuningPoint(0.0, v=(1.0, 0.0)), TuningPoint(2.0, v=(1.0, 0.0)),
+                         TuningPoint(0.0, v=(0.5, 0.5)), TuningPoint(2.0, v=(0.5, 0.5)),
+                         TuningPoint(0.0, v=(1.0, 0.0)), TuningPoint(2.0, v=(1.0, 0.0))]
+    assert cov.vs == ((1.0, 0.0), (0.5, 0.5))
+    assert cov[5] == cov[-1] and len(cov) == 6 and list(reversed(cov))[0] == cov[5]
+    assert cov[1:3] == (TuningPoint(2.0, v=(1.0, 0.0)), TuningPoint(0.0, v=(0.5, 0.5)))
+    with pytest.raises(IndexError):
+        cov[6]
+
+
+def test_a_plain_grid_with_a_penalty_fails_before_any_solve(monkeypatch):
+    solves = []
+    engine = solvers.simplex_ls
+    monkeypatch.setattr(solvers, "simplex_ls", lambda *a, **k: solves.append(1) or engine(*a, **k))
+    with pytest.raises(ConfigurationError, match=r"^a plain fit has no tuning parameter: lambda must be 0, got 0\.5$"):
+        select_lambda_ic(_panel(3), "plain", [0.0, 0.5, 3.0])
+    assert not solves
