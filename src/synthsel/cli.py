@@ -75,9 +75,9 @@ def _fit_point(args, panel: PanelDataset, y=None, prev=None) -> tuple[_FitGrid, 
     """The grid and the index of the chosen estimator's fit of the outcome
     ``y`` (None: the panel's own) against the panel's already-validated
     donors and covariates, on the package's one fit door,
-    ``solvers._fit_grid``, started from
-    ``prev``, a fit of the same estimator to a nearby outcome, or cold when
-    it is None.  A solve keeps a warm fit only where it equals the cold one,
+    ``solvers._fit_grid``, started from ``prev``, a fit of the same
+    estimator to a nearby outcome, or cold when it is None or not
+    ``unique``.  A solve keeps a warm fit only where it equals the cold one,
     so ``prev`` changes the work and never the fit.  The grid is the one
     point of ``--lambda``, ``--m`` and ``--v``; the covariate estimator
     without ``--v`` searches V in sample, over the default V grid at
@@ -244,11 +244,7 @@ def _cmd_df(args) -> dict:
         "divergence_trace": div.trace,
     }
     if args.fd_check:
-        # each perturbed outcome is solved from the fit it perturbs, when
-        # that fit is the unique optimum: from one that is not, each warm
-        # solve would fail the uniqueness guard and be solved again cold
-        prev = fit if fit.kkt.unique else None
-        fd = divergence_fd_oracle(lambda y: _fit_one(args, panel, y, prev), panel.y)
+        fd = divergence_fd_oracle(lambda y: _fit_one(args, panel, y, fit), panel.y)
         results["fd_check"] = {
             "max_abs_deviation": float(np.max(np.abs(div.matrix - fd.matrix))),
             "active_set_changed": fd.active_set_changed,

@@ -8,7 +8,7 @@ the null space of the binding rows on the active donors), and the degrees
 of freedom are its trace, ``scale * face_dim``, the face's dimension
 the solve's certificate records (``KktCertificate.face_dim``):
 ``scale * (|A| - 1 - binding covariate rows)`` unless ``X_A N`` is rank
-deficient, as with a donor active beside its copy.  ``_df_rule``:
+deficient, as with a donor active beside its copy.  ``df_hat``:
 
 * binding rows: the sum-to-one row, plus, for a covariate fit, the
   exactly-fit positively-weighted covariate rows the outer solve holds as
@@ -101,20 +101,8 @@ def _df_scale(kind: str, lam):
     raise ConfigurationError(f"unknown fit kind {kind}")
 
 
-def _df_rule(fit: ScFit) -> tuple[float, str]:
-    """The scale (``_df_scale``) and case of the module docstring's rule
-    for a fit with a local least-squares problem.  A covariate fit's
-    exactly-fit positively weighted rows bind unless
-    ``solvers._covariate_rows_idle`` holds, in which case the covariate
-    side exerts no force and the outer solve drops them."""
-    scale = _df_scale(fit.kind, fit.lam)
-    if fit.kind == COVARIATE:
-        return scale, CASE_COV_MANY if _covariate_rows_idle(fit.sets) else CASE_COV_FEW
-    return scale, {PLAIN: CASE_PLAIN, PENALIZED: CASE_PENALIZED, MASC: CASE_MASC}[fit.kind]
-
-
 def divergence(fit: ScFit, x: np.ndarray, d: np.ndarray | None = None) -> DivergenceMatrix:
-    """Divergence of any fit: ``_df_rule``'s scale times the projection
+    """Divergence of any fit: ``_df_scale``'s scale times the projection
     onto the span of ``X_A N`` at the engine's rank cut of ``x``
     (``eq_constrained_hat``), whose trace is ``fit.kkt.face_dim``; the zero
     matrix for matching.  ``d`` is needed for a covariate fit with binding
@@ -122,7 +110,7 @@ def divergence(fit: ScFit, x: np.ndarray, d: np.ndarray | None = None) -> Diverg
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if fit.kind == MATCHING:
         return DivergenceMatrix(matrix=np.zeros((x.shape[0], x.shape[0])))
-    scale, _ = _df_rule(fit)
+    scale = _df_scale(fit.kind, fit.lam)
     if not fit.sets.a:
         raise ConfigurationError("fit has an empty active set")
     if fit.cov_eq_rows and d is None:
@@ -138,20 +126,21 @@ def divergence(fit: ScFit, x: np.ndarray, d: np.ndarray | None = None) -> Diverg
 # ---------------------------------------------------------------------------
 
 
-def _dof(fit: ScFit) -> tuple[float, str]:
-    """``df_hat``'s number and case, without its report: ``_df_rule``'s
-    scale times the dimension of the fit's face, or zero for a matching
-    fit, which is locally constant in the outcome (its face is empty)."""
-    if fit.kind == MATCHING:
-        return 0.0, CASE_MATCHING
-    scale, case = _df_rule(fit)
-    return scale * fit.kkt.face_dim, case
-
-
 def df_hat(fit: ScFit) -> DofReport:
-    """Closed-form degrees-of-freedom sample analog of a fit (``_dof``)."""
-    sets = fit.sets
-    return DofReport(*_dof(fit), fit.kkt.face_dim, len(sets.a), len(sets.m_and_e), len(sets.e_minus_m))
+    """Closed-form degrees-of-freedom sample analog of a fit: the module
+    docstring's rule, ``_df_scale``'s scale times the dimension of the
+    fit's face, or zero for a matching fit, which is locally constant in
+    the outcome (its face is empty).  A covariate fit's exactly-fit
+    positively weighted rows bind unless ``solvers._covariate_rows_idle``
+    holds, in which case the covariate side exerts no force and the outer
+    solve drops them (the ``cov_many`` case)."""
+    sets, kind = fit.sets, fit.kind
+    df = 0.0 if kind == MATCHING else _df_scale(kind, fit.lam) * fit.kkt.face_dim
+    if kind == COVARIATE:
+        case = CASE_COV_MANY if _covariate_rows_idle(sets) else CASE_COV_FEW
+    else:
+        case = {PLAIN: CASE_PLAIN, PENALIZED: CASE_PENALIZED, MASC: CASE_MASC, MATCHING: CASE_MATCHING}[kind]
+    return DofReport(df, case, fit.kkt.face_dim, len(sets.a), len(sets.m_and_e), len(sets.e_minus_m))
 
 
 # ---------------------------------------------------------------------------

@@ -705,83 +705,61 @@ def solve_penalized_sc(y: np.ndarray, x: np.ndarray, lam: float) -> ScFit:
     return _fit_grid(y, x, PENALIZED, _TuningGrid([lam]))[0]
 
 
-@dataclass(frozen=True)
-class _CovInner:
-    """What the outer solve needs of the covariate rows at one diagonal
-    weighting ``v``, none of it dependent on ``lam``: the informative
-    weighted rows ``e_rows``, the rows the inner solution fits exactly
-    (``exact_rows``, the outer equality rows), the cold start of the outer
-    solve (that inner solution when ``exact_rows`` is not empty, else None),
-    the inner residual tolerance and the donor distances of the penalty.
-    The penalized estimator's has no rows (``_no_cov_rows``)."""
-
-    z: np.ndarray
-    d: np.ndarray
-    v: np.ndarray | None
-    e_rows: tuple[int, ...]
-    exact_rows: tuple[int, ...]
-    cold_start: np.ndarray | None
-    r_tol: float
-    sq_dist: np.ndarray
-
-
-def _no_cov_rows(y: np.ndarray, x: np.ndarray) -> _CovInner:
-    """The ``_CovInner`` of a fit without covariate rows and weighting."""
-    return _CovInner(np.zeros(0), np.zeros((0, x.shape[1])), None, (), (), None, 0.0,
-                     donor_sq_distances(y, x))
-
-
 def _outer_solve(
     y: np.ndarray,
     x: np.ndarray,
-    inner: _CovInner,
-    lam: float,
+    cov: tuple[np.ndarray, np.ndarray, float],
+    inner: tuple[tuple[int, ...], tuple[int, ...], np.ndarray | None],
+    lin: np.ndarray,
     prev: tuple[np.ndarray, tuple[int, ...]] | None,
     *,
     normal: _NormalEquations,
 ) -> tuple[KktCertificate, tuple[int, ...], tuple[int, ...]]:
     """The outer solve of the penalized and covariate estimators:
-    ``0.5||y - X b||^2 + 0.5 lam q'b`` over the simplex, ``q`` being
-    ``inner.sq_dist``, with the exactly-fit covariate rows
-    ``inner.exact_rows`` as equality rows (a penalized fit has none), on
-    ``normal``, the ``_normal_equations(y, x)`` that its one caller,
-    ``_fit_grid``, forms once for a whole grid from the ``y`` and ``x`` it
-    coerced.  Returns the solution's certificate, the covariate rows it
-    leaves unfit (``_unfit_rows``) and its equality rows.
+    ``0.5||y - X b||^2 + lin'b`` over the simplex, ``lin`` being the
+    penalty's ``0.5 lam`` times the donor distances, with one weighting's
+    exactly-fit rows as equality rows.  ``cov`` is the grid's covariate
+    data ``(z, d, r_tol)`` (a penalized grid's has no rows) and ``inner``
+    the weighting's row sets ``(e_rows, exact_rows, cold_start)``
+    (``_cov_inner``); ``normal`` is the ``_normal_equations(y, x)`` that
+    its one caller, ``_fit_grid``, forms once for a whole grid from the
+    ``y`` and ``x`` it coerced.  Returns the solution's certificate, the
+    covariate rows it leaves unfit (``_unfit_rows``) and its equality rows.
 
     ``prev`` is the weights and equality rows of a fit of the same ``x``
     solved before, or None: ``_fit_grid`` passes the fit at the
     neighbouring ``lam`` on its path and, to a path's first solve, the fit
-    of a nearby outcome it was given (``df --fd-check`` passes the checked
-    fit).  The solve starts from those weights when the rows are the
-    solve's and from ``inner.cold_start`` otherwise (None: the engine's
-    start vertex).  A warm start never changes the answer: the warm fit is
-    kept only where its certificate is ``unique``, which pins the optimum
-    with equality rows as without them, so it equals the cold fit;
-    otherwise the point is solved again from the cold start.  If the
-    weighted rows left unfit are at least as numerous as the active donors
-    minus one, the equality rows exert no force and the fit reduces to the
-    plain estimator on its active set: the rows are dropped, the point is
-    solved again from the start vertex, and its certificate is flagged
-    ``degenerate`` (and so not ``unique``).
+    of a nearby outcome it was given when that fit is ``unique`` (``df
+    --fd-check`` passes the checked fit).  The solve starts from those
+    weights when the rows are the solve's and from ``cold_start``
+    otherwise (None: the engine's start vertex).  A warm start never
+    changes the answer: the warm fit is kept only where its certificate is
+    ``unique``, which pins the optimum with equality rows as without them,
+    so it equals the cold fit; otherwise the point is solved again from the
+    cold start.  If the weighted rows left unfit are at least as numerous
+    as the active donors minus one, the equality rows exert no force and
+    the fit reduces to the plain estimator on its active set: the rows are
+    dropped, the point is solved again from the start vertex, and its
+    certificate is flagged ``degenerate`` (and so not ``unique``).
     """
-    lin, rows = 0.5 * lam * inner.sq_dist, inner.exact_rows
-    eq = {"eq_mat": inner.d[list(rows)], "eq_rhs": inner.z[list(rows)]} if rows else {}
+    (z, d, _), (e_rows, rows, cold_start) = cov, inner
+    eq = {"eq_mat": d[list(rows)], "eq_rhs": z[list(rows)]} if rows else {}
     warm = prev is not None and prev[1] == rows
-    cert = simplex_ls(y, x, lin=lin, start=prev[0] if warm else inner.cold_start, _normal=normal, **eq)
+    cert = simplex_ls(y, x, lin=lin, start=prev[0] if warm else cold_start, _normal=normal, **eq)
     if warm and not cert.unique:
-        cert = simplex_ls(y, x, lin=lin, start=inner.cold_start, _normal=normal, **eq)
-    if rows and _covariate_rows_idle(ActiveSets(cert.support, _unfit_rows(inner, cert.beta), inner.e_rows)):
+        cert = simplex_ls(y, x, lin=lin, start=cold_start, _normal=normal, **eq)
+    if rows and _covariate_rows_idle(ActiveSets(cert.support, _unfit_rows(cov, cert.beta), e_rows)):
         cert, rows = replace(simplex_ls(y, x, lin=lin, _normal=normal), degenerate=True, unique=False), ()
-    return cert, _unfit_rows(inner, cert.beta), rows
+    return cert, _unfit_rows(cov, cert.beta), rows
 
 
-def _unfit_rows(inner: _CovInner, beta: np.ndarray) -> tuple[int, ...]:
-    """The covariate rows of ``inner`` whose residual at ``beta`` exceeds
-    ``inner.r_tol``: the ``m`` set of ``ActiveSets``."""
-    if not inner.d.shape[0]:
+def _unfit_rows(cov: tuple[np.ndarray, np.ndarray, float], beta: np.ndarray) -> tuple[int, ...]:
+    """The rows of the covariate data ``cov = (z, d, r_tol)`` whose residual
+    at ``beta`` exceeds ``r_tol``: the ``m`` set of ``ActiveSets``."""
+    z, d, r_tol = cov
+    if not d.shape[0]:
         return ()
-    return tuple(i for i, r in enumerate(inner.d @ beta - inner.z) if abs(r) > inner.r_tol)
+    return tuple(i for i, r in enumerate(d @ beta - z) if abs(r) > r_tol)
 
 
 @dataclass(frozen=True)
@@ -832,29 +810,31 @@ def _fit_grid(y: np.ndarray, x: np.ndarray, kind: str, grid: _TuningGrid, z=None
     go through.
 
     Every tuning column is checked, the first bad value in grid order named
-    (a plain grid's ``lam`` must be 0), and every weighting of the covariate
-    rows checked and its inner problem solved (``_cov_inner``), before any
-    outer solve.  A penalized or covariate grid's penalties are grouped by
-    weighting (a penalized grid's all in one group without rows); a plain
-    or model-averaging grid is one group without rows at ``lam = 0``.  Each
-    group is one path on ``X'X`` and ``X'y``, formed once for all: solved
-    from the largest penalty down, each solve starting from the fit solved
-    just before it and the first from ``prev``, a fit of the same kind and
-    ``x`` to a nearby outcome, or None.  ``_outer_solve`` keeps a warm fit
-    only where the optimum is unique, so every fit equals its cold solve.
+    (a plain grid's ``lam`` must be 0), and so are the covariate data and
+    each weighting (``_cov_data``), before any solve; each weighting's
+    inner problem is solved (``_cov_inner``) before any outer solve.  The
+    covariate data (none but for the covariate kind), their row tolerance
+    and the donor distances are formed once.  A penalized or covariate
+    grid's penalties are grouped by weighting (a penalized grid's all in
+    one group without rows); a plain or model-averaging grid is one group
+    without rows at ``lam = 0``.  Each group is one path on ``X'X`` and
+    ``X'y``, formed once for all: solved from the largest penalty down, each
+    solve starting from the fit solved just before it and the first from
+    ``prev``, a fit of the same kind and ``x`` to a nearby outcome, unless
+    it is None or not ``unique``.  ``_outer_solve`` keeps a warm fit only
+    where the optimum is unique, so every fit equals its cold solve.
 
     The outer problem sees a weighting only through its weighted rows and
-    the rows its inner solution fits exactly, ``(inner.e_rows,
-    inner.exact_rows)``: weightings that agree on both pose the same
-    objective, equality rows, ``r_tol`` and ``sq_dist``, and differ only in
-    their cold start.  So a weighting whose rows and penalties were solved
-    before takes those solutions, each with its own ``v``, when every one of
-    them is ``unique`` (the optimum, which no start changes); otherwise it
-    is solved as the first was.  A model-averaging point is
-    ``lam * w_m + (1 - lam) * b`` of the plain solution ``b`` and the
-    matching weights ``w_m``, every ``m``'s from one stable sort of the
-    donor distances, and its fitted values the same average of ``x @ w_m``
-    and ``x @ b``.
+    the rows its inner solution fits exactly, ``(e_rows, exact_rows)``:
+    weightings that agree on both pose the same objective and equality
+    rows, and differ only in their cold start.  So a weighting whose rows
+    and penalties were solved before takes those solutions, each with its
+    own ``v``, when every one of them is ``unique`` (the optimum, which no
+    start changes); otherwise it is solved as the first was.  A
+    model-averaging point is ``lam * w_m + (1 - lam) * b`` of the plain
+    solution ``b`` and the matching weights ``w_m``, every ``m``'s from one
+    stable sort of the donor distances, and its fitted values the same
+    average of ``x @ w_m`` and ``x @ b``.
     """
     y, x = _data(y, x)
     outer = kind in (PENALIZED, COVARIATE)
@@ -870,31 +850,33 @@ def _fit_grid(y: np.ndarray, x: np.ndarray, kind: str, grid: _TuningGrid, z=None
     for m in dict.fromkeys(grid.m) if kind == MASC else ():
         _matching_count(m, x.shape[1])
     if kind == COVARIATE:
-        inners = [_cov_inner(y, x, z, d, v) for v in grid.vs]
-        runs = [(grid.v_at == k).nonzero()[0] for k in range(len(grid.vs))]
+        z, d, vs = _cov_data(z, d, grid.vs, x.shape[1])
+        runs = [(grid.v_at == k).nonzero()[0] for k in range(len(vs))]
     else:
-        inners, runs = [_no_cov_rows(y, x)], [np.arange(len(lam))]
-    normal = _normal_equations(y, x)
-    kkt, cov = [None] * len(lam), [None] * len(lam)
+        z, d, vs, runs = np.zeros(0), np.zeros((0, x.shape[1])), [None], [np.arange(len(lam))]
+    cov = (z, d, _COV_TOL * (1.0 + _absmax(z)))
+    inners = [((), (), None) if v is None else _cov_inner(cov, v) for v in vs]
+    normal, sq_dist = _normal_equations(y, x), donor_sq_distances(y, x)
+    start = (prev.kkt.beta, prev.cov_eq_rows) if prev is not None and prev.kkt.unique else None
+    kkt, sets = [None] * len(lam), [None] * len(lam)
     solved: dict = {}
-    for inner, idx in zip(inners, runs):
+    for v, inner, idx in zip(vs, inners, runs):
         lams = lam[idx] if outer else np.zeros(1)
-        key = (inner.e_rows, inner.exact_rows, tuple(lams.tolist()))
+        key = (inner[0], inner[1], tuple(lams.tolist()))
         path = solved.get(key)
         if path is None:
-            path, last = [None] * len(lams), None if prev is None else (prev.kkt.beta, prev.cov_eq_rows)
+            path, last = [None] * len(lams), start
             for j in np.argsort(-lams, kind="stable"):
-                path[j] = _outer_solve(y, x, inner, float(lams[j]), last, normal=normal)
+                path[j] = _outer_solve(y, x, cov, inner, 0.5 * float(lams[j]) * sq_dist, last, normal=normal)
                 last = (path[j][0].beta, path[j][2])
             if all(cert.unique for cert, _, _ in path):
                 solved[key] = path
         # a plain or model-averaging grid's one plain solve is every point's
         for i, (cert, m_rows, rows) in zip(idx.tolist(), path if outer else path * len(idx)):
-            kkt[i], cov[i] = cert, (m_rows, inner.e_rows, rows, inner.v)
-    sq_dist = inners[0].sq_dist
+            kkt[i], sets[i] = cert, (m_rows, inner[0], rows, v)
     if kind != MASC:
         return _FitGrid(kind, grid, y, np.array([cert.beta for cert in kkt]),
-                        np.array([x @ cert.beta for cert in kkt]), kkt, cov, sq_dist)
+                        np.array([x @ cert.beta for cert in kkt]), kkt, sets, sq_dist)
     ms, at = np.unique(grid.m.astype(int), return_inverse=True)
     order = np.argsort(sq_dist, kind="stable")
     matching, fitted_sc = np.array([_nearest(order, m) for m in ms.tolist()]), x @ kkt[0].beta
@@ -906,7 +888,7 @@ def _fit_grid(y: np.ndarray, x: np.ndarray, kind: str, grid: _TuningGrid, z=None
         return out
 
     fitted = average(np.array([x @ w for w in matching]), fitted_sc)
-    return _FitGrid(kind, grid, y, functools.partial(average, matching, kkt[0].beta), fitted, kkt, cov,
+    return _FitGrid(kind, grid, y, functools.partial(average, matching, kkt[0].beta), fitted, kkt, sets,
                     sq_dist, y - fitted_sc)
 
 
@@ -1045,55 +1027,65 @@ def solve_sc_cov_inner(
     stage does not depend on ``lam``, so a grid over ``lam`` at one
     weighting needs it once there.  ``lam`` must be finite and ``>= 0``,
     with or without covariate rows; otherwise ``ConfigurationError`` is
-    raised before any solve, as by ``solve_penalized_sc``.  It is
-    raised too unless ``v`` is finite, nonnegative, not all zero and has one
-    entry per covariate row.  An empty ``d`` has no rows: the fit is then
-    the penalized one on the same path, and only a length-0 ``v`` is valid.
-    ``ValueError`` is raised unless ``d`` has one row per entry of ``z`` and
-    one column per donor.
+    raised before any solve, as by ``solve_penalized_sc``.  It is raised
+    too at a non-finite entry of ``z`` or ``d``, named, and unless ``v`` is
+    finite, nonnegative, not all zero and has one entry per covariate row.
+    An empty ``d`` has no rows: the fit is then the penalized one on the
+    same path, and only a length-0 ``v`` is valid.  ``ValueError`` is
+    raised unless ``d`` has one row per entry of ``z`` and one column per
+    donor.
     """
     return _fit_grid(y, x, COVARIATE, _TuningGrid([lam], vs=[v]), z, d)[0]
 
 
-def _cov_inner(y, x, z, d, v) -> _CovInner:
-    """Stage one of ``solve_sc_cov_inner`` on its ``_data``: coerce and check
-    ``z`` and ``d`` (empty: no rows), check ``v``, a finite, nonnegative
-    diagonal weighting of the rows as its grid holds it, then solve the
-    inner weighted problem over the simplex."""
-    z, v = np.asarray(z, dtype=float).ravel(), np.asarray(v)
-    d = np.atleast_2d(np.asarray(d, dtype=float)) if np.size(d) else np.zeros((0, x.shape[1]))
-    if d.shape != (z.shape[0], x.shape[1]):
+def _cov_data(z, d, vs, p: int) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """A covariate grid's data on ``p`` donors, as ``_data`` takes ``y`` and
+    ``x``: ``z`` and ``d`` as a float vector and matrix (empty: no rows) and
+    the weightings ``vs`` as vectors, all checked as ``solve_sc_cov_inner``
+    states, the first bad weighting in ``vs``'s order named."""
+    z = np.asarray(z, dtype=float).ravel()
+    d = np.atleast_2d(np.asarray(d, dtype=float)) if np.size(d) else np.zeros((0, p))
+    if d.shape != (z.shape[0], p):
         raise ValueError(f"covariate matrix shape {d.shape} incompatible with "
-                         f"{z.shape[0]} covariates and {x.shape[1]} donors")
-    n_cov = d.shape[0]
-    if v.shape[0] != n_cov:
-        raise ConfigurationError("diagonal weight length does not match covariate rows")
-    # a NaN passes the sign checks and an inf makes the weight tolerance
-    # infinite; either would silently drop every covariate row
-    if not np.isfinite(v).all():
-        raise ConfigurationError(f"diagonal weights must be finite, got {v.tolist()}")
-    if np.any(v < 0):
-        raise ConfigurationError("diagonal weights must be nonnegative")
-    if n_cov and float(np.max(v)) <= 0.0:
-        raise ConfigurationError("diagonal weights must not all be zero")
+                         f"{z.shape[0]} covariates and {p} donors")
     _check_finite("covariate target", z)
     _check_finite("covariate matrix", d)
+    vs = [np.asarray(v) for v in vs]
+    for v in vs:
+        if v.shape[0] != d.shape[0]:
+            raise ConfigurationError("diagonal weight length does not match covariate rows")
+        # a NaN passes the sign checks and an inf makes the weight tolerance
+        # infinite; either would silently drop every covariate row
+        if not np.isfinite(v).all():
+            raise ConfigurationError(f"diagonal weights must be finite, got {v.tolist()}")
+        if np.any(v < 0):
+            raise ConfigurationError("diagonal weights must be nonnegative")
+        if d.shape[0] and float(np.max(v)) <= 0.0:
+            raise ConfigurationError("diagonal weights must not all be zero")
+    return z, d, vs
 
-    w_tol, r_tol = _COV_TOL * (1.0 + _absmax(v)), _COV_TOL * (1.0 + _absmax(z))
-    weighted = [i for i in range(n_cov) if v[i] > w_tol]
+
+def _cov_inner(cov: tuple[np.ndarray, np.ndarray, float], v: np.ndarray):
+    """Stage one of ``solve_sc_cov_inner``: what the checked diagonal
+    weighting ``v`` decides of the grid's covariate data ``cov = (z, d,
+    r_tol)``, none of it dependent on ``lam``.  Returns the informative
+    weighted rows ``e_rows``, the rows the inner weighted solution over the
+    simplex fits to within ``r_tol`` (``exact_rows``, the outer equality
+    rows) and the outer solve's cold start (that inner solution when
+    ``exact_rows`` is not empty, else None)."""
+    z, d, r_tol = cov
+    w_tol = _COV_TOL * (1.0 + _absmax(v))
+    weighted = [i for i in range(d.shape[0]) if v[i] > w_tol]
     # all-zero rows with zero targets are vacuous: they cannot constrain b,
     # so they are excluded from the recorded sets as well
     e_rows = tuple(i for i in weighted if np.max(np.abs(d[i])) > 1e-12 or abs(z[i]) > 1e-12)
-    inner_beta = None
-    exact_rows: tuple[int, ...] = ()
-    if e_rows:
-        rows = list(e_rows)
-        sqrt_v = np.sqrt(v[rows])
-        inner_beta = simplex_ls(sqrt_v * z[rows], sqrt_v[:, None] * d[rows]).beta
-        inner_res = d[rows] @ inner_beta - z[rows]
-        exact_rows = tuple(row for row, r in zip(e_rows, inner_res) if abs(r) <= r_tol)
-    cold_start = inner_beta if exact_rows else None
-    return _CovInner(z, d, v, e_rows, exact_rows, cold_start, r_tol, donor_sq_distances(y, x))
+    if not e_rows:
+        return (), (), None
+    rows = list(e_rows)
+    sqrt_v = np.sqrt(v[rows])
+    inner_beta = simplex_ls(sqrt_v * z[rows], sqrt_v[:, None] * d[rows]).beta
+    exact_rows = tuple(row for row, r in zip(e_rows, d[rows] @ inner_beta - z[rows]) if abs(r) <= r_tol)
+    return e_rows, exact_rows, inner_beta if exact_rows else None
 
 
 def _covariate_rows_idle(sets: ActiveSets) -> bool:

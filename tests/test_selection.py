@@ -353,9 +353,11 @@ class TestSelectVIc:
         solves = []
         engine = solvers.simplex_ls
         monkeypatch.setattr(solvers, "simplex_ls", lambda *a, **k: solves.append(1) or engine(*a, **k))
-        with pytest.raises(ConfigurationError, match=match):
-            select_v_ic(panel_cov, [np.array([0.5, 0.5]), np.array(bad)], lambda_grid=[0.0, 0.5])
-        assert len(solves) == 1  # the inner solve of the good weighting, nothing after it
+        good = [np.array([0.5, 0.5]), np.array([1.0, 0.0])]
+        for v_grid in ([good[0], np.array(bad)], [*good, np.array(bad)]):
+            with pytest.raises(ConfigurationError, match=match):
+                select_v_ic(panel_cov, v_grid, lambda_grid=[0.0, 0.5])
+        assert not solves  # every weighting is checked before any solve
 
 
 def _cov_panel(seed, n=10, p=4, post=4):

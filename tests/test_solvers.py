@@ -23,15 +23,16 @@ from synthsel.simulation import draw_factor_gaussian, spawn_rng, synthetic_facto
 from synthsel.solvers import (
     ActiveSets,
     KktCertificate,
+    _COV_TOL,
     _absmax,
     _active_set,
+    _cov_data,
     _cov_inner,
     _face_factor,
     _face_finish,
     _face_rows,
     _feasible_start,
     _fit_grid,
-    _no_cov_rows,
     _normal_equations,
     _outer_solve,
     _qr_rank,
@@ -424,13 +425,27 @@ class TestShapes:
             self._engine(**{arg: value})
 
 
-def _outer_fit(y, x, inner, lam, start=None, rows=()):
-    """``_outer_solve`` on normal equations of its own, from a previous fit
-    with weights ``start`` (None: no previous fit) and equality rows
-    ``rows``, with the fields of the ``ScFit`` its grid builds from it."""
-    prev = None if start is None else (np.asarray(start, dtype=float), rows)
-    cert, m_rows, eq_rows = _outer_solve(y, x, inner, lam, prev, normal=_normal_equations(y, x))
-    return SimpleNamespace(beta=cert.beta, kkt=cert, sets=ActiveSets(cert.support, m_rows, inner.e_rows),
+def _cov_rows(p, z=None, d=None, v=None):
+    """``(cov, inner)`` as ``_fit_grid`` forms them on ``p`` donors: the
+    covariate data ``(z, d, r_tol)`` and the row sets of the weighting
+    ``v``; without ``z``, a grid's with no covariate rows."""
+    if z is None:
+        return (np.zeros(0), np.zeros((0, p)), _COV_TOL), ((), (), None)
+    z, d, (v,) = _cov_data(z, d, [v], p)
+    cov = (z, d, _COV_TOL * (1.0 + _absmax(z)))
+    return cov, _cov_inner(cov, v)
+
+
+def _outer_fit(y, x, rows, lam, start=None, eq_rows=()):
+    """``_outer_solve`` at ``lam`` with the covariate data and row sets
+    ``rows`` (``_cov_rows``) on normal equations of its own, from a previous
+    fit with weights ``start`` (None: no previous fit) and equality rows
+    ``eq_rows``, with the fields of the ``ScFit`` its grid builds from it."""
+    cov, inner = rows
+    prev = None if start is None else (np.asarray(start, dtype=float), eq_rows)
+    lin = 0.5 * lam * donor_sq_distances(y, x)
+    cert, m_rows, eq_rows = _outer_solve(y, x, cov, inner, lin, prev, normal=_normal_equations(y, x))
+    return SimpleNamespace(beta=cert.beta, kkt=cert, sets=ActiveSets(cert.support, m_rows, inner[0]),
                            cov_eq_rows=eq_rows)
 
 
@@ -440,7 +455,7 @@ class TestPenalizedPath:
         cold = solve_penalized_sc(y, x, 0.05)
         for seed in range(5):
             start = np.random.default_rng(seed).dirichlet(np.ones(12))
-            warm = _outer_fit(y, x, _no_cov_rows(y, x), 0.05, start, cold.cov_eq_rows)
+            warm = _outer_fit(y, x, _cov_rows(12), 0.05, start, cold.cov_eq_rows)
             np.testing.assert_allclose(warm.beta, cold.beta, rtol=0, atol=1e-12)
             assert warm.sets == cold.sets
 
@@ -452,15 +467,41 @@ class TestPenalizedPath:
         ],
     )
     def test_warm_fit_with_non_unique_optimum_is_solved_cold(self, start):
+        y, x = self._duplicated_instance()
+        cold = solve_penalized_sc(y, x, 0.0)
+        warm = _outer_fit(y, x, _cov_rows(4), 0.0, start, cold.cov_eq_rows)
+        np.testing.assert_array_equal(warm.beta, cold.beta)
+        assert warm.sets == cold.sets
+
+    @staticmethod
+    def _duplicated_instance():
         # donor 3 duplicates donor 1, so the optimum is not unique
         gen = np.random.default_rng(10)
         base = gen.normal(size=(8, 3))
-        x = np.column_stack([base, base[:, 1]])
-        y = base @ np.array([0.2, 0.5, 0.3])
-        cold = solve_penalized_sc(y, x, 0.0)
-        warm = _outer_fit(y, x, _no_cov_rows(y, x), 0.0, start, cold.cov_eq_rows)
-        np.testing.assert_array_equal(warm.beta, cold.beta)
-        assert warm.sets == cold.sets
+        return base @ np.array([0.2, 0.5, 0.3]), np.column_stack([base, base[:, 1]])
+
+    def test_a_previous_fit_that_is_not_unique_is_ignored(self, monkeypatch):
+        # the walker starts nothing from it: the same solves, from the same
+        # starts and with the same iterations, as with no previous fit
+        y, x = self._duplicated_instance()
+        prev = solve_penalized_sc(y, x, 0.3)
+        assert not prev.kkt.unique
+        y_near = y + 1e-3 * np.random.default_rng(1).normal(size=y.size)
+        engine, calls = solvers.simplex_ls, []
+
+        def counted(*args, **kwargs):
+            cert = engine(*args, **kwargs)
+            calls.append((kwargs.get("start") is None, cert.iterations))
+            return cert
+
+        monkeypatch.setattr(solvers, "simplex_ls", counted)
+        runs = []
+        for start in (None, prev):
+            calls.clear()
+            fits = _fit_grid(y_near, x, "penalized", tuning_grid("penalized", [0.0, 0.3]), prev=start)
+            runs.append((list(calls), fits.beta))
+        assert runs[1][0] == runs[0][0]
+        np.testing.assert_array_equal(runs[1][1], runs[0][1])
 
 
 @settings(max_examples=40, deadline=None)
@@ -580,14 +621,14 @@ def test_grid_path_is_bitwise_its_warm_solves_made_one_by_one(seed, shape, n_row
     if n_rows:
         kind, d = "covariate", gen.normal(size=(n_rows, x.shape[1]))
         z, v = d @ gen.dirichlet(np.ones(x.shape[1])), gen.dirichlet(np.ones(n_rows))
-        inner = _cov_inner(y, x, z, d, v)
+        rows = _cov_rows(x.shape[1], z, d, v)
         fits = _fit_grid(y, x, kind, tuning_grid(kind, lams, v_grid=[v], n_cov=n_rows), z, d)
     else:
-        kind, inner = "penalized", _no_cov_rows(y, x)
+        kind, rows = "penalized", _cov_rows(x.shape[1])
         fits = _fit_grid(y, x, kind, tuning_grid(kind, lams))
     prev = None
     for lam, fit in sorted(zip(lams, fits), key=lambda pair: -pair[0]):
-        alone = _outer_fit(y, x, inner, lam, *(() if prev is None else (prev.beta, prev.cov_eq_rows)))
+        alone = _outer_fit(y, x, rows, lam, *(() if prev is None else (prev.beta, prev.cov_eq_rows)))
         for got, want in [
             (fit.beta, alone.beta),
             (fit.kkt.mu, alone.kkt.mu),
@@ -606,7 +647,7 @@ def test_grid_path_is_bitwise_its_warm_solves_made_one_by_one(seed, shape, n_row
         x_a = x[:, list(fit.sets.a)]
         e_a = _face_rows(fit.sets.a, fit.cov_eq_rows, d if n_rows else None)
         assert fit.kkt.face_dim == face_dim(x_a, e_a)
-        g0 = x.T @ y - 0.5 * lam * inner.sq_dist
+        g0 = x.T @ y - 0.5 * lam * donor_sq_distances(y, x)
         assert fit.kkt.unique == (not fit.kkt.degenerate and unique_optimum(x_a, e_a, fit.kkt.mu, g0))
         prev = fit
 
@@ -969,10 +1010,10 @@ class TestCovariatePath:
     )
     def test_warm_fit_with_non_unique_optimum_restarts_from_the_inner_solution(self, start):
         y, x, z, d, v = self._duplicated_instance()
-        inner = _cov_inner(y, x, z, d, v)
-        assert inner.exact_rows == (0,)
+        rows = _cov_rows(x.shape[1], z, d, v)
+        assert rows[1][1] == (0,)  # the exactly-fit rows
         cold = solve_sc_cov_inner(y, x, z, d, v)
-        warm = _outer_fit(y, x, inner, 0.0, start, cold.cov_eq_rows)
+        warm = _outer_fit(y, x, rows, 0.0, start, cold.cov_eq_rows)
         np.testing.assert_array_equal(warm.beta, cold.beta)
         assert warm.sets == cold.sets
         assert warm.cov_eq_rows == cold.cov_eq_rows == (0,)
@@ -989,10 +1030,10 @@ class TestCovariatePath:
         z = np.array([d[0] @ w, 3.0, -1.0])
         v = np.array([0.5, 0.25, 0.25])
         lams = np.concatenate([[0.0], np.geomspace(0.0125, 10.0, 9)])
-        inner = _cov_inner(y, x, z, d, v)
+        _, (_, exact_rows, _) = _cov_rows(x.shape[1], z, d, v)
         fits = _fit_grid(y, x, "covariate", tuning_grid("covariate", lams, v_grid=[v], n_cov=3), z, d)
         reduced = [fit.kkt.degenerate for fit in fits]
-        assert inner.exact_rows == (0,)
+        assert exact_rows == (0,)
         assert reduced[-1] and not reduced[0]
         for lam, fit in zip(lams, fits):
             cold = solve_sc_cov_inner(y, x, z, d, v, lam=lam)
@@ -1015,13 +1056,28 @@ class TestCovariatePath:
             counts["outer" if "_normal" in kwargs else "inner"] += 1
             return engine(*args, **kwargs)
 
-        def counted_outer(y, x, inner, lam, prev, **kwargs):
+        def counted_outer(y, x, cov, inner, lin, prev, **kwargs):
             counts["paths"] += prev is None
-            return outer(y, x, inner, lam, prev, **kwargs)
+            return outer(y, x, cov, inner, lin, prev, **kwargs)
 
         monkeypatch.setattr(solvers, "simplex_ls", counted_engine)
         monkeypatch.setattr(solvers, "_outer_solve", counted_outer)
         return counts
+
+    def test_a_covariate_grid_takes_its_data_once(self, monkeypatch):
+        # z and d are checked and the donor distances formed once for the
+        # grid, not once per weighting of default_v_grid(3)
+        y, x = make_instance(11, n=12, p=8)
+        d = np.random.default_rng(11).normal(size=(3, 8))
+        distances, checked = [], []
+        sq_dist, check = solvers.donor_sq_distances, solvers._check_finite
+        monkeypatch.setattr(solvers, "donor_sq_distances", lambda *a: distances.append(1) or sq_dist(*a))
+        monkeypatch.setattr(solvers, "_check_finite", lambda name, a: checked.append(name) or check(name, a))
+        grid = tuning_grid("covariate", [0.0, 0.3], n_cov=3)
+        fits = _fit_grid(y, x, "covariate", grid, d @ np.full(8, 0.125), d)
+        assert len(fits.grid.vs) == 16
+        assert len(distances) == 1
+        assert checked.count("covariate target") == checked.count("covariate matrix") == 1
 
     def test_weightings_with_the_same_rows_solve_one_outer_path(self, monkeypatch):
         # every target is the donors' value at one simplex weighting, so each
@@ -1047,9 +1103,9 @@ class TestCovariatePath:
         lams = [0.0, 0.3, 2.0]
         v_grid = default_v_grid(2)
         points = tuning_grid("covariate", lams, v_grid=v_grid, n_cov=2)
-        inners = [_cov_inner(y, x, z, d, v) for v in v_grid]
+        inners = [_cov_rows(x.shape[1], z, d, v)[1] for v in v_grid]
         # three of the five weightings pose the same outer problem
-        assert len({(inner.e_rows, inner.exact_rows) for inner in inners}) == 3
+        assert len({(e_rows, exact_rows) for e_rows, exact_rows, _ in inners}) == 3
         counts = self._count_solves(monkeypatch)
         fits = _fit_grid(y, x, "covariate", points, z, d)
         assert counts["inner"] == counts["paths"] == len(v_grid)
