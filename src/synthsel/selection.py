@@ -37,6 +37,7 @@ from .solvers import (
     TuningPoint,
     _TuningGrid,
     _fit_grid,
+    _matvecs,
     default_v_grid,
     solve_sc,
 )
@@ -215,7 +216,7 @@ def _cv_select(kind: str, points, folds, method: str) -> SelectionResult:
     point's forecast is ``x_test @ beta`` of its row of the grid record."""
     totals = np.zeros(len(points))
     for y_tr, x_tr, z, d, y_te, x_te in folds:
-        forecasts = np.array([x_te @ beta for beta in _fit_grid(y_tr, x_tr, kind, points, z, d).beta])
+        forecasts = _matvecs(x_te, _fit_grid(y_tr, x_tr, kind, points, z, d).beta)
         totals += np.mean((y_te - forecasts) ** 2, axis=1)
     return _select(points, totals / len(folds), None, method)
 

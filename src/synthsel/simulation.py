@@ -34,7 +34,7 @@ from .selection import (
     cv_loo_untreated,
     cv_rolling,
 )
-from .solvers import PENALIZED, _fit_grid, solve_sc
+from .solvers import PENALIZED, _fit_grid, _matvecs, solve_sc
 
 METHOD_RISK = "risk"
 METHOD_SURE_STAR = "sure_star"
@@ -640,7 +640,7 @@ def run_selection_benchmark(
             means = _conditional_mean(draw, blp)
             means_pre, means_post = means[:n_pre], means[n_pre:]
             risk_curve = np.sum((fits.fitted - means_pre) ** 2, axis=1)
-            forecasts = np.array([x_post @ beta for beta in fits.beta])
+            forecasts = _matvecs(x_post, fits.beta)
             cv_truth_curve = np.mean((forecasts - means_post) ** 2, axis=1) + sigma2_true
             truth = (_select(grid, risk_curve, None, METHOD_RISK), risk_curve, cv_truth_curve)
 

@@ -102,10 +102,10 @@ MATCHING = "matching"
 
 
 def _absmax(v: np.ndarray) -> float:
-    """``max |v|`` over every entry, 0.0 when ``v`` is empty; NaN propagates.
-    Equal to ``np.max(np.abs(v), initial=0.0)`` at a fraction of its call
-    cost, which the working-set engine pays several times per iteration."""
-    return float(abs(v).max()) if v.size else 0.0
+    """``max |v|`` over every entry, 0.0 when ``v`` is empty; NaN propagates.  Read at ``argmax``
+    (the first NaN, if any): a fraction of ``max``'s call cost, paid several times an iteration."""
+    a = abs(v).ravel()
+    return float(a[a.argmax()]) if a.size else 0.0
 
 
 def default_active_tol(beta: np.ndarray) -> float:
@@ -114,9 +114,8 @@ def default_active_tol(beta: np.ndarray) -> float:
 
 
 def _active_set(beta: np.ndarray) -> tuple[int, ...]:
-    """Indices of the entries of ``beta``, nonnegative and not empty, above
-    ``default_active_tol``, which is then ``1e-8 * (1 + max b)``."""
-    return tuple((beta > 1e-8 * (1.0 + float(beta.max()))).nonzero()[0].tolist())
+    """Indices of the entries of ``beta`` (nonnegative, not empty) above ``default_active_tol``."""
+    return tuple((beta > 1e-8 * (1.0 + float(beta[beta.argmax()]))).nonzero()[0].tolist())
 
 
 @dataclass(frozen=True)
@@ -405,9 +404,10 @@ def simplex_ls(
     design)`` when the caller already holds it, as a path of solves on one
     design does (see ``_fit_grid``); the result is the same either way.
     Such a caller has coerced and checked ``target``, ``design`` and
-    ``lin`` (a float vector or None) itself, so they are taken as given.
-    It keeps the ``_face_factor`` of the face the last solve ended on, which
-    does not depend on ``lin``, for the next solve to finish again.
+    ``lin`` (a float vector or None) itself, and ``start`` is a certificate's
+    ``beta``, so all four are taken as given.  It keeps the ``_face_factor``
+    of the face the last solve ended on, which does not depend on ``lin``,
+    for the next solve to finish again.
 
     The certificate's face is read off that factor: its rank and null-space
     columns.  When a free donor ends at zero weight, the face of the
@@ -420,10 +420,11 @@ def simplex_ls(
         _check_args(x.shape[1], lin, sum_to, eq_mat, eq_rhs)
         normal = _normal_equations(y, x)
         lin = None if lin is None else np.asarray(lin, dtype=float).ravel()
+        start = start if start is None else np.maximum(_feasible_start(start, x.shape[1], float(sum_to)), 0.0)
     p = x.shape[1]
     gram, g0 = normal.gram, normal.xty
     if lin is not None:
-        g0, lin = g0 - lin, lin if lin.any() else None
+        g0, lin = g0 - lin, lin if np.count_nonzero(lin) else None
 
     a_mat, rhs, rows_key = normal.sum_row
     if eq_mat is not None and np.size(eq_mat):
@@ -436,28 +437,20 @@ def simplex_ls(
 
     if start is None:
         if a_mat.shape[0] > 1:
-            raise ConfigurationError(
-                "a feasible start is required when extra equality rows are given"
-            )
+            raise ConfigurationError("a feasible start is required when extra equality rows are given")
         vertex_obj = 0.5 * sum_to**2 * gram.diagonal() - sum_to * g0
-        j0 = int(vertex_obj.argmin())
-        beta = np.zeros(p)
-        beta[j0] = sum_to
-    else:
-        beta = np.maximum(_feasible_start(start, p, float(sum_to)), 0.0)
+        start = np.zeros(p)
+        start[int(vertex_obj.argmin())] = sum_to
+    beta = start
     free = beta > 0.0
-    if not free.any():
+    if not np.count_nonzero(free):
         free[0] = True
 
     max_iter = max(200, 30 * p)
     scale = 1.0 + _absmax(g0)
     release_tol = min(KKT_TOL, _RELEASE_TOL * scale)
 
-    def _objective(b: np.ndarray) -> float:
-        return float(0.5 * b @ (gram @ b) - g0 @ b)
-
     xi = np.zeros(a_mat.shape[0])
-    start_beta = beta
     best_obj = None  # the start's objective, formed when the stall test first reads it
     stalled = 0
     bland = False
@@ -467,7 +460,7 @@ def simplex_ls(
         if normal.face[0] != key:
             factor = _face_factor(x.take(f_idx, 1), y, a_mat.take(f_idx, 1), rhs, normal.cut)
             normal.face = (key, factor)
-        lin_f = None if lin is None else lin.take(f_idx)
+        lin_f = None if lin is None else lin[f_idx]
         cand_f, pinv, ray = _face_finish(normal.face[1], lin_f)
         if ray is not None:
             # no stationary point on the face: descend along the ray until a
@@ -479,17 +472,20 @@ def simplex_ls(
             beta, blocking = _step_to_bound(beta, direction, falling)
             free[blocking] = False
             continue
-        feas_tol = _FEAS_TOL * max(1.0, _absmax(cand_f))
-        if cand_f.min() >= -feas_tol:
+        low = cand_f[cand_f.argmin()]  # the least entry, or the first NaN
+        if low >= 0.0 or low >= -_FEAS_TOL * max(1.0, _absmax(cand_f)):
             beta = np.zeros(p)
             beta[f_idx] = np.maximum(cand_f, 0.0)
-            grad = gram @ beta - g0
-            xi = pinv.T @ -grad.take(f_idx)
-            resid = grad + a_mat.T @ xi
+            gram_beta = gram @ beta
+            grad = gram_beta - g0
+            xi = pinv.T @ -grad[f_idx]
+            # A' xi of the sum row alone: xi[0] + 0.0, as the product rounds -0.0
+            resid = grad + (xi[0] + 0.0 if a_mat.shape[0] == 1 else a_mat.T @ xi)
             mu = -resid
-            mu[free] = 0.0
+            mu[f_idx] = 0.0
             # mu is zero on the (nonempty) free set, so its max is >= 0
-            if mu.max() <= release_tol:
+            release = int(mu.argmax())
+            if mu[release] <= release_tol:
                 support = _active_set(beta)
                 null, r11 = normal.face[1][0], normal.face[1][3]
                 face = (0 if r11 is None else r11.shape[0], null.shape[1])
@@ -501,7 +497,7 @@ def simplex_ls(
                 return KktCertificate(
                     beta=beta,
                     # resid + mu: resid on the free set, exactly zero off it
-                    stationarity_residual=_absmax(resid.take(f_idx)),
+                    stationarity_residual=_absmax(resid[f_idx]),
                     complementarity_gap=_absmax(mu * beta),
                     eq_multipliers=xi,
                     mu=mu,
@@ -511,9 +507,9 @@ def simplex_ls(
                     unique=bool(face[0] == face[1] and pinned),
                     support=support,
                 )
-            obj = _objective(beta)
+            obj = float(0.5 * beta @ gram_beta - g0 @ beta)
             if best_obj is None:
-                best_obj = _objective(start_beta)
+                best_obj = float(0.5 * start @ (gram @ start) - g0 @ start)
             if obj < best_obj - 1e-14 * (1.0 + abs(best_obj)):
                 best_obj = obj
                 stalled = 0
@@ -523,8 +519,6 @@ def simplex_ls(
                     bland = True
             if bland:
                 release = int((mu > release_tol).nonzero()[0][0])
-            else:
-                release = int(mu.argmax())
             free[release] = True
         else:
             cand = np.zeros(p)
@@ -748,9 +742,11 @@ def _outer_solve(
     cert = simplex_ls(y, x, lin=lin, start=prev[0] if warm else cold_start, _normal=normal, **eq)
     if warm and not cert.unique:
         cert = simplex_ls(y, x, lin=lin, start=cold_start, _normal=normal, **eq)
-    if rows and _covariate_rows_idle(ActiveSets(cert.support, _unfit_rows(cov, cert.beta), e_rows)):
+    m_rows = _unfit_rows(cov, cert.beta)
+    if rows and _covariate_rows_idle(ActiveSets(cert.support, m_rows, e_rows)):
         cert, rows = replace(simplex_ls(y, x, lin=lin, _normal=normal), degenerate=True, unique=False), ()
-    return cert, _unfit_rows(cov, cert.beta), rows
+        m_rows = _unfit_rows(cov, cert.beta)
+    return cert, m_rows, rows
 
 
 def _unfit_rows(cov: tuple[np.ndarray, np.ndarray, float], beta: np.ndarray) -> tuple[int, ...]:
@@ -834,7 +830,8 @@ def _fit_grid(y: np.ndarray, x: np.ndarray, kind: str, grid: _TuningGrid, z=None
     model-averaging point is ``lam * w_m + (1 - lam) * b`` of the plain
     solution ``b`` and the matching weights ``w_m``, every ``m``'s from one
     stable sort of the donor distances, and its fitted values the same
-    average of ``x @ w_m`` and ``x @ b``.
+    average of ``x @ w_m`` and ``x @ b``.  The rows ``x @ beta`` (``x @ w_m``) come from one
+    stacked product (``_matvecs``), the same BLAS routine per row as a loop over them.
     """
     y, x = _data(y, x)
     outer = kind in (PENALIZED, COVARIATE)
@@ -875,8 +872,8 @@ def _fit_grid(y: np.ndarray, x: np.ndarray, kind: str, grid: _TuningGrid, z=None
         for i, (cert, m_rows, rows) in zip(idx.tolist(), path if outer else path * len(idx)):
             kkt[i], sets[i] = cert, (m_rows, inner[0], rows, v)
     if kind != MASC:
-        return _FitGrid(kind, grid, y, np.array([cert.beta for cert in kkt]),
-                        np.array([x @ cert.beta for cert in kkt]), kkt, sets, sq_dist)
+        beta = np.array([cert.beta for cert in kkt])
+        return _FitGrid(kind, grid, y, beta, _matvecs(x, beta), kkt, sets, sq_dist)
     ms, at = np.unique(grid.m.astype(int), return_inverse=True)
     order = np.argsort(sq_dist, kind="stable")
     matching, fitted_sc = np.array([_nearest(order, m) for m in ms.tolist()]), x @ kkt[0].beta
@@ -887,9 +884,16 @@ def _fit_grid(y: np.ndarray, x: np.ndarray, kind: str, grid: _TuningGrid, z=None
         out += (1.0 - col) * base
         return out
 
-    fitted = average(np.array([x @ w for w in matching]), fitted_sc)
+    fitted = average(_matvecs(x, matching), fitted_sc)
     return _FitGrid(kind, grid, y, functools.partial(average, matching, kkt[0].beta), fitted, kkt, sets,
                     sq_dist, y - fitted_sc)
+
+
+def _matvecs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ r`` for each row ``r`` of ``b`` (``a`` one matrix, or one per row) as one stacked
+    ``np.matmul``: per row the BLAS routine ``a @ r`` calls (gemv, or ddot for a one-row
+    ``a``), so the bits are a loop's; an einsum or one gemm would round differently."""
+    return np.matmul(a, b[..., None])[..., 0]
 
 
 class _FitGrid(Sequence):
@@ -906,12 +910,13 @@ class _FitGrid(Sequence):
     ``solve_sc``'s residuals where the grid holds its fit: a plain or
     model-averaging grid's plain solution, or a penalized grid's first
     point at ``lam = 0`` (its path keeps a warm fit only where that equals
-    the cold solve, which ``solve_sc`` is); otherwise None."""
+    the cold solve, which ``solve_sc`` is); otherwise None.  ``fitted`` and ``rss``
+    are each one stacked product (``_matvecs``), the same BLAS routine per row as a loop."""
 
     def __init__(self, kind, grid, y, beta, fitted, kkt, cov, sq_dist, plain_residuals=None):
         self.kind, self.grid, self.lam, self.kkt, self.cov = kind, grid, grid.lam, kkt, cov
         self._beta, self.fitted, self.residuals, self.sq_dist = beta, fitted, y - fitted, sq_dist
-        self.rss = np.array([r.dot(r) for r in self.residuals])
+        self.rss = _matvecs(self.residuals[:, None], self.residuals)[:, 0]
         self.face_dim = np.array([cert.face_dim for cert in kkt])
         zero = (self.lam == 0.0).nonzero()[0]
         if kind in (PLAIN, PENALIZED) and zero.size:
@@ -961,14 +966,8 @@ def solve_matching(y: np.ndarray, x: np.ndarray, m: int) -> ScFit:
     y, x = _data(y, x)
     # not an engine solution: an all-zero certificate, its face empty
     beta = matching_weights(y, x, m)
-    cert = KktCertificate(
-        beta=beta,
-        stationarity_residual=0.0,
-        complementarity_gap=0.0,
-        eq_multipliers=np.zeros(1),
-        mu=np.zeros(x.shape[1]),
-        support=_active_set(beta),
-    )
+    cert = KktCertificate(beta=beta, stationarity_residual=0.0, complementarity_gap=0.0,
+                          eq_multipliers=np.zeros(1), mu=np.zeros(x.shape[1]), support=_active_set(beta))
     fitted = x @ beta
     return ScFit(MATCHING, beta, fitted, y - fitted, ActiveSets(a=cert.support), cert,
                  donor_sq_distances(y, x), m=int(m))

@@ -8,6 +8,7 @@ import sys
 from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from synthsel.solvers import (
     _face_rows,
     _feasible_start,
     _fit_grid,
+    _matvecs,
     _normal_equations,
     _outer_solve,
     _qr_rank,
@@ -541,6 +543,37 @@ class TestShortcuts:
         assert type(got) is float
         np.testing.assert_array_equal(got, want)
 
+    @staticmethod
+    def _operands(gen, n, p, k):
+        """``(a, b)`` pairs of an ``n x p`` matrix and ``k`` rows of ``p``:
+        C- and F-ordered, sliced and fancy-indexed."""
+        a, b = gen.normal(size=(n, p + 3)), gen.normal(size=(k + 4, p))
+        mats = [a[:, :p].copy(), np.asfortranarray(a[:, :p]), a[:, 1 : p + 1], a[:, ::-1][:, :p]]
+        rows = [b[:k].copy(), np.asfortranarray(b[:k]), b[1 : k + 1], b[gen.permutation(k + 4)[:k]]]
+        return itertools.product(mats, rows)
+
+    @pytest.mark.parametrize("k", [1, 20, 210])
+    @pytest.mark.parametrize("n", [1, 12, 36])
+    def test_stacked_products_are_the_products_row_by_row(self, k, n):
+        # a one-row matrix (n = 1) is a cv-rolling fold's x_te: ddot per row
+        gen = np.random.default_rng(100 * k + n)
+        for a, b in self._operands(gen, n, 40, k):
+            got = _matvecs(a, b)
+            assert got.tobytes() == np.array([a @ r for r in b]).tobytes()
+        for r in [b, b.T.copy().T, b[::2], b[gen.permutation(k)]]:
+            assert _matvecs(r[:, None], r)[:, 0].tobytes() == np.array([row @ row for row in r]).tobytes()
+
+    @pytest.mark.parametrize("xi0", [0.0, -0.0, 1.5, -2.25, 1e-300, np.inf, np.nan])
+    def test_sum_row_multiplier_term_is_its_product(self, xi0):
+        # with the sum row the only equality row, A' xi is xi[0] in every
+        # entry, -0.0 rounded to 0.0 as the product rounds it
+        gen = np.random.default_rng(3)
+        for p in (1, 3, 40, 210):
+            grad = gen.normal(size=p)
+            grad[0] = -0.0
+            a_mat, xi = np.ones((1, p)), np.array([xi0])
+            assert (grad + (xi[0] + 0.0)).tobytes() == (grad + a_mat.T @ xi).tobytes()
+
 
 @settings(max_examples=30, deadline=None)
 @given(
@@ -602,6 +635,56 @@ def test_a_warm_path_factors_a_recurring_face_once(monkeypatch):
     select_lambda_ic(panel, "penalized")
     assert counts["solved"] > 0
     assert 2 * counts["factored"] <= counts["solved"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    shape=st.sampled_from(["tall", "wide", "duplicated"]),
+    n_rows=st.integers(0, 2),
+    kind=st.sampled_from(["plain", "penalized", "masc", "covariate"]),
+)
+def test_every_start_the_walker_vouches_for_passes_the_door(seed, shape, n_rows, kind):
+    # a caller that passes _normal vouches for its start, so simplex_ls
+    # skips the door's check and clip: each start _outer_solve hands it,
+    # on a grid and on a re-fit from a prev as df --fd-check passes one,
+    # must come back from them bit for bit unchanged
+    gen = np.random.default_rng(seed)
+    y, x = random_design(gen, shape)
+    p = x.shape[1]
+    z = d = None
+    if kind == "plain":
+        grid = solvers._TuningGrid([0.0])
+    elif kind == "masc":
+        grid = tuning_grid(kind, [0.0, 0.5, 1.0], m_grid=range(1, min(3, p) + 1))
+    elif kind == "covariate":
+        d = gen.normal(size=(n_rows, p))
+        z = d @ gen.dirichlet(np.ones(p))
+        vs = default_v_grid(n_rows) if n_rows else [np.zeros(0)]
+        grid = solvers._TuningGrid(np.tile([0.0, 0.3, 3.0], len(vs)), vs=vs,
+                                   v_at=np.repeat(np.arange(len(vs)), 3))
+    else:
+        grid = tuning_grid(kind)
+    starts = []
+    engine = solvers.simplex_ls
+
+    def spy(*args, **kwargs):
+        if kwargs.get("_normal") is not None and kwargs.get("start") is not None:
+            starts.append(kwargs["start"])
+        return engine(*args, **kwargs)
+
+    with mock.patch.object(solvers, "simplex_ls", spy):
+        fits = _fit_grid(y, x, kind, grid, z, d)
+        i = len(grid) // 2
+        point = solvers._TuningGrid(grid.lam[i : i + 1], None if grid.m is None else grid.m[i : i + 1],
+                                    None if grid.vs is None else [grid.vs[grid.v_at[i]]])
+        _fit_grid(y + 1e-6 * np.eye(y.shape[0])[0], x, kind, point, z, d, prev=fits[i])
+    if kind == "penalized":
+        assert len(starts) >= len(grid) - 1
+    for start in starts:
+        back = np.maximum(_feasible_start(start, p, 1.0), 0.0)
+        assert back.dtype == start.dtype and back.shape == start.shape
+        assert back.tobytes() == start.tobytes()
 
 
 @settings(max_examples=30, deadline=None)
