@@ -42,18 +42,6 @@ from .selection import (
     select_v_ic,
     sigma2_hat,
 )
-from .simulation import (
-    BenchmarkReport,
-    FactorModelSpec,
-    conditional_mean_path,
-    draw_factor_empirical,
-    draw_factor_gaussian,
-    fit_factor_model,
-    mc_dof,
-    run_selection_benchmark,
-    stationary_bootstrap,
-    synthetic_factor_spec,
-)
 from .diagnostics import (
     EffectPath,
     WhiteTestReport,
@@ -65,3 +53,26 @@ from .diagnostics import (
 from .io import LoadedPanel, load_panel, preprocess, preprocess_loaded
 
 __version__ = "0.1.0"
+
+#: ``simulation``'s names, imported when first read (PEP 562), so that a
+#: command that draws nothing, such as ``fit`` or ``df``, never loads it
+_SIMULATION = frozenset({
+    "BenchmarkReport",
+    "FactorModelSpec",
+    "conditional_mean_path",
+    "draw_factor_empirical",
+    "draw_factor_gaussian",
+    "fit_factor_model",
+    "mc_dof",
+    "run_selection_benchmark",
+    "stationary_bootstrap",
+    "synthetic_factor_spec",
+})
+
+
+def __getattr__(name: str):
+    if name in _SIMULATION:
+        from . import simulation
+
+        return getattr(simulation, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from . import diagnostics, io as pio, selection, simulation
+from . import diagnostics, io as pio, selection
 from .dof import df_hat, divergence, divergence_fd_oracle
 from .errors import ConfigurationError, SynthselError
 from .panel import PanelDataset
@@ -254,6 +254,7 @@ def _cmd_df(args) -> dict:
 
 
 def _cmd_simulate(args) -> dict:
+    from . import simulation  # imported by the commands that draw, not by fit or df
     if args.fit_from:
         loaded = pio.load_panel(args.fit_from, args.treated, args.treatment_period)
         loaded = pio.preprocess_loaded(loaded, ma_window=args.ma_window, demean=args.demean)
@@ -299,6 +300,7 @@ def _cmd_simulate(args) -> dict:
 
 
 def _cmd_benchmark(args) -> simulation.BenchmarkReport:
+    from . import simulation
     methods = [tok.strip() for tok in args.methods.split(",") if tok.strip()]
     grid = parse_grid(args.grid) if args.grid else None
     report = simulation.run_selection_benchmark(
@@ -394,6 +396,17 @@ def _add_estimator_args(sub, point=True):
         sub.add_argument("--v", default=None, help="fixed diagonal weights, comma separated")
 
 
+class _Designs:
+    """``simulation.DESIGNS``, read when argparse checks (``in``) or lists a
+    ``--design`` of ``benchmark``, so that building the parser does not
+    import ``simulation``."""
+
+    def __iter__(self):
+        from .simulation import DESIGNS
+
+        return iter(DESIGNS)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="synthsel",
@@ -450,7 +463,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.set_defaults(run=_cmd_simulate)
 
     ben = add_parser("benchmark", "race the selection methods on a known design")
-    ben.add_argument("--design", default="gaussian", choices=list(simulation.DESIGNS))
+    # set after add_argument, which would list the choices at once to check its metavar
+    ben.add_argument("--design", default="gaussian").choices = _Designs()
     ben.add_argument("--reps", type=int, default=200)
     ben.add_argument("--seed", type=int, default=0)
     ben.add_argument("--methods", default="risk,sure,cv_holdout")

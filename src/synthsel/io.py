@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import ConfigurationError, PanelParseError
 from .panel import PanelDataset
-from .simulation import BenchmarkReport, MethodResult
 
 SCHEMA_VERSION = 2
 
@@ -251,6 +250,7 @@ def write_csv(path: str, header: list[str], rows) -> None:
 def write_benchmark_csv(path: str, report: BenchmarkReport) -> None:
     """Benchmark table: one row per method, the columns of ``MethodResult``
     in field order."""
+    from .simulation import MethodResult  # here, so that loading a panel does not import it
     names = [field.name for field in dataclasses.fields(MethodResult)]
     write_csv(path, names, ([getattr(row, name) for name in names] for row in report.methods))
 

@@ -15,10 +15,11 @@ The certificate also records the face the solve ended on, read off the
 factorization that certified it: its dimension, which the degrees of
 freedom count (see ``dof``), and whether it pins the optimum, which
 decides where a warm start is kept.  What a path of solves on one design
-shares is formed once for it: X'X, X'y, the rank cut and the
-factorization of the face the last solve ended on, which does not depend
-on the penalty, so a warm solve at the next penalty that starts on that
-face does not factor it again.
+shares is formed once for it: X'X, X'y, the rank cut, its equality rows
+(the sum row over a covariate weighting's exactly-fit rows, their right
+side and face key) and the factorization of the face the last solve
+ended on, which does not depend on the penalty, so a warm solve at the
+next penalty that starts on that face does not factor it again.
 
 Multiplier convention for the nonnegativity constraints: stationarity is
 ``grad + A' xi + mu = 0`` with ``mu <= 0`` at an optimum.
@@ -156,6 +157,10 @@ class KktCertificate:
     direction leaves the face and none moves within it.  It is False for
     a degenerate fit.  A certificate that is not the engine's (a matching
     fit's) holds an empty face, ``(0, 0)``.
+
+    The engine fills the fields without the dataclass ``__init__`` and
+    leaves ``complementarity_gap``, ``max|mu * beta|``, to be formed the
+    first time it is read (by ``satisfied``, a report or ``replace``).
     """
 
     beta: np.ndarray
@@ -169,6 +174,13 @@ class KktCertificate:
     face_cols: int = 0
     unique: bool = False
     support: tuple[int, ...] = ()
+
+    def __getattr__(self, name: str):
+        # reached only for an attribute the instance lacks: the gap the engine leaves unformed
+        if name != "complementarity_gap":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        gap = vars(self)[name] = _absmax(self.mu * self.beta)
+        return gap
 
     def satisfied(self, tol: float = KKT_TOL) -> bool:
         return (
@@ -405,9 +417,11 @@ def simplex_ls(
     design does (see ``_fit_grid``); the result is the same either way.
     Such a caller has coerced and checked ``target``, ``design`` and
     ``lin`` (a float vector or None) itself, and ``start`` is a certificate's
-    ``beta``, so all four are taken as given.  It keeps the ``_face_factor``
-    of the face the last solve ended on, which does not depend on ``lin``,
-    for the next solve to finish again.
+    ``beta`` (which has a positive entry), so all four are taken as given;
+    its ``eq_mat`` may be a path's whole equality system as ``_eq_system``
+    forms it once for the path.  It keeps the ``_face_factor`` of the face
+    the last solve ended on, which does not depend on ``lin``, for the next
+    solve to finish again.
 
     The certificate's face is read off that factor: its rank and null-space
     columns.  When a free donor ends at zero weight, the face of the
@@ -427,10 +441,10 @@ def simplex_ls(
         g0, lin = g0 - lin, lin if np.count_nonzero(lin) else None
 
     a_mat, rhs, rows_key = normal.sum_row
-    if eq_mat is not None and np.size(eq_mat):
-        a_mat = np.vstack([a_mat, np.atleast_2d(np.asarray(eq_mat, dtype=float))])
-        rhs = np.concatenate([[float(sum_to)], np.asarray(eq_rhs, dtype=float).ravel()])
-        rows_key = (a_mat.tobytes(), rhs.tobytes())
+    if isinstance(eq_mat, tuple):  # a path's system, from its caller's _eq_system
+        a_mat, rhs, rows_key = eq_mat
+    elif eq_mat is not None and np.size(eq_mat):
+        a_mat, rhs, rows_key = _eq_system(eq_mat, eq_rhs, sum_to)
     elif sum_to != 1.0:
         rhs = np.array([float(sum_to)])
         rows_key = (rows_key[0], rhs.tobytes())
@@ -443,7 +457,8 @@ def simplex_ls(
         start[int(vertex_obj.argmin())] = sum_to
     beta = start
     free = beta > 0.0
-    if not np.count_nonzero(free):
+    # only the public door's start (or vertex) can lack a positive entry: one of a zero sum
+    if _normal is None and not np.count_nonzero(free):
         free[0] = True
 
     max_iter = max(200, 30 * p)
@@ -494,19 +509,22 @@ def simplex_ls(
                     face = _face_qr(x.take(support, 1), e_a, normal.cut)[:2] if support else (0, 0)
                 # mu is exactly zero on the free set, which holds the support
                 pinned = np.count_nonzero(mu < -_RELEASE_TOL * scale) == p - len(support)
-                return KktCertificate(
+                # frozen, so its __init__ would set each field through object.__setattr__
+                cert = object.__new__(KktCertificate)
+                vars(cert).update(
                     beta=beta,
                     # resid + mu: resid on the free set, exactly zero off it
                     stationarity_residual=_absmax(resid[f_idx]),
-                    complementarity_gap=_absmax(mu * beta),
                     eq_multipliers=xi,
                     mu=mu,
                     iterations=iteration,
+                    degenerate=False,
                     face_dim=face[0],
                     face_cols=face[1],
                     unique=bool(face[0] == face[1] and pinned),
                     support=support,
                 )
+                return cert
             obj = float(0.5 * beta @ gram_beta - g0 @ beta)
             if best_obj is None:
                 best_obj = float(0.5 * start @ (gram @ start) - g0 @ start)
@@ -530,6 +548,16 @@ def simplex_ls(
     resid = gram @ beta - g0 + a_mat.T @ xi
     stat, comp = _absmax(resid[free]), _absmax(resid[~free] * beta[~free])
     raise ConvergenceError(f"active-set solver exceeded {max_iter} iterations", stat, comp)
+
+
+def _eq_system(eq_mat, eq_rhs, sum_to: float = 1.0):
+    """``simplex_ls``'s equality system: the sum row ``1'b = sum_to`` above
+    the rows ``eq_mat b = eq_rhs``, as ``(rows, right side, face key)``, the
+    key being the bytes of both."""
+    eq_mat = np.atleast_2d(np.asarray(eq_mat, dtype=float))
+    a_mat = np.vstack([np.ones((1, eq_mat.shape[1])), eq_mat])
+    rhs = np.concatenate([[float(sum_to)], np.asarray(eq_rhs, dtype=float).ravel()])
+    return a_mat, rhs, (a_mat.tobytes(), rhs.tobytes())
 
 
 def _step_to_bound(beta: np.ndarray, direction: np.ndarray, idx: np.ndarray):
@@ -703,7 +731,7 @@ def _outer_solve(
     y: np.ndarray,
     x: np.ndarray,
     cov: tuple[np.ndarray, np.ndarray, float],
-    inner: tuple[tuple[int, ...], tuple[int, ...], np.ndarray | None],
+    inner: tuple[tuple[int, ...], tuple[int, ...], np.ndarray | None, tuple | None],
     lin: np.ndarray,
     prev: tuple[np.ndarray, tuple[int, ...]] | None,
     *,
@@ -714,10 +742,11 @@ def _outer_solve(
     penalty's ``0.5 lam`` times the donor distances, with one weighting's
     exactly-fit rows as equality rows.  ``cov`` is the grid's covariate
     data ``(z, d, r_tol)`` (a penalized grid's has no rows) and ``inner``
-    the weighting's row sets ``(e_rows, exact_rows, cold_start)``
-    (``_cov_inner``); ``normal`` is the ``_normal_equations(y, x)`` that
-    its one caller, ``_fit_grid``, forms once for a whole grid from the
-    ``y`` and ``x`` it coerced.  Returns the solution's certificate, the
+    the weighting's row sets ``(e_rows, exact_rows, cold_start, system)``
+    (``_cov_inner``), ``system`` being the equality system of the exact
+    rows that every solve of the path shares; ``normal`` is the
+    ``_normal_equations(y, x)`` that its one caller, ``_fit_grid``, forms
+    once for a whole grid from the ``y`` and ``x`` it coerced.  Returns the solution's certificate, the
     covariate rows it leaves unfit (``_unfit_rows``) and its equality rows.
 
     ``prev`` is the weights and equality rows of a fit of the same ``x``
@@ -736,12 +765,11 @@ def _outer_solve(
     dropped, the point is solved again from the start vertex, and its
     certificate is flagged ``degenerate`` (and so not ``unique``).
     """
-    (z, d, _), (e_rows, rows, cold_start) = cov, inner
-    eq = {"eq_mat": d[list(rows)], "eq_rhs": z[list(rows)]} if rows else {}
+    e_rows, rows, cold_start, system = inner
     warm = prev is not None and prev[1] == rows
-    cert = simplex_ls(y, x, lin=lin, start=prev[0] if warm else cold_start, _normal=normal, **eq)
+    cert = simplex_ls(y, x, lin=lin, start=prev[0] if warm else cold_start, eq_mat=system, _normal=normal)
     if warm and not cert.unique:
-        cert = simplex_ls(y, x, lin=lin, start=cold_start, _normal=normal, **eq)
+        cert = simplex_ls(y, x, lin=lin, start=cold_start, eq_mat=system, _normal=normal)
     m_rows = _unfit_rows(cov, cert.beta)
     if rows and _covariate_rows_idle(ActiveSets(cert.support, m_rows, e_rows)):
         cert, rows = replace(simplex_ls(y, x, lin=lin, _normal=normal), degenerate=True, unique=False), ()
@@ -808,12 +836,13 @@ def _fit_grid(y: np.ndarray, x: np.ndarray, kind: str, grid: _TuningGrid, z=None
     Every tuning column is checked, the first bad value in grid order named
     (a plain grid's ``lam`` must be 0), and so are the covariate data and
     each weighting (``_cov_data``), before any solve; each weighting's
-    inner problem is solved (``_cov_inner``) before any outer solve.  The
-    covariate data (none but for the covariate kind), their row tolerance
-    and the donor distances are formed once.  A penalized or covariate
-    grid's penalties are grouped by weighting (a penalized grid's all in
-    one group without rows); a plain or model-averaging grid is one group
-    without rows at ``lam = 0``.  Each group is one path on ``X'X`` and
+    inner problem is solved (``_cov_inner``), and its exact rows' equality
+    system formed, before any outer solve.  The covariate data (none but
+    for the covariate kind), their row tolerance and the donor distances
+    are formed once.  A penalized or covariate grid's penalties are grouped
+    by weighting (a penalized grid's all in one group without rows); a
+    plain or model-averaging grid is one solve without rows at ``lam = 0``,
+    whose certificate and sets are every point's.  Each group is one path on ``X'X`` and
     ``X'y``, formed once for all: solved from the largest penalty down, each
     solve starting from the fit solved just before it and the first from
     ``prev``, a fit of the same kind and ``x`` to a nearby outcome, unless
@@ -850,9 +879,9 @@ def _fit_grid(y: np.ndarray, x: np.ndarray, kind: str, grid: _TuningGrid, z=None
         z, d, vs = _cov_data(z, d, grid.vs, x.shape[1])
         runs = [(grid.v_at == k).nonzero()[0] for k in range(len(vs))]
     else:
-        z, d, vs, runs = np.zeros(0), np.zeros((0, x.shape[1])), [None], [np.arange(len(lam))]
+        z, d, vs, runs = np.zeros(0), np.zeros((0, x.shape[1])), [None], [np.arange(len(lam) if outer else 1)]
     cov = (z, d, _COV_TOL * (1.0 + _absmax(z)))
-    inners = [((), (), None) if v is None else _cov_inner(cov, v) for v in vs]
+    inners = [((), (), None, None) if v is None else _cov_inner(cov, v) for v in vs]
     normal, sq_dist = _normal_equations(y, x), donor_sq_distances(y, x)
     start = (prev.kkt.beta, prev.cov_eq_rows) if prev is not None and prev.kkt.unique else None
     kkt, sets = [None] * len(lam), [None] * len(lam)
@@ -868,25 +897,16 @@ def _fit_grid(y: np.ndarray, x: np.ndarray, kind: str, grid: _TuningGrid, z=None
                 last = (path[j][0].beta, path[j][2])
             if all(cert.unique for cert, _, _ in path):
                 solved[key] = path
-        # a plain or model-averaging grid's one plain solve is every point's
-        for i, (cert, m_rows, rows) in zip(idx.tolist(), path if outer else path * len(idx)):
+        for i, (cert, m_rows, rows) in zip(idx.tolist(), path):
             kkt[i], sets[i] = cert, (m_rows, inner[0], rows, v)
+    if not outer:  # a plain or model-averaging grid's one plain solve is every point's
+        kkt, sets = kkt[:1] * len(lam), sets[:1] * len(lam)
     if kind != MASC:
-        beta = np.array([cert.beta for cert in kkt])
-        return _FitGrid(kind, grid, y, beta, _matvecs(x, beta), kkt, sets, sq_dist)
+        return _FitGrid(kind, grid, y, x, kkt, sets, sq_dist, np.array([cert.beta for cert in kkt]))
     ms, at = np.unique(grid.m.astype(int), return_inverse=True)
     order = np.argsort(sq_dist, kind="stable")
-    matching, fitted_sc = np.array([_nearest(order, m) for m in ms.tolist()]), x @ kkt[0].beta
-
-    def average(rows, base, i=slice(None)):  # lam * rows[at] + (1 - lam) * base at the points i
-        out, col = rows[at[i]], lam[i, None]
-        out *= col
-        out += (1.0 - col) * base
-        return out
-
-    fitted = average(_matvecs(x, matching), fitted_sc)
-    return _FitGrid(kind, grid, y, functools.partial(average, matching, kkt[0].beta), fitted, kkt, sets,
-                    sq_dist, y - fitted_sc)
+    matching = np.array([_nearest(order, m) for m in ms.tolist()])
+    return _FitGrid(kind, grid, y, x, kkt, sets, sq_dist, (at, matching))
 
 
 def _matvecs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -902,41 +922,77 @@ class _FitGrid(Sequence):
     (each ``x @ beta`` but for model averaging, see ``_fit_grid``) and
     ``residuals``, their rows' dot products ``rss``, and the ``lam`` and
     ``face_dim`` vectors that ``df_hat`` reads; each point's certificate in
-    ``kkt`` and its covariate sets ``(m, e, equality rows, v)`` in ``cov``.
-    A point's ``ScFit`` is built only when indexed; its ``beta`` is its
-    certificate's but for model averaging, whose record holds, in place of
-    the rows, the function of the points that forms them, so a row is formed
-    only when it is read (``beta`` or a point).  ``plain_residuals`` are
-    ``solve_sc``'s residuals where the grid holds its fit: a plain or
+    ``kkt`` and its covariate sets ``(m, e, equality rows, v)`` in ``cov``
+    (a plain or model-averaging grid holds its one solve's for every
+    point).  ``beta`` is the rows of weights but for model averaging, whose
+    record holds in their place each point's index into its distinct
+    matching counts and those counts' matching weights, so that a row is
+    formed only when it is read (``beta`` or a point).  ``plain_residuals``
+    are ``solve_sc``'s residuals where the grid holds its fit: a plain or
     model-averaging grid's plain solution, or a penalized grid's first
     point at ``lam = 0`` (its path keeps a warm fit only where that equals
-    the cold solve, which ``solve_sc`` is); otherwise None.  ``fitted`` and ``rss``
-    are each one stacked product (``_matvecs``), the same BLAS routine per row as a loop."""
+    the cold solve, which ``solve_sc`` is); otherwise None.  ``fitted``,
+    ``residuals``, ``rss`` and ``plain_residuals`` are formed when first
+    read (a cross-validation fold reads only ``beta``);
+    ``fitted`` and ``rss`` are each one stacked product (``_matvecs``), the
+    same BLAS routine per row as a loop.  A point's ``ScFit`` is built only
+    when indexed."""
 
-    def __init__(self, kind, grid, y, beta, fitted, kkt, cov, sq_dist, plain_residuals=None):
+    def __init__(self, kind, grid, y, x, kkt, cov, sq_dist, beta):
         self.kind, self.grid, self.lam, self.kkt, self.cov = kind, grid, grid.lam, kkt, cov
-        self._beta, self.fitted, self.residuals, self.sq_dist = beta, fitted, y - fitted, sq_dist
-        self.rss = _matvecs(self.residuals[:, None], self.residuals)[:, 0]
-        self.face_dim = np.array([cert.face_dim for cert in kkt])
-        zero = (self.lam == 0.0).nonzero()[0]
-        if kind in (PLAIN, PENALIZED) and zero.size:
-            plain_residuals = self.residuals[zero[0]]
-        self.plain_residuals = plain_residuals
+        self._y, self._x, self._beta, self.sq_dist = y, x, beta, sq_dist
+        self.face_dim = (np.full(len(self.lam), kkt[0].face_dim) if kind in (PLAIN, MASC)
+                         else np.array([cert.face_dim for cert in kkt]))
+
+    def _average(self, rows, base, i=slice(None)):
+        """``lam * rows[k] + (1 - lam) * base`` at the points ``i``, ``rows[k]``
+        the row of each point's matching count."""
+        out, col = rows[self._beta[0][i]], self.lam[i, None]
+        out *= col
+        out += (1.0 - col) * base
+        return out
 
     @property
     def beta(self) -> np.ndarray:
-        return self._beta() if self.kind == MASC else self._beta
+        return self._average(self._beta[1], self.kkt[0].beta) if self.kind == MASC else self._beta
+
+    @functools.cached_property
+    def _plain_fitted(self) -> np.ndarray:
+        return self._x @ self.kkt[0].beta
+
+    @functools.cached_property
+    def fitted(self) -> np.ndarray:
+        if self.kind == MASC:
+            return self._average(_matvecs(self._x, self._beta[1]), self._plain_fitted)
+        return _matvecs(self._x, self._beta)
+
+    @functools.cached_property
+    def residuals(self) -> np.ndarray:
+        return self._y - self.fitted
+
+    @functools.cached_property
+    def rss(self) -> np.ndarray:
+        return _matvecs(self.residuals[:, None], self.residuals)[:, 0]
+
+    @functools.cached_property
+    def plain_residuals(self) -> np.ndarray | None:
+        if self.kind == MASC:
+            return self._y - self._plain_fitted
+        zero = (self.lam == 0.0).nonzero()[0]
+        return self.residuals[zero[0]] if self.kind in (PLAIN, PENALIZED) and zero.size else None
 
     def __len__(self) -> int:
         return len(self.grid)
 
     def __getitem__(self, i: int) -> ScFit:
         cert, (m_rows, e_rows, rows, v) = self.kkt[i], self.cov[i]
-        return ScFit(kind=self.kind, beta=self._beta([i])[0] if self.kind == MASC else cert.beta,
+        masc = self.kind == MASC
+        beta = self._average(self._beta[1], cert.beta, [i])[0] if masc else cert.beta
+        return ScFit(kind=self.kind, beta=beta,
                      fitted=self.fitted[i], residuals=self.residuals[i],
                      sets=ActiveSets(a=cert.support, m=m_rows, e=e_rows), kkt=cert,
                      donor_sq_distances=self.sq_dist, lam=float(self.lam[i]),
-                     m=int(self.grid.m[i]) if self.kind == MASC else None, v=v, cov_eq_rows=rows)
+                     m=int(self.grid.m[i]) if masc else None, v=v, cov_eq_rows=rows)
 
 
 def matching_weights(y: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
@@ -1070,8 +1126,10 @@ def _cov_inner(cov: tuple[np.ndarray, np.ndarray, float], v: np.ndarray):
     r_tol)``, none of it dependent on ``lam``.  Returns the informative
     weighted rows ``e_rows``, the rows the inner weighted solution over the
     simplex fits to within ``r_tol`` (``exact_rows``, the outer equality
-    rows) and the outer solve's cold start (that inner solution when
-    ``exact_rows`` is not empty, else None)."""
+    rows), the outer solve's cold start (that inner solution) and the
+    outer equality system (``_eq_system`` of the exact rows), the last two
+    None when ``exact_rows`` is empty.  The inner solve takes the engine's
+    private door, as ``_cov_data`` has checked the data it weights."""
     z, d, r_tol = cov
     w_tol = _COV_TOL * (1.0 + _absmax(v))
     weighted = [i for i in range(d.shape[0]) if v[i] > w_tol]
@@ -1079,12 +1137,15 @@ def _cov_inner(cov: tuple[np.ndarray, np.ndarray, float], v: np.ndarray):
     # so they are excluded from the recorded sets as well
     e_rows = tuple(i for i in weighted if np.max(np.abs(d[i])) > 1e-12 or abs(z[i]) > 1e-12)
     if not e_rows:
-        return (), (), None
+        return (), (), None, None
     rows = list(e_rows)
     sqrt_v = np.sqrt(v[rows])
-    inner_beta = simplex_ls(sqrt_v * z[rows], sqrt_v[:, None] * d[rows]).beta
-    exact_rows = tuple(row for row, r in zip(e_rows, d[rows] @ inner_beta - z[rows]) if abs(r) <= r_tol)
-    return e_rows, exact_rows, inner_beta if exact_rows else None
+    z_v, d_v = sqrt_v * z[rows], sqrt_v[:, None] * d[rows]
+    inner_beta = simplex_ls(z_v, d_v, _normal=_normal_equations(z_v, d_v)).beta
+    exact = [row for row, r in zip(e_rows, d[rows] @ inner_beta - z[rows]) if abs(r) <= r_tol]
+    if not exact:
+        return e_rows, (), None, None
+    return e_rows, tuple(exact), inner_beta, _eq_system(d[exact], z[exact])
 
 
 def _covariate_rows_idle(sets: ActiveSets) -> bool:

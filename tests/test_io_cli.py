@@ -713,7 +713,8 @@ class TestCli:
 
     def test_fit_and_df_leave_scipy_linalg_unloaded(self, panel_csv):
         # the solver loads scipy's compiled LAPACK module on its own, not
-        # through the scipy.linalg package; a fresh process shows what loaded
+        # through the scipy.linalg package, and neither command draws, so
+        # the simulation module stays unloaded; a fresh process shows what loaded
         args = ["--input", str(panel_csv), "--treated", "treated", "--treatment-period", "2013-07"]
         code = (
             "import sys, synthsel.cli; "
@@ -721,7 +722,8 @@ class TestCli:
             f"assert synthsel.cli.main(['fit', *{args}, '--estimator', 'penalized', '--lambda', '0.3']) == 0; "
             f"assert synthsel.cli.main(['df', *{args}, '--estimator', 'penalized', '--lambda', '0.3', '--fd-check']) == 0; "
             "loaded = {m for m in sys.modules if m.startswith('scipy.')}; "
-            "assert loaded <= {'scipy.linalg._flapack'}, loaded"
+            "assert loaded <= {'scipy.linalg._flapack'}, loaded; "
+            "assert 'synthsel.simulation' not in sys.modules, 'simulation'"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
         subprocess.run([sys.executable, "-c", code], env=env, check=True, stdout=subprocess.DEVNULL)

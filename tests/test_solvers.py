@@ -432,7 +432,7 @@ def _cov_rows(p, z=None, d=None, v=None):
     covariate data ``(z, d, r_tol)`` and the row sets of the weighting
     ``v``; without ``z``, a grid's with no covariate rows."""
     if z is None:
-        return (np.zeros(0), np.zeros((0, p)), _COV_TOL), ((), (), None)
+        return (np.zeros(0), np.zeros((0, p)), _COV_TOL), ((), (), None, None)
     z, d, (v,) = _cov_data(z, d, [v], p)
     cov = (z, d, _COV_TOL * (1.0 + _absmax(z)))
     return cov, _cov_inner(cov, v)
@@ -1113,7 +1113,7 @@ class TestCovariatePath:
         z = np.array([d[0] @ w, 3.0, -1.0])
         v = np.array([0.5, 0.25, 0.25])
         lams = np.concatenate([[0.0], np.geomspace(0.0125, 10.0, 9)])
-        _, (_, exact_rows, _) = _cov_rows(x.shape[1], z, d, v)
+        _, (_, exact_rows, *_) = _cov_rows(x.shape[1], z, d, v)
         fits = _fit_grid(y, x, "covariate", tuning_grid("covariate", lams, v_grid=[v], n_cov=3), z, d)
         reduced = [fit.kkt.degenerate for fit in fits]
         assert exact_rows == (0,)
@@ -1129,14 +1129,14 @@ class TestCovariatePath:
 
     @staticmethod
     def _count_solves(monkeypatch):
-        """Counts, as they run, of inner solves (engine calls without
-        ``_normal``), outer engine calls and outer paths (outer solves with
-        no previous fit)."""
+        """Counts, as they run, of inner solves (engine calls without the
+        penalty's ``lin``, which every outer call passes), outer engine calls
+        and outer paths (outer solves with no previous fit)."""
         counts = {"inner": 0, "outer": 0, "paths": 0}
         engine, outer = solvers.simplex_ls, solvers._outer_solve
 
         def counted_engine(*args, **kwargs):
-            counts["outer" if "_normal" in kwargs else "inner"] += 1
+            counts["outer" if "lin" in kwargs else "inner"] += 1
             return engine(*args, **kwargs)
 
         def counted_outer(y, x, cov, inner, lin, prev, **kwargs):
@@ -1188,7 +1188,7 @@ class TestCovariatePath:
         points = tuning_grid("covariate", lams, v_grid=v_grid, n_cov=2)
         inners = [_cov_rows(x.shape[1], z, d, v)[1] for v in v_grid]
         # three of the five weightings pose the same outer problem
-        assert len({(e_rows, exact_rows) for e_rows, exact_rows, _ in inners}) == 3
+        assert len({(e_rows, exact_rows) for e_rows, exact_rows, *_ in inners}) == 3
         counts = self._count_solves(monkeypatch)
         fits = _fit_grid(y, x, "covariate", points, z, d)
         assert counts["inner"] == counts["paths"] == len(v_grid)
@@ -1555,3 +1555,131 @@ def test_active_set_local_stability(kind):
         if fit(y + delta).sets == base:
             stable += 1
     assert stable >= 0.95 * trials
+
+
+# ---------------------------------------------------------------------------
+# what a grid solve builds: each thing once, or when it is read
+# ---------------------------------------------------------------------------
+
+
+def _same_bits(got, want) -> bool:
+    return type(got) is type(want) and np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    shape=st.sampled_from(["tall", "wide", "duplicated"]),
+    n_rows=st.integers(0, 2),
+    kind=st.sampled_from(["plain", "penalized", "masc", "covariate"]),
+)
+def test_grid_certificates_are_the_public_doors_with_the_gap_formed_on_read(seed, shape, n_rows, kind):
+    # the walker's solves take the private door, which builds the frozen
+    # certificate without its __init__ and leaves the gap unformed; replayed
+    # through the public door, each solve returns the same certificate, field
+    # for field and bit for bit, the gap and the iteration count included
+    gen = np.random.default_rng(seed)
+    y, x = random_design(gen, shape)
+    p = x.shape[1]
+    z = d = None
+    if kind == "plain":
+        grid = solvers._TuningGrid([0.0])
+    elif kind == "masc":
+        grid = tuning_grid(kind, [0.0, 0.5, 1.0], m_grid=range(1, min(3, p) + 1))
+    elif kind == "covariate":
+        d = gen.normal(size=(n_rows, p))
+        z = d @ gen.dirichlet(np.ones(p))
+        vs = default_v_grid(n_rows) if n_rows else [np.zeros(0)]
+        grid = solvers._TuningGrid(np.tile([0.0, 0.3, 3.0], len(vs)), vs=vs,
+                                   v_at=np.repeat(np.arange(len(vs)), 3))
+    else:
+        grid = tuning_grid(kind, [0.0, 0.05, 0.3, 3.0])
+    calls = []
+    engine = solvers.simplex_ls
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs, engine(*args, **kwargs)))
+        return calls[-1][2]
+
+    with mock.patch.object(solvers, "simplex_ls", spy):
+        fits = _fit_grid(y, x, kind, grid, z, d)
+    made = {id(cert) for _, _, cert in calls}
+    for cert in fits.kkt:
+        assert cert.degenerate or id(cert) in made
+        if not cert.degenerate:
+            assert "complementarity_gap" not in vars(cert)
+    names = [field.name for field in dataclasses.fields(KktCertificate)]
+    for args, kwargs, cert in calls:
+        assert kwargs.pop("_normal") is not None
+        system = kwargs.pop("eq_mat", None)
+        if system is not None:  # a path's system: the sum row above the exact rows
+            kwargs.update(eq_mat=system[0][1:], eq_rhs=system[1][1:])
+        want = engine(*args, **kwargs)
+        for name in names:
+            assert _same_bits(getattr(cert, name), getattr(want, name)), name
+        assert cert.satisfied() == want.satisfied()
+    for cert in fits.kkt:
+        if cert.degenerate:  # solved again without the rows: one of the calls, flagged
+            assert any(all(_same_bits(getattr(cert, name), getattr(dataclasses.replace(
+                c, degenerate=True, unique=False), name)) for name in names) for _, _, c in calls)
+    fresh = _fit_grid(y, x, kind, grid, z, d).kkt[0]
+    for name in ("complementarity_gap", "beta", "iterations"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(fresh, name, 0.0)
+    assert fresh.complementarity_gap == _absmax(fresh.mu * fresh.beta)
+
+
+class TestGridBuildsOnce:
+    def test_a_covariate_grid_forms_each_paths_equality_rows_once(self, monkeypatch):
+        # every engine call of a path with exact rows gets the one system
+        # formed for its weighting, not rows stacked again per penalty
+        gen = np.random.default_rng(3)
+        y, x = make_instance(3, n=14, p=9)
+        d = gen.normal(size=(2, 9))
+        z = d @ gen.dirichlet(np.ones(9))
+        formed, systems = [], []
+        eq_system, engine = solvers._eq_system, solvers.simplex_ls
+
+        def counted(*args):
+            formed.append(eq_system(*args))
+            return formed[-1]
+
+        def spy(*args, **kwargs):
+            if isinstance(kwargs.get("eq_mat"), tuple):
+                systems.append(kwargs["eq_mat"])
+            return engine(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "_eq_system", counted)
+        monkeypatch.setattr(solvers, "simplex_ls", spy)
+        vs = default_v_grid(2)
+        fits = _fit_grid(y, x, "covariate", tuning_grid("covariate", None, v_grid=vs, n_cov=2), z, d)
+        with_rows = {tuple(v) for (_, _, rows, v) in fits.cov if rows}
+        assert len(formed) == len(with_rows) == len(vs)
+        assert len(systems) >= 40  # a path's every penalty, and at least one path
+        assert all(any(s is f for f in formed) for s in systems)
+
+    def test_a_masc_grid_holds_its_one_solve_for_every_point(self):
+        y, x = make_instance(5, n=12, p=10)
+        fits = _fit_grid(y, x, "masc", tuning_grid("masc", n_donors=10))
+        assert len(fits) == 210
+        assert all(cert is fits.kkt[0] for cert in fits.kkt)
+        assert all(sets is fits.cov[0] for sets in fits.cov)
+        assert (fits.face_dim == fits.kkt[0].face_dim).all()
+
+    def test_a_cross_validation_fold_forms_no_fitted_rows(self, monkeypatch):
+        # a fold reads only beta: its record forms no fitted values,
+        # residuals, RSS or plain residuals
+        y, x = make_instance(7, n=30, p=8)
+        panel = PanelDataset(y=y[:24], x=x[:24], post_y=y[24:], post_x=x[24:])
+        records = []
+        walk = selection._fit_grid
+        monkeypatch.setattr(selection, "_fit_grid", lambda *args: records.append(walk(*args)) or records[-1])
+        selection.cv_rolling(panel, "penalized", grid=[0.0, 0.1, 1.0])
+        assert len(records) == 12
+        lazy = {"fitted", "residuals", "rss", "plain_residuals"}
+        assert all(not lazy & set(vars(rec)) for rec in records)
+        # read, they are the rows a loop forms
+        rec = records[0]
+        for i, fit in enumerate(rec):
+            assert rec.fitted[i].tobytes() == (rec._x @ fit.beta).tobytes()
+            assert rec.rss[i] == rec.residuals[i] @ rec.residuals[i]
